@@ -7,8 +7,7 @@ matching closed-form transition-current algebra.
 """
 
 from .devices import (DeviceEval, MosGeometry, MosModel, MosPolarity,
-                      NMOS_DEFAULT, PMOS_DEFAULT, Region, kfactor,
-                      mos_charge_caps, mos_eval)
+                      NMOS_DEFAULT, PMOS_DEFAULT, Region, kfactor, mos_eval)
 from .errors import (ConfigError, ConvergenceError, DomainError, ExtractionError,
                      HystlabError, MeasurementError, ModelError, NetlistError,
                      SingularMatrixError, SingularityError)

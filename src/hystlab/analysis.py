@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, MeasurementError, NetlistError
-from .netlist import Capacitor, DcSpec, Mosfet, Netlist
-from .solver import Companion, Solution, SolverOptions, _newton, _System, dc_solve
+from .netlist import DcSpec, Netlist
+from .solver import Solution, SolverOptions, _newton, _solve, _System, dc_solve
 
 logger = logging.getLogger(__name__)
 
@@ -83,6 +83,23 @@ def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
+def _source_solver(netlist: Netlist, source_name: str,
+                   options: SolverOptions | None):
+    """solve(value, guess): dc_solve with one source at a DC value.
+
+    The netlist is compiled once; each call only swaps the source's value.
+    """
+    sys_ = _System(netlist)
+    slot = sys_.source_slots[netlist.find_source(source_name).name]
+    options = options or SolverOptions()
+
+    def solve(value: float, guess: dict[str, float] | None) -> Solution:
+        sys_.specs[slot] = DcSpec(value)
+        return _solve(sys_, options, guess)
+
+    return solve
+
+
 def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
              step: float, options: SolverOptions | None = None) -> SweepCurve:
     """Solve along a stimulus grid, warm-starting each point from the last.
@@ -95,13 +112,13 @@ def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
         raise NetlistError(f"source {source_name!r} is not a DC source")
     values = _sweep_grid(start, stop, step)
     direction = SweepDirection.UP if stop >= start else SweepDirection.DOWN
+    solve = _source_solver(netlist, source_name, options)
 
     samples = []
     guess = None
     for v in values:
-        point = netlist.replaced_source(source_name, DcSpec(v))
         try:
-            sol = dc_solve(point, options, initial_guess=guess)
+            sol = solve(v, guess)
         except ConvergenceError as e:
             raise ConvergenceError(
                 f"sweep failed at {source_name}={v:.6g}: {e}",
@@ -129,13 +146,13 @@ def _refine_transition(netlist: Netlist, curve: SweepCurve, node: str,
     a, volts_a = curve.samples[i]
     b, _ = curve.samples[i + 1]
     pre_side = volts_a[node] >= threshold
+    solve = _source_solver(netlist, curve.source_name, options)
 
     # warm every probe from the pre-transition side so the bisection
     # follows the surviving branch right up to the jump
     while abs(b - a) > refine_to:
         mid = 0.5 * (a + b)
-        point = netlist.replaced_source(curve.source_name, DcSpec(mid))
-        sol = dc_solve(point, options, initial_guess=volts_a)
+        sol = solve(mid, volts_a)
         if (sol.node_voltages[node] >= threshold) == pre_side:
             a, volts_a = mid, sol.node_voltages
         else:
@@ -157,24 +174,6 @@ def measure_hysteresis(up: SweepCurve, down: SweepCurve, output_node: str,
                             resolution=max(w1, w2), threshold=threshold)
 
 
-def _gather_caps(netlist: Netlist, sys_: _System, cmin: float):
-    # (pos index, neg index, farads) with -1 for ground
-    caps = []
-    for el in netlist.elements:
-        if isinstance(el, Capacitor):
-            if el.farads > 0.0:
-                caps.append((sys_._ni(el.pos), sys_._ni(el.neg), el.farads))
-        elif isinstance(el, Mosfet):
-            if el.model.cgs > 0.0:
-                caps.append((sys_._ni(el.g), sys_._ni(el.s), el.model.cgs))
-            if el.model.cgd > 0.0:
-                caps.append((sys_._ni(el.g), sys_._ni(el.d), el.model.cgd))
-    if cmin > 0.0:
-        for i in range(sys_.n_nodes):
-            caps.append((i, -1, cmin))
-    return caps
-
-
 def transient(netlist: Netlist, dt: float, tstop: float,
               options: SolverOptions | None = None,
               cmin: float = CMIN_DEFAULT) -> Waveform:
@@ -186,45 +185,26 @@ def transient(netlist: Netlist, dt: float, tstop: float,
     options = options or SolverOptions()
 
     start = dc_solve(netlist, options)
-    sys_ = _System(netlist)
-    caps = _gather_caps(netlist, sys_, cmin)
-
+    sys_ = _System(netlist, dt=dt, cmin=cmin)
     x = sys_.vector_from_guess(start.node_voltages)
-    for ip, ineg, bi, name, _spec in sys_.vsources:
-        x[bi] = start.branch_currents[name]
-
-    def across(ip: int, ineg: int) -> float:
-        vp = 0.0 if ip < 0 else x[ip]
-        vn = 0.0 if ineg < 0 else x[ineg]
-        return vp - vn
-
-    v_cap = [across(ip, ineg) for ip, ineg, _ in caps]
-    i_cap = [0.0] * len(caps)  # no capacitor current at DC
+    x[sys_.n_nodes:] = [start.branch_currents[name] for name in sys_.vsource_names]
+    ieq = sys_.next_ieq(x, None)
 
     samples = [(0.0, start.node_voltages)]
     n_steps = int(tstop / dt + 1e-9)
     for k in range(1, n_steps + 1):
         t = k * dt
-        companions = tuple(
-            Companion(ip, ineg, 2.0 * c / dt, -2.0 * c / dt * v_cap[j] - i_cap[j])
-            for j, (ip, ineg, c) in enumerate(caps))
         x, a, iters, status = _newton(sys_, x, options, options.gmin_floor,
-                                      time=t, companions=companions)
+                                      time=t, ieq=ieq)
         if status != "ok":
             nn = sys_.n_nodes
             residual = float(np.max(np.abs(a.f[:nn]))) if nn else 0.0
             raise ConvergenceError(
                 f"transient step failed at t={t:.6g} s ({status})",
                 stage=f"transient t={t:.6g}", residual=residual)
-        for j, (ip, ineg, c) in enumerate(caps):
-            g = 2.0 * c / dt
-            ieq = -g * v_cap[j] - i_cap[j]
-            v_new = across(ip, ineg)
-            i_cap[j] = g * v_new + ieq
-            v_cap[j] = v_new
+        ieq = sys_.next_ieq(x, ieq)
         volts = {"0": 0.0}
-        for name in sys_.node_names:
-            volts[name] = float(x[sys_.index[name]])
+        volts.update(zip(sys_.node_names, x.tolist()))
         samples.append((t, volts))
     return Waveform(tuple(samples), dt)
 
@@ -281,11 +261,10 @@ def branch_solution_at(netlist: Netlist, source_name: str, value: float,
     sits on the branch reachable from that side, which matters inside
     a hysteresis band.
     """
+    solve = _source_solver(netlist, source_name, options)
     guess = None
     for k in range(steps + 1):
-        v = approach_from + (value - approach_from) * k / steps
-        point = netlist.replaced_source(source_name, DcSpec(v))
-        sol = dc_solve(point, options, initial_guess=guess)
+        sol = solve(approach_from + (value - approach_from) * k / steps, guess)
         guess = sol.node_voltages
     return sol
 

@@ -123,10 +123,13 @@ def transition_currents(i_ref: float, i_d1: float, i_d2: float,
     i_b = p_prime * i_d2 - i_d1
     i_t1 = i_ref + i_a
     i_t2 = i_ref - i_b
-    i_hy = abs(i_t1 - i_t2)
+    # i_t1 - i_t2 without i_ref, which would cancel against a large i_ref
+    i_hy = abs(i_a + i_b)
     # same quantity two ways, must agree to rounding
-    assert math.isclose(i_hy, abs(p_prime - p) * i_d2,
-                        rel_tol=1e-9, abs_tol=1e-24)
+    width = abs(p_prime - p) * i_d2
+    if not math.isclose(i_hy, width, rel_tol=1e-9, abs_tol=1e-24):
+        raise DomainError(f"hysteresis width {i_hy!r} A disagrees with "
+                          f"|p' - p|*i_d2 = {width!r} A", value=i_hy)
     return TransitionResult(i_t1=i_t1, i_t2=i_t2, i_a=i_a, i_b=i_b, i_hy=i_hy)
 
 

@@ -86,27 +86,47 @@ def kfactor(model: MosModel, geom: MosGeometry) -> float:
     return 0.5 * model.kp * geom.w / geom.l
 
 
-def _eval_fwd(k: float, vov: float, vds: float, lam: float):
-    # N-type normalized branch evaluation, vds >= 0.
-    # Returns (id, d id/d vgs, d id/d vds, region).
-    if vov <= 0.0:
-        return 0.0, 0.0, 0.0, Region.CUTOFF
-    cm = 1.0 + lam * vds
-    if vds >= vov:
-        base = k * vov * vov
-        return base * cm, 2.0 * k * vov * cm, base * lam, Region.SATURATION
-    base = k * (2.0 * vov - vds) * vds
-    gm = 2.0 * k * vds * cm
-    gds = k * ((2.0 * vov - 2.0 * vds) * cm + (2.0 * vov - vds) * vds * lam)
-    return base * cm, gm, gds, Region.TRIODE
+def mos_kernel(k: float, sign: float, vto: float, lam: float,
+               vgs: float, vds: float):
+    """Scalar device law: (id, gm, gds, region) at a source-referenced bias.
 
-
-def _eval_n(k: float, vgs: float, vds: float, vto: float, lam: float):
+    ``k`` is kfactor(), ``sign`` is +1.0 for N devices and -1.0 for P
+    devices, ``vto`` and ``lam`` come from the model card. P devices are
+    evaluated by mirroring the N equations; every product with ``sign``
+    is exact, so both polarities round as the N law does.
+    """
+    vgs = sign * vgs
+    vds = sign * vds
+    vto = sign * vto
     if vds >= 0.0:
-        return _eval_fwd(k, vgs - vto, vds, lam)
-    # reversed conduction: source and drain swap roles
-    ia, ga, gb, region = _eval_fwd(k, vgs - vds - vto, -vds, lam)
-    return -ia, -ga, ga + gb, region
+        vov = vgs - vto
+        reverse = False
+    else:
+        # reversed conduction: source and drain swap roles
+        vov = vgs - vds - vto
+        vds = -vds
+        reverse = True
+    cm = 1.0 + lam * vds
+    if vov <= 0.0:
+        i = gm = gds = 0.0
+        region = Region.CUTOFF
+    elif vds >= vov:
+        base = k * vov * vov
+        i, gm, gds = base * cm, 2.0 * k * vov * cm, base * lam
+        region = Region.SATURATION
+    else:
+        i = k * (2.0 * vov - vds) * vds * cm
+        gm = 2.0 * k * vds * cm
+        gds = k * ((2.0 * vov - 2.0 * vds) * cm + (2.0 * vov - vds) * vds * lam)
+        region = Region.TRIODE
+    if reverse:
+        return -sign * i, -gm, gm + gds, region
+    return sign * i, gm, gds, region
+
+
+def mos_sign(model: MosModel) -> float:
+    """The ``sign`` argument of mos_kernel for this model card."""
+    return -1.0 if model.polarity is MosPolarity.P else 1.0
 
 
 def mos_eval(model: MosModel, geom: MosGeometry, vgs: float, vds: float) -> DeviceEval:
@@ -115,14 +135,6 @@ def mos_eval(model: MosModel, geom: MosGeometry, vgs: float, vds: float) -> Devi
     Total function: every real (vgs, vds) maps to a branch. P devices
     are evaluated by polarity mirroring of the N equations.
     """
-    k = kfactor(model, geom)
-    if model.polarity is MosPolarity.P:
-        i, gm, gds, region = _eval_n(k, -vgs, -vds, -model.vto, model.lam)
-        return DeviceEval(id=-i, gm=gm, gds=gds, region=region)
-    i, gm, gds, region = _eval_n(k, vgs, vds, model.vto, model.lam)
+    i, gm, gds, region = mos_kernel(kfactor(model, geom), mos_sign(model),
+                                    model.vto, model.lam, vgs, vds)
     return DeviceEval(id=i, gm=gm, gds=gds, region=region)
-
-
-def mos_charge_caps(model: MosModel) -> tuple[float, float]:
-    """Fixed (cgs, cgd) used by the transient companion models."""
-    return model.cgs, model.cgd

@@ -9,11 +9,11 @@ fall back to a gmin ladder and then to source stepping.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import DeviceEval, mos_eval
+from .devices import DeviceEval, kfactor, mos_eval, mos_kernel, mos_sign
 from .errors import ConvergenceError, SingularMatrixError
 from .netlist import Capacitor, ISource, Mosfet, Netlist, Resistor, VSource
 
@@ -47,66 +47,97 @@ class Solution:
     gmin_used: float                        # shunt present in the solved system [S]
 
 
-@dataclass(frozen=True)
-class Companion:
-    """Linear Norton stamp used by the transient engine.
-
-    Current pos->neg through the companion is G*(v_pos - v_neg) + ieq.
-    Indices are unknown-vector positions, -1 for ground.
-    """
-
-    pos: int
-    neg: int
-    g: float    # [S]
-    ieq: float  # [A]
-
-
 @dataclass
 class _Assembled:
     f: np.ndarray
     jac: np.ndarray
     node_scale: np.ndarray
     branch_scale: np.ndarray
-    evals: dict[str, DeviceEval] = field(default_factory=dict)
 
 
 class _System:
-    """Precompiled stamp lists for one netlist."""
+    """Stamp plan for one netlist: compiled once, loaded per Newton iteration.
 
-    def __init__(self, netlist: Netlist):
+    Each stamp is a tuple of unknown indices and flat Jacobian slots into
+    the Python lists that assemble() fills. Ground maps to the spare
+    trailing unknown ``n_unknowns``, which assemble() drops, so no stamp
+    branches on ground. Source values come from ``specs``, indexed by
+    ``source_slots[name]``; a sweep swaps one entry to move its source
+    without compiling again.
+
+    With ``dt`` given, every capacitor, every MOSFET cgs/cgd and ``cmin``
+    from each node to ground become trapezoidal companions. Their
+    conductance 2C/dt is fixed here; only the equivalent current ``ieq``
+    changes from step to step.
+    """
+
+    def __init__(self, netlist: Netlist, dt: float | None = None, cmin: float = 0.0):
         self.netlist = netlist
         self.node_names = tuple(n for n in netlist.nodes if n != "0")
         self.index = {n: i for i, n in enumerate(self.node_names)}
-        self.n_nodes = len(self.node_names)
+        nn = self.n_nodes = len(self.node_names)
+        self.vsource_names = tuple(el.name for el in netlist.elements
+                                   if isinstance(el, VSource))
+        n = self.n_unknowns = nn + len(self.vsource_names)
+        w = n + 1
+        ni = dict(self.index)
+        ni["0"] = n
 
-        self.resistors: list[tuple[int, int, float]] = []
-        self.isources: list[tuple[int, int, object]] = []
-        self.vsources: list[tuple[int, int, int, str, object]] = []
-        self.mosfets: list[tuple[int, int, int, str, object, object]] = []
+        def pair(p: int, q: int) -> tuple[int, int, int, int]:
+            # slots of (p,p), (p,q), (q,p), (q,q)
+            return p * w + p, p * w + q, q * w + p, q * w + q
 
-        nb = self.n_nodes
+        self.specs: list = []
+        self.source_slots: dict[str, int] = {}
+        self.mosfet_elements: list[Mosfet] = []
+        resistors, isources, vsources, mosfets, caps = [], [], [], [], []
+        b = nn
         for el in netlist.elements:
             if isinstance(el, Resistor):
-                self.resistors.append((self._ni(el.pos), self._ni(el.neg), 1.0 / el.ohms))
+                p, q = ni[el.pos], ni[el.neg]
+                resistors.append((p, q, 1.0 / el.ohms, *pair(p, q)))
             elif isinstance(el, Capacitor):
-                continue  # open in DC; transient replaces with companions
+                if dt is not None and el.farads > 0.0:  # open in DC
+                    caps.append((ni[el.pos], ni[el.neg], el.farads))
             elif isinstance(el, ISource):
-                self.isources.append((self._ni(el.pos), self._ni(el.neg), el.spec))
+                self.source_slots[el.name] = len(self.specs)
+                isources.append((ni[el.pos], ni[el.neg], len(self.specs)))
+                self.specs.append(el.spec)
             elif isinstance(el, VSource):
-                self.vsources.append((self._ni(el.pos), self._ni(el.neg), nb, el.name, el.spec))
-                nb += 1
+                p, q = ni[el.pos], ni[el.neg]
+                self.source_slots[el.name] = len(self.specs)
+                vsources.append((p, q, b, len(self.specs), p * w + b, q * w + b,
+                                 b * w + p, b * w + q))
+                self.specs.append(el.spec)
+                b += 1
             elif isinstance(el, Mosfet):
-                self.mosfets.append((self._ni(el.d), self._ni(el.g), self._ni(el.s),
-                                     el.name, el.model, el.geom))
-        self.n_unknowns = nb
-
-    def _ni(self, node: str) -> int:
-        return -1 if node == "0" else self.index[node]
+                d, g, s = ni[el.d], ni[el.g], ni[el.s]
+                m = el.model
+                self.mosfet_elements.append(el)
+                mosfets.append((d, g, s, kfactor(m, el.geom), mos_sign(m), m.vto, m.lam,
+                                d * w + g, d * w + d, d * w + s,
+                                s * w + g, s * w + d, s * w + s))
+                if dt is not None:
+                    if m.cgs > 0.0:
+                        caps.append((g, s, m.cgs))
+                    if m.cgd > 0.0:
+                        caps.append((g, d, m.cgd))
+        if dt is not None and cmin > 0.0:
+            caps.extend((i, n, cmin) for i in range(nn))
+        self.resistors = tuple(resistors)
+        self.isources = tuple(isources)
+        self.vsources = tuple(vsources)
+        self.mosfets = tuple(mosfets)
+        self.caps = tuple((p, q, 2.0 * c / dt, *pair(p, q)) for p, q, c in caps)
+        self.diag = tuple(i * w + i for i in range(nn))
 
     def unknown_name(self, i: int) -> str:
         if i < self.n_nodes:
             return self.node_names[i]
-        return f"I({self.vsources[i - self.n_nodes][3]})"
+        return f"I({self.vsource_names[i - self.n_nodes]})"
+
+    def source_values(self, time: float, src_scale: float) -> list[float]:
+        return [spec.value_at(time) * src_scale for spec in self.specs]
 
     def vector_from_guess(self, guess: dict[str, float] | None) -> np.ndarray:
         x = np.zeros(self.n_unknowns)
@@ -117,94 +148,112 @@ class _System:
                     x[i] = v
         return x
 
-    def assemble(self, x: np.ndarray, gmin: float, src_scale: float = 1.0,
-                 time: float = 0.0, companions: tuple[Companion, ...] = ()) -> _Assembled:
+    def assemble(self, x: np.ndarray, gmin: float, e: list[float],
+                 ieq: list[float] | tuple = ()) -> _Assembled:
+        """Residual, Jacobian and convergence scales at x.
+
+        ``e`` holds the source values (see source_values), ``ieq`` the
+        companion currents of a transient step. Elements are summed in a
+        fixed order: resistors, current sources, voltage sources, MOSFETs,
+        companions, then the gmin shunt.
+        """
         n = self.n_unknowns
-        f = np.zeros(n)
-        jac = np.zeros((n, n))
-        node_scale = np.zeros(self.n_nodes)
-        branch_scale = np.zeros(n - self.n_nodes)
+        w = n + 1
+        xl = x.tolist()
+        xl.append(0.0)
+        f = [0.0] * w
+        jac = [0.0] * (w * w)
+        # nodal current scales, then branch scales, then ground
+        sc = [0.0] * w
 
-        def v(i: int) -> float:
-            return 0.0 if i < 0 else x[i]
+        for p, q, g, pp, pq, qp, qq in self.resistors:
+            i = g * (xl[p] - xl[q])
+            f[p] += i
+            f[q] -= i
+            jac[pp] += g
+            jac[pq] -= g
+            jac[qp] -= g
+            jac[qq] += g
+            i = abs(i)
+            sc[p] += i
+            sc[q] += i
 
-        def add_f(i: int, val: float):
-            if i >= 0:
-                f[i] += val
+        for p, q, j in self.isources:
+            val = e[j]
+            f[p] += val
+            f[q] -= val
+            val = abs(val)
+            sc[p] += val
+            sc[q] += val
 
-        def add_j(i: int, k: int, val: float):
-            if i >= 0 and k >= 0:
-                jac[i, k] += val
+        for p, q, b, j, pb, qb, bp, bq in self.vsources:
+            i = xl[b]
+            f[p] += i
+            f[q] -= i
+            jac[pb] += 1.0
+            jac[qb] -= 1.0
+            i = abs(i)
+            sc[p] += i
+            sc[q] += i
+            vp, vq, ej = xl[p], xl[q], e[j]
+            f[b] = (vp - vq) - ej
+            jac[bp] += 1.0
+            jac[bq] -= 1.0
+            sc[b] = abs(vp) + abs(vq) + abs(ej)
 
-        def add_scale(i: int, val: float):
-            if 0 <= i < self.n_nodes:
-                node_scale[i] += abs(val)
+        for d, g, s, k, sign, vto, lam, dg, dd, ds, sg, sd, ss in self.mosfets:
+            vs = xl[s]
+            i, gm, gds, _ = mos_kernel(k, sign, vto, lam, xl[g] - vs, xl[d] - vs)
+            f[d] += i
+            f[s] -= i
+            jac[dg] += gm
+            jac[dd] += gds
+            jac[ds] -= gm + gds
+            jac[sg] -= gm
+            jac[sd] -= gds
+            jac[ss] += gm + gds
+            i = abs(i)
+            sc[d] += i
+            sc[s] += i
 
-        for ip, ineg, g in self.resistors:
-            i = g * (v(ip) - v(ineg))
-            add_f(ip, i)
-            add_f(ineg, -i)
-            add_j(ip, ip, g)
-            add_j(ip, ineg, -g)
-            add_j(ineg, ip, -g)
-            add_j(ineg, ineg, g)
-            add_scale(ip, i)
-            add_scale(ineg, i)
-
-        for ip, ineg, spec in self.isources:
-            val = spec.value_at(time) * src_scale
-            add_f(ip, val)
-            add_f(ineg, -val)
-            add_scale(ip, val)
-            add_scale(ineg, val)
-
-        for ip, ineg, bi, _name, spec in self.vsources:
-            j = x[bi]
-            add_f(ip, j)
-            add_f(ineg, -j)
-            add_j(ip, bi, 1.0)
-            add_j(ineg, bi, -1.0)
-            add_scale(ip, j)
-            add_scale(ineg, j)
-            e = spec.value_at(time) * src_scale
-            f[bi] = (v(ip) - v(ineg)) - e
-            add_j(bi, ip, 1.0)
-            add_j(bi, ineg, -1.0)
-            branch_scale[bi - self.n_nodes] = abs(v(ip)) + abs(v(ineg)) + abs(e)
-
-        evals: dict[str, DeviceEval] = {}
-        for idx_d, idx_g, idx_s, name, model, geom in self.mosfets:
-            ev = mos_eval(model, geom, v(idx_g) - v(idx_s), v(idx_d) - v(idx_s))
-            evals[name] = ev
-            add_f(idx_d, ev.id)
-            add_f(idx_s, -ev.id)
-            add_j(idx_d, idx_g, ev.gm)
-            add_j(idx_d, idx_d, ev.gds)
-            add_j(idx_d, idx_s, -(ev.gm + ev.gds))
-            add_j(idx_s, idx_g, -ev.gm)
-            add_j(idx_s, idx_d, -ev.gds)
-            add_j(idx_s, idx_s, ev.gm + ev.gds)
-            add_scale(idx_d, ev.id)
-            add_scale(idx_s, ev.id)
-
-        for c in companions:
-            i = c.g * (v(c.pos) - v(c.neg)) + c.ieq
-            add_f(c.pos, i)
-            add_f(c.neg, -i)
-            add_j(c.pos, c.pos, c.g)
-            add_j(c.pos, c.neg, -c.g)
-            add_j(c.neg, c.pos, -c.g)
-            add_j(c.neg, c.neg, c.g)
-            add_scale(c.pos, abs(c.g * (v(c.pos) - v(c.neg))) + abs(c.ieq))
-            add_scale(c.neg, abs(c.g * (v(c.pos) - v(c.neg))) + abs(c.ieq))
+        for (p, q, g, pp, pq, qp, qq), c in zip(self.caps, ieq):
+            gv = g * (xl[p] - xl[q])
+            i = gv + c
+            f[p] += i
+            f[q] -= i
+            jac[pp] += g
+            jac[pq] -= g
+            jac[qp] -= g
+            jac[qq] += g
+            i = abs(gv) + abs(c)
+            sc[p] += i
+            sc[q] += i
 
         # SPICE-style shunt on every node keeps floating gates solvable
-        for i in range(self.n_nodes):
-            f[i] += gmin * x[i]
-            jac[i, i] += gmin
-            node_scale[i] += abs(gmin * x[i])
+        for i, ii in enumerate(self.diag):
+            gx = gmin * xl[i]
+            f[i] += gx
+            jac[ii] += gmin
+            sc[i] += abs(gx)
 
-        return _Assembled(f, jac, node_scale, branch_scale, evals)
+        scale = np.array(sc[:n])
+        return _Assembled(np.array(f[:n]), np.array(jac).reshape(w, w)[:n, :n],
+                          scale[:self.n_nodes], scale[self.n_nodes:])
+
+    def next_ieq(self, x: np.ndarray, ieq: list[float] | None) -> list[float]:
+        """Companion currents of the trapezoidal step that follows x.
+
+        ``ieq`` is the step's own; None means x is the DC point, where no
+        capacitor current flows. Each capacitor carries i = g*v + ieq at
+        x, and the next step's equivalent current is -g*v - i.
+        """
+        xl = x.tolist()
+        xl.append(0.0)
+        out = []
+        for j, (p, q, g, *_slots) in enumerate(self.caps):
+            gv = g * (xl[p] - xl[q])
+            out.append(-gv - (0.0 if ieq is None else gv + ieq[j]))
+        return out
 
 
 def _residual_ok(sys_: _System, a: _Assembled, options: SolverOptions) -> bool:
@@ -217,18 +266,18 @@ def _residual_ok(sys_: _System, a: _Assembled, options: SolverOptions) -> bool:
 
 
 def _newton(sys_: _System, x0: np.ndarray, options: SolverOptions, gmin: float,
-            src_scale: float = 1.0, time: float = 0.0,
-            companions: tuple[Companion, ...] = (), polish: bool = True):
+            src_scale: float = 1.0, time: float = 0.0, ieq: list[float] | tuple = ()):
     """Damped Newton loop. Returns (x, assembled, iterations, status).
 
     status: "ok" | "maxiter" | "singular" | "nonfinite".
     """
+    e = sys_.source_values(time, src_scale)
     x = x0.copy()
     nn = sys_.n_nodes
     iters = 0
     while iters < options.max_newton_iters:
         iters += 1
-        a = sys_.assemble(x, gmin, src_scale, time, companions)
+        a = sys_.assemble(x, gmin, e, ieq)
         if not (np.all(np.isfinite(a.f)) and np.all(np.isfinite(a.jac))):
             return x, a, iters, "nonfinite"
         try:
@@ -242,19 +291,17 @@ def _newton(sys_: _System, x0: np.ndarray, options: SolverOptions, gmin: float,
                               + options.reltol * np.abs(x + dx)))
         if step_ok and _residual_ok(sys_, a, options):
             # accept the residual-checked point, not the final micro-step
-            if polish:
-                x, a, _ = _polish(sys_, x, a, options, gmin, src_scale, time, companions)
+            x, a = _polish(sys_, x, a, options, gmin, e, ieq)
             return x, a, iters, "ok"
         x = x + dx
-    a = sys_.assemble(x, gmin, src_scale, time, companions)
+    a = sys_.assemble(x, gmin, e, ieq)
     return x, a, iters, "maxiter"
 
 
-def _polish(sys_: _System, x, a, options, gmin, src_scale, time, companions):
+def _polish(sys_: _System, x, a, options, gmin, e, ieq):
     # a few undamped refinement steps push nodal residuals well under
     # abstol so converged points audit cleanly
     nn = sys_.n_nodes
-    extra = 0
     best = np.max(np.abs(a.f[:nn])) if nn else 0.0
     for _ in range(3):
         if best <= 0.1 * options.abstol:
@@ -264,13 +311,12 @@ def _polish(sys_: _System, x, a, options, gmin, src_scale, time, companions):
         except np.linalg.LinAlgError:
             break
         x_try = x + dx
-        a_try = sys_.assemble(x_try, gmin, src_scale, time, companions)
-        extra += 1
+        a_try = sys_.assemble(x_try, gmin, e, ieq)
         worst = np.max(np.abs(a_try.f[:nn])) if nn else 0.0
         if not np.all(np.isfinite(a_try.f)) or worst >= best:
             break
         x, a, best = x_try, a_try, worst
-    return x, a, extra
+    return x, a
 
 
 def _gmin_ladder(options: SolverOptions) -> list[float]:
@@ -292,14 +338,16 @@ def _suspect_unknown(sys_: _System, jac: np.ndarray) -> str:
     return sys_.unknown_name(comp)
 
 
-def _build_solution(sys_: _System, x: np.ndarray, a: _Assembled,
-                    iterations: int, gmin: float) -> Solution:
+def _build_solution(sys_: _System, x: np.ndarray, iterations: int,
+                    gmin: float) -> Solution:
+    xl = x.tolist()
     voltages = {"0": 0.0}
-    for name in sys_.netlist.nodes:
-        if name != "0":
-            voltages[name] = float(x[sys_.index[name]])
-    branches = {name: float(x[bi]) for _, _, bi, name, _ in sys_.vsources}
-    return Solution(voltages, branches, dict(a.evals), iterations, gmin)
+    voltages.update(zip(sys_.node_names, xl))
+    branches = dict(zip(sys_.vsource_names, xl[sys_.n_nodes:]))
+    v = voltages
+    evals = {el.name: mos_eval(el.model, el.geom, v[el.g] - v[el.s], v[el.d] - v[el.s])
+             for el in sys_.mosfet_elements}
+    return Solution(voltages, branches, evals, iterations, gmin)
 
 
 def _plain_then_ladder(sys_: _System, x0: np.ndarray, options: SolverOptions):
@@ -340,10 +388,13 @@ def dc_solve(netlist: Netlist, options: SolverOptions | None = None,
     SingularMatrixError when the system matrix stays singular under
     heavy gmin augmentation.
     """
-    options = options or SolverOptions()
-    sys_ = _System(netlist)
-    total = 0
+    return _solve(_System(netlist), options or SolverOptions(), initial_guess)
 
+
+def _solve(sys_: _System, options: SolverOptions,
+           initial_guess: dict[str, float] | None) -> Solution:
+    """dc_solve on a compiled plan, at the source values its specs hold."""
+    total = 0
     starts = [sys_.vector_from_guess(initial_guess)]
     if initial_guess is not None:
         # a stale guess can strand Newton on a branch of the solution set
@@ -353,7 +404,7 @@ def dc_solve(netlist: Netlist, options: SolverOptions | None = None,
         x, a, iters, ok = _plain_then_ladder(sys_, x0, options)
         total += iters
         if ok:
-            return _build_solution(sys_, x, a, total, options.gmin_floor)
+            return _build_solution(sys_, x, total, options.gmin_floor)
 
     # source stepping at full gmin floor
     x = sys_.vector_from_guess(initial_guess)
@@ -369,4 +420,4 @@ def dc_solve(netlist: Netlist, options: SolverOptions | None = None,
                 f"no DC convergence (source stepping, alpha={alpha:.1f}, "
                 f"residual={residual:.3e} A)",
                 stage="source stepping", residual=residual)
-    return _build_solution(sys_, x, a, total, options.gmin_floor)
+    return _build_solution(sys_, x, total, options.gmin_floor)

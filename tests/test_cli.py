@@ -196,6 +196,30 @@ def test_analytic_matches_library(capsys):
     assert vals["i_hy"] == tr.i_hy
 
 
+@pytest.mark.parametrize("iref", ["1k", "1e4", "1e6"])
+def test_analytic_width_independent_of_reference_current(iref, capsys):
+    # i_t1 and i_t2 both carry i_ref; their difference used to cancel
+    # against it and trip the width cross-check
+    argv = ["analytic", "--kn7", "100u", "--kn9", "120u", "--kp3", "50u",
+            "--kp5", "50u", "--vth", "0.5", "--vc", "1.2", "--vd", "0.3",
+            "--id1", "10u", "--id2", "10u", "--iref"]
+    assert run(argv + ["0"]) == 0
+    base = _machine_lines(capsys.readouterr().out)
+    assert run(argv + [iref]) == 0
+    vals = _machine_lines(capsys.readouterr().out)
+    assert vals["i_hy"] == base["i_hy"]
+
+
+def test_hyst_stock_golden(capsys):
+    # refactor guard: bisection midpoints on a dyadic grid survive
+    # last-bit changes, so any drift here is a change of behaviour
+    assert run(["hyst", "--variant", "hysteresis", "--source", "IIN",
+                "--range", "8u", "--step", "50n"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "i_t1=3.1996093750000013e-06" in lines
+    assert "i_t2=-3.537109375000002e-06" in lines
+
+
 def test_analytic_singular_input_fails(capsys):
     rc = run(["analytic", "--kn7", "100u", "--kn9", "100u", "--kp3", "30u",
               "--kp5", "30u", "--vth", "0.5", "--id1", "10u", "--id2", "10u",

@@ -15,7 +15,6 @@ from hystlab import (
     MosPolarity,
     Region,
     kfactor,
-    mos_charge_caps,
     mos_eval,
 )
 from hystlab.errors import ModelError
@@ -149,12 +148,6 @@ def test_cutoff_zeroes_everything():
     ev = mos_eval(NCH, UNIT, 0.2, 1.7)
     assert (ev.id, ev.gm, ev.gds) == (0.0, 0.0, 0.0)
     assert ev.region is Region.CUTOFF
-
-
-def test_charge_caps_passthrough():
-    m = dataclasses.replace(NCH, cgs=3e-15, cgd=1.5e-15)
-    assert mos_charge_caps(m) == (3e-15, 1.5e-15)
-    assert mos_charge_caps(NCH) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize(

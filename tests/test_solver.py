@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from hystlab import (
+    ComparatorConfig,
     ConvergenceError,
     DcSpec,
     SingularMatrixError,
     SolverOptions,
+    build_comparator,
     dc_solve,
     parse_netlist,
 )
 from hystlab.audit import kcl_residuals, verify_kcl
+from hystlab.solver import Solution, _System
 
 GMIN = 1e-12
 
@@ -243,3 +246,87 @@ def test_solution_records_iterations_and_evals(hysteresis_net):
     assert sol.iterations > 0
     assert set(sol.device_evals) >= {"M1", "M7", "MPI", "MNI"}
     assert all(np.isfinite(v) for v in sol.node_voltages.values())
+
+
+def _companion_currents(net, volts, dt, cmin, ieq):
+    """Per node: trapezoidal companion currents leaving it, and their scale.
+
+    Nonzero companions come in element order (capacitors, then each
+    MOSFET's cgs and cgd), then cmin from every node to ground, as ``ieq``
+    lists them.
+    """
+    caps = []
+    for el in net.elements:
+        if type(el).__name__ == "Capacitor":
+            caps.append((el.pos, el.neg, el.farads))
+        elif type(el).__name__ == "Mosfet":
+            caps += [(el.g, el.s, el.model.cgs), (el.g, el.d, el.model.cgd)]
+    caps = [cap for cap in caps if cap[2] > 0.0]
+    caps += [(n, "0", cmin) for n in net.nodes if n != "0"]
+    current = dict.fromkeys(volts, 0.0)
+    scale = dict.fromkeys(volts, 0.0)
+    for (pos, neg, c), q in zip(caps, ieq, strict=True):
+        gv = 2.0 * c / dt * (volts[pos] - volts[neg])
+        current[pos] += gv + q
+        current[neg] -= gv + q
+        scale[pos] += abs(gv) + abs(q)
+        scale[neg] += abs(gv) + abs(q)
+    return current, scale
+
+
+# every stamp kind off ground: a floating source, a resistor pair, a
+# current source and a P device, which the comparator builds lack
+FLOATING = """floating source
+V1 a 0 DC 3
+R1 a b 1k
+V2 b c DC 0.7
+R2 c d 2k
+I1 d c DC 0.1m
+M1 d c a a pch W=2u L=1u
+C1 b d 1p
+.model pch PMOS (KP=60u VTO=-0.5 LAMBDA=0.05 CGS=5f)
+.end
+"""
+
+
+@pytest.mark.parametrize("build,dt", [("stock", None), ("capacitance", None),
+                                      ("capacitance", 1e-9), ("floating", 1e-9)])
+def test_plan_matches_audit_and_finite_differences(build, dt, request):
+    # the compiled stamp plan against two oracles that share none of its
+    # index tables: the KCL audit's re-summation for the residual and
+    # central differences of that residual for the Jacobian
+    net = {"stock": lambda: build_comparator(ComparatorConfig()),
+           "capacitance": lambda: request.getfixturevalue("capacitance_net"),
+           "floating": lambda: parse_netlist(FLOATING)}[build]()
+    cmin = 1e-15
+    sys_ = _System(net, dt=dt, cmin=cmin)
+    nn, n = sys_.n_nodes, sys_.n_unknowns
+    e = sys_.source_values(0.0, 1.0)
+    rng = np.random.default_rng(20)
+    ieq = list(rng.uniform(-1e-6, 1e-6, len(sys_.caps)))
+    for gmin in (GMIN, 1e-3):
+        # off-solution points: the device regions mix and KCL does not hold
+        x = np.concatenate([rng.uniform(-0.5, 3.5, nn), rng.uniform(-1e-4, 1e-4, n - nn)])
+        a = sys_.assemble(x, gmin, e, ieq)
+        sol = Solution({"0": 0.0, **dict(zip(sys_.node_names, x.tolist()))},
+                       dict(zip(sys_.vsource_names, x[nn:].tolist())), {}, 0, gmin)
+        audit = kcl_residuals(net, sol)
+        extra, extra_scale = ({}, {}) if dt is None else _companion_currents(
+            net, sol.node_voltages, dt, cmin, ieq)
+        assert max(abs(a.f[:nn])) > 1e-6
+        for i, node in enumerate(sys_.node_names):
+            res, scale = audit[node]
+            res += extra.get(node, 0.0)
+            scale += extra_scale.get(node, 0.0)
+            assert a.f[i] == pytest.approx(res, rel=1e-12, abs=1e-15), node
+            assert a.node_scale[i] == pytest.approx(scale, rel=1e-12, abs=1e-15), node
+
+        fd = np.empty((n, n))
+        for j in range(n):
+            h = 1e-6 if j < nn else 1e-9
+            up, down = x.copy(), x.copy()
+            up[j] += h
+            down[j] -= h
+            fd[:, j] = (sys_.assemble(up, gmin, e, ieq).f
+                        - sys_.assemble(down, gmin, e, ieq).f) / (2 * h)
+        np.testing.assert_allclose(fd, a.jac, rtol=1e-6, atol=1e-11)
