@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, MeasurementError, NetlistError
 from .netlist import DcSpec, Netlist
-from .solver import Solution, SolverOptions, _newton, _solve, _System, dc_solve
+from .solver import Solution, SolverOptions, _newton, _System, dc_solve
 
 logger = logging.getLogger(__name__)
 
@@ -95,7 +95,7 @@ def _source_solver(netlist: Netlist, source_name: str,
 
     def solve(value: float, guess: dict[str, float] | None) -> Solution:
         sys_.specs[slot] = DcSpec(value)
-        return _solve(sys_, options, guess)
+        return dc_solve(sys_, options, guess)
 
     return solve
 

@@ -72,7 +72,6 @@ class _System:
     """
 
     def __init__(self, netlist: Netlist, dt: float | None = None, cmin: float = 0.0):
-        self.netlist = netlist
         self.node_names = tuple(n for n in netlist.nodes if n != "0")
         self.index = {n: i for i, n in enumerate(self.node_names)}
         nn = self.n_nodes = len(self.node_names)
@@ -378,7 +377,7 @@ def _plain_then_ladder(sys_: _System, x0: np.ndarray, options: SolverOptions):
     return x, a, total, True
 
 
-def dc_solve(netlist: Netlist, options: SolverOptions | None = None,
+def dc_solve(netlist: Netlist | _System, options: SolverOptions | None = None,
              initial_guess: dict[str, float] | None = None) -> Solution:
     """DC operating point.
 
@@ -387,13 +386,12 @@ def dc_solve(netlist: Netlist, options: SolverOptions | None = None,
     stepping. Raises ConvergenceError when all stages fail,
     SingularMatrixError when the system matrix stays singular under
     heavy gmin augmentation.
+
+    A Netlist is compiled here; a compiled _System is solved at the
+    source values its specs hold, so a sweep can reuse one plan.
     """
-    return _solve(_System(netlist), options or SolverOptions(), initial_guess)
-
-
-def _solve(sys_: _System, options: SolverOptions,
-           initial_guess: dict[str, float] | None) -> Solution:
-    """dc_solve on a compiled plan, at the source values its specs hold."""
+    sys_ = netlist if isinstance(netlist, _System) else _System(netlist)
+    options = options or SolverOptions()
     total = 0
     starts = [sys_.vector_from_guess(initial_guess)]
     if initial_guess is not None:
