@@ -204,7 +204,7 @@ def transient(netlist: Netlist, dt: float, tstop: float,
                 stage=f"transient t={t:.6g}", residual=residual)
         ieq = sys_.next_ieq(x, ieq)
         volts = {"0": 0.0}
-        volts.update(zip(sys_.node_names, x.tolist()))
+        volts.update(zip(sys_.node_names, x))
         samples.append((t, volts))
     return Waveform(tuple(samples), dt)
 

@@ -8,6 +8,7 @@ Supported elements: R, C, V, I, M. Supported cards: .model, .op, .dc,
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -33,23 +34,27 @@ def parse_value(token: str) -> float:
     """Decimal with optional SI suffix; trailing unit letters ignored.
 
     "1k" -> 1000, "2.5uF" -> 2.5e-6, "3MEG" -> 3e6. Anything outside
-    that grammar raises NetlistError.
+    that grammar, or a value that overflows a float, raises NetlistError.
     """
     m = _VALUE_RE.match(token)
     if not m:
         raise NetlistError(f"malformed value {token!r}")
-    mantissa = float(m.group(0))
+    value = float(m.group(0))
     rest = token[m.end():]
-    if not rest:
-        return mantissa
-    low = rest.lower()
-    for suffix, mult in _SUFFIXES:
-        if low.startswith(suffix):
-            tail = low[len(suffix):]
-            if tail and not tail.isalpha():
-                raise NetlistError(f"malformed value {token!r} (bad unit tail {tail!r})")
-            return mantissa * mult
-    raise NetlistError(f"unknown suffix {rest!r} in value {token!r}")
+    if rest:
+        low = rest.lower()
+        for suffix, mult in _SUFFIXES:
+            if low.startswith(suffix):
+                tail = low[len(suffix):]
+                if tail and not tail.isalpha():
+                    raise NetlistError(f"malformed value {token!r} (bad unit tail {tail!r})")
+                value *= mult
+                break
+        else:
+            raise NetlistError(f"unknown suffix {rest!r} in value {token!r}")
+    if not math.isfinite(value):
+        raise NetlistError(f"value {token!r} is not a finite number")
+    return value
 
 
 @dataclass(frozen=True)
@@ -422,6 +427,8 @@ def parse_netlist(text: str) -> Netlist:
             ohms = _value_at(tokens[3], idx)
             if ohms <= 0.0:
                 raise NetlistError(f"resistance must be > 0, got {ohms}", idx)
+            if not math.isfinite(1.0 / ohms):
+                raise NetlistError(f"resistance {ohms} has no finite conductance", idx)
             elements.append(Resistor(head, nodes.intern(tokens[1]), nodes.intern(tokens[2]), ohms))
         elif lead == "C":
             if len(tokens) != 4:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
+from math import isfinite
 
 import numpy as np
 
@@ -42,17 +44,28 @@ class SolverOptions:
 class Solution:
     node_voltages: dict[str, float]         # includes ground "0" at 0.0
     branch_currents: dict[str, float]       # per voltage source [A]
-    device_evals: dict[str, DeviceEval]     # per mosfet
+    mosfets: tuple[Mosfet, ...]             # the devices device_evals covers
     iterations: int
     gmin_used: float                        # shunt present in the solved system [S]
 
+    @cached_property
+    def device_evals(self) -> dict[str, DeviceEval]:
+        """Per mosfet, evaluated at node_voltages on first read.
 
-@dataclass
+        Sweeps and bisection read only the voltages, so their points
+        evaluate no device.
+        """
+        v = self.node_voltages
+        return {el.name: mos_eval(el.model, el.geom, v[el.g] - v[el.s], v[el.d] - v[el.s])
+                for el in self.mosfets}
+
+
+@dataclass(slots=True)
 class _Assembled:
-    f: np.ndarray
+    f: list[float]
     jac: np.ndarray
-    node_scale: np.ndarray
-    branch_scale: np.ndarray
+    node_scale: list[float]
+    branch_scale: list[float]
 
 
 class _System:
@@ -60,9 +73,10 @@ class _System:
 
     Each stamp is a tuple of unknown indices and flat Jacobian slots into
     the Python lists that assemble() fills. Ground maps to the spare
-    trailing unknown ``n_unknowns``, which assemble() drops, so no stamp
-    branches on ground. Source values come from ``specs``, indexed by
-    ``source_slots[name]``; a sweep swaps one entry to move its source
+    trailing unknown ``n_unknowns``, and every Jacobian entry in its row
+    or column to the spare trailing slot; assemble() drops both, so no
+    stamp branches on ground. Source values come from ``specs``, indexed
+    by ``source_slots[name]``; a sweep swaps one entry to move its source
     without compiling again.
 
     With ``dt`` given, every capacitor, every MOSFET cgs/cgd and ``cmin``
@@ -78,17 +92,20 @@ class _System:
         self.vsource_names = tuple(el.name for el in netlist.elements
                                    if isinstance(el, VSource))
         n = self.n_unknowns = nn + len(self.vsource_names)
-        w = n + 1
         ni = dict(self.index)
         ni["0"] = n
 
+        def slot(p: int, q: int) -> int:
+            # row-major n x n, then one spare slot for ground's row and column
+            return p * n + q if p < n and q < n else n * n
+
         def pair(p: int, q: int) -> tuple[int, int, int, int]:
             # slots of (p,p), (p,q), (q,p), (q,q)
-            return p * w + p, p * w + q, q * w + p, q * w + q
+            return slot(p, p), slot(p, q), slot(q, p), slot(q, q)
 
         self.specs: list = []
         self.source_slots: dict[str, int] = {}
-        self.mosfet_elements: list[Mosfet] = []
+        mosfet_elements: list[Mosfet] = []
         resistors, isources, vsources, mosfets, caps = [], [], [], [], []
         b = nn
         for el in netlist.elements:
@@ -105,17 +122,17 @@ class _System:
             elif isinstance(el, VSource):
                 p, q = ni[el.pos], ni[el.neg]
                 self.source_slots[el.name] = len(self.specs)
-                vsources.append((p, q, b, len(self.specs), p * w + b, q * w + b,
-                                 b * w + p, b * w + q))
+                vsources.append((p, q, b, len(self.specs), slot(p, b), slot(q, b),
+                                 slot(b, p), slot(b, q)))
                 self.specs.append(el.spec)
                 b += 1
             elif isinstance(el, Mosfet):
                 d, g, s = ni[el.d], ni[el.g], ni[el.s]
                 m = el.model
-                self.mosfet_elements.append(el)
+                mosfet_elements.append(el)
                 mosfets.append((d, g, s, kfactor(m, el.geom), mos_sign(m), m.vto, m.lam,
-                                d * w + g, d * w + d, d * w + s,
-                                s * w + g, s * w + d, s * w + s))
+                                slot(d, g), slot(d, d), slot(d, s),
+                                slot(s, g), slot(s, d), slot(s, s)))
                 if dt is not None:
                     if m.cgs > 0.0:
                         caps.append((g, s, m.cgs))
@@ -123,12 +140,13 @@ class _System:
                         caps.append((g, d, m.cgd))
         if dt is not None and cmin > 0.0:
             caps.extend((i, n, cmin) for i in range(nn))
+        self.mosfet_elements = tuple(mosfet_elements)
         self.resistors = tuple(resistors)
         self.isources = tuple(isources)
         self.vsources = tuple(vsources)
         self.mosfets = tuple(mosfets)
         self.caps = tuple((p, q, 2.0 * c / dt, *pair(p, q)) for p, q, c in caps)
-        self.diag = tuple(i * w + i for i in range(nn))
+        self.diag = tuple(slot(i, i) for i in range(nn))
 
     def unknown_name(self, i: int) -> str:
         if i < self.n_nodes:
@@ -138,32 +156,31 @@ class _System:
     def source_values(self, time: float, src_scale: float) -> list[float]:
         return [spec.value_at(time) * src_scale for spec in self.specs]
 
-    def vector_from_guess(self, guess: dict[str, float] | None) -> np.ndarray:
-        x = np.zeros(self.n_unknowns)
+    def vector_from_guess(self, guess: dict[str, float] | None) -> list[float]:
+        x = [0.0] * self.n_unknowns
         if guess:
             for name, v in guess.items():
                 i = self.index.get(name)
                 if i is not None:
-                    x[i] = v
+                    x[i] = float(v)
         return x
 
-    def assemble(self, x: np.ndarray, gmin: float, e: list[float],
+    def assemble(self, x: list[float], gmin: float, e: list[float],
                  ieq: list[float] | tuple = ()) -> _Assembled:
         """Residual, Jacobian and convergence scales at x.
 
         ``e`` holds the source values (see source_values), ``ieq`` the
         companion currents of a transient step. Elements are summed in a
         fixed order: resistors, current sources, voltage sources, MOSFETs,
-        companions, then the gmin shunt.
+        companions, then the gmin shunt. Only the Jacobian leaves as an
+        ndarray, the input of the linear solve.
         """
         n = self.n_unknowns
-        w = n + 1
-        xl = x.tolist()
-        xl.append(0.0)
-        f = [0.0] * w
-        jac = [0.0] * (w * w)
+        xl = [*x, 0.0]
+        f = [0.0] * (n + 1)
+        jac = [0.0] * (n * n + 1)
         # nodal current scales, then branch scales, then ground
-        sc = [0.0] * w
+        sc = [0.0] * (n + 1)
 
         for p, q, g, pp, pq, qp, qq in self.resistors:
             i = g * (xl[p] - xl[q])
@@ -235,19 +252,19 @@ class _System:
             jac[ii] += gmin
             sc[i] += abs(gx)
 
-        scale = np.array(sc[:n])
-        return _Assembled(np.array(f[:n]), np.array(jac).reshape(w, w)[:n, :n],
-                          scale[:self.n_nodes], scale[self.n_nodes:])
+        f.pop()
+        jac.pop()
+        nn = self.n_nodes
+        return _Assembled(f, np.array(jac).reshape(n, n), sc[:nn], sc[nn:n])
 
-    def next_ieq(self, x: np.ndarray, ieq: list[float] | None) -> list[float]:
+    def next_ieq(self, x: list[float], ieq: list[float] | None) -> list[float]:
         """Companion currents of the trapezoidal step that follows x.
 
         ``ieq`` is the step's own; None means x is the DC point, where no
         capacitor current flows. Each capacitor carries i = g*v + ieq at
         x, and the next step's equivalent current is -g*v - i.
         """
-        xl = x.tolist()
-        xl.append(0.0)
+        xl = [*x, 0.0]
         out = []
         for j, (p, q, g, *_slots) in enumerate(self.caps):
             gv = g * (xl[p] - xl[q])
@@ -256,43 +273,48 @@ class _System:
 
 
 def _residual_ok(sys_: _System, a: _Assembled, options: SolverOptions) -> bool:
-    nn = sys_.n_nodes
-    node_f = np.abs(a.f[:nn])
-    if np.any(node_f > options.abstol + options.reltol * a.node_scale):
-        return False
-    branch_f = np.abs(a.f[nn:])
-    return not np.any(branch_f > options.vntol + options.reltol * a.branch_scale)
+    abstol, reltol, vntol = options.abstol, options.reltol, options.vntol
+    f = a.f
+    for fi, s in zip(f, a.node_scale):
+        if abs(fi) > abstol + reltol * s:
+            return False
+    for fi, s in zip(f[sys_.n_nodes:], a.branch_scale):
+        if abs(fi) > vntol + reltol * s:
+            return False
+    return True
 
 
-def _newton(sys_: _System, x0: np.ndarray, options: SolverOptions, gmin: float,
+def _newton(sys_: _System, x0: list[float], options: SolverOptions, gmin: float,
             src_scale: float = 1.0, time: float = 0.0, ieq: list[float] | tuple = ()):
     """Damped Newton loop. Returns (x, assembled, iterations, status).
 
-    status: "ok" | "maxiter" | "singular" | "nonfinite".
+    status: "ok" | "maxiter" | "singular" | "nonfinite". x is a list of
+    Python floats; the Jacobian is the only array, built for np.linalg.solve.
     """
     e = sys_.source_values(time, src_scale)
-    x = x0.copy()
+    x = x0
     nn = sys_.n_nodes
+    clamp, vntol, reltol = options.dv_clamp, options.vntol, options.reltol
     iters = 0
     while iters < options.max_newton_iters:
         iters += 1
         a = sys_.assemble(x, gmin, e, ieq)
-        if not (np.all(np.isfinite(a.f)) and np.all(np.isfinite(a.jac))):
+        if not (all(map(isfinite, a.f)) and np.isfinite(a.jac).all()):
             return x, a, iters, "nonfinite"
         try:
-            dx = np.linalg.solve(a.jac, -a.f)
+            dx = np.linalg.solve(a.jac, [-v for v in a.f]).tolist()
         except np.linalg.LinAlgError:
             return x, a, iters, "singular"
-        if not np.all(np.isfinite(dx)):
+        if not all(map(isfinite, dx)):
             return x, a, iters, "nonfinite"
-        dx[:nn] = np.clip(dx[:nn], -options.dv_clamp, options.dv_clamp)
-        step_ok = bool(np.all(np.abs(dx) <= options.vntol
-                              + options.reltol * np.abs(x + dx)))
+        dx[:nn] = [min(max(d, -clamp), clamp) for d in dx[:nn]]
+        x_next = [xi + d for xi, d in zip(x, dx)]
+        step_ok = all(abs(d) <= vntol + reltol * abs(xd) for d, xd in zip(dx, x_next))
         if step_ok and _residual_ok(sys_, a, options):
             # accept the residual-checked point, not the final micro-step
             x, a = _polish(sys_, x, a, options, gmin, e, ieq)
             return x, a, iters, "ok"
-        x = x + dx
+        x = x_next
     a = sys_.assemble(x, gmin, e, ieq)
     return x, a, iters, "maxiter"
 
@@ -301,18 +323,21 @@ def _polish(sys_: _System, x, a, options, gmin, e, ieq):
     # a few undamped refinement steps push nodal residuals well under
     # abstol so converged points audit cleanly
     nn = sys_.n_nodes
-    best = np.max(np.abs(a.f[:nn])) if nn else 0.0
+    best = max(map(abs, a.f[:nn])) if nn else 0.0
     for _ in range(3):
         if best <= 0.1 * options.abstol:
             break
         try:
-            dx = np.linalg.solve(a.jac, -a.f)
+            dx = np.linalg.solve(a.jac, [-v for v in a.f]).tolist()
         except np.linalg.LinAlgError:
             break
-        x_try = x + dx
+        x_try = [xi + d for xi, d in zip(x, dx)]
         a_try = sys_.assemble(x_try, gmin, e, ieq)
-        worst = np.max(np.abs(a_try.f[:nn])) if nn else 0.0
-        if not np.all(np.isfinite(a_try.f)) or worst >= best:
+        # finite first: Python's max can pass over a NaN
+        if not all(map(isfinite, a_try.f)):
+            break
+        worst = max(map(abs, a_try.f[:nn])) if nn else 0.0
+        if worst >= best:
             break
         x, a, best = x_try, a_try, worst
     return x, a
@@ -337,19 +362,15 @@ def _suspect_unknown(sys_: _System, jac: np.ndarray) -> str:
     return sys_.unknown_name(comp)
 
 
-def _build_solution(sys_: _System, x: np.ndarray, iterations: int,
+def _build_solution(sys_: _System, x: list[float], iterations: int,
                     gmin: float) -> Solution:
-    xl = x.tolist()
     voltages = {"0": 0.0}
-    voltages.update(zip(sys_.node_names, xl))
-    branches = dict(zip(sys_.vsource_names, xl[sys_.n_nodes:]))
-    v = voltages
-    evals = {el.name: mos_eval(el.model, el.geom, v[el.g] - v[el.s], v[el.d] - v[el.s])
-             for el in sys_.mosfet_elements}
-    return Solution(voltages, branches, evals, iterations, gmin)
+    voltages.update(zip(sys_.node_names, x))
+    branches = dict(zip(sys_.vsource_names, x[sys_.n_nodes:]))
+    return Solution(voltages, branches, sys_.mosfet_elements, iterations, gmin)
 
 
-def _plain_then_ladder(sys_: _System, x0: np.ndarray, options: SolverOptions):
+def _plain_then_ladder(sys_: _System, x0: list[float], options: SolverOptions):
     """Plain Newton, then a gmin ladder warm-chained rung to rung.
 
     Returns (x, assembled, iterations, converged). Raises
@@ -413,6 +434,7 @@ def dc_solve(netlist: Netlist | _System, options: SolverOptions | None = None,
         total += iters
         if status != "ok":
             nn = sys_.n_nodes
+            # np.max keeps a NaN residual that Python's max could drop
             residual = float(np.max(np.abs(a.f[:nn]))) if nn else 0.0
             raise ConvergenceError(
                 f"no DC convergence (source stepping, alpha={alpha:.1f}, "

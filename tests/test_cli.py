@@ -94,6 +94,55 @@ def test_op_reports_nodes_and_devices(tmp_path, capsys):
     assert "iterations=" in out
 
 
+# full `op --variant hysteresis` output: voltages, branch current, device
+# table and the Newton iteration count
+OP_STOCK_GOLDEN = """\
+node voltages:
+  V(VDD) = 3 V
+  V(A) = 1.51396394 V
+  V(B) = 1.51396394 V
+  V(C) = 1.2750499 V
+  V(D) = 1.2750499 V
+  V(OUT) = 2.70551883 V
+source branch currents:
+  I(VDD) = -0.000485173912 A
+devices:
+  name   region             id [A]         gm [S]        gds [S]
+  M1     saturation   2.350144e-05   4.635557e-05   1.092381e-06
+  M2     saturation   2.350144e-05   4.635557e-05   1.092381e-06
+  M3     saturation  -2.350144e-05   4.766851e-05   1.093801e-06
+  M4     saturation  -2.350144e-05   4.766851e-05   1.093801e-06
+  M5     saturation  -1.901021e-04   3.855885e-04   8.750404e-06
+  M6     saturation  -1.901021e-04   3.855885e-04   8.750404e-06
+  M7     saturation   8.147232e-05   2.102376e-04   3.829477e-06
+  M8     saturation   1.086298e-04   2.803168e-04   5.105970e-06
+  M9     saturation   1.086298e-04   2.803168e-04   5.105970e-06
+  M10    saturation   8.147232e-05   2.102376e-04   3.829477e-06
+  MPI    triode      -5.796685e-05   5.378708e-05   1.728067e-04
+  MNI    saturation   5.796685e-05   1.495822e-04   2.552985e-06
+iterations=11
+"""
+
+
+def test_op_stock_golden(capsys):
+    # refactor guard: every printed digit and the iteration count
+    assert run(["op", "--variant", "hysteresis"]) == 0
+    assert capsys.readouterr().out == OP_STOCK_GOLDEN
+
+
+@pytest.mark.parametrize("deck,fragment", [
+    ("V1 a 0 DC 1e400\nR1 a 0 1k", "line 2"),
+    ("V1 a 0 DC 1\nR1 a b 1e-320\nR2 b 0 1k", "line 3"),
+])
+def test_op_rejects_nonfinite_values(tmp_path, capsys, deck, fragment):
+    # an overflowing value is a parse error naming its line, caught before
+    # the solver could report a meaningless residual
+    f = tmp_path / "inf.cir"
+    f.write_text(f"overflow\n{deck}\n.end\n")
+    assert run(["op", str(f)]) == 3
+    assert fragment in capsys.readouterr().err
+
+
 def test_dc_csv_both_directions(probe_file, tmp_path):
     out = tmp_path / "sweep.csv"
     rc = run(["dc", str(probe_file), "--source", "IIN", "--from=-1u",

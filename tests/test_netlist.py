@@ -53,7 +53,8 @@ def test_parse_value(text, value):
     assert parse_value(text) == pytest.approx(value, rel=1e-12)
 
 
-@pytest.mark.parametrize("text", ["1x", "abc", "", "k1", "1.2.3", "--5", "1 k"])
+@pytest.mark.parametrize("text", ["1x", "abc", "", "k1", "1.2.3", "--5", "1 k",
+                                  "1e400", "1e306MEG", "-1e400"])
 def test_parse_value_rejects(text):
     with pytest.raises(NetlistError):
         parse_value(text)
@@ -123,6 +124,8 @@ M1 a a 0 0 n1 W=1u L=1u
         ("V1 a 0 PULSE(0 1 0 0 1n 1n 0)", "rise"),    # rise must be > 0
         ("V1 a 0 PULSE(0 1 0 1n 1n 5n 6n)", "period"),
         ("R1 a 0 1x", "line 2"),
+        ("V1 a 0 DC 1e400", "line 2"),                # overflows to inf
+        ("R1 a 0 1e-320", "conductance"),             # 1/R overflows to inf
     ],
 )
 def test_parse_errors(body, fragment):

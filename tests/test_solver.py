@@ -8,12 +8,16 @@ from hystlab import (
     ComparatorConfig,
     ConvergenceError,
     DcSpec,
+    Mosfet,
     SingularMatrixError,
     SolverOptions,
     build_comparator,
     dc_solve,
+    dc_sweep,
+    mos_eval,
     parse_netlist,
 )
+from hystlab import solver as solver_module
 from hystlab.audit import kcl_residuals, verify_kcl
 from hystlab.solver import Solution, _System
 
@@ -248,6 +252,40 @@ def test_solution_records_iterations_and_evals(hysteresis_net):
     assert all(np.isfinite(v) for v in sol.node_voltages.values())
 
 
+def test_nonfinite_stimulus_reports_nan_residual():
+    # a NaN source makes every stage stop at "nonfinite"; the reported
+    # residual must stay NaN, not the largest finite entry
+    net = build_comparator(ComparatorConfig()).replaced_source("IIN", DcSpec(float("nan")))
+    with pytest.raises(ConvergenceError) as exc:
+        dc_solve(net)
+    assert np.isnan(exc.value.residual)
+    assert "residual=nan A" in str(exc.value)
+
+
+def test_sweep_evaluates_no_device(monkeypatch):
+    # sweep points keep only node voltages, so no device is evaluated
+    net = build_comparator(ComparatorConfig())
+    calls = []
+    real = solver_module.mos_eval
+    monkeypatch.setattr(solver_module, "mos_eval",
+                        lambda *args: calls.append(args) or real(*args))
+    curve = dc_sweep(net, "IIN", -2e-6, 2e-6, 0.5e-6)
+    assert len(curve.samples) == 9
+    assert calls == []
+
+
+def test_device_evals_match_mos_eval_at_solution():
+    net = build_comparator(ComparatorConfig())
+    sol = dc_solve(net)
+    v = sol.node_voltages
+    mosfets = [el for el in net.elements if isinstance(el, Mosfet)]
+    assert len(mosfets) == 12
+    assert sol.device_evals == {
+        el.name: mos_eval(el.model, el.geom, v[el.g] - v[el.s], v[el.d] - v[el.s])
+        for el in mosfets}
+    assert sol.device_evals is sol.device_evals  # evaluated once
+
+
 def _companion_currents(net, volts, dt, cmin, ieq):
     """Per node: trapezoidal companion currents leaving it, and their scale.
 
@@ -308,17 +346,18 @@ def test_plan_matches_audit_and_finite_differences(build, dt, request):
         # off-solution points: the device regions mix and KCL does not hold
         x = np.concatenate([rng.uniform(-0.5, 3.5, nn), rng.uniform(-1e-4, 1e-4, n - nn)])
         a = sys_.assemble(x, gmin, e, ieq)
+        f = np.asarray(a.f)
         sol = Solution({"0": 0.0, **dict(zip(sys_.node_names, x.tolist()))},
-                       dict(zip(sys_.vsource_names, x[nn:].tolist())), {}, 0, gmin)
+                       dict(zip(sys_.vsource_names, x[nn:].tolist())), (), 0, gmin)
         audit = kcl_residuals(net, sol)
         extra, extra_scale = ({}, {}) if dt is None else _companion_currents(
             net, sol.node_voltages, dt, cmin, ieq)
-        assert max(abs(a.f[:nn])) > 1e-6
+        assert max(abs(f[:nn])) > 1e-6
         for i, node in enumerate(sys_.node_names):
             res, scale = audit[node]
             res += extra.get(node, 0.0)
             scale += extra_scale.get(node, 0.0)
-            assert a.f[i] == pytest.approx(res, rel=1e-12, abs=1e-15), node
+            assert f[i] == pytest.approx(res, rel=1e-12, abs=1e-15), node
             assert a.node_scale[i] == pytest.approx(scale, rel=1e-12, abs=1e-15), node
 
         fd = np.empty((n, n))
@@ -327,6 +366,6 @@ def test_plan_matches_audit_and_finite_differences(build, dt, request):
             up, down = x.copy(), x.copy()
             up[j] += h
             down[j] -= h
-            fd[:, j] = (sys_.assemble(up, gmin, e, ieq).f
-                        - sys_.assemble(down, gmin, e, ieq).f) / (2 * h)
+            fd[:, j] = (np.asarray(sys_.assemble(up, gmin, e, ieq).f)
+                        - np.asarray(sys_.assemble(down, gmin, e, ieq).f)) / (2 * h)
         np.testing.assert_allclose(fd, a.jac, rtol=1e-6, atol=1e-11)
