@@ -15,10 +15,9 @@ from .netlist import (Capacitor, DcSpec, ISource, Mosfet, Netlist, PulseSpec,
                       Resistor, VSource, parse_netlist, parse_value)
 from .solver import Solution, SolverOptions, dc_solve
 from .audit import kcl_residuals, verify_kcl
-from .analysis import (DelayReport, HysteresisReport, SweepCurve, SweepDirection,
-                       Waveform, branch_solution_at, dc_sweep, measure_delay,
-                       measure_hysteresis, source_trace, sweep_csv, transient,
-                       waveform_csv)
+from .analysis import (DelayReport, HysteresisReport, Trace, branch_solution_at,
+                       dc_sweep, measure_delay, measure_hysteresis, source_trace,
+                       trace_csv, transient)
 from .comparator import (ComparatorConfig, ComparatorVariant, LatchOperatingPoint,
                          build_comparator, build_latch_testbench, comparator_text,
                          extract_operating_point, latch_testbench_text, table_sizing)

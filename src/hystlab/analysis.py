@@ -1,14 +1,15 @@
 """Swept-DC and transient engines plus the derived measurements.
 
-The hysteresis measurement mirrors the bench procedure: trace the
-transfer curve in both directions with warm-started solves, then
+Both engines return a Trace: node voltages per sample against the
+stimulus of a sweep or the time of a transient; trace_csv writes
+either. The hysteresis measurement mirrors the bench procedure: trace
+the transfer curve in both directions with warm-started solves, then
 bisect each output transition down to the requested current
-resolution. Delay measurement works on sampled waveforms.
+resolution. Delay measurement works on a transient's samples.
 """
 
 from __future__ import annotations
 
-import enum
 import logging
 from dataclasses import dataclass
 
@@ -23,31 +24,23 @@ logger = logging.getLogger(__name__)
 CMIN_DEFAULT = 1e-15  # transient shunt capacitance per node [F]
 
 
-class SweepDirection(enum.Enum):
-    UP = "up"
-    DOWN = "down"
-
-
 @dataclass(frozen=True)
-class SweepCurve:
-    source_name: str
-    direction: SweepDirection
+class Trace:
+    """Solved samples of a DC sweep or a transient, in solve order.
+
+    ``axis`` names the independent variable, "stimulus" for a sweep and
+    "time" for a transient; it heads the first CSV column. Each sample
+    is (axis value, node voltages). ``source_name`` is the swept source,
+    empty for a transient.
+    """
+
+    axis: str
     samples: tuple[tuple[float, dict[str, float]], ...]
-
-    def stimulus(self) -> np.ndarray:
-        return np.array([v for v, _ in self.samples])
-
-    def node(self, name: str) -> np.ndarray:
-        return np.array([volts[name] for _, volts in self.samples])
-
-
-@dataclass(frozen=True)
-class Waveform:
-    samples: tuple[tuple[float, dict[str, float]], ...]
-    dt: float
+    source_name: str = ""
 
     def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.samples])
+        """The axis values: stimulus of a sweep, time of a transient."""
+        return np.array([v for v, _ in self.samples])
 
     def node(self, name: str) -> np.ndarray:
         return np.array([volts[name] for _, volts in self.samples])
@@ -101,7 +94,7 @@ def _source_solver(netlist: Netlist, source_name: str,
 
 
 def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
-             step: float, options: SolverOptions | None = None) -> SweepCurve:
+             step: float, options: SolverOptions | None = None) -> Trace:
     """Solve along a stimulus grid, warm-starting each point from the last.
 
     The warm chain is what lets a bistable circuit hold its branch
@@ -111,7 +104,6 @@ def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
     if not isinstance(src.spec, DcSpec):
         raise NetlistError(f"source {source_name!r} is not a DC source")
     values = _sweep_grid(start, stop, step)
-    direction = SweepDirection.UP if stop >= start else SweepDirection.DOWN
     solve = _source_solver(netlist, source_name, options)
 
     samples = []
@@ -125,23 +117,24 @@ def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
                 stage=e.stage, residual=e.residual) from None
         samples.append((v, sol.node_voltages))
         guess = sol.node_voltages
-    return SweepCurve(source_name, direction, tuple(samples))
+    return Trace("stimulus", tuple(samples), source_name)
 
 
-def _crossing_brackets(curve: SweepCurve, node: str, threshold: float):
+def _crossing_brackets(curve: Trace, node: str, threshold: float):
     out = curve.node(node)
     above = out >= threshold
     return [i for i in range(len(out) - 1) if above[i] != above[i + 1]]
 
 
-def _refine_transition(netlist: Netlist, curve: SweepCurve, node: str,
+def _refine_transition(netlist: Netlist, curve: Trace, node: str,
                        threshold: float, refine_to: float,
                        options: SolverOptions | None):
     brackets = _crossing_brackets(curve, node, threshold)
     if len(brackets) != 1:
+        direction = "up" if curve.samples[-1][0] >= curve.samples[0][0] else "down"
         raise MeasurementError(
             f"expected exactly one {node} crossing of {threshold:g} V on the "
-            f"{curve.direction.value} sweep, found {len(brackets)}")
+            f"{direction} sweep, found {len(brackets)}")
     i = brackets[0]
     a, volts_a = curve.samples[i]
     b, _ = curve.samples[i + 1]
@@ -160,7 +153,7 @@ def _refine_transition(netlist: Netlist, curve: SweepCurve, node: str,
     return 0.5 * (a + b), abs(b - a)
 
 
-def measure_hysteresis(up: SweepCurve, down: SweepCurve, output_node: str,
+def measure_hysteresis(up: Trace, down: Trace, output_node: str,
                        threshold: float, refine_to: float, netlist: Netlist,
                        options: SolverOptions | None = None) -> HysteresisReport:
     """Locate both transition currents and report the hysteresis width."""
@@ -176,7 +169,7 @@ def measure_hysteresis(up: SweepCurve, down: SweepCurve, output_node: str,
 
 def transient(netlist: Netlist, dt: float, tstop: float,
               options: SolverOptions | None = None,
-              cmin: float = CMIN_DEFAULT) -> Waveform:
+              cmin: float = CMIN_DEFAULT) -> Trace:
     """Fixed-step trapezoidal integration from the t=0 operating point."""
     if dt <= 0.0:
         raise MeasurementError(f"dt must be > 0, got {dt}")
@@ -206,7 +199,7 @@ def transient(netlist: Netlist, dt: float, tstop: float,
         volts = {"0": 0.0}
         volts.update(zip(sys_.node_names, x))
         samples.append((t, volts))
-    return Waveform(tuple(samples), dt)
+    return Trace("time", tuple(samples))
 
 
 def source_trace(netlist: Netlist, source_name: str, times: np.ndarray) -> np.ndarray:
@@ -269,19 +262,10 @@ def branch_solution_at(netlist: Netlist, source_name: str, value: float,
     return sol
 
 
-def sweep_csv(curve: SweepCurve) -> str:
-    """CSV text: header stimulus,<nodes>; ground column omitted."""
-    nodes = [n for n in curve.samples[0][1] if n != "0"]
-    lines = ["stimulus," + ",".join(nodes)]
-    for v, volts in curve.samples:
+def trace_csv(trace: Trace) -> str:
+    """CSV text: header <axis>,<nodes>; ground column omitted."""
+    nodes = [n for n in trace.samples[0][1] if n != "0"]
+    lines = [trace.axis + "," + ",".join(nodes)]
+    for v, volts in trace.samples:
         lines.append(",".join(f"{x:.12e}" for x in (v, *(volts[n] for n in nodes))))
-    return "\n".join(lines) + "\n"
-
-
-def waveform_csv(wave: Waveform) -> str:
-    """CSV text: header time,<nodes>; ground column omitted."""
-    nodes = [n for n in wave.samples[0][1] if n != "0"]
-    lines = ["time," + ",".join(nodes)]
-    for t, volts in wave.samples:
-        lines.append(",".join(f"{x:.12e}" for x in (t, *(volts[n] for n in nodes))))
     return "\n".join(lines) + "\n"

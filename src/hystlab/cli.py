@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (dc_sweep, measure_delay, measure_hysteresis, source_trace,
-                       sweep_csv, transient, waveform_csv)
+                       trace_csv, transient)
 from .comparator import (ComparatorConfig, ComparatorVariant, LatchOperatingPoint,
                          build_comparator, comparator_text)
 from .analytics import RatioDirection, current_ratio, node_squares, transition_currents
@@ -146,10 +146,10 @@ def _cmd_op(args) -> int:
 def _cmd_dc(args) -> int:
     net = _load_circuit(args)
     up = dc_sweep(net, args.source, args.start, args.stop, args.step)
-    text = sweep_csv(up)
+    text = trace_csv(up)
     if args.both:
         down = dc_sweep(net, args.source, args.stop, args.start, args.step)
-        text += "\n" + sweep_csv(down)
+        text += "\n" + trace_csv(down)
     _emit(args, text)
     return 0
 
@@ -157,7 +157,7 @@ def _cmd_dc(args) -> int:
 def _cmd_tran(args) -> int:
     net = _load_circuit(args)
     wave = transient(net, args.dt, args.stop)
-    _emit(args, waveform_csv(wave))
+    _emit(args, trace_csv(wave))
     return 0
 
 

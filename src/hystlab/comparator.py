@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 from .devices import MosGeometry, MosModel, NMOS_DEFAULT, PMOS_DEFAULT, kfactor
 from .errors import ConfigError, ExtractionError
-from .netlist import (DcSpec, Netlist, SourceSpec, _model_line, _spec_text,
-                      parse_netlist)
+from .netlist import (DcSpec, Netlist, SourceSpec, _model_line, _mosfet_line,
+                      _spec_text, parse_netlist)
 from .solver import Solution
 
 
@@ -117,12 +117,6 @@ class LatchOperatingPoint:
     i_2: float    # current delivered into node D [A]
 
 
-def _mos_line(name: str, d: str, g: str, s: str, b: str, model: str,
-              geom: MosGeometry) -> str:
-    return (f"{name} {d} {g} {s} {b} {model} "
-            f"W={geom.w * 1e6:.6g}u L={geom.l * 1e6:.6g}u")
-
-
 def comparator_text(config: ComparatorConfig) -> str:
     """Netlist text for the comparator; always valid generator grammar."""
     sz = config.resolved_sizing()
@@ -131,18 +125,18 @@ def comparator_text(config: ComparatorConfig) -> str:
         f"VDD VDD 0 DC {config.vdd:.12g}",
         f"IIN 0 A {_spec_text(config.i_in)}",
         f"IREF 0 B {_spec_text(DcSpec(config.i_ref))}",
-        _mos_line("M1", "A", "B", "0", "0", "nm", sz["M1"]),
-        _mos_line("M2", "B", "B", "0", "0", "nm", sz["M2"]),
-        _mos_line("M3", "A", "A", "VDD", "VDD", "pm", sz["M3"]),
-        _mos_line("M4", "B", "B", "VDD", "VDD", "pm", sz["M4"]),
-        _mos_line("M5", "C", "A", "VDD", "VDD", "pm", sz["M5"]),
-        _mos_line("M6", "D", "B", "VDD", "VDD", "pm", sz["M6"]),
-        _mos_line("M7", "C", "C", "0", "0", "nm", sz["M7"]),
-        _mos_line("M8", "C", "D", "0", "0", "nm", sz["M8"]),
-        _mos_line("M9", "D", "C", "0", "0", "nm", sz["M9"]),
-        _mos_line("M10", "D", "D", "0", "0", "nm", sz["M10"]),
-        _mos_line("MPI", "OUT", "C", "VDD", "VDD", "pm", sz["MPI"]),
-        _mos_line("MNI", "OUT", "C", "0", "0", "nm", sz["MNI"]),
+        _mosfet_line("M1", "A", "B", "0", "0", "nm", sz["M1"]),
+        _mosfet_line("M2", "B", "B", "0", "0", "nm", sz["M2"]),
+        _mosfet_line("M3", "A", "A", "VDD", "VDD", "pm", sz["M3"]),
+        _mosfet_line("M4", "B", "B", "VDD", "VDD", "pm", sz["M4"]),
+        _mosfet_line("M5", "C", "A", "VDD", "VDD", "pm", sz["M5"]),
+        _mosfet_line("M6", "D", "B", "VDD", "VDD", "pm", sz["M6"]),
+        _mosfet_line("M7", "C", "C", "0", "0", "nm", sz["M7"]),
+        _mosfet_line("M8", "C", "D", "0", "0", "nm", sz["M8"]),
+        _mosfet_line("M9", "D", "C", "0", "0", "nm", sz["M9"]),
+        _mosfet_line("M10", "D", "D", "0", "0", "nm", sz["M10"]),
+        _mosfet_line("MPI", "OUT", "C", "VDD", "VDD", "pm", sz["MPI"]),
+        _mosfet_line("MNI", "OUT", "C", "0", "0", "nm", sz["MNI"]),
         _model_line("nm", config.nmos),
         _model_line("pm", config.pmos),
         ".end",
@@ -165,10 +159,10 @@ def latch_testbench_text(diode_geom: MosGeometry, cross_geom: MosGeometry,
         f"VDD VDD 0 DC {vdd:.12g}",
         f"I1 0 C DC {i_1:.12g}",
         f"I2 0 D DC {i_2:.12g}",
-        _mos_line("M7", "C", "C", "0", "0", "nm", diode_geom),
-        _mos_line("M8", "C", "D", "0", "0", "nm", cross_geom),
-        _mos_line("M9", "D", "C", "0", "0", "nm", cross_geom),
-        _mos_line("M10", "D", "D", "0", "0", "nm", diode_geom),
+        _mosfet_line("M7", "C", "C", "0", "0", "nm", diode_geom),
+        _mosfet_line("M8", "C", "D", "0", "0", "nm", cross_geom),
+        _mosfet_line("M9", "D", "C", "0", "0", "nm", cross_geom),
+        _mosfet_line("M10", "D", "D", "0", "0", "nm", diode_geom),
         _model_line("nm", nmos),
         ".end",
     ]

@@ -1,9 +1,9 @@
 """SPICE-like netlist subset: value grammar, parser, serializer.
 
 Line-oriented format, first line is the title, '*' starts a comment.
-Supported elements: R, C, V, I, M. Supported cards: .model, .op, .dc,
-.tran, .end. Node names are arbitrary identifiers; "0" is ground and
-"gnd" is accepted as an alias for it.
+Supported elements: R, C, V, I, M. Supported cards: .model and .end;
+any other card is an error. Node names are arbitrary identifiers; "0"
+is ground and "gnd" is accepted as an alias for it.
 """
 
 from __future__ import annotations
@@ -158,33 +158,10 @@ Element = Resistor | Capacitor | VSource | ISource | Mosfet
 
 
 @dataclass(frozen=True)
-class OpDirective:
-    pass
-
-
-@dataclass(frozen=True)
-class DcDirective:
-    source: str
-    start: float
-    stop: float
-    step: float
-
-
-@dataclass(frozen=True)
-class TranDirective:
-    dt: float
-    tstop: float
-
-
-Directive = OpDirective | DcDirective | TranDirective
-
-
-@dataclass(frozen=True)
 class Netlist:
     title: str
     elements: tuple[Element, ...]
     models: dict[str, MosModel]
-    directives: tuple[Directive, ...]
     nodes: tuple[str, ...]  # ground "0" first when the netlist is non-empty
 
     def find_element(self, name: str) -> Element:
@@ -212,8 +189,6 @@ class Netlist:
             lines.append(_element_line(el))
         for name, model in self.models.items():
             lines.append(_model_line(name, model))
-        for d in self.directives:
-            lines.append(_directive_line(d))
         lines.append(".end")
         return "\n".join(lines) + "\n"
 
@@ -237,9 +212,13 @@ def _element_line(el: Element) -> str:
         return f"{el.name} {el.pos} {el.neg} {_fmt(el.farads)}"
     if isinstance(el, (VSource, ISource)):
         return f"{el.name} {el.pos} {el.neg} {_spec_text(el.spec)}"
-    w_um = f"{el.geom.w * 1e6:.6g}"
-    l_um = f"{el.geom.l * 1e6:.6g}"
-    return f"{el.name} {el.d} {el.g} {el.s} {el.b} {el.model_name} W={w_um}u L={l_um}u"
+    return _mosfet_line(el.name, el.d, el.g, el.s, el.b, el.model_name, el.geom)
+
+
+def _mosfet_line(name: str, d: str, g: str, s: str, b: str, model_name: str,
+                 geom: MosGeometry) -> str:
+    return (f"{name} {d} {g} {s} {b} {model_name} "
+            f"W={geom.w * 1e6:.6g}u L={geom.l * 1e6:.6g}u")
 
 
 def _model_line(name: str, m: MosModel) -> str:
@@ -252,14 +231,6 @@ def _model_line(name: str, m: MosModel) -> str:
     if m.cgd:
         params.append(f"CGD={_fmt(m.cgd)}")
     return f".model {name} {kind} ({' '.join(params)})"
-
-
-def _directive_line(d: Directive) -> str:
-    if isinstance(d, OpDirective):
-        return ".op"
-    if isinstance(d, DcDirective):
-        return f".dc {d.source} {_fmt(d.start)} {_fmt(d.stop)} {_fmt(d.step)}"
-    return f".tran {_fmt(d.dt)} {_fmt(d.tstop)}"
 
 
 class _NodeTable:
@@ -373,7 +344,6 @@ def parse_netlist(text: str) -> Netlist:
     elements: list[Element] = []
     raw_mos: list[tuple[int, _RawMos]] = []  # (elements index, row)
     models: dict[str, MosModel] = {}
-    directives: list[Directive] = []
     seen_names: set[str] = set()
 
     def check_name(name: str, line_no: int):
@@ -397,21 +367,7 @@ def parse_netlist(text: str) -> Netlist:
             card = head.lower()
             if card == ".end":
                 break
-            if card == ".op":
-                directives.append(OpDirective())
-            elif card == ".dc":
-                if len(tokens) != 5:
-                    raise NetlistError(".dc takes source, start, stop, step", idx)
-                directives.append(DcDirective(tokens[1],
-                                              _value_at(tokens[2], idx),
-                                              _value_at(tokens[3], idx),
-                                              _value_at(tokens[4], idx)))
-            elif card == ".tran":
-                if len(tokens) != 3:
-                    raise NetlistError(".tran takes dt and tstop", idx)
-                directives.append(TranDirective(_value_at(tokens[1], idx),
-                                                _value_at(tokens[2], idx)))
-            elif card == ".model":
+            if card == ".model":
                 name, model = _parse_model_card(tokens, idx)
                 if name in models:
                     raise NetlistError(f"duplicate model {name!r}", idx)
@@ -472,4 +428,4 @@ def parse_netlist(text: str) -> Netlist:
         elements[slot] = Mosfet(row.name, row.d, row.g, row.s, row.b,
                                 row.model_name, models[row.model_name], geom)
 
-    return Netlist(title, tuple(elements), models, tuple(directives), nodes.ordered())
+    return Netlist(title, tuple(elements), models, nodes.ordered())

@@ -16,7 +16,7 @@ from math import isfinite
 import numpy as np
 
 from .devices import DeviceEval, kfactor, mos_eval, mos_kernel, mos_sign
-from .errors import ConvergenceError, SingularMatrixError
+from .errors import ConvergenceError, MeasurementError, SingularMatrixError
 from .netlist import Capacitor, ISource, Mosfet, Netlist, Resistor, VSource
 
 logger = logging.getLogger(__name__)
@@ -66,6 +66,15 @@ class _Assembled:
     jac: np.ndarray
     node_scale: list[float]
     branch_scale: list[float]
+
+
+def _companion_g(farads: float, dt: float) -> float:
+    g = 2.0 * farads / dt
+    if not isfinite(g):
+        raise MeasurementError(
+            f"capacitance {farads:g} F at dt={dt:g} s overflows its "
+            f"companion conductance 2C/dt")
+    return g
 
 
 class _System:
@@ -145,7 +154,7 @@ class _System:
         self.isources = tuple(isources)
         self.vsources = tuple(vsources)
         self.mosfets = tuple(mosfets)
-        self.caps = tuple((p, q, 2.0 * c / dt, *pair(p, q)) for p, q, c in caps)
+        self.caps = tuple((p, q, _companion_g(c, dt), *pair(p, q)) for p, q, c in caps)
         self.diag = tuple(slot(i, i) for i in range(nn))
 
     def unknown_name(self, i: int) -> str:
@@ -436,8 +445,11 @@ def dc_solve(netlist: Netlist | _System, options: SolverOptions | None = None,
             nn = sys_.n_nodes
             # np.max keeps a NaN residual that Python's max could drop
             residual = float(np.max(np.abs(a.f[:nn]))) if nn else 0.0
+            # a mismatch can sit in a voltage-source row alone
+            branch = (f", branch residual={float(np.max(np.abs(a.f[nn:]))):.3e} V"
+                      if sys_.vsource_names else "")
             raise ConvergenceError(
                 f"no DC convergence (source stepping, alpha={alpha:.1f}, "
-                f"residual={residual:.3e} A)",
+                f"residual={residual:.3e} A{branch})",
                 stage="source stepping", residual=residual)
     return _build_solution(sys_, x, total, options.gmin_floor)

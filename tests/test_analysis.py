@@ -6,17 +6,15 @@ import pytest
 from hystlab import (
     ConvergenceError,
     MeasurementError,
-    SweepCurve,
-    SweepDirection,
+    Trace,
     branch_solution_at,
     dc_sweep,
     measure_delay,
     measure_hysteresis,
     parse_netlist,
     source_trace,
-    sweep_csv,
+    trace_csv,
     transient,
-    waveform_csv,
 )
 
 PROBE = """current probe
@@ -36,9 +34,10 @@ C1 out 0 1n
 def test_sweep_linear_in_stimulus():
     net = parse_netlist(PROBE)
     curve = dc_sweep(net, "IIN", -2e-6, 2e-6, 0.5e-6)
-    stim = curve.stimulus()
+    stim = curve.times()
     va = curve.node("a")
-    assert curve.direction is SweepDirection.UP
+    assert curve.axis == "stimulus"
+    assert curve.source_name == "IIN"
     assert np.all(np.diff(stim) > 0)
     # node a sees the 1 MOhm in parallel with the gmin floor
     assert np.max(np.abs(va - stim / (1e-6 + 1e-12))) < 1e-9
@@ -47,12 +46,11 @@ def test_sweep_linear_in_stimulus():
 def test_sweep_grid_and_direction():
     net = parse_netlist(PROBE)
     down = dc_sweep(net, "IIN", 2e-6, -2e-6, 0.5e-6)
-    assert down.direction is SweepDirection.DOWN
-    assert down.stimulus()[0] == 2e-6
-    assert down.stimulus()[-1] == -2e-6
+    assert down.times()[0] == 2e-6
+    assert down.times()[-1] == -2e-6
     # stop off the step grid still gets an endpoint sample
     ragged = dc_sweep(net, "IIN", 0.0, 1.05e-6, 0.5e-6)
-    assert ragged.stimulus()[-1] == pytest.approx(1.05e-6)
+    assert ragged.times()[-1] == pytest.approx(1.05e-6)
 
 
 def test_monostable_path_independence():
@@ -109,13 +107,13 @@ def test_no_crossing_is_an_error():
     with pytest.raises(MeasurementError) as exc:
         measure_hysteresis(up, dn, output_node="a", threshold=5.0,
                            refine_to=1e-9, netlist=net)
-    assert "found 0" in str(exc.value)
+    assert "on the up sweep, found 0" in str(exc.value)
 
 
 def test_multiple_crossings_is_an_error():
     net = parse_netlist(PROBE)
     zigzag = [(i * 1e-7, {"a": v}) for i, v in enumerate([0.0, 2.0, 1.0, 2.0, 2.2])]
-    up = SweepCurve("IIN", SweepDirection.UP, tuple(zigzag))
+    up = Trace("stimulus", tuple(zigzag), "IIN")
     dn = dc_sweep(net, "IIN", 2e-6, -2e-6, 1e-6)
     with pytest.raises(MeasurementError) as exc:
         measure_hysteresis(up, dn, output_node="a", threshold=1.5,
@@ -131,7 +129,7 @@ def test_rc_step_matches_exponential():
     exact = 1.0 - np.exp(-np.clip(t - 1e-12, 0.0, None) / tau)
     assert np.max(np.abs(v - exact)) < 0.01
     assert np.all(np.diff(t) > 0)
-    assert np.allclose(np.diff(t), wave.dt, rtol=1e-9)
+    assert np.allclose(np.diff(t), 1e-9, rtol=1e-9)
 
 
 def test_transient_holds_dc_equilibrium():
@@ -214,28 +212,28 @@ def test_branch_solution_at_is_side_dependent(hysteresis_net):
     assert hi.node_voltages["OUT"] > 2.5
 
 
-def test_sweep_csv_round_trips():
-    net = parse_netlist(PROBE)
-    curve = dc_sweep(net, "IIN", 0.0, 1e-6, 0.5e-6)
-    text = sweep_csv(curve)
-    lines = text.strip().splitlines()
-    assert lines[0].split(",")[0] == "stimulus"
-    assert "a" in lines[0].split(",")
-    col = lines[0].split(",").index("a")
-    # %.12e formatting: 13 significant digits survive the trip
-    for (stim, nodes), line in zip(curve.samples, lines[1:]):
-        parts = line.split(",")
-        assert float(parts[0]) == pytest.approx(stim, rel=1e-12, abs=0)
-        assert float(parts[col]) == pytest.approx(nodes["a"], rel=1e-12, abs=0)
-
-
-def test_waveform_csv_round_trips():
-    wave = transient(parse_netlist(RC_STEP), dt=1e-7, tstop=1e-6)
-    lines = waveform_csv(wave).strip().splitlines()
+@pytest.mark.parametrize("make,axis,node", [
+    (lambda: dc_sweep(parse_netlist(PROBE), "IIN", 0.0, 1e-6, 0.5e-6), "stimulus", "a"),
+    (lambda: transient(parse_netlist(RC_STEP), dt=1e-7, tstop=1e-6), "time", "out"),
+], ids=["sweep", "transient"])
+def test_trace_csv_round_trips(make, axis, node):
+    trace = make()
+    lines = trace_csv(trace).strip().splitlines()
     header = lines[0].split(",")
-    assert header[0] == "time"
-    col = header.index("out")
-    for (t, nodes), line in zip(wave.samples, lines[1:]):
+    assert header[0] == axis
+    col = header.index(node)
+    assert len(lines) == len(trace.samples) + 1
+    # %.12e formatting: 13 significant digits survive the trip
+    for (x, nodes), line in zip(trace.samples, lines[1:]):
         parts = line.split(",")
-        assert float(parts[0]) == pytest.approx(t, rel=1e-12, abs=0)
-        assert float(parts[col]) == pytest.approx(nodes["out"], rel=1e-12, abs=0)
+        assert float(parts[0]) == pytest.approx(x, rel=1e-12, abs=0)
+        assert float(parts[col]) == pytest.approx(nodes[node], rel=1e-12, abs=0)
+
+
+def test_capacitor_companion_overflow_is_rejected():
+    # 2C/dt overflows to inf; the step used to fail with a NaN residual
+    net = parse_netlist(RC_STEP.replace("C1 out 0 1n", "C1 out 0 1e300"))
+    with pytest.raises(MeasurementError) as exc:
+        transient(net, 1e-9, 5e-9)
+    assert "1e+300 F" in str(exc.value)
+    assert "dt=1e-09 s" in str(exc.value)

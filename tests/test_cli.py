@@ -143,31 +143,64 @@ def test_op_rejects_nonfinite_values(tmp_path, capsys, deck, fragment):
     assert fragment in capsys.readouterr().err
 
 
+# full `dc --both` output on the probe: the up sweep, a blank line, the
+# down sweep, each under its own header
+DC_BOTH_GOLDEN = """\
+stimulus,a
+-1.000000000000e-06,-9.999990000010e-01
+-5.000000000000e-07,-4.999995000005e-01
+0.000000000000e+00,0.000000000000e+00
+5.000000000000e-07,4.999995000005e-01
+1.000000000000e-06,9.999990000010e-01
+
+stimulus,a
+1.000000000000e-06,9.999990000010e-01
+5.000000000000e-07,4.999995000005e-01
+0.000000000000e+00,0.000000000000e+00
+-5.000000000000e-07,-4.999995000005e-01
+-1.000000000000e-06,-9.999990000010e-01
+"""
+
+
 def test_dc_csv_both_directions(probe_file, tmp_path):
     out = tmp_path / "sweep.csv"
     rc = run(["dc", str(probe_file), "--source", "IIN", "--from=-1u",
               "--to", "1u", "--step", "0.5u", "--both", "-o", str(out)])
     assert rc == 0
-    text = out.read_text()
-    assert text.count("stimulus,") == 2
-    first = text.splitlines()[1].split(",")
-    assert float(first[0]) == -1e-6
+    assert out.read_text() == DC_BOTH_GOLDEN
 
 
-def test_tran_csv(tmp_path):
-    f = tmp_path / "rc.cir"
-    f.write_text("""rc
+RC_DECK = """rc
 V1 in 0 PULSE(0 1 0 1p 1p 5u 0)
 R1 in out 1k
 C1 out 0 1n
 .end
-""")
+"""
+
+# full `tran` output on RC_DECK at dt=100n: header + 11 samples
+TRAN_GOLDEN = """\
+time,in,out
+0.000000000000e+00,0.000000000000e+00,0.000000000000e+00
+1.000000000000e-07,1.000000000000e+00,4.761900226535e-02
+2.000000000000e-07,1.000000000000e+00,1.383218680380e-01
+3.000000000000e-07,1.000000000000e+00,2.203863738606e-01
+4.000000000000e-07,1.000000000000e+00,2.946352198981e-01
+5.000000000000e-07,1.000000000000e+00,3.618127539932e-01
+6.000000000000e-07,1.000000000000e+00,4.225924337854e-01
+7.000000000000e-07,1.000000000000e+00,4.775835781523e-01
+8.000000000000e-07,1.000000000000e+00,5.273374756577e-01
+9.000000000000e-07,1.000000000000e+00,5.723529112423e-01
+1.000000000000e-06,1.000000000000e+00,6.130811665644e-01
+"""
+
+
+def test_tran_csv(tmp_path):
+    f = tmp_path / "rc.cir"
+    f.write_text(RC_DECK)
     out = tmp_path / "wave.csv"
-    rc = run(["tran", str(f), "--dt", "10n", "--stop", "1u", "-o", str(out)])
+    rc = run(["tran", str(f), "--dt", "100n", "--stop", "1u", "-o", str(out)])
     assert rc == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("time,")
-    assert len(lines) == 102  # header + 101 samples
+    assert out.read_text() == TRAN_GOLDEN
 
 
 def test_hyst_resistor_report(probe_file, capsys):

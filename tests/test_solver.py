@@ -262,6 +262,16 @@ def test_nonfinite_stimulus_reports_nan_residual():
     assert "residual=nan A" in str(exc.value)
 
 
+def test_branch_row_mismatch_is_reported():
+    # the step overflows at every stage; at source stepping the nodal rows
+    # read 0 while the V1 branch row is off by 1e299 V
+    net = parse_netlist("t\nV1 in 0 DC 1e300\nR1 in a 1e-300\nR2 a 0 1k\n.end\n")
+    with pytest.raises(ConvergenceError) as exc:
+        dc_solve(net)
+    assert exc.value.residual == 0.0
+    assert "branch residual=1.000e+299 V" in str(exc.value)
+
+
 def test_sweep_evaluates_no_device(monkeypatch):
     # sweep points keep only node voltages, so no device is evaluated
     net = build_comparator(ComparatorConfig())
