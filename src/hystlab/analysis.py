@@ -10,16 +10,13 @@ resolution. Delay measurement works on a transient's samples.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, MeasurementError, NetlistError
 from .netlist import DcSpec, Netlist
-from .solver import Solution, SolverOptions, _newton, _System, dc_solve
-
-logger = logging.getLogger(__name__)
+from .solver import Solution, SolverOptions, _System, dc_solve
 
 CMIN_DEFAULT = 1e-15  # transient shunt capacitance per node [F]
 
@@ -43,7 +40,11 @@ class Trace:
         return np.array([v for v, _ in self.samples])
 
     def node(self, name: str) -> np.ndarray:
-        return np.array([volts[name] for _, volts in self.samples])
+        try:
+            return np.array([volts[name] for _, volts in self.samples])
+        except KeyError:
+            nodes = ", ".join(self.samples[0][1])
+            raise MeasurementError(f"no node {name!r} in the trace; it has {nodes}") from None
 
 
 @dataclass(frozen=True)
@@ -187,14 +188,7 @@ def transient(netlist: Netlist, dt: float, tstop: float,
     n_steps = int(tstop / dt + 1e-9)
     for k in range(1, n_steps + 1):
         t = k * dt
-        x, a, iters, status = _newton(sys_, x, options, options.gmin_floor,
-                                      time=t, ieq=ieq)
-        if status != "ok":
-            nn = sys_.n_nodes
-            residual = float(np.max(np.abs(a.f[:nn]))) if nn else 0.0
-            raise ConvergenceError(
-                f"transient step failed at t={t:.6g} s ({status})",
-                stage=f"transient t={t:.6g}", residual=residual)
+        x = sys_.step(x, ieq, t, options)
         ieq = sys_.next_ieq(x, ieq)
         volts = {"0": 0.0}
         volts.update(zip(sys_.node_names, x))

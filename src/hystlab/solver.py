@@ -2,8 +2,9 @@
 
 Unknowns are the non-ground node voltages plus one branch current per
 voltage source. The residual at a node is the sum of currents leaving
-it. Newton iteration is damped by a per-node voltage clamp; cold starts
-fall back to a gmin ladder and then to source stepping.
+it. Newton iteration is damped by a per-node voltage clamp; a failed
+Newton run falls back to a cold restart, a gmin ladder and then source
+stepping.
 """
 
 from __future__ import annotations
@@ -280,6 +281,17 @@ class _System:
             out.append(-gv - (0.0 if ieq is None else gv + ieq[j]))
         return out
 
+    def step(self, x: list[float], ieq: list[float], t: float,
+             options: SolverOptions) -> list[float]:
+        """Solve the transient step at time t from x; returns the accepted x."""
+        x, a, _, status = _newton(self, x, options, options.gmin_floor,
+                                  time=t, ieq=ieq)
+        if status != "ok":
+            raise _convergence_error(
+                self, a, f"transient step failed at t={t:.6g} s ({status})",
+                f"transient t={t:.6g}")
+        return x
+
 
 def _residual_ok(sys_: _System, a: _Assembled, options: SolverOptions) -> bool:
     abstol, reltol, vntol = options.abstol, options.reltol, options.vntol
@@ -379,43 +391,28 @@ def _build_solution(sys_: _System, x: list[float], iterations: int,
     return Solution(voltages, branches, sys_.mosfet_elements, iterations, gmin)
 
 
-def _plain_then_ladder(sys_: _System, x0: list[float], options: SolverOptions):
-    """Plain Newton, then a gmin ladder warm-chained rung to rung.
-
-    Returns (x, assembled, iterations, converged). Raises
-    SingularMatrixError when even the heaviest rung leaves the
-    system matrix singular.
-    """
-    total = 0
-    x, a, iters, status = _newton(sys_, x0, options, options.gmin_floor)
-    total += iters
-    if status == "ok":
-        return x, a, total, True
-    logger.debug("plain newton %s after %d iters", status, iters)
-
-    x = x0
-    for rung_no, g in enumerate(_gmin_ladder(options)):
-        x, a, iters, status = _newton(sys_, x, options, g)
-        total += iters
-        if status == "singular" and rung_no == 0:
-            raise SingularMatrixError(
-                f"singular system matrix with gmin={g:g} S",
-                suspect=_suspect_unknown(sys_, a.jac))
-        if status != "ok":
-            logger.debug("gmin ladder %s at %g S", status, g)
-            return x, a, total, False
-    return x, a, total, True
+def _convergence_error(sys_: _System, a: _Assembled, what: str, stage: str):
+    """ConvergenceError reading ``<what>: residual=...`` at the last assembly."""
+    nn = sys_.n_nodes
+    # np.max keeps a NaN residual that Python's max could drop
+    residual = float(np.max(np.abs(a.f[:nn]))) if nn else 0.0
+    # a mismatch can sit in a voltage-source row alone
+    branch = (f", branch residual={float(np.max(np.abs(a.f[nn:]))):.3e} V"
+              if sys_.vsource_names else "")
+    return ConvergenceError(f"{what}: residual={residual:.3e} A{branch}",
+                            stage=stage, residual=residual)
 
 
 def dc_solve(netlist: Netlist | _System, options: SolverOptions | None = None,
              initial_guess: dict[str, float] | None = None) -> Solution:
     """DC operating point.
 
-    Plain Newton from the guess (or zero) first; on failure a gmin
-    ladder, a cold restart of both when a guess was given, then source
-    stepping. Raises ConvergenceError when all stages fail,
-    SingularMatrixError when the system matrix stays singular under
-    heavy gmin augmentation.
+    Each stage runs only when the one before it fails:
+    plain Newton from the guess (from zero when none is given); with a
+    guess, plain Newton from zero; a gmin ladder warm-chained rung to
+    rung from that last start; then source stepping from the guess.
+    Raises SingularMatrixError when the ladder's heaviest rung leaves
+    the system matrix singular, ConvergenceError when all stages fail.
 
     A Netlist is compiled here; a compiled _System is solved at the
     source values its specs hold, so a sweep can reuse one plan.
@@ -429,10 +426,25 @@ def dc_solve(netlist: Netlist | _System, options: SolverOptions | None = None,
         # that no longer exists; from zero it lands on a surviving one
         starts.append(sys_.vector_from_guess(None))
     for x0 in starts:
-        x, a, iters, ok = _plain_then_ladder(sys_, x0, options)
+        x, a, iters, status = _newton(sys_, x0, options, options.gmin_floor)
         total += iters
-        if ok:
+        if status == "ok":
             return _build_solution(sys_, x, total, options.gmin_floor)
+        logger.debug("plain newton %s after %d iters", status, iters)
+
+    x = x0
+    for rung_no, g in enumerate(_gmin_ladder(options)):
+        x, a, iters, status = _newton(sys_, x, options, g)
+        total += iters
+        if status == "singular" and rung_no == 0:
+            raise SingularMatrixError(
+                f"singular system matrix with gmin={g:g} S",
+                suspect=_suspect_unknown(sys_, a.jac))
+        if status != "ok":
+            logger.debug("gmin ladder %s at %g S", status, g)
+            break
+    else:
+        return _build_solution(sys_, x, total, options.gmin_floor)
 
     # source stepping at full gmin floor
     x = sys_.vector_from_guess(initial_guess)
@@ -442,14 +454,7 @@ def dc_solve(netlist: Netlist | _System, options: SolverOptions | None = None,
                                       src_scale=alpha)
         total += iters
         if status != "ok":
-            nn = sys_.n_nodes
-            # np.max keeps a NaN residual that Python's max could drop
-            residual = float(np.max(np.abs(a.f[:nn]))) if nn else 0.0
-            # a mismatch can sit in a voltage-source row alone
-            branch = (f", branch residual={float(np.max(np.abs(a.f[nn:]))):.3e} V"
-                      if sys_.vsource_names else "")
-            raise ConvergenceError(
-                f"no DC convergence (source stepping, alpha={alpha:.1f}, "
-                f"residual={residual:.3e} A{branch})",
-                stage="source stepping", residual=residual)
+            raise _convergence_error(
+                sys_, a, f"no DC convergence (source stepping, alpha={alpha:.1f})",
+                "source stepping")
     return _build_solution(sys_, x, total, options.gmin_floor)

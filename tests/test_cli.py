@@ -292,14 +292,27 @@ def test_analytic_width_independent_of_reference_current(iref, capsys):
     assert vals["i_hy"] == base["i_hy"]
 
 
-def test_hyst_stock_golden(capsys):
+@pytest.mark.parametrize("variant, i_t1, i_t2", [
+    ("hysteresis", "3.1996093750000013e-06", "-3.537109375000002e-06"),
+    ("plain", "2.6285156250000014e-06", "-2.569140625000001e-06"),
+], ids=["hysteresis", "plain"])
+def test_hyst_stock_golden(variant, i_t1, i_t2, capsys):
     # refactor guard: bisection midpoints on a dyadic grid survive
     # last-bit changes, so any drift here is a change of behaviour
-    assert run(["hyst", "--variant", "hysteresis", "--source", "IIN",
+    assert run(["hyst", "--variant", variant, "--source", "IIN",
                 "--range", "8u", "--step", "50n"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert "i_t1=3.1996093750000013e-06" in lines
-    assert "i_t2=-3.537109375000002e-06" in lines
+    assert f"i_t1={i_t1}" in lines
+    assert f"i_t2={i_t2}" in lines
+
+
+def test_hyst_unknown_node_fails(capsys):
+    rc = run(["hyst", "--variant", "hysteresis", "--range", "8u",
+              "--step", "1u", "--node", "XYZ"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no node 'XYZ' in the trace")
+    assert "OUT" in err
 
 
 def test_analytic_singular_input_fails(capsys):

@@ -16,6 +16,7 @@ from hystlab import (
     dc_sweep,
     mos_eval,
     parse_netlist,
+    transient,
 )
 from hystlab import solver as solver_module
 from hystlab.audit import kcl_residuals, verify_kcl
@@ -188,11 +189,13 @@ def test_kcl_audit_clean(hysteresis_net):
         assert abs(r) <= 1e-12 + 1e-4 * scale
 
 
-def test_singular_circuit_names_suspect():
-    # two ideal sources fighting over one node: structurally singular
+@pytest.mark.parametrize("guess", [None, {"a": 1.5}], ids=["cold", "warm"])
+def test_singular_circuit_names_suspect(guess):
+    # two ideal sources fighting over one node: structurally singular;
+    # a warm solve reaches the ladder only after its cold restart
     net = parse_netlist("clash\nV1 a 0 DC 1\nV2 a 0 DC 2\n.end\n")
     with pytest.raises(SingularMatrixError) as exc:
-        dc_solve(net)
+        dc_solve(net, initial_guess=guess)
     assert exc.value.suspect is not None
 
 
@@ -270,6 +273,42 @@ def test_branch_row_mismatch_is_reported():
         dc_solve(net)
     assert exc.value.residual == 0.0
     assert "branch residual=1.000e+299 V" in str(exc.value)
+
+
+def test_transient_step_reports_branch_row():
+    # at t=1 ns the step overflows while the nodal rows still read 0; the
+    # mismatch sits in the V1 branch row alone
+    net = parse_netlist("t\nV1 in 0 PULSE(0 1e300 0 1n 1n 5n 0)\nR1 in a 1e-300\n"
+                        "R2 a 0 1k\nC1 a 0 1p\n.end\n")
+    with pytest.raises(ConvergenceError) as exc:
+        transient(net, 1e-9, 5e-9)
+    message = str(exc.value)
+    assert message.startswith("transient step failed at t=1e-09 s (nonfinite)")
+    assert exc.value.residual == 0.0
+    branch = float(message.split("branch residual=")[1].split()[0])
+    assert branch != 0.0
+
+
+def test_warm_fold_solve_restarts_cold_before_any_gmin_rung(monkeypatch):
+    # stock up fold: the warm guess from 3.25 uA sits on a branch that is
+    # gone at 3.3 uA; the cold restart converges, so no ladder rung runs
+    net = build_comparator(ComparatorConfig())
+    guess = dc_sweep(net, "IIN", -8e-6, 3.25e-6, 50e-9).samples[-1][1]
+    runs = []
+    real = solver_module._newton
+
+    def spy(sys_, x0, options, gmin, *args, **kwargs):
+        runs.append((list(x0[:sys_.n_nodes]), gmin))
+        return real(sys_, x0, options, gmin, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_newton", spy)
+    sol = dc_solve(net.replaced_source("IIN", DcSpec(3.3e-6)), initial_guess=guess)
+    assert sol.node_voltages["OUT"] > 2.5  # jumped to the high branch
+    nodes = [n for n in net.nodes if n != "0"]
+    assert runs[0][0] == [guess[n] for n in nodes]
+    assert runs[1][0] == [0.0] * len(nodes)
+    assert len(runs) == 2
+    assert all(gmin == GMIN for _, gmin in runs)
 
 
 def test_sweep_evaluates_no_device(monkeypatch):
