@@ -2,9 +2,10 @@
 
 Unknowns are the non-ground node voltages plus one branch current per
 voltage source. The residual at a node is the sum of currents leaving
-it. Newton iteration is damped by a per-node voltage clamp; a failed
-Newton run falls back to a cold restart, a gmin ladder and then source
-stepping.
+it. Newton iteration is damped by a per-node voltage clamp. A failed
+warm-started Newton run falls back to a cold restart and then source
+stepping; a cold one, or one that met a singular matrix, tries a gmin
+ladder before source stepping.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -157,6 +158,7 @@ class _System:
         self.mosfets = tuple(mosfets)
         self.caps = tuple((p, q, _companion_g(c, dt), *pair(p, q)) for p, q, c in caps)
         self.diag = tuple(slot(i, i) for i in range(nn))
+        self._inverse_norms: dict[float, float] = {}
 
     def unknown_name(self, i: int) -> str:
         if i < self.n_nodes:
@@ -281,6 +283,19 @@ class _System:
             out.append(-gv - (0.0 if ieq is None else gv + ieq[j]))
         return out
 
+    def inverse_norm(self, gmin: float, jac: np.ndarray) -> float:
+        """beta = ||J^-1||_inf, cached per gmin; only for a plan with no MOSFET.
+
+        Such a plan's Jacobian is the same at every x, source value and
+        companion current for one gmin (dt is fixed in the plan), so
+        ``jac`` from any assembly will do. inf when the inverse cannot
+        bound a step (see _inverse_norm).
+        """
+        beta = self._inverse_norms.get(gmin)
+        if beta is None:
+            beta = self._inverse_norms[gmin] = _inverse_norm(jac)
+        return beta
+
     def step(self, x: list[float], ieq: list[float], t: float,
              options: SolverOptions) -> list[float]:
         """Solve the transient step at time t from x; returns the accepted x."""
@@ -305,53 +320,90 @@ def _residual_ok(sys_: _System, a: _Assembled, options: SolverOptions) -> bool:
     return True
 
 
+# above this ||J||*||J^-1|| the computed inverse is too rough to bound a step
+_COND_LIMIT = 1e12
+
+
+def _inverse_norm(jac: np.ndarray) -> float:
+    """||J^-1||_inf, or inf when J is singular or too ill-conditioned."""
+    try:
+        beta = float(np.abs(np.linalg.inv(jac)).sum(axis=1).max(initial=0.0))
+    except np.linalg.LinAlgError:
+        return inf
+    if not float(np.abs(jac).sum(axis=1).max(initial=0.0)) * beta <= _COND_LIMIT:
+        return inf  # also catches a non-finite beta
+    return beta
+
+
 def _newton(sys_: _System, x0: list[float], options: SolverOptions, gmin: float,
             src_scale: float = 1.0, time: float = 0.0, ieq: list[float] | tuple = ()):
     """Damped Newton loop. Returns (x, assembled, iterations, status).
 
     status: "ok" | "maxiter" | "singular" | "nonfinite". x is a list of
     Python floats; the Jacobian is the only array, built for np.linalg.solve.
+
+    An iterate x is accepted when its residual passes _residual_ok and
+    the Newton step from x is within vntol + reltol*|x|. Normally that
+    step is solved for, and _polish starts from it. On a plan with no
+    MOSFET it need not be: with beta = ||J^-1||_inf (_System.inverse_norm)
+    the computed step is at most about beta*||f(x)||_inf (LU backward
+    error; Higham, Accuracy and Stability of Numerical Algorithms, ch. 9),
+    so when 4*beta*||f(x)||_inf <= vntol the step would pass and x is
+    accepted unsolved. Both ways accept the same x after the same
+    iterations.
     """
     e = sys_.source_values(time, src_scale)
     x = x0
     nn = sys_.n_nodes
     clamp, vntol, reltol = options.dv_clamp, options.vntol, options.reltol
+    linear = not sys_.mosfets
     iters = 0
     while iters < options.max_newton_iters:
         iters += 1
         a = sys_.assemble(x, gmin, e, ieq)
         if not (all(map(isfinite, a.f)) and np.isfinite(a.jac).all()):
             return x, a, iters, "nonfinite"
+        if linear:
+            bound = 4.0 * sys_.inverse_norm(gmin, a.jac) * max(map(abs, a.f), default=0.0)
+            if bound <= vntol and _residual_ok(sys_, a, options):
+                # the step from x provably passes: accept x unsolved
+                x, a = _polish(sys_, x, a, options, gmin, e, ieq)
+                return x, a, iters, "ok"
         try:
             dx = np.linalg.solve(a.jac, [-v for v in a.f]).tolist()
         except np.linalg.LinAlgError:
             return x, a, iters, "singular"
         if not all(map(isfinite, dx)):
             return x, a, iters, "nonfinite"
-        dx[:nn] = [min(max(d, -clamp), clamp) for d in dx[:nn]]
-        x_next = [xi + d for xi, d in zip(x, dx)]
-        step_ok = all(abs(d) <= vntol + reltol * abs(xd) for d, xd in zip(dx, x_next))
+        step = [min(max(d, -clamp), clamp) for d in dx[:nn]]
+        step += dx[nn:]
+        x_next = [xi + d for xi, d in zip(x, step)]
+        step_ok = all(abs(d) <= vntol + reltol * abs(xd) for d, xd in zip(step, x_next))
         if step_ok and _residual_ok(sys_, a, options):
-            # accept the residual-checked point, not the final micro-step
-            x, a = _polish(sys_, x, a, options, gmin, e, ieq)
+            # accept the residual-checked point, not the final micro-step;
+            # polish starts from the unclamped step already solved at it
+            x, a = _polish(sys_, x, a, options, gmin, e, ieq, dx)
             return x, a, iters, "ok"
         x = x_next
     a = sys_.assemble(x, gmin, e, ieq)
     return x, a, iters, "maxiter"
 
 
-def _polish(sys_: _System, x, a, options, gmin, e, ieq):
-    # a few undamped refinement steps push nodal residuals well under
-    # abstol so converged points audit cleanly
+def _polish(sys_: _System, x, a, options, gmin, e, ieq, dx=None):
+    """Up to 3 undamped Newton steps from the accepted x, each kept only
+    if it lowers the worst nodal residual, so converged points audit
+    cleanly. ``dx``, when given, is the step already solved at (x, a).
+    """
     nn = sys_.n_nodes
     best = max(map(abs, a.f[:nn])) if nn else 0.0
     for _ in range(3):
         if best <= 0.1 * options.abstol:
             break
-        try:
-            dx = np.linalg.solve(a.jac, [-v for v in a.f]).tolist()
-        except np.linalg.LinAlgError:
-            break
+        if dx is None:
+            try:
+                dx = np.linalg.solve(a.jac, [-v for v in a.f]).tolist()
+            except np.linalg.LinAlgError:
+                break
         x_try = [xi + d for xi, d in zip(x, dx)]
         a_try = sys_.assemble(x_try, gmin, e, ieq)
         # finite first: Python's max can pass over a NaN
@@ -360,7 +412,7 @@ def _polish(sys_: _System, x, a, options, gmin, e, ieq):
         worst = max(map(abs, a_try.f[:nn])) if nn else 0.0
         if worst >= best:
             break
-        x, a, best = x_try, a_try, worst
+        x, a, best, dx = x_try, a_try, worst, None
     return x, a
 
 
@@ -411,8 +463,11 @@ def dc_solve(netlist: Netlist | _System, options: SolverOptions | None = None,
     plain Newton from the guess (from zero when none is given); with a
     guess, plain Newton from zero; a gmin ladder warm-chained rung to
     rung from that last start; then source stepping from the guess.
-    Raises SingularMatrixError when the ladder's heaviest rung leaves
-    the system matrix singular, ConvergenceError when all stages fail.
+    A warm solve (one given a guess) runs the ladder only when a plain
+    stage found the matrix singular: past a fold, source stepping is
+    what rescues it. Raises SingularMatrixError when the ladder's
+    heaviest rung leaves the system matrix singular, ConvergenceError
+    when all stages fail.
 
     A Netlist is compiled here; a compiled _System is solved at the
     source values its specs hold, so a sweep can reuse one plan.
@@ -425,26 +480,29 @@ def dc_solve(netlist: Netlist | _System, options: SolverOptions | None = None,
         # a stale guess can strand Newton on a branch of the solution set
         # that no longer exists; from zero it lands on a surviving one
         starts.append(sys_.vector_from_guess(None))
+    singular = False
     for x0 in starts:
         x, a, iters, status = _newton(sys_, x0, options, options.gmin_floor)
         total += iters
         if status == "ok":
             return _build_solution(sys_, x, total, options.gmin_floor)
         logger.debug("plain newton %s after %d iters", status, iters)
+        singular = singular or status == "singular"
 
-    x = x0
-    for rung_no, g in enumerate(_gmin_ladder(options)):
-        x, a, iters, status = _newton(sys_, x, options, g)
-        total += iters
-        if status == "singular" and rung_no == 0:
-            raise SingularMatrixError(
-                f"singular system matrix with gmin={g:g} S",
-                suspect=_suspect_unknown(sys_, a.jac))
-        if status != "ok":
-            logger.debug("gmin ladder %s at %g S", status, g)
-            break
-    else:
-        return _build_solution(sys_, x, total, options.gmin_floor)
+    if initial_guess is None or singular:
+        x = x0
+        for rung_no, g in enumerate(_gmin_ladder(options)):
+            x, a, iters, status = _newton(sys_, x, options, g)
+            total += iters
+            if status == "singular" and rung_no == 0:
+                raise SingularMatrixError(
+                    f"singular system matrix with gmin={g:g} S",
+                    suspect=_suspect_unknown(sys_, a.jac))
+            if status != "ok":
+                logger.debug("gmin ladder %s at %g S", status, g)
+                break
+        else:
+            return _build_solution(sys_, x, total, options.gmin_floor)
 
     # source stepping at full gmin floor
     x = sys_.vector_from_guess(initial_guess)

@@ -418,3 +418,92 @@ def test_plan_matches_audit_and_finite_differences(build, dt, request):
             fd[:, j] = (np.asarray(sys_.assemble(up, gmin, e, ieq).f)
                         - np.asarray(sys_.assemble(down, gmin, e, ieq).f)) / (2 * h)
         np.testing.assert_allclose(fd, a.jac, rtol=1e-6, atol=1e-11)
+
+
+def test_warm_solve_past_fold_skips_gmin_ladder(monkeypatch):
+    # an IREF variant whose down fold leaves the -2.35 uA point stranded:
+    # both plain runs fail at -2.4 uA and source stepping from the guess
+    # rescues it; the gmin ladder, which never rescues a warm solve, is
+    # not entered
+    net = build_comparator(ComparatorConfig()).replaced_source(
+        "IREF", DcSpec(1.1057981355806849e-06))
+    value, guess = dc_sweep(net, "IIN", 8e-6, -2.35e-6, 50e-9).samples[-1]
+    assert value == pytest.approx(-2.35e-6)
+    gmins = []
+    real = solver_module._newton
+
+    def spy(sys_, x0, options, gmin, *args, **kwargs):
+        gmins.append(gmin)
+        return real(sys_, x0, options, gmin, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_newton", spy)
+    sol = dc_solve(net.replaced_source("IIN", DcSpec(-2.4e-6)), initial_guess=guess)
+    assert sol.node_voltages["OUT"] == 0.3383174144785378
+    assert sol.iterations == 270
+    assert set(gmins) == {GMIN}
+
+
+# a 3 V edge in 1 ps moves node "in" by more than dv_clamp in one 1 ns
+# step, so that step's Newton run is clamped
+RC_EDGE = parse_netlist("rc edge\nV1 in 0 PULSE(0 3 10n 1p 1p 200n 0)\n"
+                        "R1 in out 1k\nC1 out 0 1n\n.end\n")
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    real = np.linalg.solve
+
+    def spy(jac, b):
+        calls.append((jac.copy(), list(b)))
+        return real(jac, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return calls
+
+
+def test_step_bound_keeps_transient_bit_identical(monkeypatch):
+    # skipping the confirming solve must accept the same points as solving it
+    iterations = []
+    real = solver_module._newton
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        iterations.append(result[2])
+        return result
+
+    monkeypatch.setattr(solver_module, "_newton", spy)
+    calls = _count_solves(monkeypatch)
+    bounded = transient(RC_EDGE, 1e-9, 100e-9)
+    bounded_solves = len(calls)
+    assert max(iterations) > 3  # the clamped edge step
+
+    monkeypatch.setattr(solver_module, "_inverse_norm", lambda jac: float("inf"))
+    calls.clear()
+    solved = transient(RC_EDGE, 1e-9, 100e-9)
+    assert repr(bounded) == repr(solved)
+    assert bounded_solves < len(calls)
+
+
+def test_linear_transient_solves_once_per_step(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    transient(RC_EDGE, 1e-9, 500e-9)
+    assert len(calls) <= 1.1 * 500
+
+
+def test_polish_repeats_no_solve(monkeypatch):
+    # polish starts from the step the Newton loop solved at the same point
+    calls = _count_solves(monkeypatch)
+    dc_sweep(build_comparator(ComparatorConfig()), "IIN", -2e-6, 2e-6, 0.1e-6)
+    assert len(calls) > 41
+    for (jac0, b0), (jac1, b1) in zip(calls, calls[1:]):
+        assert not (np.array_equal(jac0, jac1) and b0 == b1)
+
+
+@pytest.mark.parametrize("jac,expected", [
+    (np.eye(3) * 2.0, 0.5),
+    (np.array([[1.0, 1.0], [1.0, 1.0]]), float("inf")),        # singular
+    (np.array([[1e300, 0.0], [0.0, 1.0]]), float("inf")),      # ill-conditioned
+    (np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]), float("inf")),
+])
+def test_inverse_norm_bounds_only_well_conditioned(jac, expected):
+    assert solver_module._inverse_norm(jac) == expected
