@@ -484,6 +484,18 @@ def test_step_bound_keeps_transient_bit_identical(monkeypatch):
     assert bounded_solves < len(calls)
 
 
+def test_step_bound_waits_on_a_high_impedance_node(monkeypatch):
+    # two clamped steps leave the node 0.02 V short of 1.02 V: its
+    # residual of 2.2e-13 A already passes, but the step to the answer
+    # does not, so the bound must not accept that iterate
+    net = parse_netlist("hiz\nI1 0 a DC 1.122e-11\nR1 a 0 1e11\n.end\n")
+    bounded = dc_solve(net)
+    monkeypatch.setattr(solver_module, "_inverse_norm", lambda jac: float("inf"))
+    solved = dc_solve(net)
+    assert repr(bounded) == repr(solved)
+    assert bounded.iterations == 4
+
+
 def test_linear_transient_solves_once_per_step(monkeypatch):
     calls = _count_solves(monkeypatch)
     transient(RC_EDGE, 1e-9, 500e-9)
