@@ -16,9 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, MeasurementError, NetlistError
 from .netlist import DcSpec, Netlist
-from .solver import Solution, SolverOptions, _System, dc_solve
-
-CMIN_DEFAULT = 1e-15  # transient shunt capacitance per node [F]
+from .solver import Solution, _System, dc_solve
 
 
 @dataclass(frozen=True)
@@ -77,25 +75,23 @@ def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def _source_solver(netlist: Netlist, source_name: str,
-                   options: SolverOptions | None):
+def _source_solver(netlist: Netlist, source_name: str):
     """solve(value, guess): dc_solve with one source at a DC value.
 
     The netlist is compiled once; each call only swaps the source's value.
     """
     sys_ = _System(netlist)
     slot = sys_.source_slots[netlist.find_source(source_name).name]
-    options = options or SolverOptions()
 
     def solve(value: float, guess: dict[str, float] | None) -> Solution:
         sys_.specs[slot] = DcSpec(value)
-        return dc_solve(sys_, options, guess)
+        return dc_solve(sys_, guess)
 
     return solve
 
 
 def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
-             step: float, options: SolverOptions | None = None) -> Trace:
+             step: float) -> Trace:
     """Solve along a stimulus grid, warm-starting each point from the last.
 
     The warm chain is what lets a bistable circuit hold its branch
@@ -105,7 +101,7 @@ def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
     if not isinstance(src.spec, DcSpec):
         raise NetlistError(f"source {source_name!r} is not a DC source")
     values = _sweep_grid(start, stop, step)
-    solve = _source_solver(netlist, source_name, options)
+    solve = _source_solver(netlist, source_name)
 
     samples = []
     guess = None
@@ -128,8 +124,7 @@ def _crossing_brackets(curve: Trace, node: str, threshold: float):
 
 
 def _refine_transition(netlist: Netlist, curve: Trace, node: str,
-                       threshold: float, refine_to: float,
-                       options: SolverOptions | None):
+                       threshold: float, refine_to: float):
     brackets = _crossing_brackets(curve, node, threshold)
     if len(brackets) != 1:
         direction = "up" if curve.samples[-1][0] >= curve.samples[0][0] else "down"
@@ -140,12 +135,14 @@ def _refine_transition(netlist: Netlist, curve: Trace, node: str,
     a, volts_a = curve.samples[i]
     b, _ = curve.samples[i + 1]
     pre_side = volts_a[node] >= threshold
-    solve = _source_solver(netlist, curve.source_name, options)
+    solve = _source_solver(netlist, curve.source_name)
 
     # warm every probe from the pre-transition side so the bisection
     # follows the surviving branch right up to the jump
     while abs(b - a) > refine_to:
         mid = 0.5 * (a + b)
+        if mid in (a, b):
+            break  # a and b are adjacent floats: no finer bracket exists
         sol = solve(mid, volts_a)
         if (sol.node_voltages[node] >= threshold) == pre_side:
             a, volts_a = mid, sol.node_voltages
@@ -155,8 +152,8 @@ def _refine_transition(netlist: Netlist, curve: Trace, node: str,
 
 
 def measure_hysteresis(up: Trace, down: Trace, output_node: str,
-                       threshold: float, refine_to: float, netlist: Netlist,
-                       options: SolverOptions | None = None) -> HysteresisReport:
+                       threshold: float, refine_to: float,
+                       netlist: Netlist) -> HysteresisReport:
     """Locate both transition currents and report the hysteresis width.
 
     Each transition is where ``output_node`` crosses ``threshold``. On
@@ -167,30 +164,28 @@ def measure_hysteresis(up: Trace, down: Trace, output_node: str,
     holds, and C jumps only later, about 0.1 uA higher on the stock
     build (3.20 against 3.29-3.30 uA) and 0.22 uA higher at lam=0 (3.84-3.86
     against 4.06-4.08 uA). Node C with a 1 V threshold measures the fold
-    on both edges.
+    on both edges. A ``refine_to`` below the float spacing at an edge
+    stops at adjacent floats, and ``resolution`` reports that width.
     """
     if refine_to <= 0.0:
         raise MeasurementError(f"refine_to must be > 0, got {refine_to}")
-    i_t1, w1 = _refine_transition(netlist, up, output_node, threshold,
-                                  refine_to, options)
-    i_t2, w2 = _refine_transition(netlist, down, output_node, threshold,
-                                  refine_to, options)
+    i_t1, w1 = _refine_transition(netlist, up, output_node, threshold, refine_to)
+    i_t2, w2 = _refine_transition(netlist, down, output_node, threshold, refine_to)
     return HysteresisReport(i_t1=i_t1, i_t2=i_t2, i_hy=abs(i_t1 - i_t2),
                             resolution=max(w1, w2), threshold=threshold)
 
 
-def transient(netlist: Netlist, dt: float, tstop: float,
-              options: SolverOptions | None = None,
-              cmin: float = CMIN_DEFAULT) -> Trace:
-    """Fixed-step trapezoidal integration from the t=0 operating point."""
+def transient(netlist: Netlist, dt: float, tstop: float) -> Trace:
+    """Fixed-step trapezoidal integration from the t=0 operating point.
+
+    Every node carries the solver's CMIN to ground during the steps.
+    """
     if dt <= 0.0:
         raise MeasurementError(f"dt must be > 0, got {dt}")
     if tstop < dt:
         raise MeasurementError(f"tstop must be >= dt, got {tstop}")
-    options = options or SolverOptions()
-
-    start = dc_solve(netlist, options)
-    sys_ = _System(netlist, dt=dt, cmin=cmin)
+    start = dc_solve(netlist)
+    sys_ = _System(netlist, dt=dt)
     x = sys_.vector_from_guess(start.node_voltages)
     x[sys_.n_nodes:] = [start.branch_currents[name] for name in sys_.vsource_names]
     ieq = sys_.next_ieq(x, None)
@@ -199,7 +194,7 @@ def transient(netlist: Netlist, dt: float, tstop: float,
     n_steps = int(tstop / dt + 1e-9)
     for k in range(1, n_steps + 1):
         t = k * dt
-        x = sys_.step(x, ieq, t, options)
+        x = sys_.step(x, ieq, t)
         ieq = sys_.next_ieq(x, ieq)
         volts = {"0": 0.0}
         volts.update(zip(sys_.node_names, x))
@@ -251,18 +246,17 @@ def measure_delay(times: np.ndarray, stimulus: np.ndarray,
 
 
 def branch_solution_at(netlist: Netlist, source_name: str, value: float,
-                       approach_from: float, options: SolverOptions | None = None,
-                       steps: int = 32) -> Solution:
+                       approach_from: float) -> Solution:
     """Solve at one stimulus value, approached by continuation.
 
-    Warm-walks the solver from approach_from so the returned Solution
-    sits on the branch reachable from that side, which matters inside
-    a hysteresis band.
+    Warm-walks the solver from approach_from in 32 equal moves so the
+    returned Solution sits on the branch reachable from that side, which
+    matters inside a hysteresis band.
     """
-    solve = _source_solver(netlist, source_name, options)
+    solve = _source_solver(netlist, source_name)
     guess = None
-    for k in range(steps + 1):
-        sol = solve(approach_from + (value - approach_from) * k / steps, guess)
+    for k in range(33):
+        sol = solve(approach_from + (value - approach_from) * k / 32, guess)
         guess = sol.node_voltages
     return sol
 

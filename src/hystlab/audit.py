@@ -10,7 +10,7 @@ from __future__ import annotations
 from .devices import mos_eval
 from .errors import HystlabError
 from .netlist import Capacitor, ISource, Mosfet, Netlist, Resistor, VSource
-from .solver import Solution
+from .solver import OPTIONS, Solution
 
 
 def kcl_residuals(netlist: Netlist, solution: Solution) -> dict[str, tuple[float, float]]:
@@ -45,7 +45,7 @@ def kcl_residuals(netlist: Netlist, solution: Solution) -> dict[str, tuple[float
             add(el.s, -ev.id)
 
     for n in residual:
-        shunt = solution.gmin_used * v[n]
+        shunt = OPTIONS.gmin_floor * v[n]
         residual[n] += shunt
         scale[n] += abs(shunt)
 

@@ -162,6 +162,8 @@ def _cmd_tran(args) -> int:
 
 
 def _cmd_hyst(args) -> int:
+    if args.span <= 0.0:
+        raise ConfigError(f"--range must be > 0, got {args.span:g}")
     net = _load_circuit(args)
     resolution = args.resolution
     if resolution is None:

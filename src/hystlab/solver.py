@@ -26,6 +26,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """The solver's tolerances and limits; every analysis runs at OPTIONS."""
+
     abstol: float = 1e-12        # nodal current tolerance [A]
     reltol: float = 1e-4
     vntol: float = 1e-6          # voltage step / branch row tolerance [V]
@@ -35,11 +37,15 @@ class SolverOptions:
     gmin_start: float = 1e-2     # first gmin ladder rung [S]
     source_steps: int = 10
 
-    def __post_init__(self):
-        for name in ("abstol", "reltol", "vntol", "max_newton_iters",
-                     "dv_clamp", "gmin_floor", "gmin_start", "source_steps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+
+OPTIONS = SolverOptions()
+CMIN = 1e-15  # transient shunt capacitance from every node to ground [F]
+
+# gmin ladder: gmin_start, a tenth of the rung before, then the floor [S]
+_GMIN_LADDER = [OPTIONS.gmin_start]
+while _GMIN_LADDER[-1] / 10.0 > OPTIONS.gmin_floor * 1.001:
+    _GMIN_LADDER.append(_GMIN_LADDER[-1] / 10.0)
+_GMIN_LADDER.append(OPTIONS.gmin_floor)
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,6 @@ class Solution:
     branch_currents: dict[str, float]       # per voltage source [A]
     mosfets: tuple[Mosfet, ...]             # the devices device_evals covers
     iterations: int
-    gmin_used: float                        # shunt present in the solved system [S]
 
     @cached_property
     def device_evals(self) -> dict[str, DeviceEval]:
@@ -90,13 +95,13 @@ class _System:
     by ``source_slots[name]``; a sweep swaps one entry to move its source
     without compiling again.
 
-    With ``dt`` given, every capacitor, every MOSFET cgs/cgd and ``cmin``
+    With ``dt`` given, every capacitor, every MOSFET cgs/cgd and CMIN
     from each node to ground become trapezoidal companions. Their
     conductance 2C/dt is fixed here; only the equivalent current ``ieq``
     changes from step to step.
     """
 
-    def __init__(self, netlist: Netlist, dt: float | None = None, cmin: float = 0.0):
+    def __init__(self, netlist: Netlist, dt: float | None = None):
         self.node_names = tuple(n for n in netlist.nodes if n != "0")
         self.index = {n: i for i, n in enumerate(self.node_names)}
         nn = self.n_nodes = len(self.node_names)
@@ -149,8 +154,8 @@ class _System:
                         caps.append((g, s, m.cgs))
                     if m.cgd > 0.0:
                         caps.append((g, d, m.cgd))
-        if dt is not None and cmin > 0.0:
-            caps.extend((i, n, cmin) for i in range(nn))
+        if dt is not None:
+            caps.extend((i, n, CMIN) for i in range(nn))
         self.mosfet_elements = tuple(mosfet_elements)
         self.resistors = tuple(resistors)
         self.isources = tuple(isources)
@@ -296,11 +301,9 @@ class _System:
             beta = self._inverse_norms[gmin] = _inverse_norm(jac)
         return beta
 
-    def step(self, x: list[float], ieq: list[float], t: float,
-             options: SolverOptions) -> list[float]:
+    def step(self, x: list[float], ieq: list[float], t: float) -> list[float]:
         """Solve the transient step at time t from x; returns the accepted x."""
-        x, a, _, status = _newton(self, x, options, options.gmin_floor,
-                                  time=t, ieq=ieq)
+        x, a, _, status = _newton(self, x, OPTIONS.gmin_floor, time=t, ieq=ieq)
         if status != "ok":
             raise _convergence_error(
                 self, a, f"transient step failed at t={t:.6g} s ({status})",
@@ -308,8 +311,8 @@ class _System:
         return x
 
 
-def _residual_ok(sys_: _System, a: _Assembled, options: SolverOptions) -> bool:
-    abstol, reltol, vntol = options.abstol, options.reltol, options.vntol
+def _residual_ok(sys_: _System, a: _Assembled) -> bool:
+    abstol, reltol, vntol = OPTIONS.abstol, OPTIONS.reltol, OPTIONS.vntol
     f = a.f
     for fi, s in zip(f, a.node_scale):
         if abs(fi) > abstol + reltol * s:
@@ -335,8 +338,8 @@ def _inverse_norm(jac: np.ndarray) -> float:
     return beta
 
 
-def _newton(sys_: _System, x0: list[float], options: SolverOptions, gmin: float,
-            src_scale: float = 1.0, time: float = 0.0, ieq: list[float] | tuple = ()):
+def _newton(sys_: _System, x0: list[float], gmin: float, src_scale: float = 1.0,
+            time: float = 0.0, ieq: list[float] | tuple = ()):
     """Damped Newton loop. Returns (x, assembled, iterations, status).
 
     status: "ok" | "maxiter" | "singular" | "nonfinite". x is a list of
@@ -355,19 +358,19 @@ def _newton(sys_: _System, x0: list[float], options: SolverOptions, gmin: float,
     e = sys_.source_values(time, src_scale)
     x = x0
     nn = sys_.n_nodes
-    clamp, vntol, reltol = options.dv_clamp, options.vntol, options.reltol
+    clamp, vntol, reltol = OPTIONS.dv_clamp, OPTIONS.vntol, OPTIONS.reltol
     linear = not sys_.mosfets
     iters = 0
-    while iters < options.max_newton_iters:
+    while iters < OPTIONS.max_newton_iters:
         iters += 1
         a = sys_.assemble(x, gmin, e, ieq)
         if not (all(map(isfinite, a.f)) and np.isfinite(a.jac).all()):
             return x, a, iters, "nonfinite"
         if linear:
             bound = 4.0 * sys_.inverse_norm(gmin, a.jac) * max(map(abs, a.f), default=0.0)
-            if bound <= vntol and _residual_ok(sys_, a, options):
+            if bound <= vntol and _residual_ok(sys_, a):
                 # the step from x provably passes: accept x unsolved
-                x, a = _polish(sys_, x, a, options, gmin, e, ieq)
+                x, a = _polish(sys_, x, a, gmin, e, ieq)
                 return x, a, iters, "ok"
         try:
             dx = np.linalg.solve(a.jac, [-v for v in a.f]).tolist()
@@ -379,17 +382,17 @@ def _newton(sys_: _System, x0: list[float], options: SolverOptions, gmin: float,
         step += dx[nn:]
         x_next = [xi + d for xi, d in zip(x, step)]
         step_ok = all(abs(d) <= vntol + reltol * abs(xd) for d, xd in zip(step, x_next))
-        if step_ok and _residual_ok(sys_, a, options):
+        if step_ok and _residual_ok(sys_, a):
             # accept the residual-checked point, not the final micro-step;
             # polish starts from the unclamped step already solved at it
-            x, a = _polish(sys_, x, a, options, gmin, e, ieq, dx)
+            x, a = _polish(sys_, x, a, gmin, e, ieq, dx)
             return x, a, iters, "ok"
         x = x_next
     a = sys_.assemble(x, gmin, e, ieq)
     return x, a, iters, "maxiter"
 
 
-def _polish(sys_: _System, x, a, options, gmin, e, ieq, dx=None):
+def _polish(sys_: _System, x, a, gmin, e, ieq, dx=None):
     """Up to 3 undamped Newton steps from the accepted x, each kept only
     if it lowers the worst nodal residual, so converged points audit
     cleanly. ``dx``, when given, is the step already solved at (x, a).
@@ -397,7 +400,7 @@ def _polish(sys_: _System, x, a, options, gmin, e, ieq, dx=None):
     nn = sys_.n_nodes
     best = max(map(abs, a.f[:nn])) if nn else 0.0
     for _ in range(3):
-        if best <= 0.1 * options.abstol:
+        if best <= 0.1 * OPTIONS.abstol:
             break
         if dx is None:
             try:
@@ -416,16 +419,6 @@ def _polish(sys_: _System, x, a, options, gmin, e, ieq, dx=None):
     return x, a
 
 
-def _gmin_ladder(options: SolverOptions) -> list[float]:
-    rungs = []
-    g = options.gmin_start
-    while g > options.gmin_floor * 1.001:
-        rungs.append(g)
-        g /= 10.0
-    rungs.append(options.gmin_floor)
-    return rungs
-
-
 def _suspect_unknown(sys_: _System, jac: np.ndarray) -> str:
     try:
         _, _, vt = np.linalg.svd(jac)
@@ -435,12 +428,11 @@ def _suspect_unknown(sys_: _System, jac: np.ndarray) -> str:
     return sys_.unknown_name(comp)
 
 
-def _build_solution(sys_: _System, x: list[float], iterations: int,
-                    gmin: float) -> Solution:
+def _build_solution(sys_: _System, x: list[float], iterations: int) -> Solution:
     voltages = {"0": 0.0}
     voltages.update(zip(sys_.node_names, x))
     branches = dict(zip(sys_.vsource_names, x[sys_.n_nodes:]))
-    return Solution(voltages, branches, sys_.mosfet_elements, iterations, gmin)
+    return Solution(voltages, branches, sys_.mosfet_elements, iterations)
 
 
 def _convergence_error(sys_: _System, a: _Assembled, what: str, stage: str):
@@ -455,7 +447,7 @@ def _convergence_error(sys_: _System, a: _Assembled, what: str, stage: str):
                             stage=stage, residual=residual)
 
 
-def dc_solve(netlist: Netlist | _System, options: SolverOptions | None = None,
+def dc_solve(netlist: Netlist | _System,
              initial_guess: dict[str, float] | None = None) -> Solution:
     """DC operating point.
 
@@ -473,7 +465,6 @@ def dc_solve(netlist: Netlist | _System, options: SolverOptions | None = None,
     source values its specs hold, so a sweep can reuse one plan.
     """
     sys_ = netlist if isinstance(netlist, _System) else _System(netlist)
-    options = options or SolverOptions()
     total = 0
     starts = [sys_.vector_from_guess(initial_guess)]
     if initial_guess is not None:
@@ -482,17 +473,17 @@ def dc_solve(netlist: Netlist | _System, options: SolverOptions | None = None,
         starts.append(sys_.vector_from_guess(None))
     singular = False
     for x0 in starts:
-        x, a, iters, status = _newton(sys_, x0, options, options.gmin_floor)
+        x, a, iters, status = _newton(sys_, x0, OPTIONS.gmin_floor)
         total += iters
         if status == "ok":
-            return _build_solution(sys_, x, total, options.gmin_floor)
+            return _build_solution(sys_, x, total)
         logger.debug("plain newton %s after %d iters", status, iters)
         singular = singular or status == "singular"
 
     if initial_guess is None or singular:
         x = x0
-        for rung_no, g in enumerate(_gmin_ladder(options)):
-            x, a, iters, status = _newton(sys_, x, options, g)
+        for rung_no, g in enumerate(_GMIN_LADDER):
+            x, a, iters, status = _newton(sys_, x, g)
             total += iters
             if status == "singular" and rung_no == 0:
                 raise SingularMatrixError(
@@ -502,17 +493,16 @@ def dc_solve(netlist: Netlist | _System, options: SolverOptions | None = None,
                 logger.debug("gmin ladder %s at %g S", status, g)
                 break
         else:
-            return _build_solution(sys_, x, total, options.gmin_floor)
+            return _build_solution(sys_, x, total)
 
     # source stepping at full gmin floor
     x = sys_.vector_from_guess(initial_guess)
-    for k in range(1, options.source_steps + 1):
-        alpha = k / options.source_steps
-        x, a, iters, status = _newton(sys_, x, options, options.gmin_floor,
-                                      src_scale=alpha)
+    for k in range(1, OPTIONS.source_steps + 1):
+        alpha = k / OPTIONS.source_steps
+        x, a, iters, status = _newton(sys_, x, OPTIONS.gmin_floor, src_scale=alpha)
         total += iters
         if status != "ok":
             raise _convergence_error(
                 sys_, a, f"no DC convergence (source stepping, alpha={alpha:.1f})",
                 "source stepping")
-    return _build_solution(sys_, x, total, options.gmin_floor)
+    return _build_solution(sys_, x, total)

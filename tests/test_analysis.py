@@ -88,6 +88,20 @@ def test_hysteresis_on_monostable_is_zero():
     assert rep.resolution <= 1e-9
 
 
+def test_bisection_stops_at_float_spacing():
+    # a target far below the spacing of floats near 1.5 uA (about 2e-22 A)
+    # used to spin forever with the midpoint landing on an endpoint
+    net = parse_netlist(PROBE)
+    up = dc_sweep(net, "IIN", -2e-6, 2e-6, 0.5e-6)
+    dn = dc_sweep(net, "IIN", 2e-6, -2e-6, 0.5e-6)
+    rep = measure_hysteresis(up, dn, output_node="a", threshold=1.5,
+                             refine_to=1e-30, netlist=net)
+    # 1.5 V across 1 MOhm in parallel with the 1e-12 S gmin floor
+    assert rep.i_t1 == pytest.approx(1.5e-6 * (1 + 1e-6), abs=1e-12)
+    assert rep.i_t2 == pytest.approx(1.5e-6 * (1 + 1e-6), abs=1e-12)
+    assert 0.0 < rep.resolution <= 4 * np.spacing(1.5e-6)
+
+
 def test_hysteresis_band_located(hysteresis_net):
     up = dc_sweep(hysteresis_net, "IIN", -8e-6, 8e-6, 50e-9)
     dn = dc_sweep(hysteresis_net, "IIN", 8e-6, -8e-6, 50e-9)

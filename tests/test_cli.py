@@ -238,11 +238,16 @@ def test_delay_report(tmp_path, capsys):
     rc = run(["delay", str(f), "--amp", "2u", "--period", "400n",
               "--node", "a"])
     assert rc == 0
-    vals = _machine_lines(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    vals = _machine_lines(out)
     # dominated by the 20 ns RC at node a; edges nearly symmetric
     assert 10e-9 < vals["t_plh"] < 20e-9
     assert vals["t_phl"] == pytest.approx(vals["t_plh"], abs=1e-11)
     assert vals["average"] == (vals["t_plh"] + vals["t_phl"]) / 2
+    # refactor guard: the transient's exact output
+    assert out.splitlines()[-3:] == ["t_plh=1.5349818079635434e-08",
+                                     "t_phl=1.5349014782709634e-08",
+                                     "average=1.5349416431172534e-08"]
 
 
 def test_delay_threshold_never_crossed_fails(probe_file, capsys):
@@ -304,6 +309,15 @@ def test_hyst_stock_golden(variant, i_t1, i_t2, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert f"i_t1={i_t1}" in lines
     assert f"i_t2={i_t2}" in lines
+
+
+def test_hyst_nonpositive_range_is_usage_error(capsys):
+    # a negative range would sweep +8u to -8u "up" and swap the edges
+    rc = run(["hyst", "--variant", "hysteresis", "--range=-8u", "--step", "50n"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --range must be > 0")
 
 
 def test_hyst_unknown_node_fails(capsys):
