@@ -20,7 +20,7 @@ from .analysis import (DelayReport, HysteresisReport, Trace, branch_solution_at,
                        trace_csv, transient)
 from .comparator import (ComparatorConfig, ComparatorVariant, LatchOperatingPoint,
                          build_comparator, build_latch_testbench, comparator_text,
-                         extract_operating_point, latch_testbench_text, table_sizing)
+                         extract_operating_point, table_sizing)
 from .analytics import (RatioDirection, SmallSignalLatch, TransitionResult,
                         current_ratio, latch_current_ratio_from_devices,
                         latch_voltages_large_signal, latch_voltages_small_signal,

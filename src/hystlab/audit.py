@@ -52,16 +52,15 @@ def kcl_residuals(netlist: Netlist, solution: Solution) -> dict[str, tuple[float
     return {n: (residual[n], scale[n]) for n in residual}
 
 
-def verify_kcl(netlist: Netlist, solution: Solution,
-               abstol: float = 1e-12, reltol: float = 1e-4) -> float:
-    """Check every node against abstol + reltol*scale.
+def verify_kcl(netlist: Netlist, solution: Solution) -> float:
+    """Check every node against the solver's abstol + reltol*scale.
 
     Returns the worst residual [A]; raises HystlabError on violation.
     """
     worst = 0.0
     for node, (res, sc) in kcl_residuals(netlist, solution).items():
         worst = max(worst, abs(res))
-        if abs(res) > abstol + reltol * sc:
+        if abs(res) > OPTIONS.abstol + OPTIONS.reltol * sc:
             raise HystlabError(
                 f"KCL violated at node {node}: residual {res:.3e} A "
                 f"against scale {sc:.3e} A")

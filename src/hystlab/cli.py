@@ -114,6 +114,13 @@ def _load_circuit(args) -> Netlist:
     return parse_netlist(Path(args.netlist).read_text())
 
 
+def _positive(flag: str, value: float | None) -> float | None:
+    """Reject a nonpositive flag value as a usage error (exit 2)."""
+    if value is not None and value <= 0.0:
+        raise ConfigError(f"{flag} must be > 0, got {value:g}")
+    return value
+
+
 def _emit(args, text: str):
     if getattr(args, "output", None):
         Path(args.output).write_text(text)
@@ -144,6 +151,7 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_dc(args) -> int:
+    _positive("--step", args.step)
     net = _load_circuit(args)
     up = dc_sweep(net, args.source, args.start, args.stop, args.step)
     text = trace_csv(up)
@@ -155,6 +163,8 @@ def _cmd_dc(args) -> int:
 
 
 def _cmd_tran(args) -> int:
+    _positive("--dt", args.dt)
+    _positive("--stop", args.stop)
     net = _load_circuit(args)
     wave = transient(net, args.dt, args.stop)
     _emit(args, trace_csv(wave))
@@ -162,10 +172,10 @@ def _cmd_tran(args) -> int:
 
 
 def _cmd_hyst(args) -> int:
-    if args.span <= 0.0:
-        raise ConfigError(f"--range must be > 0, got {args.span:g}")
+    _positive("--range", args.span)
+    _positive("--step", args.step)
+    resolution = _positive("--resolution", args.resolution)
     net = _load_circuit(args)
-    resolution = args.resolution
     if resolution is None:
         resolution = max(1e-9, args.step / 100.0)
     up = dc_sweep(net, args.source, -args.span, args.span, args.step)
@@ -187,8 +197,10 @@ def _cmd_hyst(args) -> int:
 
 
 def _cmd_delay(args) -> int:
+    period = _positive("--period", args.period)
+    _positive("--dt", args.dt)
+    _positive("--stop", args.stop)
     net = _load_circuit(args)
-    period = args.period
     rise = period / 20.0
     pulse = PulseSpec(v1=-args.amp, v2=args.amp, delay=0.0, rise=rise,
                       fall=rise, width=period / 2.0 - rise, period=period)

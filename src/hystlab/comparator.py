@@ -149,14 +149,15 @@ def build_comparator(config: ComparatorConfig | None = None) -> Netlist:
     return parse_netlist(comparator_text(config or ComparatorConfig()))
 
 
-def latch_testbench_text(diode_geom: MosGeometry, cross_geom: MosGeometry,
-                         nmos: MosModel, i_1: float, i_2: float,
-                         vdd: float = 3.0) -> str:
-    if vdd <= 0.0:
-        raise ConfigError(f"vdd must be > 0, got {vdd}")
+def build_latch_testbench(diode_geom: MosGeometry, cross_geom: MosGeometry,
+                          nmos: MosModel, i_1: float, i_2: float) -> Netlist:
+    """Latch core alone, driven by ideal current sources into C and D.
+
+    The 3 V VDD source touches no other element, so it changes no result.
+    """
     lines = [
         "positive feedback latch testbench",
-        f"VDD VDD 0 DC {vdd:.12g}",
+        "VDD VDD 0 DC 3",
         f"I1 0 C DC {i_1:.12g}",
         f"I2 0 D DC {i_2:.12g}",
         _mosfet_line("M7", "C", "C", "0", "0", "nm", diode_geom),
@@ -166,15 +167,7 @@ def latch_testbench_text(diode_geom: MosGeometry, cross_geom: MosGeometry,
         _model_line("nm", nmos),
         ".end",
     ]
-    return "\n".join(lines) + "\n"
-
-
-def build_latch_testbench(diode_geom: MosGeometry, cross_geom: MosGeometry,
-                          nmos: MosModel, i_1: float, i_2: float,
-                          vdd: float = 3.0) -> Netlist:
-    """Latch core alone, driven by ideal current sources into C and D."""
-    return parse_netlist(latch_testbench_text(diode_geom, cross_geom, nmos,
-                                              i_1, i_2, vdd))
+    return parse_netlist("\n".join(lines) + "\n")
 
 
 def extract_operating_point(netlist: Netlist, solution: Solution) -> LatchOperatingPoint:

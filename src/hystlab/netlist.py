@@ -233,36 +233,6 @@ def _model_line(name: str, m: MosModel) -> str:
     return f".model {name} {kind} ({' '.join(params)})"
 
 
-class _NodeTable:
-    def __init__(self):
-        self._order: dict[str, None] = {}
-
-    def intern(self, raw: str) -> str:
-        name = "0" if raw.lower() == "gnd" else raw
-        if "0" not in self._order:
-            self._order["0"] = None
-        if name not in self._order:
-            self._order[name] = None
-        return name
-
-    def ordered(self) -> tuple[str, ...]:
-        return tuple(self._order)
-
-
-# raw element rows kept until models can be resolved in the second pass
-@dataclass
-class _RawMos:
-    line_no: int
-    name: str
-    d: str
-    g: str
-    s: str
-    b: str
-    model_name: str
-    w: float
-    l: float
-
-
 def _value_at(token: str, line_no: int) -> float:
     try:
         return parse_value(token)
@@ -301,6 +271,10 @@ def _parse_kv(tokens: list[str], line_no: int) -> dict[str, str]:
     return out
 
 
+# .model parameter -> MosModel field
+_MODEL_FIELDS = {"KP": "kp", "VTO": "vto", "LAMBDA": "lam", "CGS": "cgs", "CGD": "cgd"}
+
+
 def _parse_model_card(tokens: list[str], line_no: int) -> tuple[str, MosModel]:
     # .model <name> NMOS|PMOS (params)
     if len(tokens) < 3:
@@ -314,18 +288,16 @@ def _parse_model_card(tokens: list[str], line_no: int) -> tuple[str, MosModel]:
     else:
         raise NetlistError(f"unknown model type {tokens[2]!r}", line_no)
     kv = _parse_kv(tokens[3:], line_no)
-    known = {"KP", "VTO", "LAMBDA", "CGS", "CGD"}
     for key in kv:
-        if key not in known:
+        if key not in _MODEL_FIELDS:
             raise NetlistError(f"unknown model parameter {key!r}", line_no)
     # KP/VTO fall back to the default card; the rest default to zero
-    kp = _value_at(kv["KP"], line_no) if "KP" in kv else base.kp
-    vto = _value_at(kv["VTO"], line_no) if "VTO" in kv else base.vto
-    lam = _value_at(kv["LAMBDA"], line_no) if "LAMBDA" in kv else 0.0
-    cgs = _value_at(kv["CGS"], line_no) if "CGS" in kv else 0.0
-    cgd = _value_at(kv["CGD"], line_no) if "CGD" in kv else 0.0
+    values = {"kp": base.kp, "vto": base.vto}
+    for key, field in _MODEL_FIELDS.items():
+        if key in kv:
+            values[field] = _value_at(kv[key], line_no)
     try:
-        return name, MosModel(polarity, kp=kp, vto=vto, lam=lam, cgs=cgs, cgd=cgd)
+        return name, MosModel(polarity, **values)
     except Exception as e:
         raise NetlistError(f"bad model {name!r}: {e}", line_no) from None
 
@@ -333,17 +305,47 @@ def _parse_model_card(tokens: list[str], line_no: int) -> tuple[str, MosModel]:
 def parse_netlist(text: str) -> Netlist:
     """Parse netlist text into an immutable Netlist.
 
-    Errors carry the 1-based line number of the offending line.
+    Cards are read before elements, so a MOSFET may precede its .model
+    card. Errors carry the 1-based line number of the offending line;
+    card errors come first, then element errors in line order.
     """
     lines = text.splitlines()
     if not lines:
         raise NetlistError("empty netlist (missing title line)")
     title = lines[0].strip()
 
-    nodes = _NodeTable()
-    elements: list[Element] = []
-    raw_mos: list[tuple[int, _RawMos]] = []  # (elements index, row)
     models: dict[str, MosModel] = {}
+    rows: list[tuple[int, list[str]]] = []  # (line number, tokens) per element
+    for idx, raw_line in enumerate(lines[1:], start=2):
+        line = raw_line.strip()
+        if line.startswith("*"):
+            continue
+        # PULSE(...) and (param lists) tokenize with parens as spaces
+        tokens = line.replace("(", " ").replace(")", " ").replace(",", " ").split()
+        if not tokens:
+            continue
+        card = tokens[0].lower()
+        if card == ".end":
+            break
+        if card == ".model":
+            name, model = _parse_model_card(tokens, idx)
+            if name in models:
+                raise NetlistError(f"duplicate model {name!r}", idx)
+            models[name] = model
+        elif card.startswith("."):
+            raise NetlistError(f"unknown card {tokens[0]!r}", idx)
+        else:
+            rows.append((idx, tokens))
+
+    # ground first, then every node in order of first use
+    nodes: dict[str, None] = {"0": None} if rows else {}
+
+    def node(raw: str) -> str:
+        name = "0" if raw.lower() == "gnd" else raw
+        nodes[name] = None
+        return name
+
+    elements: list[Element] = []
     seen_names: set[str] = set()
 
     def check_name(name: str, line_no: int):
@@ -352,30 +354,9 @@ def parse_netlist(text: str) -> Netlist:
             raise NetlistError(f"duplicate element name {name!r}", line_no)
         seen_names.add(key)
 
-    for idx, raw_line in enumerate(lines[1:], start=2):
-        line = raw_line.strip()
-        if not line or line.startswith("*"):
-            continue
-        # PULSE(...) and (param lists) tokenize with parens as spaces
-        tokens = line.replace("(", " ").replace(")", " ").replace(",", " ").split()
-        if not tokens:
-            continue
+    for idx, tokens in rows:
         head = tokens[0]
         lead = head[0].upper()
-
-        if lead == ".":
-            card = head.lower()
-            if card == ".end":
-                break
-            if card == ".model":
-                name, model = _parse_model_card(tokens, idx)
-                if name in models:
-                    raise NetlistError(f"duplicate model {name!r}", idx)
-                models[name] = model
-            else:
-                raise NetlistError(f"unknown card {head!r}", idx)
-            continue
-
         if lead == "R":
             if len(tokens) != 4:
                 raise NetlistError("resistor takes two nodes and a value", idx)
@@ -385,7 +366,7 @@ def parse_netlist(text: str) -> Netlist:
                 raise NetlistError(f"resistance must be > 0, got {ohms}", idx)
             if not math.isfinite(1.0 / ohms):
                 raise NetlistError(f"resistance {ohms} has no finite conductance", idx)
-            elements.append(Resistor(head, nodes.intern(tokens[1]), nodes.intern(tokens[2]), ohms))
+            elements.append(Resistor(head, node(tokens[1]), node(tokens[2]), ohms))
         elif lead == "C":
             if len(tokens) != 4:
                 raise NetlistError("capacitor takes two nodes and a value", idx)
@@ -393,12 +374,12 @@ def parse_netlist(text: str) -> Netlist:
             farads = _value_at(tokens[3], idx)
             if farads < 0.0:
                 raise NetlistError(f"capacitance must be >= 0, got {farads}", idx)
-            elements.append(Capacitor(head, nodes.intern(tokens[1]), nodes.intern(tokens[2]), farads))
+            elements.append(Capacitor(head, node(tokens[1]), node(tokens[2]), farads))
         elif lead in ("V", "I"):
             if len(tokens) < 4:
                 raise NetlistError("source takes two nodes and a spec", idx)
             check_name(head, idx)
-            pos, neg = nodes.intern(tokens[1]), nodes.intern(tokens[2])
+            pos, neg = node(tokens[1]), node(tokens[2])
             spec = _parse_source_spec(tokens[3:], idx)
             cls = VSource if lead == "V" else ISource
             elements.append(cls(head, pos, neg, spec))
@@ -406,26 +387,20 @@ def parse_netlist(text: str) -> Netlist:
             if len(tokens) != 8:
                 raise NetlistError("mosfet takes four nodes, a model and W=/L=", idx)
             check_name(head, idx)
-            d, g, s, b = (nodes.intern(t) for t in tokens[1:5])
+            d, g, s, b = (node(t) for t in tokens[1:5])
             kv = _parse_kv(tokens[6:8], idx)
             if set(kv) != {"W", "L"}:
                 raise NetlistError("mosfet needs exactly W= and L=", idx)
-            row = _RawMos(idx, head, d, g, s, b, tokens[5].lower(),
-                          _value_at(kv["W"], idx), _value_at(kv["L"], idx))
-            raw_mos.append((len(elements), row))
-            elements.append(None)  # type: ignore[arg-type]  # patched in pass 2
+            w, l = _value_at(kv["W"], idx), _value_at(kv["L"], idx)
+            model_name = tokens[5].lower()
+            if model_name not in models:
+                raise NetlistError(f"undeclared model {model_name!r}", idx)
+            try:
+                geom = MosGeometry(w, l)
+            except Exception as e:
+                raise NetlistError(f"bad geometry for {head}: {e}", idx) from None
+            elements.append(Mosfet(head, d, g, s, b, model_name, models[model_name], geom))
         else:
             raise NetlistError(f"unknown element type {head!r}", idx)
 
-    # second pass: resolve model references now that all cards are read
-    for slot, row in raw_mos:
-        if row.model_name not in models:
-            raise NetlistError(f"undeclared model {row.model_name!r}", row.line_no)
-        try:
-            geom = MosGeometry(row.w, row.l)
-        except Exception as e:
-            raise NetlistError(f"bad geometry for {row.name}: {e}", row.line_no) from None
-        elements[slot] = Mosfet(row.name, row.d, row.g, row.s, row.b,
-                                row.model_name, models[row.model_name], geom)
-
-    return Netlist(title, tuple(elements), models, nodes.ordered())
+    return Netlist(title, tuple(elements), models, tuple(nodes))

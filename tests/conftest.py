@@ -30,7 +30,10 @@ def hysteresis_net(zero_lambda_models):
 
 @pytest.fixture(scope="session")
 def capacitance_net():
-    # the device-capacitance build of acceptance criteria 11-12
+    # the device-capacitance build of acceptance criteria 11-12, tuned
+    # monostable: matched latch so the band closes, widened input branch
+    # and a reference offset so both stimulus levels straddle the
+    # threshold with usable overdrive
     nmos = dataclasses.replace(NMOS_DEFAULT, lam=0.0, cgs=20e-15, cgd=20e-15)
     pmos = dataclasses.replace(PMOS_DEFAULT, lam=0.0, cgs=20e-15, cgd=20e-15)
     sizing = table_sizing(ComparatorVariant.HYSTERESIS)

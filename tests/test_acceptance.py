@@ -377,21 +377,6 @@ def test_criterion_10_band_tracks_reference_current(hysteresis_net, band_1x,
            f"vs analytic x{analytic:.4f}")
 
 
-def _delay_bench():
-    # monostable tuning: matched latch so the band closes, widened input
-    # branch and a reference offset so both stimulus levels straddle the
-    # threshold with usable overdrive
-    nmos = dataclasses.replace(NMOS_DEFAULT, lam=0.0, cgs=20e-15, cgd=20e-15)
-    pmos = dataclasses.replace(PMOS_DEFAULT, lam=0.0, cgs=20e-15, cgd=20e-15)
-    sizing = table_sizing(ComparatorVariant.HYSTERESIS)
-    for dev in ("M1", "M2", "M3", "M4"):
-        g = sizing[dev]
-        sizing[dev] = MosGeometry(g.w * 6.0, g.l)
-    sizing["M7"] = sizing["M10"] = MosGeometry(0.36e-6, 0.18e-6)
-    return build_comparator(ComparatorConfig(nmos=nmos, pmos=pmos,
-                                             sizing=sizing, i_ref=11.5e-6))
-
-
 def _avg_delay(net, amp, dt, period=400e-9):
     rise = period / 20.0
     pulse = PulseSpec(v1=-amp, v2=amp, delay=0.0, rise=rise, fall=rise,
@@ -404,15 +389,14 @@ def _avg_delay(net, amp, dt, period=400e-9):
     return rep.average
 
 
-def test_criterion_11_transient_fidelity():
+def test_criterion_11_transient_fidelity(capacitance_net):
     wave = transient(parse_netlist(RC_STEP), dt=1e-9, tstop=5e-6)
     t = wave.times()
     exact = 1.0 - np.exp(-np.clip(t - 1e-12, 0.0, None) / 1e-6)
     rc_err = float(np.max(np.abs(wave.node("out") - exact)))
 
-    net = _delay_bench()
-    d_coarse = _avg_delay(net, 1e-6, 1e-9)
-    d_fine = _avg_delay(net, 1e-6, 0.5e-9)
+    d_coarse = _avg_delay(capacitance_net, 1e-6, 1e-9)
+    d_fine = _avg_delay(capacitance_net, 1e-6, 0.5e-9)
     shift = abs(d_coarse - d_fine) / d_fine
 
     ok = rc_err < 0.01 and shift < 0.05
@@ -420,10 +404,9 @@ def test_criterion_11_transient_fidelity():
            f"rc err {rc_err:.2e} V, delay shift {shift:.2%}")
 
 
-def test_criterion_12_overdrive_shortens_delay():
-    net = _delay_bench()
-    slow = _avg_delay(net, 1e-6, 1e-9)
-    fast = _avg_delay(net, 100e-6, 1e-9)
+def test_criterion_12_overdrive_shortens_delay(capacitance_net):
+    slow = _avg_delay(capacitance_net, 1e-6, 1e-9)
+    fast = _avg_delay(capacitance_net, 100e-6, 1e-9)
     ratio = slow / fast
     ok = ratio >= 2.0
     _check(12, "heavy overdrive cuts the average delay", ok,

@@ -77,11 +77,58 @@ def test_both_inputs_is_usage_error(probe_file, capsys):
     assert run(["op", str(probe_file), "--variant", "hysteresis"]) == 2
 
 
+# full `gen` output for both variants: the text that every generated
+# circuit is parsed from
+GEN_GOLDEN = {
+    "hysteresis": """\
+current comparator (hysteresis variant)
+VDD VDD 0 DC 3
+IIN 0 A DC 0
+IREF 0 B DC 0
+M1 A B 0 0 nm W=0.18u L=0.72u
+M2 B B 0 0 nm W=0.18u L=0.72u
+M3 A A VDD VDD pm W=0.54u L=0.72u
+M4 B B VDD VDD pm W=0.54u L=0.72u
+M5 C A VDD VDD pm W=1.08u L=0.18u
+M6 D B VDD VDD pm W=1.08u L=0.18u
+M7 C C 0 0 nm W=0.27u L=0.18u
+M8 C D 0 0 nm W=0.36u L=0.18u
+M9 D C 0 0 nm W=0.36u L=0.18u
+M10 D D 0 0 nm W=0.27u L=0.18u
+MPI OUT C VDD VDD pm W=0.54u L=0.18u
+MNI OUT C 0 0 nm W=0.18u L=0.18u
+.model nm NMOS (KP=0.00017 VTO=0.5 LAMBDA=0.05)
+.model pm PMOS (KP=6e-05 VTO=-0.5 LAMBDA=0.05)
+.end
+""",
+    "plain": """\
+current comparator (plain variant)
+VDD VDD 0 DC 3
+IIN 0 A DC 0
+IREF 0 B DC 0
+M1 A B 0 0 nm W=0.18u L=0.72u
+M2 B B 0 0 nm W=0.18u L=0.72u
+M3 A A VDD VDD pm W=0.18u L=0.72u
+M4 B B VDD VDD pm W=0.18u L=0.72u
+M5 C A VDD VDD pm W=1.19u L=0.18u
+M6 D B VDD VDD pm W=1.19u L=0.18u
+M7 C C 0 0 nm W=0.21u L=0.18u
+M8 C D 0 0 nm W=0.34u L=0.18u
+M9 D C 0 0 nm W=0.34u L=0.18u
+M10 D D 0 0 nm W=0.21u L=0.18u
+MPI OUT C VDD VDD pm W=0.54u L=0.18u
+MNI OUT C 0 0 nm W=0.18u L=0.18u
+.model nm NMOS (KP=0.00017 VTO=0.5 LAMBDA=0.05)
+.model pm PMOS (KP=6e-05 VTO=-0.5 LAMBDA=0.05)
+.end
+""",
+}
+
+
 def test_gen_emits_canonical_netlist(capsys):
-    assert run(["gen", "--variant", "hysteresis"]) == 0
-    out = capsys.readouterr().out
-    assert "M5 C A VDD VDD pm W=1.08u L=0.18u" in out
-    assert out.endswith(".end\n")
+    for variant, golden in GEN_GOLDEN.items():
+        assert run(["gen", "--variant", variant]) == 0
+        assert capsys.readouterr().out == golden
 
 
 def test_op_reports_nodes_and_devices(tmp_path, capsys):
@@ -311,13 +358,25 @@ def test_hyst_stock_golden(variant, i_t1, i_t2, capsys):
     assert f"i_t2={i_t2}" in lines
 
 
-def test_hyst_nonpositive_range_is_usage_error(capsys):
+@pytest.mark.parametrize("argv,flag", [
     # a negative range would sweep +8u to -8u "up" and swap the edges
-    rc = run(["hyst", "--variant", "hysteresis", "--range=-8u", "--step", "50n"])
+    (["hyst", "--range=-8u", "--step", "50n"], "--range"),
+    (["hyst", "--range", "8u", "--step", "0"], "--step"),
+    (["hyst", "--range", "8u", "--step", "50n", "--resolution=-1n"], "--resolution"),
+    (["dc", "--source", "IIN", "--from=-1u", "--to", "1u", "--step=-1n"], "--step"),
+    (["tran", "--dt=-1n", "--stop", "10n"], "--dt"),
+    (["tran", "--dt", "1n", "--stop", "0"], "--stop"),
+    (["delay", "--amp", "1u", "--period", "400n", "--dt=-1n"], "--dt"),
+    (["delay", "--amp", "1u", "--period", "400n", "--stop=-1n"], "--stop"),
+    (["delay", "--amp", "1u", "--period", "0"], "--period"),
+], ids=["hyst-range", "hyst-step", "hyst-resolution", "dc-step", "tran-dt",
+        "tran-stop", "delay-dt", "delay-stop", "delay-period"])
+def test_nonpositive_flag_is_usage_error(argv, flag, capsys):
+    rc = run(argv + ["--variant", "hysteresis"])
     assert rc == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: --range must be > 0")
+    assert err.startswith(f"error: {flag} must be > 0")
 
 
 def test_hyst_unknown_node_fails(capsys):

@@ -101,7 +101,7 @@ M1 d d 0 0 nch W=1u L=1u
 
 
 def test_element_defined_before_model_card():
-    # two-pass parse: device line may precede its .model line
+    # cards are read before elements: a device line may precede its .model line
     net = parse_netlist("""forward ref
 M1 a a 0 0 n1 W=1u L=1u
 .model n1 NMOS (KP=100u VTO=0.4)
@@ -127,6 +127,10 @@ M1 a a 0 0 n1 W=1u L=1u
         (".op", "unknown card"),                      # analyses run from the CLI
         (".dc V1 0 1 0.1", "unknown card"),
         (".tran 1n 10n", "unknown card"),
+        # several errors: elements in line order, model references included
+        ("M1 a a 0 0 nox W=1u L=1u\nR1 a 0 bogus", "line 2: undeclared model 'nox'"),
+        # card errors come before element errors
+        ("R1 a 0 bogus\n.op", "line 3: unknown card '.op'"),
     ],
 )
 def test_parse_errors(body, fragment):
