@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, MeasurementError, NetlistError
 from .netlist import DcSpec, Netlist
-from .solver import Solution, _System, dc_solve
+from .solver import Plan, Solution, dc_solve
 
 
 @dataclass(frozen=True)
@@ -75,21 +75,6 @@ def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def _source_solver(netlist: Netlist, source_name: str):
-    """solve(value, guess): dc_solve with one source at a DC value.
-
-    The netlist is compiled once; each call only swaps the source's value.
-    """
-    sys_ = _System(netlist)
-    slot = sys_.source_slots[netlist.find_source(source_name).name]
-
-    def solve(value: float, guess: dict[str, float] | None) -> Solution:
-        sys_.specs[slot] = DcSpec(value)
-        return dc_solve(sys_, guess)
-
-    return solve
-
-
 def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
              step: float) -> Trace:
     """Solve along a stimulus grid, warm-starting each point from the last.
@@ -101,13 +86,14 @@ def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
     if not isinstance(src.spec, DcSpec):
         raise NetlistError(f"source {source_name!r} is not a DC source")
     values = _sweep_grid(start, stop, step)
-    solve = _source_solver(netlist, source_name)
+    plan = Plan(netlist)
 
     samples = []
     guess = None
     for v in values:
+        plan.set_source(src.name, v)
         try:
-            sol = solve(v, guess)
+            sol = dc_solve(plan, guess)
         except ConvergenceError as e:
             raise ConvergenceError(
                 f"sweep failed at {source_name}={v:.6g}: {e}",
@@ -135,7 +121,8 @@ def _refine_transition(netlist: Netlist, curve: Trace, node: str,
     a, volts_a = curve.samples[i]
     b, _ = curve.samples[i + 1]
     pre_side = volts_a[node] >= threshold
-    solve = _source_solver(netlist, curve.source_name)
+    name = netlist.find_source(curve.source_name).name
+    plan = Plan(netlist)
 
     # warm every probe from the pre-transition side so the bisection
     # follows the surviving branch right up to the jump
@@ -143,7 +130,8 @@ def _refine_transition(netlist: Netlist, curve: Trace, node: str,
         mid = 0.5 * (a + b)
         if mid in (a, b):
             break  # a and b are adjacent floats: no finer bracket exists
-        sol = solve(mid, volts_a)
+        plan.set_source(name, mid)
+        sol = dc_solve(plan, volts_a)
         if (sol.node_voltages[node] >= threshold) == pre_side:
             a, volts_a = mid, sol.node_voltages
         else:
@@ -185,21 +173,8 @@ def transient(netlist: Netlist, dt: float, tstop: float) -> Trace:
     if tstop < dt:
         raise MeasurementError(f"tstop must be >= dt, got {tstop}")
     start = dc_solve(netlist)
-    sys_ = _System(netlist, dt=dt)
-    x = sys_.vector_from_guess(start.node_voltages)
-    x[sys_.n_nodes:] = [start.branch_currents[name] for name in sys_.vsource_names]
-    ieq = sys_.next_ieq(x, None)
-
-    samples = [(0.0, start.node_voltages)]
-    n_steps = int(tstop / dt + 1e-9)
-    for k in range(1, n_steps + 1):
-        t = k * dt
-        x = sys_.step(x, ieq, t)
-        ieq = sys_.next_ieq(x, ieq)
-        volts = {"0": 0.0}
-        volts.update(zip(sys_.node_names, x))
-        samples.append((t, volts))
-    return Trace("time", tuple(samples))
+    steps = Plan(netlist, dt=dt).steps(start, int(tstop / dt + 1e-9))
+    return Trace("time", ((0.0, start.node_voltages), *steps))
 
 
 def source_trace(netlist: Netlist, source_name: str, times: np.ndarray) -> np.ndarray:
@@ -253,10 +228,12 @@ def branch_solution_at(netlist: Netlist, source_name: str, value: float,
     returned Solution sits on the branch reachable from that side, which
     matters inside a hysteresis band.
     """
-    solve = _source_solver(netlist, source_name)
+    name = netlist.find_source(source_name).name
+    plan = Plan(netlist)
     guess = None
     for k in range(33):
-        sol = solve(approach_from + (value - approach_from) * k / 32, guess)
+        plan.set_source(name, approach_from + (value - approach_from) * k / 32)
+        sol = dc_solve(plan, guess)
         guess = sol.node_voltages
     return sol
 

@@ -198,6 +198,7 @@ def _cmd_hyst(args) -> int:
 
 def _cmd_delay(args) -> int:
     period = _positive("--period", args.period)
+    _positive("--amp", args.amp)
     _positive("--dt", args.dt)
     _positive("--stop", args.stop)
     net = _load_circuit(args)

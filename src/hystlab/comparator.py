@@ -76,16 +76,11 @@ def table_sizing(variant: ComparatorVariant) -> dict[str, MosGeometry]:
 @dataclass(frozen=True)
 class ComparatorConfig:
     variant: ComparatorVariant = ComparatorVariant.HYSTERESIS
-    vdd: float = 3.0
     nmos: MosModel = NMOS_DEFAULT
     pmos: MosModel = PMOS_DEFAULT
     sizing: dict[str, MosGeometry] | None = None  # None -> variant table
     i_in: SourceSpec = field(default_factory=lambda: DcSpec(0.0))
     i_ref: float = 0.0  # [A]
-
-    def __post_init__(self):
-        if self.vdd <= 0.0:
-            raise ConfigError(f"vdd must be > 0, got {self.vdd}")
 
     def resolved_sizing(self) -> dict[str, MosGeometry]:
         if self.sizing is None:
@@ -118,11 +113,11 @@ class LatchOperatingPoint:
 
 
 def comparator_text(config: ComparatorConfig) -> str:
-    """Netlist text for the comparator; always valid generator grammar."""
+    """Netlist text for the comparator on a 3 V supply; always valid generator grammar."""
     sz = config.resolved_sizing()
     lines = [
         f"current comparator ({config.variant.value} variant)",
-        f"VDD VDD 0 DC {config.vdd:.12g}",
+        "VDD VDD 0 DC 3",
         f"IIN 0 A {_spec_text(config.i_in)}",
         f"IREF 0 B {_spec_text(DcSpec(config.i_ref))}",
         _mosfet_line("M1", "A", "B", "0", "0", "nm", sz["M1"]),

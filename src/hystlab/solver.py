@@ -19,7 +19,7 @@ import numpy as np
 
 from .devices import DeviceEval, kfactor, mos_eval, mos_kernel, mos_sign
 from .errors import ConvergenceError, MeasurementError, SingularMatrixError
-from .netlist import Capacitor, ISource, Mosfet, Netlist, Resistor, VSource
+from .netlist import Capacitor, DcSpec, ISource, Mosfet, Netlist, Resistor, VSource
 
 logger = logging.getLogger(__name__)
 
@@ -84,7 +84,7 @@ def _companion_g(farads: float, dt: float) -> float:
     return g
 
 
-class _System:
+class Plan:
     """Stamp plan for one netlist: compiled once, loaded per Newton iteration.
 
     Each stamp is a tuple of unknown indices and flat Jacobian slots into
@@ -92,16 +92,17 @@ class _System:
     trailing unknown ``n_unknowns``, and every Jacobian entry in its row
     or column to the spare trailing slot; assemble() drops both, so no
     stamp branches on ground. Source values come from ``specs``, indexed
-    by ``source_slots[name]``; a sweep swaps one entry to move its source
-    without compiling again.
+    by ``source_slots[name]``; set_source swaps one entry, so a sweep
+    moves its source without compiling again.
 
     With ``dt`` given, every capacitor, every MOSFET cgs/cgd and CMIN
     from each node to ground become trapezoidal companions. Their
     conductance 2C/dt is fixed here; only the equivalent current ``ieq``
-    changes from step to step.
+    changes from step to step (see steps).
     """
 
     def __init__(self, netlist: Netlist, dt: float | None = None):
+        self.dt = dt
         self.node_names = tuple(n for n in netlist.nodes if n != "0")
         self.index = {n: i for i, n in enumerate(self.node_names)}
         nn = self.n_nodes = len(self.node_names)
@@ -169,6 +170,10 @@ class _System:
         if i < self.n_nodes:
             return self.node_names[i]
         return f"I({self.vsource_names[i - self.n_nodes]})"
+
+    def set_source(self, name: str, value: float) -> None:
+        """Hold source ``name`` (as the netlist spells it) at a DC value."""
+        self.specs[self.source_slots[name]] = DcSpec(value)
 
     def source_values(self, time: float, src_scale: float) -> list[float]:
         return [spec.value_at(time) * src_scale for spec in self.specs]
@@ -301,23 +306,40 @@ class _System:
             beta = self._inverse_norms[gmin] = _inverse_norm(jac)
         return beta
 
-    def step(self, x: list[float], ieq: list[float], t: float) -> list[float]:
-        """Solve the transient step at time t from x; returns the accepted x."""
-        x, a, _, status = _newton(self, x, OPTIONS.gmin_floor, time=t, ieq=ieq)
-        if status != "ok":
-            raise _convergence_error(
-                self, a, f"transient step failed at t={t:.6g} s ({status})",
-                f"transient t={t:.6g}")
-        return x
+    def voltages(self, x: list[float]) -> dict[str, float]:
+        """Node voltages of x, ground "0" first."""
+        volts = {"0": 0.0}
+        volts.update(zip(self.node_names, x))
+        return volts
+
+    def steps(self, start: Solution, n_steps: int):
+        """Yield (t, node voltages) after each of n_steps steps of dt.
+
+        Integration starts from the DC point ``start``, where no
+        capacitor current flows. Raises ConvergenceError at the first
+        step whose Newton run fails.
+        """
+        x = self.vector_from_guess(start.node_voltages)
+        x[self.n_nodes:] = [start.branch_currents[name] for name in self.vsource_names]
+        ieq = self.next_ieq(x, None)
+        for k in range(1, n_steps + 1):
+            t = k * self.dt
+            x, a, _, status = _newton(self, x, OPTIONS.gmin_floor, time=t, ieq=ieq)
+            if status != "ok":
+                raise _convergence_error(
+                    self, a, f"transient step failed at t={t:.6g} s ({status})",
+                    f"transient t={t:.6g}")
+            ieq = self.next_ieq(x, ieq)
+            yield t, self.voltages(x)
 
 
-def _residual_ok(sys_: _System, a: _Assembled) -> bool:
+def _residual_ok(plan: Plan, a: _Assembled) -> bool:
     abstol, reltol, vntol = OPTIONS.abstol, OPTIONS.reltol, OPTIONS.vntol
     f = a.f
     for fi, s in zip(f, a.node_scale):
         if abs(fi) > abstol + reltol * s:
             return False
-    for fi, s in zip(f[sys_.n_nodes:], a.branch_scale):
+    for fi, s in zip(f[plan.n_nodes:], a.branch_scale):
         if abs(fi) > vntol + reltol * s:
             return False
     return True
@@ -338,7 +360,7 @@ def _inverse_norm(jac: np.ndarray) -> float:
     return beta
 
 
-def _newton(sys_: _System, x0: list[float], gmin: float, src_scale: float = 1.0,
+def _newton(plan: Plan, x0: list[float], gmin: float, src_scale: float = 1.0,
             time: float = 0.0, ieq: list[float] | tuple = ()):
     """Damped Newton loop. Returns (x, assembled, iterations, status).
 
@@ -348,29 +370,29 @@ def _newton(sys_: _System, x0: list[float], gmin: float, src_scale: float = 1.0,
     An iterate x is accepted when its residual passes _residual_ok and
     the Newton step from x is within vntol + reltol*|x|. Normally that
     step is solved for, and _polish starts from it. On a plan with no
-    MOSFET it need not be: with beta = ||J^-1||_inf (_System.inverse_norm)
+    MOSFET it need not be: with beta = ||J^-1||_inf (Plan.inverse_norm)
     the computed step is at most about beta*||f(x)||_inf (LU backward
     error; Higham, Accuracy and Stability of Numerical Algorithms, ch. 9),
     so when 4*beta*||f(x)||_inf <= vntol the step would pass and x is
     accepted unsolved. Both ways accept the same x after the same
     iterations.
     """
-    e = sys_.source_values(time, src_scale)
+    e = plan.source_values(time, src_scale)
     x = x0
-    nn = sys_.n_nodes
+    nn = plan.n_nodes
     clamp, vntol, reltol = OPTIONS.dv_clamp, OPTIONS.vntol, OPTIONS.reltol
-    linear = not sys_.mosfets
+    linear = not plan.mosfets
     iters = 0
     while iters < OPTIONS.max_newton_iters:
         iters += 1
-        a = sys_.assemble(x, gmin, e, ieq)
+        a = plan.assemble(x, gmin, e, ieq)
         if not (all(map(isfinite, a.f)) and np.isfinite(a.jac).all()):
             return x, a, iters, "nonfinite"
         if linear:
-            bound = 4.0 * sys_.inverse_norm(gmin, a.jac) * max(map(abs, a.f), default=0.0)
-            if bound <= vntol and _residual_ok(sys_, a):
+            bound = 4.0 * plan.inverse_norm(gmin, a.jac) * max(map(abs, a.f), default=0.0)
+            if bound <= vntol and _residual_ok(plan, a):
                 # the step from x provably passes: accept x unsolved
-                x, a = _polish(sys_, x, a, gmin, e, ieq)
+                x, a = _polish(plan, x, a, gmin, e, ieq)
                 return x, a, iters, "ok"
         try:
             dx = np.linalg.solve(a.jac, [-v for v in a.f]).tolist()
@@ -382,22 +404,22 @@ def _newton(sys_: _System, x0: list[float], gmin: float, src_scale: float = 1.0,
         step += dx[nn:]
         x_next = [xi + d for xi, d in zip(x, step)]
         step_ok = all(abs(d) <= vntol + reltol * abs(xd) for d, xd in zip(step, x_next))
-        if step_ok and _residual_ok(sys_, a):
+        if step_ok and _residual_ok(plan, a):
             # accept the residual-checked point, not the final micro-step;
             # polish starts from the unclamped step already solved at it
-            x, a = _polish(sys_, x, a, gmin, e, ieq, dx)
+            x, a = _polish(plan, x, a, gmin, e, ieq, dx)
             return x, a, iters, "ok"
         x = x_next
-    a = sys_.assemble(x, gmin, e, ieq)
+    a = plan.assemble(x, gmin, e, ieq)
     return x, a, iters, "maxiter"
 
 
-def _polish(sys_: _System, x, a, gmin, e, ieq, dx=None):
+def _polish(plan: Plan, x, a, gmin, e, ieq, dx=None):
     """Up to 3 undamped Newton steps from the accepted x, each kept only
     if it lowers the worst nodal residual, so converged points audit
     cleanly. ``dx``, when given, is the step already solved at (x, a).
     """
-    nn = sys_.n_nodes
+    nn = plan.n_nodes
     best = max(map(abs, a.f[:nn])) if nn else 0.0
     for _ in range(3):
         if best <= 0.1 * OPTIONS.abstol:
@@ -408,7 +430,7 @@ def _polish(sys_: _System, x, a, gmin, e, ieq, dx=None):
             except np.linalg.LinAlgError:
                 break
         x_try = [xi + d for xi, d in zip(x, dx)]
-        a_try = sys_.assemble(x_try, gmin, e, ieq)
+        a_try = plan.assemble(x_try, gmin, e, ieq)
         # finite first: Python's max can pass over a NaN
         if not all(map(isfinite, a_try.f)):
             break
@@ -419,35 +441,33 @@ def _polish(sys_: _System, x, a, gmin, e, ieq, dx=None):
     return x, a
 
 
-def _suspect_unknown(sys_: _System, jac: np.ndarray) -> str:
+def _suspect_unknown(plan: Plan, jac: np.ndarray) -> str:
     try:
         _, _, vt = np.linalg.svd(jac)
         comp = int(np.argmax(np.abs(vt[-1])))
     except np.linalg.LinAlgError:
         comp = 0
-    return sys_.unknown_name(comp)
+    return plan.unknown_name(comp)
 
 
-def _build_solution(sys_: _System, x: list[float], iterations: int) -> Solution:
-    voltages = {"0": 0.0}
-    voltages.update(zip(sys_.node_names, x))
-    branches = dict(zip(sys_.vsource_names, x[sys_.n_nodes:]))
-    return Solution(voltages, branches, sys_.mosfet_elements, iterations)
+def _build_solution(plan: Plan, x: list[float], iterations: int) -> Solution:
+    branches = dict(zip(plan.vsource_names, x[plan.n_nodes:]))
+    return Solution(plan.voltages(x), branches, plan.mosfet_elements, iterations)
 
 
-def _convergence_error(sys_: _System, a: _Assembled, what: str, stage: str):
+def _convergence_error(plan: Plan, a: _Assembled, what: str, stage: str):
     """ConvergenceError reading ``<what>: residual=...`` at the last assembly."""
-    nn = sys_.n_nodes
+    nn = plan.n_nodes
     # np.max keeps a NaN residual that Python's max could drop
     residual = float(np.max(np.abs(a.f[:nn]))) if nn else 0.0
     # a mismatch can sit in a voltage-source row alone
     branch = (f", branch residual={float(np.max(np.abs(a.f[nn:]))):.3e} V"
-              if sys_.vsource_names else "")
+              if plan.vsource_names else "")
     return ConvergenceError(f"{what}: residual={residual:.3e} A{branch}",
                             stage=stage, residual=residual)
 
 
-def dc_solve(netlist: Netlist | _System,
+def dc_solve(netlist: Netlist | Plan,
              initial_guess: dict[str, float] | None = None) -> Solution:
     """DC operating point.
 
@@ -461,48 +481,48 @@ def dc_solve(netlist: Netlist | _System,
     heaviest rung leaves the system matrix singular, ConvergenceError
     when all stages fail.
 
-    A Netlist is compiled here; a compiled _System is solved at the
-    source values its specs hold, so a sweep can reuse one plan.
+    A Netlist is compiled here. A compiled Plan is solved at the source
+    values it holds (see Plan.set_source), so a sweep can reuse one plan.
     """
-    sys_ = netlist if isinstance(netlist, _System) else _System(netlist)
+    plan = netlist if isinstance(netlist, Plan) else Plan(netlist)
     total = 0
-    starts = [sys_.vector_from_guess(initial_guess)]
+    starts = [plan.vector_from_guess(initial_guess)]
     if initial_guess is not None:
         # a stale guess can strand Newton on a branch of the solution set
         # that no longer exists; from zero it lands on a surviving one
-        starts.append(sys_.vector_from_guess(None))
+        starts.append(plan.vector_from_guess(None))
     singular = False
     for x0 in starts:
-        x, a, iters, status = _newton(sys_, x0, OPTIONS.gmin_floor)
+        x, a, iters, status = _newton(plan, x0, OPTIONS.gmin_floor)
         total += iters
         if status == "ok":
-            return _build_solution(sys_, x, total)
+            return _build_solution(plan, x, total)
         logger.debug("plain newton %s after %d iters", status, iters)
         singular = singular or status == "singular"
 
     if initial_guess is None or singular:
         x = x0
         for rung_no, g in enumerate(_GMIN_LADDER):
-            x, a, iters, status = _newton(sys_, x, g)
+            x, a, iters, status = _newton(plan, x, g)
             total += iters
             if status == "singular" and rung_no == 0:
                 raise SingularMatrixError(
                     f"singular system matrix with gmin={g:g} S",
-                    suspect=_suspect_unknown(sys_, a.jac))
+                    suspect=_suspect_unknown(plan, a.jac))
             if status != "ok":
                 logger.debug("gmin ladder %s at %g S", status, g)
                 break
         else:
-            return _build_solution(sys_, x, total)
+            return _build_solution(plan, x, total)
 
     # source stepping at full gmin floor
-    x = sys_.vector_from_guess(initial_guess)
+    x = plan.vector_from_guess(initial_guess)
     for k in range(1, OPTIONS.source_steps + 1):
         alpha = k / OPTIONS.source_steps
-        x, a, iters, status = _newton(sys_, x, OPTIONS.gmin_floor, src_scale=alpha)
+        x, a, iters, status = _newton(plan, x, OPTIONS.gmin_floor, src_scale=alpha)
         total += iters
         if status != "ok":
             raise _convergence_error(
-                sys_, a, f"no DC convergence (source stepping, alpha={alpha:.1f})",
+                plan, a, f"no DC convergence (source stepping, alpha={alpha:.1f})",
                 "source stepping")
-    return _build_solution(sys_, x, total)
+    return _build_solution(plan, x, total)

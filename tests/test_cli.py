@@ -369,8 +369,12 @@ def test_hyst_stock_golden(variant, i_t1, i_t2, capsys):
     (["delay", "--amp", "1u", "--period", "400n", "--dt=-1n"], "--dt"),
     (["delay", "--amp", "1u", "--period", "400n", "--stop=-1n"], "--stop"),
     (["delay", "--amp", "1u", "--period", "0"], "--period"),
+    # a negative amplitude inverts the square wave; zero has no edges
+    (["delay", "--amp", "0", "--period", "400n"], "--amp"),
+    (["delay", "--amp=-2u", "--period", "400n"], "--amp"),
 ], ids=["hyst-range", "hyst-step", "hyst-resolution", "dc-step", "tran-dt",
-        "tran-stop", "delay-dt", "delay-stop", "delay-period"])
+        "tran-stop", "delay-dt", "delay-stop", "delay-period", "delay-amp-zero",
+        "delay-amp-negative"])
 def test_nonpositive_flag_is_usage_error(argv, flag, capsys):
     rc = run(argv + ["--variant", "hysteresis"])
     assert rc == 2

@@ -162,11 +162,6 @@ def test_unknown_sizing_name_rejected():
     assert "MX" in str(exc.value)
 
 
-def test_nonpositive_vdd_rejected():
-    with pytest.raises(ConfigError):
-        ComparatorConfig(vdd=0.0)
-
-
 def test_extraction_requires_canonical_names(zero_lambda_models):
     nmos, _ = zero_lambda_models
     bench = build_latch_testbench(MosGeometry(0.27e-6, 0.18e-6),
