@@ -61,6 +61,21 @@ class DelayReport:
     average: float  # [s]
 
 
+# the most sweep points or transient steps one analysis takes: each sample
+# keeps a dict of node voltages, 0.36 kB on the stock build, so a trace at
+# this budget holds about 0.4 GB
+_MAX_POINTS = 1_000_000
+
+
+def _point_count(span: float, step: float) -> int:
+    """Whole steps of ``step`` in ``span``; MeasurementError past _MAX_POINTS."""
+    n = span / step + 1e-9
+    if not n < _MAX_POINTS + 1:  # int(n) <= _MAX_POINTS; also rejects inf and nan
+        raise MeasurementError(f"{span:g} in steps of {step:g} is {n:.3g} steps, "
+                               f"over the budget of {_MAX_POINTS:,}")
+    return int(n)
+
+
 def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
     if step <= 0.0:
         raise NetlistError(f"sweep step must be > 0, got {step}")
@@ -68,7 +83,7 @@ def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
     if span == 0.0:
         return [start]
     sign = 1.0 if span > 0.0 else -1.0
-    n = int(abs(span) / step + 1e-9)
+    n = _point_count(abs(span), step)
     values = [start + sign * step * i for i in range(n + 1)]
     if abs(values[-1] - stop) > 1e-12 * max(1.0, abs(stop)):
         values.append(stop)
@@ -172,8 +187,9 @@ def transient(netlist: Netlist, dt: float, tstop: float) -> Trace:
         raise MeasurementError(f"dt must be > 0, got {dt}")
     if tstop < dt:
         raise MeasurementError(f"tstop must be >= dt, got {tstop}")
+    n_steps = _point_count(tstop, dt)
     start = dc_solve(netlist)
-    steps = Plan(netlist, dt=dt).steps(start, int(tstop / dt + 1e-9))
+    steps = Plan(netlist, dt=dt).steps(start, n_steps)
     return Trace("time", ((0.0, start.node_voltages), *steps))
 
 

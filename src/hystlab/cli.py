@@ -201,6 +201,7 @@ def _cmd_delay(args) -> int:
     _positive("--amp", args.amp)
     _positive("--dt", args.dt)
     _positive("--stop", args.stop)
+    _positive("--vdd", args.vdd)
     net = _load_circuit(args)
     rise = period / 20.0
     pulse = PulseSpec(v1=-args.amp, v2=args.amp, delay=0.0, rise=rise,
@@ -233,6 +234,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analytic(args) -> int:
+    # K = kp/2*W/L, which MosModel and MosGeometry already keep > 0
+    for flag in ("--kn7", "--kn9", "--kp3", "--kp5"):
+        _positive(flag, getattr(args, flag[2:]))
     op = LatchOperatingPoint(
         k_n7=args.kn7, k_n9=args.kn9, k_p3=args.kp3, k_p5=args.kp5,
         v_th=args.vth, i_d1=args.id1, i_d2=args.id2, i_ref=args.iref,

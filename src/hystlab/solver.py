@@ -3,14 +3,13 @@
 Unknowns are the non-ground node voltages plus one branch current per
 voltage source. The residual at a node is the sum of currents leaving
 it. Newton iteration is damped by a per-node voltage clamp. A failed
-warm-started Newton run falls back to a cold restart and then source
-stepping; a cold one, or one that met a singular matrix, tries a gmin
-ladder before source stepping.
+warm-started Newton run falls back to a cold restart; when plain Newton
+fails from every start, pseudo-transient continuation integrates from
+zero to the steady state (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf, isfinite
@@ -20,8 +19,6 @@ import numpy as np
 from .devices import DeviceEval, kfactor, mos_eval, mos_kernel, mos_sign
 from .errors import ConvergenceError, MeasurementError, SingularMatrixError
 from .netlist import Capacitor, DcSpec, ISource, Mosfet, Netlist, Resistor, VSource
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -34,18 +31,18 @@ class SolverOptions:
     max_newton_iters: int = 100
     dv_clamp: float = 0.5        # max node-voltage move per iteration [V]
     gmin_floor: float = 1e-12    # always-on shunt to ground [S]
-    gmin_start: float = 1e-2     # first gmin ladder rung [S]
-    source_steps: int = 10
 
 
 OPTIONS = SolverOptions()
 CMIN = 1e-15  # transient shunt capacitance from every node to ground [F]
 
-# gmin ladder: gmin_start, a tenth of the rung before, then the floor [S]
-_GMIN_LADDER = [OPTIONS.gmin_start]
-while _GMIN_LADDER[-1] / 10.0 > OPTIONS.gmin_floor * 1.001:
-    _GMIN_LADDER.append(_GMIN_LADDER[-1] / 10.0)
-_GMIN_LADDER.append(OPTIONS.gmin_floor)
+# pseudo-transient continuation: backward Euler on 1 pF per node ties each
+# node to its last accepted voltage by g = C/h [S]
+_PTC_G_START = 1e-3     # h = 1 ns
+_PTC_G_END = 1e-9       # below this, plain Newton finishes
+_PTC_G_MAX = 1e6        # a step failing above this gives up
+_PTC_STEP_ITERS = 10    # a step converging within these grows h 4x; else h shrinks 8x
+_PTC_MAX_ITERS = 1200   # iterations of the whole solve
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,7 @@ class Plan:
         self.mosfets = tuple(mosfets)
         self.caps = tuple((p, q, _companion_g(c, dt), *pair(p, q)) for p, q, c in caps)
         self.diag = tuple(slot(i, i) for i in range(nn))
-        self._inverse_norms: dict[float, float] = {}
+        self._inverse_norm: float | None = None
 
     def unknown_name(self, i: int) -> str:
         if i < self.n_nodes:
@@ -175,8 +172,8 @@ class Plan:
         """Hold source ``name`` (as the netlist spells it) at a DC value."""
         self.specs[self.source_slots[name]] = DcSpec(value)
 
-    def source_values(self, time: float, src_scale: float) -> list[float]:
-        return [spec.value_at(time) * src_scale for spec in self.specs]
+    def source_values(self, time: float) -> list[float]:
+        return [spec.value_at(time) for spec in self.specs]
 
     def vector_from_guess(self, guess: dict[str, float] | None) -> list[float]:
         x = [0.0] * self.n_unknowns
@@ -188,14 +185,15 @@ class Plan:
         return x
 
     def assemble(self, x: list[float], gmin: float, e: list[float],
-                 ieq: list[float] | tuple = ()) -> _Assembled:
+                 ieq: list[float] | tuple = (), tie: float = 0.0, x0=()) -> _Assembled:
         """Residual, Jacobian and convergence scales at x.
 
         ``e`` holds the source values (see source_values), ``ieq`` the
-        companion currents of a transient step. Elements are summed in a
-        fixed order: resistors, current sources, voltage sources, MOSFETs,
-        companions, then the gmin shunt. Only the Jacobian leaves as an
-        ndarray, the input of the linear solve.
+        companion currents of a transient step, and a nonzero ``tie`` is
+        a conductance from every node to its voltage in ``x0``. Elements
+        are summed in a fixed order: resistors, current sources, voltage
+        sources, MOSFETs, companions, the gmin shunt, then the tie. Only
+        the Jacobian leaves as an ndarray, the input of the linear solve.
         """
         n = self.n_unknowns
         xl = [*x, 0.0]
@@ -273,6 +271,12 @@ class Plan:
             f[i] += gx
             jac[ii] += gmin
             sc[i] += abs(gx)
+        if tie:
+            for i, ii in enumerate(self.diag):
+                gx = tie * (xl[i] - x0[i])
+                f[i] += gx
+                jac[ii] += tie
+                sc[i] += abs(gx)
 
         f.pop()
         jac.pop()
@@ -293,18 +297,17 @@ class Plan:
             out.append(-gv - (0.0 if ieq is None else gv + ieq[j]))
         return out
 
-    def inverse_norm(self, gmin: float, jac: np.ndarray) -> float:
-        """beta = ||J^-1||_inf, cached per gmin; only for a plan with no MOSFET.
+    def inverse_norm(self, jac: np.ndarray) -> float:
+        """beta = ||J^-1||_inf, cached; only for a plan with no MOSFET.
 
-        Such a plan's Jacobian is the same at every x, source value and
-        companion current for one gmin (dt is fixed in the plan), so
-        ``jac`` from any assembly will do. inf when the inverse cannot
-        bound a step (see _inverse_norm).
+        Such a plan's plain Jacobian is the same at every x, source value
+        and companion current (dt is fixed in the plan), so ``jac`` from
+        any plain assembly will do. inf when the inverse cannot bound a
+        step (see _inverse_norm).
         """
-        beta = self._inverse_norms.get(gmin)
-        if beta is None:
-            beta = self._inverse_norms[gmin] = _inverse_norm(jac)
-        return beta
+        if self._inverse_norm is None:
+            self._inverse_norm = _inverse_norm(jac)
+        return self._inverse_norm
 
     def voltages(self, x: list[float]) -> dict[str, float]:
         """Node voltages of x, ground "0" first."""
@@ -324,7 +327,7 @@ class Plan:
         ieq = self.next_ieq(x, None)
         for k in range(1, n_steps + 1):
             t = k * self.dt
-            x, a, _, status = _newton(self, x, OPTIONS.gmin_floor, time=t, ieq=ieq)
+            x, a, _, status = _newton(self, x, time=t, ieq=ieq)
             if status != "ok":
                 raise _convergence_error(
                     self, a, f"transient step failed at t={t:.6g} s ({status})",
@@ -360,8 +363,8 @@ def _inverse_norm(jac: np.ndarray) -> float:
     return beta
 
 
-def _newton(plan: Plan, x0: list[float], gmin: float, src_scale: float = 1.0,
-            time: float = 0.0, ieq: list[float] | tuple = ()):
+def _newton(plan: Plan, x0: list[float], g: float = 0.0, time: float = 0.0,
+            ieq: list[float] | tuple = ()):
     """Damped Newton loop. Returns (x, assembled, iterations, status).
 
     status: "ok" | "maxiter" | "singular" | "nonfinite". x is a list of
@@ -376,23 +379,28 @@ def _newton(plan: Plan, x0: list[float], gmin: float, src_scale: float = 1.0,
     so when 4*beta*||f(x)||_inf <= vntol the step would pass and x is
     accepted unsolved. Both ways accept the same x after the same
     iterations.
+
+    A nonzero ``g`` makes the run one pseudo-transient step, every node
+    tied to x0 by g, of at most _PTC_STEP_ITERS iterations. Neither the
+    step bound nor _polish applies: both assume the plain system.
     """
-    e = plan.source_values(time, src_scale)
+    e = plan.source_values(time)
     x = x0
     nn = plan.n_nodes
     clamp, vntol, reltol = OPTIONS.dv_clamp, OPTIONS.vntol, OPTIONS.reltol
-    linear = not plan.mosfets
+    linear = not (plan.mosfets or g)
+    max_iters = _PTC_STEP_ITERS if g else OPTIONS.max_newton_iters
     iters = 0
-    while iters < OPTIONS.max_newton_iters:
+    while iters < max_iters:
         iters += 1
-        a = plan.assemble(x, gmin, e, ieq)
+        a = plan.assemble(x, OPTIONS.gmin_floor, e, ieq, g, x0)
         if not (all(map(isfinite, a.f)) and np.isfinite(a.jac).all()):
             return x, a, iters, "nonfinite"
         if linear:
-            bound = 4.0 * plan.inverse_norm(gmin, a.jac) * max(map(abs, a.f), default=0.0)
+            bound = 4.0 * plan.inverse_norm(a.jac) * max(map(abs, a.f), default=0.0)
             if bound <= vntol and _residual_ok(plan, a):
                 # the step from x provably passes: accept x unsolved
-                x, a = _polish(plan, x, a, gmin, e, ieq)
+                x, a = _polish(plan, x, a, e, ieq)
                 return x, a, iters, "ok"
         try:
             dx = np.linalg.solve(a.jac, [-v for v in a.f]).tolist()
@@ -405,16 +413,18 @@ def _newton(plan: Plan, x0: list[float], gmin: float, src_scale: float = 1.0,
         x_next = [xi + d for xi, d in zip(x, step)]
         step_ok = all(abs(d) <= vntol + reltol * abs(xd) for d, xd in zip(step, x_next))
         if step_ok and _residual_ok(plan, a):
+            if g:  # no polish follows a pseudo-transient step: take the step
+                return x_next, a, iters, "ok"
             # accept the residual-checked point, not the final micro-step;
             # polish starts from the unclamped step already solved at it
-            x, a = _polish(plan, x, a, gmin, e, ieq, dx)
+            x, a = _polish(plan, x, a, e, ieq, dx)
             return x, a, iters, "ok"
         x = x_next
-    a = plan.assemble(x, gmin, e, ieq)
+    a = plan.assemble(x, OPTIONS.gmin_floor, e, ieq, g, x0)
     return x, a, iters, "maxiter"
 
 
-def _polish(plan: Plan, x, a, gmin, e, ieq, dx=None):
+def _polish(plan: Plan, x, a, e, ieq, dx=None):
     """Up to 3 undamped Newton steps from the accepted x, each kept only
     if it lowers the worst nodal residual, so converged points audit
     cleanly. ``dx``, when given, is the step already solved at (x, a).
@@ -430,7 +440,7 @@ def _polish(plan: Plan, x, a, gmin, e, ieq, dx=None):
             except np.linalg.LinAlgError:
                 break
         x_try = [xi + d for xi, d in zip(x, dx)]
-        a_try = plan.assemble(x_try, gmin, e, ieq)
+        a_try = plan.assemble(x_try, OPTIONS.gmin_floor, e, ieq)
         # finite first: Python's max can pass over a NaN
         if not all(map(isfinite, a_try.f)):
             break
@@ -471,15 +481,13 @@ def dc_solve(netlist: Netlist | Plan,
              initial_guess: dict[str, float] | None = None) -> Solution:
     """DC operating point.
 
-    Each stage runs only when the one before it fails:
-    plain Newton from the guess (from zero when none is given); with a
-    guess, plain Newton from zero; a gmin ladder warm-chained rung to
-    rung from that last start; then source stepping from the guess.
-    A warm solve (one given a guess) runs the ladder only when a plain
-    stage found the matrix singular: past a fold, source stepping is
-    what rescues it. Raises SingularMatrixError when the ladder's
-    heaviest rung leaves the system matrix singular, ConvergenceError
-    when all stages fail.
+    Each stage runs only when the one before it fails: plain Newton from
+    the guess (from zero when none is given); with a guess, plain Newton
+    from zero; then pseudo-transient continuation (see _PTC_G_START) from
+    zero, which past a fold follows the circuit's own dynamics to a
+    surviving branch. Raises SingularMatrixError when its first step's
+    matrix is singular, ConvergenceError with the residual at its last
+    accepted point when it gives up.
 
     A Netlist is compiled here. A compiled Plan is solved at the source
     values it holds (see Plan.set_source), so a sweep can reuse one plan.
@@ -491,38 +499,30 @@ def dc_solve(netlist: Netlist | Plan,
         # a stale guess can strand Newton on a branch of the solution set
         # that no longer exists; from zero it lands on a surviving one
         starts.append(plan.vector_from_guess(None))
-    singular = False
     for x0 in starts:
-        x, a, iters, status = _newton(plan, x0, OPTIONS.gmin_floor)
+        x, a, iters, status = _newton(plan, x0)
         total += iters
         if status == "ok":
             return _build_solution(plan, x, total)
-        logger.debug("plain newton %s after %d iters", status, iters)
-        singular = singular or status == "singular"
 
-    if initial_guess is None or singular:
-        x = x0
-        for rung_no, g in enumerate(_GMIN_LADDER):
-            x, a, iters, status = _newton(plan, x, g)
-            total += iters
-            if status == "singular" and rung_no == 0:
-                raise SingularMatrixError(
-                    f"singular system matrix with gmin={g:g} S",
-                    suspect=_suspect_unknown(plan, a.jac))
-            if status != "ok":
-                logger.debug("gmin ladder %s at %g S", status, g)
-                break
-        else:
-            return _build_solution(plan, x, total)
-
-    # source stepping at full gmin floor
-    x = plan.vector_from_guess(initial_guess)
-    for k in range(1, OPTIONS.source_steps + 1):
-        alpha = k / OPTIONS.source_steps
-        x, a, iters, status = _newton(plan, x, OPTIONS.gmin_floor, src_scale=alpha)
+    x, g, first = plan.vector_from_guess(None), _PTC_G_START, True
+    while total < _PTC_MAX_ITERS:
+        plain = g < _PTC_G_END
+        x_next, a, iters, status = _newton(plan, x, 0.0 if plain else g)
         total += iters
-        if status != "ok":
-            raise _convergence_error(
-                plan, a, f"no DC convergence (source stepping, alpha={alpha:.1f})",
-                "source stepping")
-    return _build_solution(plan, x, total)
+        if status == "ok" and plain:
+            return _build_solution(plan, x_next, total)
+        if status == "ok":
+            x, g = x_next, g / 4.0
+        elif status == "singular" and first:
+            raise SingularMatrixError(
+                f"singular system matrix with pseudo-transient g={g:g} S",
+                suspect=_suspect_unknown(plan, a.jac))
+        elif g > _PTC_G_MAX:
+            break
+        else:
+            g *= 8.0
+        first = False
+    a = plan.assemble(x, OPTIONS.gmin_floor, plan.source_values(0.0))
+    raise _convergence_error(
+        plan, a, f"no DC convergence (pseudo-transient, g={g:g} S)", "pseudo-transient")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hystlab import analysis
 from hystlab import (
     ConvergenceError,
     MeasurementError,
@@ -242,6 +243,18 @@ def test_trace_csv_round_trips(make, axis, node):
         parts = line.split(",")
         assert float(parts[0]) == pytest.approx(x, rel=1e-12, abs=0)
         assert float(parts[col]) == pytest.approx(nodes[node], rel=1e-12, abs=0)
+
+
+def test_point_budget_caps_sweeps_and_transients():
+    # counted before any point is solved or stored
+    assert analysis._point_count(1e6, 1.0) == 1_000_000
+    with pytest.raises(MeasurementError):
+        analysis._point_count(1e6 + 1.0, 1.0)
+    net = parse_netlist(PROBE)
+    with pytest.raises(MeasurementError, match="2e\\+20 steps, over the budget"):
+        dc_sweep(net, "IIN", -1.0, 1.0, 1e-20)
+    with pytest.raises(MeasurementError, match="steps, over the budget"):
+        transient(parse_netlist(RC_STEP), 1e-15, 1e-6)
 
 
 def test_capacitor_companion_overflow_is_rejected():

@@ -358,6 +358,11 @@ def test_hyst_stock_golden(variant, i_t1, i_t2, capsys):
     assert f"i_t2={i_t2}" in lines
 
 
+# closed forms at K-factors of 1 or 2 A/V^2; a later repeat of a flag wins
+ANALYTIC = ["analytic", "--kn7", "1", "--kn9", "2", "--kp3", "1", "--kp5", "1",
+            "--vth", "0.5", "--id1", "1u", "--id2", "1u", "--vc", "1", "--vd", "1"]
+
+
 @pytest.mark.parametrize("argv,flag", [
     # a negative range would sweep +8u to -8u "up" and swap the edges
     (["hyst", "--range=-8u", "--step", "50n"], "--range"),
@@ -372,15 +377,42 @@ def test_hyst_stock_golden(variant, i_t1, i_t2, capsys):
     # a negative amplitude inverts the square wave; zero has no edges
     (["delay", "--amp", "0", "--period", "400n"], "--amp"),
     (["delay", "--amp=-2u", "--period", "400n"], "--amp"),
+    # a zero rail would report crossings of 0 V
+    (["delay", "--amp", "1u", "--period", "400n", "--vdd", "0"], "--vdd"),
+    (["delay", "--amp", "1u", "--period", "400n", "--vdd=-3"], "--vdd"),
+    # K = kp/2*W/L > 0; a zero --kp3 used to divide by zero
+    ([*ANALYTIC, "--kn7", "0"], "--kn7"),
+    ([*ANALYTIC, "--kn9=-2"], "--kn9"),
+    ([*ANALYTIC, "--kp3", "0"], "--kp3"),
+    ([*ANALYTIC, "--kp5", "0"], "--kp5"),
 ], ids=["hyst-range", "hyst-step", "hyst-resolution", "dc-step", "tran-dt",
         "tran-stop", "delay-dt", "delay-stop", "delay-period", "delay-amp-zero",
-        "delay-amp-negative"])
+        "delay-amp-negative", "delay-vdd-zero", "delay-vdd-negative",
+        "analytic-kn7", "analytic-kn9", "analytic-kp3", "analytic-kp5"])
 def test_nonpositive_flag_is_usage_error(argv, flag, capsys):
-    rc = run(argv + ["--variant", "hysteresis"])
+    if argv[0] != "analytic":
+        argv = argv + ["--variant", "hysteresis"]
+    rc = run(argv)
     assert rc == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {flag} must be > 0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tran", "RC", "--dt", "1n", "--stop", "1e300"],
+    ["hyst", "--variant", "hysteresis", "--range", "1e300", "--step", "1e-9"],
+], ids=["tran", "hyst"])
+def test_infinite_point_count_fails(argv, tmp_path, capsys):
+    # the count overflows a float; int() of it used to raise OverflowError
+    deck = tmp_path / "rc.cir"
+    deck.write_text(RC_DECK)
+    rc = run([str(deck) if a == "RC" else a for a in argv])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "inf steps, over the budget of 1,000,000" in err
 
 
 def test_hyst_unknown_node_fails(capsys):

@@ -1,5 +1,5 @@
 """DC solver checks: linear exactness, nonlinear roots against bisection,
-homotopy fallbacks, warm starts and the independent KCL audit."""
+the pseudo-transient fallback, warm starts and the independent KCL audit."""
 
 import numpy as np
 import pytest
@@ -190,7 +190,8 @@ def test_kcl_audit_clean(hysteresis_net):
 @pytest.mark.parametrize("guess", [None, {"a": 1.5}], ids=["cold", "warm"])
 def test_singular_circuit_names_suspect(guess):
     # two ideal sources fighting over one node: structurally singular;
-    # a warm solve reaches the ladder only after its cold restart
+    # a warm solve reaches the pseudo-transient stage only after its cold
+    # restart
     net = parse_netlist("clash\nV1 a 0 DC 1\nV2 a 0 DC 2\n.end\n")
     with pytest.raises(SingularMatrixError) as exc:
         dc_solve(net, initial_guess=guess)
@@ -198,8 +199,8 @@ def test_singular_circuit_names_suspect(guess):
 
 
 def test_hopeless_circuit_raises_convergence_error():
-    # current forced into a永 cutoff device: only the gmin path absorbs it,
-    # which needs ~1e6 V; every homotopy stage must give up
+    # current forced into a cutoff device: only the gmin path absorbs it,
+    # which needs ~1e9 V; pseudo-transient continuation must give up
     net = parse_netlist("""stuck
 I1 0 a DC 1m
 M1 a 0 0 0 nch W=1u L=1u
@@ -208,8 +209,9 @@ M1 a 0 0 0 nch W=1u L=1u
 """)
     with pytest.raises(ConvergenceError) as exc:
         dc_solve(net)
-    assert exc.value.stage == "source stepping"
-    assert exc.value.residual > 0.0
+    assert exc.value.stage == "pseudo-transient"
+    # the plain residual at the last accepted point: the source's full 1 mA
+    assert exc.value.residual == pytest.approx(1e-3, rel=1e-6)
 
 
 def test_gmin_rescues_floating_gate():
@@ -256,13 +258,13 @@ def test_nonfinite_stimulus_reports_nan_residual():
 
 
 def test_branch_row_mismatch_is_reported():
-    # the step overflows at every stage; at source stepping the nodal rows
-    # read 0 while the V1 branch row is off by 1e299 V
+    # the step overflows at every stage; from zero the nodal rows read 0
+    # while the V1 branch row is off by the full 1e300 V
     net = parse_netlist("t\nV1 in 0 DC 1e300\nR1 in a 1e-300\nR2 a 0 1k\n.end\n")
     with pytest.raises(ConvergenceError) as exc:
         dc_solve(net)
     assert exc.value.residual == 0.0
-    assert "branch residual=1.000e+299 V" in str(exc.value)
+    assert "branch residual=1.000e+300 V" in str(exc.value)
 
 
 def test_transient_step_reports_branch_row():
@@ -281,15 +283,16 @@ def test_transient_step_reports_branch_row():
 
 def test_warm_fold_solve_restarts_cold_before_any_gmin_rung(monkeypatch):
     # stock up fold: the warm guess from 3.25 uA sits on a branch that is
-    # gone at 3.3 uA; the cold restart converges, so no ladder rung runs
+    # gone at 3.3 uA; the cold restart converges, so no pseudo-transient
+    # step runs
     net = build_comparator(ComparatorConfig())
     guess = dc_sweep(net, "IIN", -8e-6, 3.25e-6, 50e-9).samples[-1][1]
     runs = []
     real = solver_module._newton
 
-    def spy(sys_, x0, gmin, *args, **kwargs):
-        runs.append((list(x0[:sys_.n_nodes]), gmin))
-        return real(sys_, x0, gmin, *args, **kwargs)
+    def spy(sys_, x0, g=0.0, *args, **kwargs):
+        runs.append((list(x0[:sys_.n_nodes]), g))
+        return real(sys_, x0, g, *args, **kwargs)
 
     monkeypatch.setattr(solver_module, "_newton", spy)
     sol = dc_solve(net.replaced_source("IIN", DcSpec(3.3e-6)), initial_guess=guess)
@@ -298,7 +301,7 @@ def test_warm_fold_solve_restarts_cold_before_any_gmin_rung(monkeypatch):
     assert runs[0][0] == [guess[n] for n in nodes]
     assert runs[1][0] == [0.0] * len(nodes)
     assert len(runs) == 2
-    assert all(gmin == GMIN for _, gmin in runs)
+    assert all(g == 0.0 for _, g in runs)
 
 
 def test_sweep_evaluates_no_device(monkeypatch):
@@ -371,20 +374,22 @@ C1 b d 1p
 def test_plan_matches_audit_and_finite_differences(build, dt, request):
     # the compiled stamp plan against two oracles that share none of its
     # index tables: the KCL audit's re-summation for the residual and
-    # central differences of that residual for the Jacobian
+    # central differences of that residual for the Jacobian; the last
+    # case adds the pseudo-transient tie of every node to x0
     net = {"stock": lambda: build_comparator(ComparatorConfig()),
            "capacitance": lambda: request.getfixturevalue("capacitance_net"),
            "floating": lambda: parse_netlist(FLOATING)}[build]()
     cmin = 1e-15  # the solver's per-node transient shunt
     sys_ = Plan(net, dt=dt)
     nn, n = sys_.n_nodes, sys_.n_unknowns
-    e = sys_.source_values(0.0, 1.0)
+    e = sys_.source_values(0.0)
     rng = np.random.default_rng(20)
     ieq = list(rng.uniform(-1e-6, 1e-6, len(sys_.caps)))
-    for gmin in (GMIN, 1e-3):
+    x0 = rng.uniform(-0.5, 3.5, nn).tolist()
+    for gmin, tie in ((GMIN, 0.0), (1e-3, 0.0), (GMIN, 1e-3)):
         # off-solution points: the device regions mix and KCL does not hold
         x = np.concatenate([rng.uniform(-0.5, 3.5, nn), rng.uniform(-1e-4, 1e-4, n - nn)])
-        a = sys_.assemble(x, gmin, e, ieq)
+        a = sys_.assemble(x, gmin, e, ieq, tie, x0)
         f = np.asarray(a.f)
         sol = Solution({"0": 0.0, **dict(zip(sys_.node_names, x.tolist()))},
                        dict(zip(sys_.vsource_names, x[nn:].tolist())), (), 0)
@@ -395,8 +400,9 @@ def test_plan_matches_audit_and_finite_differences(build, dt, request):
         for i, node in enumerate(sys_.node_names):
             # the audit sums the floor shunt; the plan was assembled at gmin
             res, scale = audit[node]
-            res += extra.get(node, 0.0) + (gmin - GMIN) * x[i]
-            scale += extra_scale.get(node, 0.0) + abs(gmin * x[i]) - abs(GMIN * x[i])
+            res += extra.get(node, 0.0) + (gmin - GMIN) * x[i] + tie * (x[i] - x0[i])
+            scale += (extra_scale.get(node, 0.0) + abs(gmin * x[i]) - abs(GMIN * x[i])
+                      + abs(tie * (x[i] - x0[i])))
             assert f[i] == pytest.approx(res, rel=1e-12, abs=1e-15), node
             assert a.node_scale[i] == pytest.approx(scale, rel=1e-12, abs=1e-15), node
 
@@ -406,32 +412,41 @@ def test_plan_matches_audit_and_finite_differences(build, dt, request):
             up, down = x.copy(), x.copy()
             up[j] += h
             down[j] -= h
-            fd[:, j] = (np.asarray(sys_.assemble(up, gmin, e, ieq).f)
-                        - np.asarray(sys_.assemble(down, gmin, e, ieq).f)) / (2 * h)
+            fd[:, j] = (np.asarray(sys_.assemble(up, gmin, e, ieq, tie, x0).f)
+                        - np.asarray(sys_.assemble(down, gmin, e, ieq, tie, x0).f)) / (2 * h)
         np.testing.assert_allclose(fd, a.jac, rtol=1e-6, atol=1e-11)
 
 
-def test_warm_solve_past_fold_skips_gmin_ladder(monkeypatch):
+def test_warm_solve_past_fold_rescued_by_pseudo_transient(monkeypatch):
     # an IREF variant whose down fold leaves the -2.35 uA point stranded:
-    # both plain runs fail at -2.4 uA and source stepping from the guess
-    # rescues it; the gmin ladder, which never rescues a warm solve, is
-    # not entered
+    # both plain runs fail at -2.4 uA, and pseudo-transient continuation
+    # from zero follows the circuit down to the low branch
     net = build_comparator(ComparatorConfig()).replaced_source(
         "IREF", DcSpec(1.1057981355806849e-06))
     value, guess = dc_sweep(net, "IIN", 8e-6, -2.35e-6, 50e-9).samples[-1]
     assert value == pytest.approx(-2.35e-6)
-    gmins = []
+    runs = []
     real = solver_module._newton
 
-    def spy(sys_, x0, gmin, *args, **kwargs):
-        gmins.append(gmin)
-        return real(sys_, x0, gmin, *args, **kwargs)
+    def spy(sys_, x0, g=0.0, *args, **kwargs):
+        result = real(sys_, x0, g, *args, **kwargs)
+        runs.append((list(x0[:sys_.n_nodes]), g, result[2], result[3]))
+        return result
 
     monkeypatch.setattr(solver_module, "_newton", spy)
-    sol = dc_solve(net.replaced_source("IIN", DcSpec(-2.4e-6)), initial_guess=guess)
-    assert sol.node_voltages["OUT"] == 0.3383174144785378
-    assert sol.iterations == 270
-    assert set(gmins) == {GMIN}
+    hot = net.replaced_source("IIN", DcSpec(-2.4e-6))
+    sol = dc_solve(hot, initial_guess=guess)
+    verify_kcl(hot, sol)
+    # the source-stepping answer, 0.3383174144785378, to 1e-12 V
+    assert sol.node_voltages["OUT"] == pytest.approx(0.3383174144785378, abs=1e-12)
+    nodes = [n for n in net.nodes if n != "0"]
+    zero = [0.0] * len(nodes)
+    assert runs[0][:2] == ([guess[n] for n in nodes], 0.0)
+    assert runs[1][:2] == (zero, 0.0)
+    assert runs[2][:2] == (zero, solver_module._PTC_G_START)
+    assert all(g > 0.0 for _, g, _, _ in runs[2:-1])
+    assert runs[-1][1] == 0.0 and runs[-1][3] == "ok"  # the plain finish
+    assert sol.iterations == sum(iters for *_, iters, _ in runs) == 237
 
 
 # a Monte Carlo W-mismatch instance of the stock build (5 % sigma per
@@ -458,27 +473,75 @@ MNI OUT C 0 0 nm W=0.183583u L=0.18u
 """
 
 
-def test_gmin_ladder_rescues_cold_solve(monkeypatch):
-    # plain Newton from zero runs out of iterations; the ladder then
-    # converges on every rung down to the floor, so source stepping,
-    # which rescues no such cold solve, never runs
+def test_pseudo_transient_rescues_cold_solve(monkeypatch):
+    # plain Newton from zero runs out of iterations; pseudo-transient
+    # steps then carry the circuit to where plain Newton converges
     net = parse_netlist(MISMATCH_DECK)
     runs = []
     real = solver_module._newton
 
-    def spy(sys_, x0, gmin, *args, **kwargs):
-        result = real(sys_, x0, gmin, *args, **kwargs)
-        runs.append((gmin, kwargs.get("src_scale", 1.0), result[2], result[3]))
+    def spy(sys_, x0, g=0.0, *args, **kwargs):
+        result = real(sys_, x0, g, *args, **kwargs)
+        runs.append((g, result[2], result[3]))
         return result
 
     monkeypatch.setattr(solver_module, "_newton", spy)
     sol = dc_solve(net)
     verify_kcl(net, sol)
     assert sol.node_voltages["OUT"] == pytest.approx(0.3872, abs=1e-4)
-    assert runs[0] == (GMIN, 1.0, 100, "maxiter")
-    assert [gmin for gmin, *_ in runs[1:]] == solver_module._GMIN_LADDER
-    assert all(scale == 1.0 and status == "ok" for _, scale, _, status in runs[1:])
-    assert sol.iterations == sum(iters for _, _, iters, _ in runs)
+    assert runs[0] == (0.0, 100, "maxiter")
+    assert runs[1][0] == solver_module._PTC_G_START
+    assert all(g > 0.0 for g, _, _ in runs[1:-1])
+    assert runs[-1][0] == 0.0 and runs[-1][2] == "ok"  # the plain finish
+    assert sol.iterations == sum(iters for _, iters, _ in runs) == 138
+
+
+# Monte Carlo W-mismatch instance of the stock build whose plain Newton
+# from zero does not converge and which source stepping, the stage that
+# pseudo-transient continuation replaced, failed to solve
+MISMATCH_DECK_SOURCE_STEPPING = """current comparator (hysteresis variant)
+VDD VDD 0 DC 3
+IIN 0 A DC 1.44204697594e-06
+IREF 0 B DC 0
+M1 A B 0 0 nm W=0.180657u L=0.72u
+M2 B B 0 0 nm W=0.153561u L=0.72u
+M3 A A VDD VDD pm W=0.545653u L=0.72u
+M4 B B VDD VDD pm W=0.50017u L=0.72u
+M5 C A VDD VDD pm W=1.14214u L=0.18u
+M6 D B VDD VDD pm W=1.06732u L=0.18u
+M7 C C 0 0 nm W=0.297231u L=0.18u
+M8 C D 0 0 nm W=0.331487u L=0.18u
+M9 D C 0 0 nm W=0.354084u L=0.18u
+M10 D D 0 0 nm W=0.271454u L=0.18u
+MPI OUT C VDD VDD pm W=0.573696u L=0.18u
+MNI OUT C 0 0 nm W=0.17981u L=0.18u
+.model nm NMOS (KP=0.00017 VTO=0.5 LAMBDA=0.05)
+.model pm PMOS (KP=6e-05 VTO=-0.5 LAMBDA=0.05)
+.end
+"""
+
+
+def test_pseudo_transient_solves_where_source_stepping_failed():
+    net = parse_netlist(MISMATCH_DECK_SOURCE_STEPPING)
+    sol = dc_solve(net)
+    verify_kcl(net, sol)
+    assert sol.node_voltages["OUT"] == pytest.approx(0.5941, abs=1e-4)
+
+
+def test_down_sweep_completes_past_iref_variant_fold():
+    # both plain runs fail just past this variant's down fold, at -3.45 uA,
+    # and source stepping from the stale guess failed too
+    net = build_comparator(ComparatorConfig()).replaced_source(
+        "IREF", DcSpec(9.11010274375754e-08))
+    down = dc_sweep(net, "IIN", 8e-6, -8e-6, 50e-9)
+    assert len(down.samples) == 321
+    # the solve that failed, warm from the last point before the fold
+    value, guess = down.samples[228]
+    assert value == pytest.approx(-3.4e-6)
+    low = net.replaced_source("IIN", DcSpec(-3.45e-6))
+    sol = dc_solve(low, initial_guess=guess)
+    verify_kcl(low, sol)
+    assert sol.iterations > 2 * solver_module.OPTIONS.max_newton_iters
 
 
 # a 3 V edge in 1 ps moves node "in" by more than dv_clamp in one 1 ns
