@@ -96,6 +96,12 @@ class Plan:
     from each node to ground become trapezoidal companions. Their
     conductance 2C/dt is fixed here; only the equivalent current ``ieq``
     changes from step to step (see steps).
+
+    Summation order. The constant J is compiled here into the read-only
+    ``jac``: resistors, voltage sources, companions, then gmin. Per
+    assemble() call the MOSFETs, then the tie, go onto a copy of it. f and
+    the convergence scales sum every element on every call, in the order
+    assemble() states.
     """
 
     def __init__(self, netlist: Netlist, dt: float | None = None):
@@ -113,9 +119,16 @@ class Plan:
             # row-major n x n, then one spare slot for ground's row and column
             return p * n + q if p < n and q < n else n * n
 
-        def pair(p: int, q: int) -> tuple[int, int, int, int]:
-            # slots of (p,p), (p,q), (q,p), (q,q)
-            return slot(p, p), slot(p, q), slot(q, p), slot(q, q)
+        # the Jacobian's constant part, each slot summed in this order:
+        # resistors and voltage-source incidences (no slot holds both),
+        # then companions, then the gmin floor
+        jac = [0.0] * (n * n + 1)
+
+        def conductance(p: int, q: int, g: float) -> None:
+            jac[slot(p, p)] += g
+            jac[slot(p, q)] -= g
+            jac[slot(q, p)] -= g
+            jac[slot(q, q)] += g
 
         self.specs: list = []
         self.source_slots: dict[str, int] = {}
@@ -124,8 +137,9 @@ class Plan:
         b = nn
         for el in netlist.elements:
             if isinstance(el, Resistor):
-                p, q = ni[el.pos], ni[el.neg]
-                resistors.append((p, q, 1.0 / el.ohms, *pair(p, q)))
+                p, q, g = ni[el.pos], ni[el.neg], 1.0 / el.ohms
+                resistors.append((p, q, g))
+                conductance(p, q, g)
             elif isinstance(el, Capacitor):
                 if dt is not None and el.farads > 0.0:  # open in DC
                     caps.append((ni[el.pos], ni[el.neg], el.farads))
@@ -136,8 +150,11 @@ class Plan:
             elif isinstance(el, VSource):
                 p, q = ni[el.pos], ni[el.neg]
                 self.source_slots[el.name] = len(self.specs)
-                vsources.append((p, q, b, len(self.specs), slot(p, b), slot(q, b),
-                                 slot(b, p), slot(b, q)))
+                vsources.append((p, q, b, len(self.specs)))
+                jac[slot(p, b)] += 1.0
+                jac[slot(q, b)] -= 1.0
+                jac[slot(b, p)] += 1.0
+                jac[slot(b, q)] -= 1.0
                 self.specs.append(el.spec)
                 b += 1
             elif isinstance(el, Mosfet):
@@ -159,8 +176,16 @@ class Plan:
         self.isources = tuple(isources)
         self.vsources = tuple(vsources)
         self.mosfets = tuple(mosfets)
-        self.caps = tuple((p, q, _companion_g(c, dt), *pair(p, q)) for p, q, c in caps)
+        self.caps = tuple((p, q, _companion_g(c, dt)) for p, q, c in caps)
+        for p, q, g in self.caps:
+            conductance(p, q, g)
         self.diag = tuple(slot(i, i) for i in range(nn))
+        for ii in self.diag:
+            jac[ii] += OPTIONS.gmin_floor
+        self._jac_list = jac
+        self.jac = np.array(jac[:-1]).reshape(n, n)
+        self.jac.flags.writeable = False
+        self.jac_finite = bool(np.isfinite(self.jac).all())
         self._inverse_norm: float | None = None
 
     def unknown_name(self, i: int) -> str:
@@ -184,32 +209,33 @@ class Plan:
                     x[i] = float(v)
         return x
 
-    def assemble(self, x: list[float], gmin: float, e: list[float],
+    def assemble(self, x: list[float], e: list[float],
                  ieq: list[float] | tuple = (), tie: float = 0.0, x0=()) -> _Assembled:
         """Residual, Jacobian and convergence scales at x.
 
         ``e`` holds the source values (see source_values), ``ieq`` the
         companion currents of a transient step, and a nonzero ``tie`` is
-        a conductance from every node to its voltage in ``x0``. Elements
-        are summed in a fixed order: resistors, current sources, voltage
-        sources, MOSFETs, companions, the gmin shunt, then the tie. Only
-        the Jacobian leaves as an ndarray, the input of the linear solve.
+        a conductance from every node to its voltage in ``x0``. f and the
+        scales sum elements in a fixed order: resistors, current sources,
+        voltage sources, MOSFETs, companions, the gmin shunt, then the
+        tie. The constant J was compiled with the plan (resistors,
+        voltage sources, companions, gmin); per call only the MOSFETs,
+        then the tie, are stamped onto a copy of it. A plan with no
+        MOSFET, assembled without a tie, returns the compiled read-only
+        ``jac`` itself, whose finiteness was checked once (``jac_finite``).
+        Only the Jacobian leaves as an ndarray, the input of the linear
+        solve.
         """
         n = self.n_unknowns
         xl = [*x, 0.0]
         f = [0.0] * (n + 1)
-        jac = [0.0] * (n * n + 1)
         # nodal current scales, then branch scales, then ground
         sc = [0.0] * (n + 1)
 
-        for p, q, g, pp, pq, qp, qq in self.resistors:
+        for p, q, g in self.resistors:
             i = g * (xl[p] - xl[q])
             f[p] += i
             f[q] -= i
-            jac[pp] += g
-            jac[pq] -= g
-            jac[qp] -= g
-            jac[qq] += g
             i = abs(i)
             sc[p] += i
             sc[q] += i
@@ -222,21 +248,18 @@ class Plan:
             sc[p] += val
             sc[q] += val
 
-        for p, q, b, j, pb, qb, bp, bq in self.vsources:
+        for p, q, b, j in self.vsources:
             i = xl[b]
             f[p] += i
             f[q] -= i
-            jac[pb] += 1.0
-            jac[qb] -= 1.0
             i = abs(i)
             sc[p] += i
             sc[q] += i
             vp, vq, ej = xl[p], xl[q], e[j]
             f[b] = (vp - vq) - ej
-            jac[bp] += 1.0
-            jac[bq] -= 1.0
             sc[b] = abs(vp) + abs(vq) + abs(ej)
 
+        jac = self._jac_list.copy() if self.mosfets or tie else None
         for d, g, s, k, sign, vto, lam, dg, dd, ds, sg, sd, ss in self.mosfets:
             vs = xl[s]
             i, gm, gds, _ = mos_kernel(k, sign, vto, lam, xl[g] - vs, xl[d] - vs)
@@ -252,24 +275,20 @@ class Plan:
             sc[d] += i
             sc[s] += i
 
-        for (p, q, g, pp, pq, qp, qq), c in zip(self.caps, ieq):
+        for (p, q, g), c in zip(self.caps, ieq):
             gv = g * (xl[p] - xl[q])
             i = gv + c
             f[p] += i
             f[q] -= i
-            jac[pp] += g
-            jac[pq] -= g
-            jac[qp] -= g
-            jac[qq] += g
             i = abs(gv) + abs(c)
             sc[p] += i
             sc[q] += i
 
         # SPICE-style shunt on every node keeps floating gates solvable
-        for i, ii in enumerate(self.diag):
+        gmin = OPTIONS.gmin_floor
+        for i in range(self.n_nodes):
             gx = gmin * xl[i]
             f[i] += gx
-            jac[ii] += gmin
             sc[i] += abs(gx)
         if tie:
             for i, ii in enumerate(self.diag):
@@ -279,8 +298,10 @@ class Plan:
                 sc[i] += abs(gx)
 
         f.pop()
-        jac.pop()
         nn = self.n_nodes
+        if jac is None:
+            return _Assembled(f, self.jac, sc[:nn], sc[nn:n])
+        jac.pop()
         return _Assembled(f, np.array(jac).reshape(n, n), sc[:nn], sc[nn:n])
 
     def next_ieq(self, x: list[float], ieq: list[float] | None) -> list[float]:
@@ -292,21 +313,20 @@ class Plan:
         """
         xl = [*x, 0.0]
         out = []
-        for j, (p, q, g, *_slots) in enumerate(self.caps):
+        for j, (p, q, g) in enumerate(self.caps):
             gv = g * (xl[p] - xl[q])
             out.append(-gv - (0.0 if ieq is None else gv + ieq[j]))
         return out
 
-    def inverse_norm(self, jac: np.ndarray) -> float:
-        """beta = ||J^-1||_inf, cached; only for a plan with no MOSFET.
+    def inverse_norm(self) -> float:
+        """beta = ||J^-1||_inf of the compiled ``jac``, cached.
 
-        Such a plan's plain Jacobian is the same at every x, source value
-        and companion current (dt is fixed in the plan), so ``jac`` from
-        any plain assembly will do. inf when the inverse cannot bound a
-        step (see _inverse_norm).
+        Only for a plan with no MOSFET: its plain Jacobian is ``jac`` at
+        every x, source value and companion current (dt is fixed in the
+        plan). inf when the inverse cannot bound a step (see _inverse_norm).
         """
         if self._inverse_norm is None:
-            self._inverse_norm = _inverse_norm(jac)
+            self._inverse_norm = _inverse_norm(self.jac)
         return self._inverse_norm
 
     def voltages(self, x: list[float]) -> dict[str, float]:
@@ -369,6 +389,9 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, time: float = 0.0,
 
     status: "ok" | "maxiter" | "singular" | "nonfinite". x is a list of
     Python floats; the Jacobian is the only array, built for np.linalg.solve.
+    Each iteration checks f and J for finiteness, except a linear run's J
+    (no MOSFET, no tie): that is the plan's compiled ``jac``, checked once
+    when the plan was compiled (see Plan.assemble).
 
     An iterate x is accepted when its residual passes _residual_ok and
     the Newton step from x is within vntol + reltol*|x|. Normally that
@@ -389,15 +412,17 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, time: float = 0.0,
     nn = plan.n_nodes
     clamp, vntol, reltol = OPTIONS.dv_clamp, OPTIONS.vntol, OPTIONS.reltol
     linear = not (plan.mosfets or g)
+    # a linear run's J is the compiled plan.jac, whose finiteness is known
+    jac_checked = linear and plan.jac_finite
     max_iters = _PTC_STEP_ITERS if g else OPTIONS.max_newton_iters
     iters = 0
     while iters < max_iters:
         iters += 1
-        a = plan.assemble(x, OPTIONS.gmin_floor, e, ieq, g, x0)
-        if not (all(map(isfinite, a.f)) and np.isfinite(a.jac).all()):
+        a = plan.assemble(x, e, ieq, g, x0)
+        if not (all(map(isfinite, a.f)) and (jac_checked or np.isfinite(a.jac).all())):
             return x, a, iters, "nonfinite"
         if linear:
-            bound = 4.0 * plan.inverse_norm(a.jac) * max(map(abs, a.f), default=0.0)
+            bound = 4.0 * plan.inverse_norm() * max(map(abs, a.f), default=0.0)
             if bound <= vntol and _residual_ok(plan, a):
                 # the step from x provably passes: accept x unsolved
                 x, a = _polish(plan, x, a, e, ieq)
@@ -420,7 +445,7 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, time: float = 0.0,
             x, a = _polish(plan, x, a, e, ieq, dx)
             return x, a, iters, "ok"
         x = x_next
-    a = plan.assemble(x, OPTIONS.gmin_floor, e, ieq, g, x0)
+    a = plan.assemble(x, e, ieq, g, x0)
     return x, a, iters, "maxiter"
 
 
@@ -440,7 +465,7 @@ def _polish(plan: Plan, x, a, e, ieq, dx=None):
             except np.linalg.LinAlgError:
                 break
         x_try = [xi + d for xi, d in zip(x, dx)]
-        a_try = plan.assemble(x_try, OPTIONS.gmin_floor, e, ieq)
+        a_try = plan.assemble(x_try, e, ieq)
         # finite first: Python's max can pass over a NaN
         if not all(map(isfinite, a_try.f)):
             break
@@ -523,6 +548,6 @@ def dc_solve(netlist: Netlist | Plan,
         else:
             g *= 8.0
         first = False
-    a = plan.assemble(x, OPTIONS.gmin_floor, plan.source_values(0.0))
+    a = plan.assemble(x, plan.source_values(0.0))
     raise _convergence_error(
         plan, a, f"no DC convergence (pseudo-transient, g={g:g} S)", "pseudo-transient")

@@ -1,13 +1,23 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hystlab import (
+    ComparatorConfig,
+    ComparatorVariant,
     RatioDirection,
+    build_comparator,
     current_ratio,
+    dc_solve,
     node_squares,
+    parse_netlist,
     parse_value,
     transition_currents,
+    verify_kcl,
 )
 from hystlab.comparator import LatchOperatingPoint
 from hystlab.cli import run
@@ -434,3 +444,100 @@ def test_analytic_singular_input_fails(capsys):
 def test_bad_si_value_is_usage_error():
     assert run(["hyst", "--variant", "hysteresis", "--range", "2x",
                 "--step", "10n"]) == 2
+
+
+# flag values at the edges of what the value parser accepts, next to values
+# a user would type. The typical values keep every sweep and transient
+# either at a few dozen points or past the 1,000,000-point budget; a legal
+# count between about 1e4 and 1e6 would pass the budget and take seconds.
+EDGES = ("0", "-1", "1e-300", "1e300", "1e-20")
+DIODE = """diode
+V1 top 0 DC 3
+R1 top d 10k
+M1 d d 0 0 nch W=1u L=1u
+.model nch NMOS (KP=200u VTO=0.5)
+.end
+"""
+
+
+def _value(*usual):
+    # one draw in five is an edge, so most runs pass all but one check
+    return st.sampled_from(usual * (20 // len(usual)) + EDGES)
+
+
+def _maybe(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+@st.composite
+def _cli_argv(draw, command, circuits):
+    flags = {}
+    if command == "analytic":
+        for flag in ("kn7", "kn9", "kp3", "kp5", "vth", "id1", "id2", "vc", "vd"):
+            flags[flag] = draw(_value("100u", "30u", "0.5", "1.2"))
+        flags["iref"] = draw(_maybe(_value("1u")))
+        flags["iin"] = draw(_maybe(_value("2u")))
+        circuit = []
+    else:
+        # each circuit with its own stimulus and observed node
+        circuit, source, node = draw(st.sampled_from(circuits))
+    if command == "dc":
+        flags["source"] = source
+        flags["from"] = draw(_value("-8u", "8u", "1.5", "3"))
+        flags["to"] = draw(_value("-8u", "8u", "1.5", "3"))
+        flags["step"] = draw(_value("0.5", "0.5u"))
+    elif command == "tran":
+        flags["dt"] = draw(_value("10n"))
+        flags["stop"] = draw(_value("200n"))
+    elif command == "hyst":
+        flags["source"] = source
+        flags["range"] = draw(_value("8u"))
+        flags["step"] = draw(_value("2u"))
+        flags["resolution"] = draw(_maybe(_value("10n")))
+        flags["node"] = node
+        flags["threshold"] = draw(_maybe(_value("1.5")))
+    elif command == "delay":
+        flags["source"] = source
+        flags["amp"] = draw(_value("8u", "2u"))
+        flags["period"] = draw(_value("100n"))
+        flags["dt"] = draw(_maybe(_value("1n")))
+        flags["stop"] = draw(_maybe(_value("100n")))
+        flags["vdd"] = draw(_maybe(_value("3")))
+        flags["node"] = node
+    argv = [command, *circuit]
+    argv += [f"--{flag}={value}" for flag, value in flags.items() if value is not None]
+    if command == "dc" and draw(st.booleans()):
+        argv.append("--both")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_circuits(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("decks")
+    circuits = [(["--variant", "hysteresis"], "IIN", "OUT"),
+                (["--variant", "plain"], "IIN", "OUT")]
+    for name, text, source, node in (("probe", PROBE, "IIN", "a"), ("offset", OFFSET, "IIN", "a"),
+                                     ("rc", RC_DECK, "V1", "out"),
+                                     ("divider", DIVIDER, "V1", "mid"),
+                                     ("diode", DIODE, "V1", "d")):
+        path = folder / f"{name}.cir"
+        path.write_text(text)
+        circuits.append(([str(path)], source, node))
+    return circuits
+
+
+@pytest.mark.parametrize("command", ["op", "dc", "tran", "hyst", "delay", "analytic"])
+def test_cli_never_raises(command, cli_circuits):
+    # seeded, so tier-1 runs the same argv every time
+    @settings(derandomize=True, deadline=None, max_examples=35, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_cli_argv(command, cli_circuits))
+    def check(argv):
+        code = run(argv)
+        assert code in (0, 1, 2, 3), argv
+        if command == "op" and code == 0:
+            circuit = (build_comparator(ComparatorConfig(variant=ComparatorVariant(argv[2])))
+                       if argv[1] == "--variant" else parse_netlist(Path(argv[1]).read_text()))
+            verify_kcl(circuit, dc_solve(circuit))
+
+    check()

@@ -328,13 +328,8 @@ def test_device_evals_match_mos_eval_at_solution():
     assert sol.device_evals is sol.device_evals  # evaluated once
 
 
-def _companion_currents(net, volts, dt, cmin, ieq):
-    """Per node: trapezoidal companion currents leaving it, and their scale.
-
-    Nonzero companions come in element order (capacitors, then each
-    MOSFET's cgs and cgd), then cmin from every node to ground, as ``ieq``
-    lists them.
-    """
+def _companions(net, cmin):
+    """(pos, neg, farads) of each nonzero companion, in the solver's order."""
     caps = []
     for el in net.elements:
         if type(el).__name__ == "Capacitor":
@@ -342,10 +337,19 @@ def _companion_currents(net, volts, dt, cmin, ieq):
         elif type(el).__name__ == "Mosfet":
             caps += [(el.g, el.s, el.model.cgs), (el.g, el.d, el.model.cgd)]
     caps = [cap for cap in caps if cap[2] > 0.0]
-    caps += [(n, "0", cmin) for n in net.nodes if n != "0"]
+    return caps + [(n, "0", cmin) for n in net.nodes if n != "0"]
+
+
+def _companion_currents(net, volts, dt, cmin, ieq):
+    """Per node: trapezoidal companion currents leaving it, and their scale.
+
+    Nonzero companions come in element order (capacitors, then each
+    MOSFET's cgs and cgd), then cmin from every node to ground, as ``ieq``
+    lists them.
+    """
     current = dict.fromkeys(volts, 0.0)
     scale = dict.fromkeys(volts, 0.0)
-    for (pos, neg, c), q in zip(caps, ieq, strict=True):
+    for (pos, neg, c), q in zip(_companions(net, cmin), ieq, strict=True):
         gv = 2.0 * c / dt * (volts[pos] - volts[neg])
         current[pos] += gv + q
         current[neg] -= gv + q
@@ -386,10 +390,10 @@ def test_plan_matches_audit_and_finite_differences(build, dt, request):
     rng = np.random.default_rng(20)
     ieq = list(rng.uniform(-1e-6, 1e-6, len(sys_.caps)))
     x0 = rng.uniform(-0.5, 3.5, nn).tolist()
-    for gmin, tie in ((GMIN, 0.0), (1e-3, 0.0), (GMIN, 1e-3)):
+    for tie in (0.0, 1e-3):
         # off-solution points: the device regions mix and KCL does not hold
         x = np.concatenate([rng.uniform(-0.5, 3.5, nn), rng.uniform(-1e-4, 1e-4, n - nn)])
-        a = sys_.assemble(x, gmin, e, ieq, tie, x0)
+        a = sys_.assemble(x, e, ieq, tie, x0)
         f = np.asarray(a.f)
         sol = Solution({"0": 0.0, **dict(zip(sys_.node_names, x.tolist()))},
                        dict(zip(sys_.vsource_names, x[nn:].tolist())), (), 0)
@@ -398,11 +402,9 @@ def test_plan_matches_audit_and_finite_differences(build, dt, request):
             net, sol.node_voltages, dt, cmin, ieq)
         assert max(abs(f[:nn])) > 1e-6
         for i, node in enumerate(sys_.node_names):
-            # the audit sums the floor shunt; the plan was assembled at gmin
             res, scale = audit[node]
-            res += extra.get(node, 0.0) + (gmin - GMIN) * x[i] + tie * (x[i] - x0[i])
-            scale += (extra_scale.get(node, 0.0) + abs(gmin * x[i]) - abs(GMIN * x[i])
-                      + abs(tie * (x[i] - x0[i])))
+            res += extra.get(node, 0.0) + tie * (x[i] - x0[i])
+            scale += extra_scale.get(node, 0.0) + abs(tie * (x[i] - x0[i]))
             assert f[i] == pytest.approx(res, rel=1e-12, abs=1e-15), node
             assert a.node_scale[i] == pytest.approx(scale, rel=1e-12, abs=1e-15), node
 
@@ -412,9 +414,91 @@ def test_plan_matches_audit_and_finite_differences(build, dt, request):
             up, down = x.copy(), x.copy()
             up[j] += h
             down[j] -= h
-            fd[:, j] = (np.asarray(sys_.assemble(up, gmin, e, ieq, tie, x0).f)
-                        - np.asarray(sys_.assemble(down, gmin, e, ieq, tie, x0).f)) / (2 * h)
+            fd[:, j] = (np.asarray(sys_.assemble(up, e, ieq, tie, x0).f)
+                        - np.asarray(sys_.assemble(down, e, ieq, tie, x0).f)) / (2 * h)
         np.testing.assert_allclose(fd, a.jac, rtol=1e-6, atol=1e-11)
+
+
+def _constant_jacobian(net, dt):
+    """The Jacobian's MOSFET-free part, stamped in the order the solver
+    once summed it on every assembly: 1/R, the voltage sources' +-1,
+    2C/dt of every companion (CMIN included), then the gmin floor."""
+    nodes = [n for n in net.nodes if n != "0"]
+    vsrcs = [el for el in net.elements if type(el).__name__ == "VSource"]
+    index = {n: i for i, n in enumerate(nodes)}
+    jac = np.zeros((len(nodes) + len(vsrcs),) * 2)
+
+    def stamp(pos, neg, g):
+        p, q = index.get(pos), index.get(neg)
+        for r, c, sign in ((p, p, 1.0), (p, q, -1.0), (q, p, -1.0), (q, q, 1.0)):
+            if r is not None and c is not None:
+                jac[r, c] += sign * g
+
+    for el in net.elements:
+        if type(el).__name__ == "Resistor":
+            stamp(el.pos, el.neg, 1.0 / el.ohms)
+    for b, el in enumerate(vsrcs, start=len(nodes)):
+        for node, sign in ((el.pos, 1.0), (el.neg, -1.0)):
+            if node in index:
+                jac[index[node], b] += sign
+                jac[b, index[node]] += sign
+    if dt is not None:
+        for pos, neg, c in _companions(net, 1e-15):
+            stamp(pos, neg, 2.0 * c / dt)
+    for i in range(len(nodes)):
+        jac[i, i] += GMIN
+    return jac
+
+
+# the RC deck's transient plan and the probe deck's DC plan have no
+# MOSFET; the floating-source deck has one
+COMPILED = {"rc": (lambda: RC_EDGE, 1e-9),
+            "probe": (lambda: parse_netlist("probe\nIIN 0 a DC 0\nR1 a 0 1meg\n.end\n"), None),
+            "floating": (lambda: parse_netlist(FLOATING), 1e-9)}
+
+
+def _assemble_twice(plan, rng):
+    # different x, source values and companion currents each time
+    out = []
+    for _ in range(2):
+        x = rng.uniform(-1.0, 3.0, plan.n_unknowns).tolist()
+        e = rng.uniform(-1.0, 1.0, len(plan.specs)).tolist()
+        ieq = rng.uniform(-1e-6, 1e-6, len(plan.caps)).tolist()
+        out.append(plan.assemble(x, e, ieq).jac)
+    return out
+
+
+@pytest.mark.parametrize("deck", COMPILED)
+def test_compiled_jacobian_is_the_former_stamping_bit_for_bit(deck):
+    netlist, dt = COMPILED[deck]
+    net = netlist()
+    np.testing.assert_array_equal(Plan(net, dt=dt).jac, _constant_jacobian(net, dt))
+
+
+@pytest.mark.parametrize("deck", ["rc", "probe"])
+def test_mosfet_free_plan_returns_one_read_only_jacobian(deck):
+    netlist, dt = COMPILED[deck]
+    plan = Plan(netlist(), dt=dt)
+    first, second = _assemble_twice(plan, np.random.default_rng(3))
+    assert first is second is plan.jac
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+    # a tie changes J, so it is stamped onto a fresh copy
+    tied = plan.assemble([0.0] * plan.n_unknowns, plan.source_values(0.0),
+                         tie=1e-3, x0=[0.0] * plan.n_nodes).jac
+    tie = np.diag([1e-3] * plan.n_nodes + [0.0] * (plan.n_unknowns - plan.n_nodes))
+    assert tied is not plan.jac
+    np.testing.assert_array_equal(tied, plan.jac + tie)
+
+
+def test_mosfet_plan_assembles_a_fresh_writable_jacobian():
+    netlist, dt = COMPILED["floating"]
+    plan = Plan(netlist(), dt=dt)
+    first, second = _assemble_twice(plan, np.random.default_rng(3))
+    assert first is not second
+    assert first is not plan.jac and second is not plan.jac
+    assert first.flags.writeable and second.flags.writeable
+    assert not np.array_equal(first, second)
 
 
 def test_warm_solve_past_fold_rescued_by_pseudo_transient(monkeypatch):
