@@ -420,9 +420,10 @@ def test_plan_matches_audit_and_finite_differences(build, dt, request):
 
 
 def _constant_jacobian(net, dt):
-    """The Jacobian's MOSFET-free part, stamped in the order the solver
-    once summed it on every assembly: 1/R, the voltage sources' +-1,
-    2C/dt of every companion (CMIN included), then the gmin floor."""
+    """The Jacobian's MOSFET-free part, stamped element by element: 1/R,
+    the voltage sources' +-1, 2C/dt of every companion (CMIN included),
+    then the gmin floor. Summed per slot in this order, a MOSFET-free
+    plan's answers stay bit-identical to per-assembly stamping."""
     nodes = [n for n in net.nodes if n != "0"]
     vsrcs = [el for el in net.elements if type(el).__name__ == "VSource"]
     index = {n: i for i, n in enumerate(nodes)}
@@ -469,7 +470,7 @@ def _assemble_twice(plan, rng):
 
 
 @pytest.mark.parametrize("deck", COMPILED)
-def test_compiled_jacobian_is_the_former_stamping_bit_for_bit(deck):
+def test_compiled_jacobian_matches_stamping_bit_for_bit(deck):
     netlist, dt = COMPILED[deck]
     net = netlist()
     np.testing.assert_array_equal(Plan(net, dt=dt).jac, _constant_jacobian(net, dt))
