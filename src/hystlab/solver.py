@@ -2,7 +2,9 @@
 
 Unknowns are the non-ground node voltages plus one branch current per
 voltage source. The residual at a node is the sum of currents leaving
-it. Newton iteration is damped by a per-node voltage clamp. A failed
+it. Newton iteration is damped by a per-node voltage clamp. A plain
+Newton run on a circuit with MOSFETs ends early, "stalled", once its steps
+stop contracting or it cycles through the clamp (see _newton). A failed
 warm-started Newton run falls back to a cold restart; when plain Newton
 fails from every start, pseudo-transient continuation integrates from
 zero to the steady state (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).
@@ -43,6 +45,11 @@ _PTC_G_END = 1e-9       # below this, plain Newton finishes
 _PTC_G_MAX = 1e6        # a step failing above this gives up
 _PTC_STEP_ITERS = 10    # a step converging within these grows h 4x; else h shrinks 8x
 _PTC_MAX_ITERS = 1200   # iterations of the whole solve
+
+# a plain MOSFET Newton run is tested for a stall from this iteration on,
+# and ends at this many steps no shorter than the unclamped step before
+_STALL_FROM = 4
+_STALL_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -340,7 +347,8 @@ class Plan:
 
         Integration starts from the DC point ``start``, where no
         capacitor current flows. Raises ConvergenceError at the first
-        step whose Newton run fails.
+        step whose Newton run fails, naming its status, such as
+        "(stalled)".
         """
         x = self.vector_from_guess(start.node_voltages)
         x[self.n_nodes:] = [start.branch_currents[name] for name in self.vsource_names]
@@ -387,8 +395,9 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, time: float = 0.0,
             ieq: list[float] | tuple = ()):
     """Damped Newton loop. Returns (x, assembled, iterations, status).
 
-    status: "ok" | "maxiter" | "singular" | "nonfinite". x is a list of
-    Python floats; the Jacobian is the only array, built for np.linalg.solve.
+    status: "ok" | "maxiter" | "stalled" | "singular" | "nonfinite". x is
+    a list of Python floats; the Jacobian is the only array, built for
+    np.linalg.solve.
     Each iteration checks f and J for finiteness, except a linear run's J
     (no MOSFET, no tie): that is the plan's compiled ``jac``, checked once
     when the plan was compiled (see Plan.assemble).
@@ -406,6 +415,28 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, time: float = 0.0,
     A nonzero ``g`` makes the run one pseudo-transient step, every node
     tied to x0 by g, of at most _PTC_STEP_ITERS iterations. Neither the
     step bound nor _polish applies: both assume the plain system.
+
+    Failing fast. A plain run (g = 0) on a plan with MOSFETs ends
+    "stalled" when one of two signals fires at iteration _STALL_FROM or
+    later:
+    (a) its steps stop contracting (Deuflhard, Newton Methods for
+        Nonlinear Problems, 2004, sec. 3.2): for the _STALL_STEPS-th time
+        a step is at least as long, in max node |dx|, as an unclamped
+        step just before it, a contraction factor theta >= 1. A clamped
+        step never starts such a pair, so a cold run that climbs a 30 V
+        rail 0.5 V per iteration is not stopped;
+    (b) it cycles through the clamp: a step that fails the vntol +
+        reltol*|x| test lands within that tolerance, component by
+        component, of the iterate two steps back.
+    Before iteration _STALL_FROM a run is still finding its basin, and
+    most runs have converged by then. Linear runs are exempt: each
+    component moves monotonically toward the one solution, so they cannot
+    stall. Pseudo-transient steps are exempt, being capped already.
+    The signals are evidence, not proof; on the benchmark's seeded
+    workloads every run they ended reached maxiter when replayed without
+    them. dc_solve treats "stalled" as "maxiter", and no later stage
+    starts from an abandoned run's x, so a stall changes how many
+    iterations a solve takes, never its answer.
     """
     e = plan.source_values(time)
     x = x0
@@ -415,6 +446,9 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, time: float = 0.0,
     # a linear run's J is the compiled plan.jac, whose finiteness is known
     jac_checked = linear and plan.jac_finite
     max_iters = _PTC_STEP_ITERS if g else OPTIONS.max_newton_iters
+    # the stall test watches plain MOSFET runs only (see the docstring)
+    watch = not (linear or g)
+    x_back, last, growing = x0, inf, 0
     iters = 0
     while iters < max_iters:
         iters += 1
@@ -433,8 +467,12 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, time: float = 0.0,
             return x, a, iters, "singular"
         if not all(map(isfinite, dx)):
             return x, a, iters, "nonfinite"
-        step = [min(max(d, -clamp), clamp) for d in dx[:nn]]
-        step += dx[nn:]
+        longest = max(map(abs, dx[:nn]), default=0.0)
+        if longest > clamp:
+            step = [min(max(d, -clamp), clamp) for d in dx[:nn]]
+            step += dx[nn:]
+        else:
+            step = dx
         x_next = [xi + d for xi, d in zip(x, step)]
         step_ok = all(abs(d) <= vntol + reltol * abs(xd) for d, xd in zip(step, x_next))
         if step_ok and _residual_ok(plan, a):
@@ -444,7 +482,15 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, time: float = 0.0,
             # polish starts from the unclamped step already solved at it
             x, a = _polish(plan, x, a, e, ieq, dx)
             return x, a, iters, "ok"
-        x = x_next
+        if watch and iters >= _STALL_FROM:
+            if longest >= last:  # theta >= 1 after an unclamped step
+                growing += 1
+            if growing == _STALL_STEPS or not step_ok and all(
+                    abs(xn - xb) <= vntol + reltol * abs(xn)
+                    for xn, xb in zip(x_next, x_back)):
+                return x, a, iters, "stalled"
+        last = longest if longest < clamp else inf
+        x_back, x = x, x_next
     a = plan.assemble(x, e, ieq, g, x0)
     return x, a, iters, "maxiter"
 
@@ -510,9 +556,15 @@ def dc_solve(netlist: Netlist | Plan,
     the guess (from zero when none is given); with a guess, plain Newton
     from zero; then pseudo-transient continuation (see _PTC_G_START) from
     zero, which past a fold follows the circuit's own dynamics to a
-    surviving branch. Raises SingularMatrixError when its first step's
-    matrix is singular, ConvergenceError with the residual at its last
-    accepted point when it gives up.
+    surviving branch. A plain run that ends "stalled" (see _newton: its
+    steps stop contracting, or it cycles through the clamp, tested from
+    iteration _STALL_FROM on; linear runs and pseudo-transient steps are
+    exempt) moves on exactly as one that ends "maxiter". Every stage
+    starts from the guess or from zero, never from a failed run's x, so
+    failing fast changes the iteration count, not the answer. Raises
+    SingularMatrixError when its first step's matrix is singular,
+    ConvergenceError with the residual at its last accepted point when
+    it gives up.
 
     A Netlist is compiled here. A compiled Plan is solved at the source
     values it holds (see Plan.set_source), so a sweep can reuse one plan.

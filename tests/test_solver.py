@@ -9,6 +9,7 @@ from hystlab import (
     ConvergenceError,
     DcSpec,
     Mosfet,
+    PulseSpec,
     SingularMatrixError,
     build_comparator,
     dc_solve,
@@ -281,6 +282,19 @@ def test_transient_step_reports_branch_row():
     assert branch != 0.0
 
 
+def test_transient_step_that_stalls_names_its_status():
+    # the stock build's latch flips within one 1 ns step at 15 ns; that
+    # step's Newton run stops contracting and ends early, where it used to
+    # run to maxiter at the same step
+    rise = 400e-9 / 20.0
+    net = build_comparator(ComparatorConfig()).replaced_source(
+        "IIN", PulseSpec(v1=-8e-6, v2=8e-6, delay=0.0, rise=rise, fall=rise,
+                         width=200e-9 - rise, period=400e-9))
+    with pytest.raises(ConvergenceError) as exc:
+        transient(net, 1e-9, 30e-9)
+    assert str(exc.value).startswith("transient step failed at t=1.5e-08 s (stalled)")
+
+
 def test_warm_fold_solve_restarts_cold_before_any_gmin_rung(monkeypatch):
     # stock up fold: the warm guess from 3.25 uA sits on a branch that is
     # gone at 3.3 uA; the cold restart converges, so no pseudo-transient
@@ -302,6 +316,97 @@ def test_warm_fold_solve_restarts_cold_before_any_gmin_rung(monkeypatch):
     assert runs[1][0] == [0.0] * len(nodes)
     assert len(runs) == 2
     assert all(g == 0.0 for _, g in runs)
+
+
+def _spy_runs(monkeypatch):
+    """Record (g, iterations, status) of every _newton run."""
+    runs = []
+    real = solver_module._newton
+
+    def spy(sys_, x0, g=0.0, *args, **kwargs):
+        result = real(sys_, x0, g, *args, **kwargs)
+        runs.append((g, result[2], result[3]))
+        return result
+
+    monkeypatch.setattr(solver_module, "_newton", spy)
+    return runs
+
+
+def _without_stall_test(monkeypatch, solve):
+    """solve() with the stall test switched off, as before it existed."""
+    with monkeypatch.context() as m:
+        m.setattr(solver_module, "_STALL_FROM", solver_module.OPTIONS.max_newton_iters + 1)
+        return solve()
+
+
+def test_warm_fold_run_stalls_then_cold_restart_converges(monkeypatch):
+    # the stock up fold again: the doomed warm run used to take 100
+    # iterations; it now ends within 15, and the answer does not move
+    net = build_comparator(ComparatorConfig())
+    guess = dc_sweep(net, "IIN", -8e-6, 3.25e-6, 50e-9).samples[-1][1]
+    hot = net.replaced_source("IIN", DcSpec(3.3e-6))
+    runs = _spy_runs(monkeypatch)
+    sol = dc_solve(hot, initial_guess=guess)
+    assert runs[0][0] == 0.0 and runs[0][2] == "stalled" and runs[0][1] <= 15
+    assert runs[1:] == [(0.0, 10, "ok")]
+    runs.clear()
+    slow = _without_stall_test(monkeypatch, lambda: dc_solve(hot, initial_guess=guess))
+    assert runs == [(0.0, 100, "maxiter"), (0.0, 10, "ok")]
+    assert sol.node_voltages == slow.node_voltages
+    assert sol.node_voltages == pytest.approx(
+        {"0": 0.0, "VDD": 3.0, "A": 1.5826460312216366, "B": 1.5139639368687459,
+         "C": 0.5473859647624404, "D": 1.6615281235230785, "OUT": 2.999375435421021},
+        abs=1e-12)
+
+
+# a 30 V deck: from zero, every node climbs by the 0.5 V clamp for about
+# 60 iterations, with no steadily falling residual to show progress
+HIGH_VOLTAGE = """high voltage
+V1 vdd 0 DC 30
+R1 vdd a 1k
+M1 a a 0 0 nm W=1u L=1u
+MP b a vdd vdd pm W=1u L=1u
+MN b a 0 0 nm W=1u L=1u
+R2 vdd c 100k
+M4 c b 0 0 nm W=1u L=1u
+.model nm NMOS (KP=0.00017 VTO=0.5 LAMBDA=0.05)
+.model pm PMOS (KP=6e-05 VTO=-0.5 LAMBDA=0.05)
+.end
+"""
+
+
+def test_long_clamped_run_is_not_stopped(monkeypatch):
+    # clamped steps never count as failing to contract, so the stall test
+    # lets this run converge exactly as it did without the test
+    net = parse_netlist(HIGH_VOLTAGE)
+    runs = _spy_runs(monkeypatch)
+    sol = dc_solve(net)
+    assert runs == [(0.0, 62, "ok")]
+    assert sol.iterations == 62
+    slow = _without_stall_test(monkeypatch, lambda: dc_solve(net))
+    assert sol.node_voltages == slow.node_voltages
+    assert sol.branch_currents == slow.branch_currents
+    verify_kcl(net, sol)
+
+
+def test_clamp_two_cycle_ends_cold_run(monkeypatch):
+    # a cold start of an IREF variant at -8 uA: C, D and OUT swing +-0.5 V
+    # and every other iterate repeats. The 2-cycle alone ends the run (the
+    # contraction count is switched off here); pseudo-transient
+    # continuation then gives the answer the 100-iteration run led to
+    net = build_comparator(ComparatorConfig()).replaced_source(
+        "IREF", DcSpec(1.1057981355806849e-06)).replaced_source("IIN", DcSpec(-8e-6))
+    runs = _spy_runs(monkeypatch)
+    monkeypatch.setattr(solver_module, "_STALL_STEPS", 10**9)
+    sol = dc_solve(net)
+    assert runs[0] == (0.0, 11, "stalled")
+    assert runs[1][0] == solver_module._PTC_G_START
+    runs.clear()
+    slow = _without_stall_test(monkeypatch, lambda: dc_solve(net))
+    assert runs[0] == (0.0, 100, "maxiter")
+    assert sol.node_voltages == slow.node_voltages
+    assert sol.node_voltages["OUT"] == pytest.approx(0.21242197065360588, abs=1e-12)
+    verify_kcl(net, sol)
 
 
 def test_sweep_evaluates_no_device(monkeypatch):
@@ -526,12 +631,13 @@ def test_warm_solve_past_fold_rescued_by_pseudo_transient(monkeypatch):
     assert sol.node_voltages["OUT"] == pytest.approx(0.3383174144785378, abs=1e-12)
     nodes = [n for n in net.nodes if n != "0"]
     zero = [0.0] * len(nodes)
-    assert runs[0][:2] == ([guess[n] for n in nodes], 0.0)
-    assert runs[1][:2] == (zero, 0.0)
+    # both plain runs end early, where each used to run 100 iterations
+    assert runs[0] == ([guess[n] for n in nodes], 0.0, 17, "stalled")
+    assert runs[1] == (zero, 0.0, 27, "stalled")
     assert runs[2][:2] == (zero, solver_module._PTC_G_START)
     assert all(g > 0.0 for _, g, _, _ in runs[2:-1])
     assert runs[-1][1] == 0.0 and runs[-1][3] == "ok"  # the plain finish
-    assert sol.iterations == sum(iters for *_, iters, _ in runs) == 237
+    assert sol.iterations == sum(iters for *_, iters, _ in runs) == 81
 
 
 # a Monte Carlo W-mismatch instance of the stock build (5 % sigma per
@@ -559,26 +665,19 @@ MNI OUT C 0 0 nm W=0.183583u L=0.18u
 
 
 def test_pseudo_transient_rescues_cold_solve(monkeypatch):
-    # plain Newton from zero runs out of iterations; pseudo-transient
-    # steps then carry the circuit to where plain Newton converges
+    # plain Newton from zero stops contracting and ends early (it used to
+    # run 100 iterations); pseudo-transient steps then carry the circuit
+    # to where plain Newton converges
     net = parse_netlist(MISMATCH_DECK)
-    runs = []
-    real = solver_module._newton
-
-    def spy(sys_, x0, g=0.0, *args, **kwargs):
-        result = real(sys_, x0, g, *args, **kwargs)
-        runs.append((g, result[2], result[3]))
-        return result
-
-    monkeypatch.setattr(solver_module, "_newton", spy)
+    runs = _spy_runs(monkeypatch)
     sol = dc_solve(net)
     verify_kcl(net, sol)
     assert sol.node_voltages["OUT"] == pytest.approx(0.3872, abs=1e-4)
-    assert runs[0] == (0.0, 100, "maxiter")
+    assert runs[0] == (0.0, 21, "stalled")
     assert runs[1][0] == solver_module._PTC_G_START
     assert all(g > 0.0 for g, _, _ in runs[1:-1])
     assert runs[-1][0] == 0.0 and runs[-1][2] == "ok"  # the plain finish
-    assert sol.iterations == sum(iters for _, iters, _ in runs) == 138
+    assert sol.iterations == sum(iters for _, iters, _ in runs) == 59
 
 
 # Monte Carlo W-mismatch instance of the stock build whose plain Newton
@@ -613,7 +712,7 @@ def test_pseudo_transient_solves_where_source_stepping_failed():
     assert sol.node_voltages["OUT"] == pytest.approx(0.5941, abs=1e-4)
 
 
-def test_down_sweep_completes_past_iref_variant_fold():
+def test_down_sweep_completes_past_iref_variant_fold(monkeypatch):
     # both plain runs fail just past this variant's down fold, at -3.45 uA,
     # and source stepping from the stale guess failed too
     net = build_comparator(ComparatorConfig()).replaced_source(
@@ -623,10 +722,14 @@ def test_down_sweep_completes_past_iref_variant_fold():
     # the solve that failed, warm from the last point before the fold
     value, guess = down.samples[228]
     assert value == pytest.approx(-3.4e-6)
+    runs = _spy_runs(monkeypatch)
     low = net.replaced_source("IIN", DcSpec(-3.45e-6))
     sol = dc_solve(low, initial_guess=guess)
     verify_kcl(low, sol)
-    assert sol.iterations > 2 * solver_module.OPTIONS.max_newton_iters
+    # both plain runs fail, then pseudo-transient continuation solves it
+    assert [(g, status) for g, _, status in runs[:2]] == [(0.0, "stalled")] * 2
+    assert runs[2][0] == solver_module._PTC_G_START
+    assert runs[-1][::2] == (0.0, "ok")
 
 
 # a 3 V edge in 1 ps moves node "in" by more than dv_clamp in one 1 ns
