@@ -8,6 +8,8 @@ stop contracting or it cycles through the clamp (see _newton). A failed
 warm-started Newton run falls back to a cold restart; when plain Newton
 fails from every start, pseudo-transient continuation integrates from
 zero to the steady state (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).
+Each Newton step is solved by LAPACK gesv (_solve) inside one
+floating-point error scope per solve run (_lapack_errors).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from functools import cached_property
 from math import inf, isfinite
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .devices import DeviceEval, kfactor, mos_eval, mos_kernel, mos_sign
 from .errors import ConvergenceError, MeasurementError, SingularMatrixError
@@ -342,26 +345,33 @@ class Plan:
         volts.update(zip(self.node_names, x))
         return volts
 
-    def steps(self, start: Solution, n_steps: int):
-        """Yield (t, node voltages) after each of n_steps steps of dt.
+    def steps(self, start: Solution, n_steps: int) -> list[tuple[float, dict[str, float]]]:
+        """(t, node voltages) after each of n_steps steps of dt.
 
         Integration starts from the DC point ``start``, where no
         capacitor current flows. Raises ConvergenceError at the first
         step whose Newton run fails, naming its status, such as
-        "(stalled)".
+        "(stalled)". All steps run inside one _lapack_errors() scope;
+        returning a list rather than yielding keeps that scope from
+        staying open while the caller's code runs.
         """
         x = self.vector_from_guess(start.node_voltages)
         x[self.n_nodes:] = [start.branch_currents[name] for name in self.vsource_names]
         ieq = self.next_ieq(x, None)
-        for k in range(1, n_steps + 1):
-            t = k * self.dt
-            x, a, _, status = _newton(self, x, time=t, ieq=ieq)
-            if status != "ok":
-                raise _convergence_error(
-                    self, a, f"transient step failed at t={t:.6g} s ({status})",
-                    f"transient t={t:.6g}")
-            ieq = self.next_ieq(x, ieq)
-            yield t, self.voltages(x)
+        out = []
+        with _lapack_errors():
+            for k in range(1, n_steps + 1):
+                t = k * self.dt
+                x, a, _, status = _newton(self, x, time=t, ieq=ieq)
+                if status != "ok":
+                    break
+                ieq = self.next_ieq(x, ieq)
+                out.append((t, self.voltages(x)))
+        if len(out) < n_steps:
+            raise _convergence_error(
+                self, a, f"transient step failed at t={t:.6g} s ({status})",
+                f"transient t={t:.6g}")
+        return out
 
 
 def _residual_ok(plan: Plan, a: _Assembled) -> bool:
@@ -391,13 +401,39 @@ def _inverse_norm(jac: np.ndarray) -> float:
     return beta
 
 
+def _singular(err: str, flag: int):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _lapack_errors() -> np.errstate:
+    """np.linalg.solve's error policy around gesv: the invalid flag of a
+    singular matrix raises LinAlgError; overflow, division and underflow
+    pass. A new scope per call, as one errstate cannot be entered twice.
+    """
+    return np.errstate(call=_singular, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
+def _solve(jac: np.ndarray, rhs: list[float]) -> list[float]:
+    """x with jac @ x = rhs, by the LAPACK gesv gufunc of np.linalg.solve.
+
+    Same gufunc, same inputs, same bits. Call it inside _lapack_errors(),
+    where a singular jac raises LinAlgError; outside, it returns NaN with a
+    RuntimeWarning. np.linalg.solve checks its arguments and enters that
+    scope on every call, which costs more than gesv on the solver's small
+    systems, so dc_solve and Plan.steps enter it once per run instead.
+    """
+    return _umath_linalg.solve1(jac, rhs, signature="dd->d").tolist()
+
+
 def _newton(plan: Plan, x0: list[float], g: float = 0.0, time: float = 0.0,
             ieq: list[float] | tuple = ()):
     """Damped Newton loop. Returns (x, assembled, iterations, status).
 
     status: "ok" | "maxiter" | "stalled" | "singular" | "nonfinite". x is
-    a list of Python floats; the Jacobian is the only array, built for
-    np.linalg.solve.
+    a list of Python floats; the Jacobian is the only array, the input of
+    _solve. Run it inside _lapack_errors(), as dc_solve and Plan.steps do,
+    so that a singular J reads "singular".
     Each iteration checks f and J for finiteness, except a linear run's J
     (no MOSFET, no tie): that is the plan's compiled ``jac``, checked once
     when the plan was compiled (see Plan.assemble).
@@ -462,7 +498,7 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, time: float = 0.0,
                 x, a = _polish(plan, x, a, e, ieq)
                 return x, a, iters, "ok"
         try:
-            dx = np.linalg.solve(a.jac, [-v for v in a.f]).tolist()
+            dx = _solve(a.jac, [-v for v in a.f])
         except np.linalg.LinAlgError:
             return x, a, iters, "singular"
         if not all(map(isfinite, dx)):
@@ -507,7 +543,7 @@ def _polish(plan: Plan, x, a, e, ieq, dx=None):
             break
         if dx is None:
             try:
-                dx = np.linalg.solve(a.jac, [-v for v in a.f]).tolist()
+                dx = _solve(a.jac, [-v for v in a.f])
             except np.linalg.LinAlgError:
                 break
         x_try = [xi + d for xi, d in zip(x, dx)]
@@ -576,16 +612,18 @@ def dc_solve(netlist: Netlist | Plan,
         # a stale guess can strand Newton on a branch of the solution set
         # that no longer exists; from zero it lands on a surviving one
         starts.append(plan.vector_from_guess(None))
-    for x0 in starts:
-        x, a, iters, status = _newton(plan, x0)
-        total += iters
-        if status == "ok":
-            return _build_solution(plan, x, total)
+    with _lapack_errors():
+        for x0 in starts:
+            x, a, iters, status = _newton(plan, x0)
+            total += iters
+            if status == "ok":
+                return _build_solution(plan, x, total)
 
     x, g, first = plan.vector_from_guess(None), _PTC_G_START, True
     while total < _PTC_MAX_ITERS:
         plain = g < _PTC_G_END
-        x_next, a, iters, status = _newton(plan, x, 0.0 if plain else g)
+        with _lapack_errors():
+            x_next, a, iters, status = _newton(plan, x, 0.0 if plain else g)
         total += iters
         if status == "ok" and plain:
             return _build_solution(plan, x_next, total)

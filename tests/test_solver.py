@@ -1,6 +1,9 @@
 """DC solver checks: linear exactness, nonlinear roots against bisection,
 the pseudo-transient fallback, warm starts and the independent KCL audit."""
 
+import warnings
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -192,10 +195,14 @@ def test_kcl_audit_clean(hysteresis_net):
 def test_singular_circuit_names_suspect(guess):
     # two ideal sources fighting over one node: structurally singular;
     # a warm solve reaches the pseudo-transient stage only after its cold
-    # restart
+    # restart. Every stage must see the singular matrix as LinAlgError,
+    # not as a NaN step and a RuntimeWarning.
     net = parse_netlist("clash\nV1 a 0 DC 1\nV2 a 0 DC 2\n.end\n")
-    with pytest.raises(SingularMatrixError) as exc:
-        dc_solve(net, initial_guess=guess)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError) as exc:
+            dc_solve(net, initial_guess=guess)
+    assert str(exc.value) == "singular system matrix with pseudo-transient g=0.001 S"
     assert exc.value.suspect in {"I(V1)", "I(V2)"}
 
 
@@ -285,13 +292,15 @@ def test_transient_step_reports_branch_row():
 def test_transient_step_that_stalls_names_its_status():
     # the stock build's latch flips within one 1 ns step at 15 ns; that
     # step's Newton run stops contracting and ends early, where it used to
-    # run to maxiter at the same step
+    # run to maxiter at the same step; no RuntimeWarning escapes
     rise = 400e-9 / 20.0
     net = build_comparator(ComparatorConfig()).replaced_source(
         "IIN", PulseSpec(v1=-8e-6, v2=8e-6, delay=0.0, rise=rise, fall=rise,
                          width=200e-9 - rise, period=400e-9))
-    with pytest.raises(ConvergenceError) as exc:
-        transient(net, 1e-9, 30e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as exc:
+            transient(net, 1e-9, 30e-9)
     assert str(exc.value).startswith("transient step failed at t=1.5e-08 s (stalled)")
 
 
@@ -738,16 +747,24 @@ RC_EDGE = parse_netlist("rc edge\nV1 in 0 PULSE(0 3 10n 1p 1p 200n 0)\n"
                         "R1 in out 1k\nC1 out 0 1n\n.end\n")
 
 
+@contextmanager
 def _count_solves(monkeypatch):
+    """Record (J, rhs) of every linear solve of the Newton path.
+
+    Fails unless at least one solve was recorded, so a solve that
+    bypasses solver._solve cannot make a count pass vacuously.
+    """
     calls = []
-    real = np.linalg.solve
+    real = solver_module._solve
 
     def spy(jac, b):
         calls.append((jac.copy(), list(b)))
         return real(jac, b)
 
-    monkeypatch.setattr(np.linalg, "solve", spy)
-    return calls
+    with monkeypatch.context() as m:
+        m.setattr(solver_module, "_solve", spy)
+        yield calls
+    assert calls, "no linear solve went through solver._solve"
 
 
 def test_step_bound_keeps_transient_bit_identical(monkeypatch):
@@ -761,14 +778,14 @@ def test_step_bound_keeps_transient_bit_identical(monkeypatch):
         return result
 
     monkeypatch.setattr(solver_module, "_newton", spy)
-    calls = _count_solves(monkeypatch)
-    bounded = transient(RC_EDGE, 1e-9, 100e-9)
+    with _count_solves(monkeypatch) as calls:
+        bounded = transient(RC_EDGE, 1e-9, 100e-9)
     bounded_solves = len(calls)
     assert max(iterations) > 3  # the clamped edge step
 
     monkeypatch.setattr(solver_module, "_inverse_norm", lambda jac: float("inf"))
-    calls.clear()
-    solved = transient(RC_EDGE, 1e-9, 100e-9)
+    with _count_solves(monkeypatch) as calls:
+        solved = transient(RC_EDGE, 1e-9, 100e-9)
     assert repr(bounded) == repr(solved)
     assert bounded_solves < len(calls)
 
@@ -786,15 +803,15 @@ def test_step_bound_waits_on_a_high_impedance_node(monkeypatch):
 
 
 def test_linear_transient_solves_once_per_step(monkeypatch):
-    calls = _count_solves(monkeypatch)
-    transient(RC_EDGE, 1e-9, 500e-9)
+    with _count_solves(monkeypatch) as calls:
+        transient(RC_EDGE, 1e-9, 500e-9)
     assert len(calls) <= 1.1 * 500
 
 
 def test_polish_repeats_no_solve(monkeypatch):
     # polish starts from the step the Newton loop solved at the same point
-    calls = _count_solves(monkeypatch)
-    dc_sweep(build_comparator(ComparatorConfig()), "IIN", -2e-6, 2e-6, 0.1e-6)
+    with _count_solves(monkeypatch) as calls:
+        dc_sweep(build_comparator(ComparatorConfig()), "IIN", -2e-6, 2e-6, 0.1e-6)
     assert len(calls) > 41
     for (jac0, b0), (jac1, b1) in zip(calls, calls[1:]):
         assert not (np.array_equal(jac0, jac1) and b0 == b1)
@@ -808,3 +825,71 @@ def test_polish_repeats_no_solve(monkeypatch):
 ])
 def test_inverse_norm_bounds_only_well_conditioned(jac, expected):
     assert solver_module._inverse_norm(jac) == expected
+
+
+def _solve_in_scope(jac, rhs):
+    # (solver._solve, np.linalg.solve) of one system, inside the solver's scope
+    with solver_module._lapack_errors():
+        return solver_module._solve(jac, rhs), np.linalg.solve(jac, rhs).tolist()
+
+
+@pytest.mark.parametrize("n", [3, 7, 9])
+def test_solve_matches_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        got, want = _solve_in_scope(rng.standard_normal((n, n)),
+                                    rng.standard_normal(n).tolist())
+        assert repr(got) == repr(want)
+
+
+def test_solve_matches_numpy_on_ill_conditioned_matrix():
+    rng = np.random.default_rng(12)
+    q1, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+    q2, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+    jac = q1 @ np.diag(np.logspace(0.0, -12.0, 7)) @ q2
+    assert 1e11 < np.linalg.cond(jac) < 1e13
+    got, want = _solve_in_scope(jac, rng.standard_normal(7).tolist())
+    assert repr(got) == repr(want)
+
+
+def test_solve_matches_numpy_on_stock_jacobian():
+    plan = Plan(build_comparator(ComparatorConfig()))
+    sol = dc_solve(plan)
+    x = plan.vector_from_guess(sol.node_voltages)
+    x[plan.n_nodes:] = [sol.branch_currents[name] for name in plan.vsource_names]
+    a = plan.assemble(x, plan.source_values(0.0))
+    assert a.jac.shape == (7, 7)
+    rng = np.random.default_rng(7)
+    for rhs in ([-v for v in a.f], rng.standard_normal(7).tolist()):
+        got, want = _solve_in_scope(a.jac, rhs)
+        assert repr(got) == repr(want)
+
+
+def test_solve_raises_on_singular_matrix_in_scope():
+    # two ideal sources fighting over one node: a structurally singular J
+    plan = Plan(parse_netlist("clash\nV1 a 0 DC 1\nV2 a 0 DC 2\n.end\n"))
+    with solver_module._lapack_errors():
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            solver_module._solve(plan.jac, [0.0] * plan.n_unknowns)
+
+
+def test_every_solve_runs_inside_the_error_scope(monkeypatch):
+    # outside it, a singular J would give NaN and a RuntimeWarning, not
+    # LinAlgError; record the policy in force at each solve of each path
+    policies = []
+    real = solver_module._solve
+
+    def spy(jac, b):
+        policies.append((np.geterr(), np.geterrcall()))
+        return real(jac, b)
+
+    monkeypatch.setattr(solver_module, "_solve", spy)
+    clash = parse_netlist("clash\nV1 a 0 DC 1\nV2 a 0 DC 2\n.end\n")
+    with pytest.raises(SingularMatrixError):
+        dc_solve(clash)  # plain Newton from zero, then the first pseudo-transient step
+    assert len(policies) == 2
+    transient(RC_EDGE, 1e-9, 20e-9)  # Plan.steps
+    assert len(policies) > 2 + 10
+    scope = ({"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "call"},
+             solver_module._singular)
+    assert all(p == scope for p in policies)
