@@ -19,7 +19,7 @@ from .analysis import (DelayReport, HysteresisReport, Trace, branch_solution_at,
                        dc_sweep, measure_delay, measure_hysteresis, source_trace,
                        trace_csv, transient)
 from .comparator import (ComparatorConfig, ComparatorVariant, LatchOperatingPoint,
-                         build_comparator, build_latch_testbench, comparator_text,
+                         build_comparator, build_latch_testbench,
                          extract_operating_point, table_sizing)
 from .analytics import (RatioDirection, SmallSignalLatch, TransitionResult,
                         current_ratio, latch_current_ratio_from_devices,

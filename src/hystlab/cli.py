@@ -16,7 +16,7 @@ from pathlib import Path
 from .analysis import (dc_sweep, measure_delay, measure_hysteresis, source_trace,
                        trace_csv, transient)
 from .comparator import (ComparatorConfig, ComparatorVariant, LatchOperatingPoint,
-                         build_comparator, comparator_text)
+                         build_comparator)
 from .analytics import RatioDirection, current_ratio, node_squares, transition_currents
 from .errors import (ConfigError, ConvergenceError, DomainError, MeasurementError,
                      NetlistError, SingularMatrixError, SingularityError)
@@ -229,7 +229,7 @@ def _cmd_delay(args) -> int:
 
 def _cmd_gen(args) -> int:
     cfg = ComparatorConfig(variant=ComparatorVariant(args.variant))
-    _emit(args, comparator_text(cfg))
+    _emit(args, build_comparator(cfg).to_text())
     return 0
 
 

@@ -11,19 +11,21 @@ Topology (all bulks on the source rail):
 
 The input current therefore steers node A, which throttles M5 through
 the M3/M5 mirror; the latch at C/D regenerates the difference and the
-inverter squares it up. Device names are part of the contract so the
-extractor can be name-based.
+inverter squares it up. One table, _TOPOLOGY, holds every device's
+terminals, and both generators build their element records from it;
+`Netlist.to_text` prints the result. Device names are part of the
+contract so the extractor can be name-based.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .devices import MosGeometry, MosModel, NMOS_DEFAULT, PMOS_DEFAULT, kfactor
-from .errors import ConfigError, ExtractionError
-from .netlist import (DcSpec, Netlist, SourceSpec, _model_line, _mosfet_line,
-                      _spec_text, parse_netlist)
+from .errors import ConfigError, ExtractionError, NetlistError
+from .netlist import DcSpec, ISource, Mosfet, Netlist, SourceSpec, VSource
 from .solver import Solution
 
 
@@ -32,45 +34,49 @@ class ComparatorVariant(enum.Enum):
     PLAIN = "plain"
 
 
-DEVICE_NAMES = ("M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M9", "M10",
-                "MPI", "MNI")
+# (name, drain, gate, source = bulk, model) per device, in netlist order
+_TOPOLOGY = (
+    ("M1", "A", "B", "0", "nm"),
+    ("M2", "B", "B", "0", "nm"),
+    ("M3", "A", "A", "VDD", "pm"),
+    ("M4", "B", "B", "VDD", "pm"),
+    ("M5", "C", "A", "VDD", "pm"),
+    ("M6", "D", "B", "VDD", "pm"),
+    ("M7", "C", "C", "0", "nm"),
+    ("M8", "C", "D", "0", "nm"),
+    ("M9", "D", "C", "0", "nm"),
+    ("M10", "D", "D", "0", "nm"),
+    ("MPI", "OUT", "C", "VDD", "pm"),
+    ("MNI", "OUT", "C", "0", "nm"),
+)
 
-# widths/lengths in meters
-_HYSTERESIS_SIZING = {
-    "M1": MosGeometry(0.18e-6, 0.72e-6),
-    "M2": MosGeometry(0.18e-6, 0.72e-6),
-    "M3": MosGeometry(0.54e-6, 0.72e-6),
-    "M4": MosGeometry(0.54e-6, 0.72e-6),
-    "M5": MosGeometry(1.08e-6, 0.18e-6),
-    "M6": MosGeometry(1.08e-6, 0.18e-6),
-    "M7": MosGeometry(0.27e-6, 0.18e-6),
-    "M8": MosGeometry(0.36e-6, 0.18e-6),
-    "M9": MosGeometry(0.36e-6, 0.18e-6),
-    "M10": MosGeometry(0.27e-6, 0.18e-6),
-    "MPI": MosGeometry(0.54e-6, 0.18e-6),
-    "MNI": MosGeometry(0.18e-6, 0.18e-6),
-}
+DEVICE_NAMES = tuple(row[0] for row in _TOPOLOGY)
 
-_PLAIN_SIZING = {
-    "M1": MosGeometry(0.18e-6, 0.72e-6),
-    "M2": MosGeometry(0.18e-6, 0.72e-6),
-    "M3": MosGeometry(0.18e-6, 0.72e-6),
-    "M4": MosGeometry(0.18e-6, 0.72e-6),
-    "M5": MosGeometry(1.19e-6, 0.18e-6),
-    "M6": MosGeometry(1.19e-6, 0.18e-6),
-    "M7": MosGeometry(0.21e-6, 0.18e-6),
-    "M8": MosGeometry(0.34e-6, 0.18e-6),
-    "M9": MosGeometry(0.34e-6, 0.18e-6),
-    "M10": MosGeometry(0.21e-6, 0.18e-6),
-    "MPI": MosGeometry(0.54e-6, 0.18e-6),
-    "MNI": MosGeometry(0.18e-6, 0.18e-6),
+_VDD = VSource("VDD", "VDD", "0", DcSpec(3.0))  # the paper's one supply
+
+# W of the hysteresis variant, W of the plain variant, then L, in micrometres;
+# table_sizing scales them by 1e-6 as the netlist grammar scales "u"
+_SIZING_UM = {
+    "M1": (0.18, 0.18, 0.72),
+    "M2": (0.18, 0.18, 0.72),
+    "M3": (0.54, 0.18, 0.72),
+    "M4": (0.54, 0.18, 0.72),
+    "M5": (1.08, 1.19, 0.18),
+    "M6": (1.08, 1.19, 0.18),
+    "M7": (0.27, 0.21, 0.18),
+    "M8": (0.36, 0.34, 0.18),
+    "M9": (0.36, 0.34, 0.18),
+    "M10": (0.27, 0.21, 0.18),
+    "MPI": (0.54, 0.54, 0.18),
+    "MNI": (0.18, 0.18, 0.18),
 }
 
 
 def table_sizing(variant: ComparatorVariant) -> dict[str, MosGeometry]:
     """Default per-device geometry map for a variant (copy, safe to edit)."""
-    table = _HYSTERESIS_SIZING if variant is ComparatorVariant.HYSTERESIS else _PLAIN_SIZING
-    return dict(table)
+    col = 0 if variant is ComparatorVariant.HYSTERESIS else 1
+    return {name: MosGeometry(row[col] * 1e-6, row[2] * 1e-6)
+            for name, row in _SIZING_UM.items()}
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,10 @@ class ComparatorConfig:
     sizing: dict[str, MosGeometry] | None = None  # None -> variant table
     i_in: SourceSpec = field(default_factory=lambda: DcSpec(0.0))
     i_ref: float = 0.0  # [A]
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.i_ref, *vars(self.i_in).values()))):
+            raise ConfigError(f"currents must be finite, got i_ref={self.i_ref} i_in={self.i_in}")
 
     def resolved_sizing(self) -> dict[str, MosGeometry]:
         if self.sizing is None:
@@ -112,57 +122,41 @@ class LatchOperatingPoint:
     i_2: float    # current delivered into node D [A]
 
 
-def comparator_text(config: ComparatorConfig) -> str:
-    """Netlist text for the comparator on a 3 V supply; always valid generator grammar."""
-    sz = config.resolved_sizing()
-    lines = [
-        f"current comparator ({config.variant.value} variant)",
-        "VDD VDD 0 DC 3",
-        f"IIN 0 A {_spec_text(config.i_in)}",
-        f"IREF 0 B {_spec_text(DcSpec(config.i_ref))}",
-        _mosfet_line("M1", "A", "B", "0", "0", "nm", sz["M1"]),
-        _mosfet_line("M2", "B", "B", "0", "0", "nm", sz["M2"]),
-        _mosfet_line("M3", "A", "A", "VDD", "VDD", "pm", sz["M3"]),
-        _mosfet_line("M4", "B", "B", "VDD", "VDD", "pm", sz["M4"]),
-        _mosfet_line("M5", "C", "A", "VDD", "VDD", "pm", sz["M5"]),
-        _mosfet_line("M6", "D", "B", "VDD", "VDD", "pm", sz["M6"]),
-        _mosfet_line("M7", "C", "C", "0", "0", "nm", sz["M7"]),
-        _mosfet_line("M8", "C", "D", "0", "0", "nm", sz["M8"]),
-        _mosfet_line("M9", "D", "C", "0", "0", "nm", sz["M9"]),
-        _mosfet_line("M10", "D", "D", "0", "0", "nm", sz["M10"]),
-        _mosfet_line("MPI", "OUT", "C", "VDD", "VDD", "pm", sz["MPI"]),
-        _mosfet_line("MNI", "OUT", "C", "0", "0", "nm", sz["MNI"]),
-        _model_line("nm", config.nmos),
-        _model_line("pm", config.pmos),
-        ".end",
-    ]
-    return "\n".join(lines) + "\n"
+def _mosfets(models: dict[str, MosModel],
+             sizing: dict[str, MosGeometry]) -> tuple[Mosfet, ...]:
+    """Records for the _TOPOLOGY devices that ``sizing`` names, in table order."""
+    return tuple(Mosfet(name, d, g, s, s, model, models[model], sizing[name])
+                 for name, d, g, s, model in _TOPOLOGY if name in sizing)
 
 
 def build_comparator(config: ComparatorConfig | None = None) -> Netlist:
-    """Generate and parse the comparator netlist (round-trip by construction)."""
-    return parse_netlist(comparator_text(config or ComparatorConfig()))
+    """The comparator on the paper's 3 V supply, built from the topology table.
+
+    ``to_text()`` prints it in the parser's grammar; the stock variants'
+    text parses back to an equal netlist.
+    """
+    config = config or ComparatorConfig()
+    models = {"nm": config.nmos, "pm": config.pmos}
+    sources = (_VDD, ISource("IIN", "0", "A", config.i_in),
+               ISource("IREF", "0", "B", DcSpec(config.i_ref)))
+    return Netlist(f"current comparator ({config.variant.value} variant)",
+                   sources + _mosfets(models, config.resolved_sizing()), models)
 
 
 def build_latch_testbench(diode_geom: MosGeometry, cross_geom: MosGeometry,
                           nmos: MosModel, i_1: float, i_2: float) -> Netlist:
-    """Latch core alone, driven by ideal current sources into C and D.
+    """Latch core M7-M10 alone, driven by ideal current sources into C and D.
 
     The 3 V VDD source touches no other element, so it changes no result.
     """
-    lines = [
-        "positive feedback latch testbench",
-        "VDD VDD 0 DC 3",
-        f"I1 0 C DC {i_1:.12g}",
-        f"I2 0 D DC {i_2:.12g}",
-        _mosfet_line("M7", "C", "C", "0", "0", "nm", diode_geom),
-        _mosfet_line("M8", "C", "D", "0", "0", "nm", cross_geom),
-        _mosfet_line("M9", "D", "C", "0", "0", "nm", cross_geom),
-        _mosfet_line("M10", "D", "D", "0", "0", "nm", diode_geom),
-        _model_line("nm", nmos),
-        ".end",
-    ]
-    return parse_netlist("\n".join(lines) + "\n")
+    if not (math.isfinite(i_1) and math.isfinite(i_2)):
+        raise ConfigError(f"currents must be finite, got i_1={i_1} i_2={i_2}")
+    models = {"nm": nmos}
+    sizing = {"M7": diode_geom, "M8": cross_geom, "M9": cross_geom, "M10": diode_geom}
+    sources = (_VDD, ISource("I1", "0", "C", DcSpec(i_1)),
+               ISource("I2", "0", "D", DcSpec(i_2)))
+    return Netlist("positive feedback latch testbench",
+                   sources + _mosfets(models, sizing), models)
 
 
 def extract_operating_point(netlist: Netlist, solution: Solution) -> LatchOperatingPoint:
@@ -176,11 +170,11 @@ def extract_operating_point(netlist: Netlist, solution: Solution) -> LatchOperat
     for name in ("M1", "M2", "M3", "M5", "M6", "M7", "M9"):
         try:
             devices[name] = netlist.find_element(name)
-        except Exception:
+        except NetlistError:
             raise ExtractionError(f"netlist lacks canonical device {name!r}") from None
     try:
         i_ref_el = netlist.find_source("IREF")
-    except Exception:
+    except NetlistError:
         raise ExtractionError("netlist lacks the IREF source") from None
 
     evals = solution.device_evals

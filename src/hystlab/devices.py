@@ -9,6 +9,7 @@ Body effect is ignored; bulks are assumed tied to the source rail.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import ModelError
@@ -37,6 +38,8 @@ class MosModel:
     cgd: float = 0.0    # fixed gate-drain capacitance [F]
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.kp, self.vto, self.lam, self.cgs, self.cgd))):
+            raise ModelError(f"model parameters must be finite, got {self}")
         if self.kp <= 0.0:
             raise ModelError(f"kp must be > 0, got {self.kp}")
         if self.polarity is MosPolarity.N and self.vto < 0.0:
@@ -55,8 +58,8 @@ class MosGeometry:
     l: float  # channel length [m]
 
     def __post_init__(self):
-        if self.w <= 0.0 or self.l <= 0.0:
-            raise ModelError(f"w and l must be > 0, got w={self.w} l={self.l}")
+        if not (0.0 < self.w < math.inf and 0.0 < self.l < math.inf):
+            raise ModelError(f"w and l must be finite and > 0, got w={self.w} l={self.l}")
 
 
 @dataclass(frozen=True)

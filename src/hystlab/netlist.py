@@ -1,9 +1,12 @@
-"""SPICE-like netlist subset: value grammar, parser, serializer.
+"""SPICE-like netlist subset: value grammar, element records, parser, serializer.
 
 Line-oriented format, first line is the title, '*' starts a comment.
 Supported elements: R, C, V, I, M. Supported cards: .model and .end;
 any other card is an error. Node names are arbitrary identifiers; "0"
 is ground and "gnd" is accepted as an alias for it.
+
+A Netlist holds element records and model cards. `parse_netlist` and the
+comparator generators build one; `Netlist.to_text` is the one text writer.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .devices import MosGeometry, MosModel, MosPolarity, NMOS_DEFAULT, PMOS_DEFAULT
-from .errors import NetlistError
+from .errors import ModelError, NetlistError
 
 _VALUE_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
@@ -162,7 +165,15 @@ class Netlist:
     title: str
     elements: tuple[Element, ...]
     models: dict[str, MosModel]
-    nodes: tuple[str, ...]  # ground "0" first when the netlist is non-empty
+
+    @property
+    def nodes(self) -> tuple[str, ...]:
+        """Ground "0" first (if any element), then terminals in order of first use."""
+        used = {"0": None} if self.elements else {}
+        for el in self.elements:
+            for node in (el.d, el.g, el.s, el.b) if isinstance(el, Mosfet) else (el.pos, el.neg):
+                used[node] = None
+        return tuple(used)
 
     def find_element(self, name: str) -> Element:
         want = name.upper()
@@ -197,28 +208,21 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _spec_text(spec: SourceSpec) -> str:
-    if isinstance(spec, DcSpec):
-        return f"DC {_fmt(spec.value)}"
-    p = spec
-    parts = " ".join(_fmt(x) for x in (p.v1, p.v2, p.delay, p.rise, p.fall, p.width, p.period))
-    return f"PULSE({parts})"
-
-
 def _element_line(el: Element) -> str:
+    if isinstance(el, Mosfet):
+        return (f"{el.name} {el.d} {el.g} {el.s} {el.b} {el.model_name} "
+                f"W={el.geom.w * 1e6:.6g}u L={el.geom.l * 1e6:.6g}u")
     if isinstance(el, Resistor):
-        return f"{el.name} {el.pos} {el.neg} {_fmt(el.ohms)}"
-    if isinstance(el, Capacitor):
-        return f"{el.name} {el.pos} {el.neg} {_fmt(el.farads)}"
-    if isinstance(el, (VSource, ISource)):
-        return f"{el.name} {el.pos} {el.neg} {_spec_text(el.spec)}"
-    return _mosfet_line(el.name, el.d, el.g, el.s, el.b, el.model_name, el.geom)
-
-
-def _mosfet_line(name: str, d: str, g: str, s: str, b: str, model_name: str,
-                 geom: MosGeometry) -> str:
-    return (f"{name} {d} {g} {s} {b} {model_name} "
-            f"W={geom.w * 1e6:.6g}u L={geom.l * 1e6:.6g}u")
+        value = _fmt(el.ohms)
+    elif isinstance(el, Capacitor):
+        value = _fmt(el.farads)
+    elif isinstance(el.spec, DcSpec):
+        value = f"DC {_fmt(el.spec.value)}"
+    else:
+        p = el.spec
+        value = "PULSE(" + " ".join(
+            _fmt(x) for x in (p.v1, p.v2, p.delay, p.rise, p.fall, p.width, p.period)) + ")"
+    return f"{el.name} {el.pos} {el.neg} {value}"
 
 
 def _model_line(name: str, m: MosModel) -> str:
@@ -298,7 +302,7 @@ def _parse_model_card(tokens: list[str], line_no: int) -> tuple[str, MosModel]:
             values[field] = _value_at(kv[key], line_no)
     try:
         return name, MosModel(polarity, **values)
-    except Exception as e:
+    except ModelError as e:
         raise NetlistError(f"bad model {name!r}: {e}", line_no) from None
 
 
@@ -337,13 +341,8 @@ def parse_netlist(text: str) -> Netlist:
         else:
             rows.append((idx, tokens))
 
-    # ground first, then every node in order of first use
-    nodes: dict[str, None] = {"0": None} if rows else {}
-
     def node(raw: str) -> str:
-        name = "0" if raw.lower() == "gnd" else raw
-        nodes[name] = None
-        return name
+        return "0" if raw.lower() == "gnd" else raw
 
     elements: list[Element] = []
     seen_names: set[str] = set()
@@ -397,10 +396,10 @@ def parse_netlist(text: str) -> Netlist:
                 raise NetlistError(f"undeclared model {model_name!r}", idx)
             try:
                 geom = MosGeometry(w, l)
-            except Exception as e:
+            except ModelError as e:
                 raise NetlistError(f"bad geometry for {head}: {e}", idx) from None
             elements.append(Mosfet(head, d, g, s, b, model_name, models[model_name], geom))
         else:
             raise NetlistError(f"unknown element type {head!r}", idx)
 
-    return Netlist(title, tuple(elements), models, tuple(nodes))
+    return Netlist(title, tuple(elements), models)

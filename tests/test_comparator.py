@@ -12,9 +12,9 @@ from hystlab import (
     DcSpec,
     ExtractionError,
     MosGeometry,
+    PulseSpec,
     build_comparator,
     build_latch_testbench,
-    comparator_text,
     dc_solve,
     extract_operating_point,
     parse_netlist,
@@ -49,7 +49,7 @@ def test_sizing_tables(variant, dev, w, l):
 
 
 def test_generated_text_is_canonical():
-    text = comparator_text(ComparatorConfig())
+    text = build_comparator(ComparatorConfig()).to_text()
     assert "M5 C A VDD VDD pm W=1.08u L=0.18u" in text
     assert "M9 D C 0 0 nm W=0.36u L=0.18u" in text
     assert "IREF 0 B DC 0" in text
@@ -58,6 +58,44 @@ def test_generated_text_is_canonical():
     m7 = net.find_element("M7")
     assert m7.geom.w == pytest.approx(0.27e-6, rel=1e-9)
     assert m7.model.kp == pytest.approx(170e-6, rel=1e-9)
+
+
+@pytest.mark.parametrize("variant", list(ComparatorVariant))
+def test_generated_text_parses_back_equal(variant):
+    net = build_comparator(ComparatorConfig(variant=variant))
+    assert parse_netlist(net.to_text()) == net
+    assert net.nodes == ("0", "VDD", "A", "B", "C", "D", "OUT")
+
+
+def test_custom_config_is_built_exactly():
+    # no text round trip: W and the currents are not rounded to print digits
+    sizing = table_sizing(ComparatorVariant.HYSTERESIS)
+    sizing["M5"] = MosGeometry(1.0812345678901e-6, 0.18e-6)
+    iin = DcSpec(1.44204697594123e-06)
+    net = build_comparator(ComparatorConfig(sizing=sizing, i_in=iin,
+                                            i_ref=9.11010274375754e-08))
+    assert net.find_element("M5").geom == sizing["M5"]
+    assert net.find_source("IIN").spec == iin
+    assert net.find_source("IREF").spec == DcSpec(9.11010274375754e-08)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(i_ref=math.nan),
+    dict(i_ref=-math.inf),
+    dict(i_in=DcSpec(math.nan)),
+    dict(i_in=PulseSpec(0.0, math.inf, 0.0, 1e-9, 1e-9, 1e-8, 0.0)),
+])
+def test_nonfinite_currents_rejected(kwargs):
+    with pytest.raises(ConfigError, match="finite"):
+        ComparatorConfig(**kwargs)
+
+
+@pytest.mark.parametrize("i_1, i_2", [(math.nan, 20e-6), (20e-6, math.inf)])
+def test_latch_testbench_rejects_nonfinite_currents(zero_lambda_models, i_1, i_2):
+    nmos, _ = zero_lambda_models
+    geom = MosGeometry(0.27e-6, 0.18e-6)
+    with pytest.raises(ConfigError, match="finite"):
+        build_latch_testbench(geom, geom, nmos, i_1, i_2)
 
 
 def test_sizing_table_copies_are_independent():

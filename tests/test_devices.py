@@ -159,6 +159,12 @@ def test_cutoff_zeroes_everything():
         dict(polarity=MosPolarity.P, kp=100e-6, vto=0.1),
         dict(polarity=MosPolarity.N, kp=100e-6, vto=0.5, lam=-0.01),
         dict(polarity=MosPolarity.N, kp=100e-6, vto=0.5, cgs=-1e-15),
+        dict(polarity=MosPolarity.N, kp=math.nan, vto=0.5),
+        dict(polarity=MosPolarity.N, kp=math.inf, vto=0.5),
+        dict(polarity=MosPolarity.N, kp=100e-6, vto=math.nan),
+        dict(polarity=MosPolarity.P, kp=100e-6, vto=-math.inf),
+        dict(polarity=MosPolarity.N, kp=100e-6, vto=0.5, lam=math.inf),
+        dict(polarity=MosPolarity.N, kp=100e-6, vto=0.5, cgd=math.nan),
     ],
 )
 def test_model_validation(kwargs):
@@ -166,7 +172,9 @@ def test_model_validation(kwargs):
         MosModel(**kwargs)
 
 
-@pytest.mark.parametrize("w,l", [(0.0, 1e-6), (1e-6, 0.0), (-1e-6, 1e-6)])
+@pytest.mark.parametrize("w,l", [(0.0, 1e-6), (1e-6, 0.0), (-1e-6, 1e-6),
+                                 (math.nan, 1e-6), (1e-6, math.nan),
+                                 (math.inf, 1e-6), (1e-6, math.inf)])
 def test_geometry_validation(w, l):
     with pytest.raises(ModelError):
         MosGeometry(w, l)

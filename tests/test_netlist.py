@@ -10,7 +10,9 @@ from hystlab import (
     Capacitor,
     DcSpec,
     ISource,
+    MosGeometry,
     Mosfet,
+    Netlist,
     NetlistError,
     PulseSpec,
     Resistor,
@@ -225,6 +227,21 @@ def test_round_trip_property(values):
 def test_ground_always_interned_first():
     net = parse_netlist("t\nR1 a b 1k\n.end\n")
     assert net.nodes[0] == "0"
+
+
+def test_hand_built_netlist_has_parsed_nodes():
+    mos = "M1 d mid s b nm W=1u L=1u\n.model nm NMOS ()\n.end"
+    parsed = parse_netlist(DIVIDER.replace(".end", mos))
+    nm = parsed.models["nm"]
+    hand = Netlist("voltage divider", (
+        VSource("V1", "in", "0", DcSpec(3.0)),
+        Resistor("R1", "in", "mid", 1e3),
+        Resistor("R2", "mid", "0", 2e3),  # the deck names this node gnd
+        Mosfet("M1", "d", "mid", "s", "b", "nm", nm, MosGeometry(1e-6, 1e-6)),
+    ), {"nm": nm})
+    assert hand == parsed
+    assert hand.nodes == parsed.nodes == ("0", "in", "mid", "d", "s", "b")
+    assert Netlist("t", (), {}).nodes == parse_netlist("t\n.end\n").nodes == ()
 
 
 def test_case_insensitive_duplicate_names():

@@ -1,0 +1,38 @@
+"""Structural checks on the package source, read with ast."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hystlab
+
+MODULES = sorted(Path(hystlab.__file__).parent.glob("*.py"))
+
+
+def _private_sibling_imports(tree: ast.AST) -> list[str]:
+    """Underscore names imported from another hystlab module."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "hystlab":
+            continue  # numpy's _umath_linalg, __future__ and the like
+        found += [f"{'.' * node.level}{module}:{alias.name}"
+                  for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _private_sibling_imports(tree) == []
+
+
+def test_private_import_detector():
+    tree = ast.parse("from .netlist import _fmt, parse_value\n"
+                     "from hystlab.solver import _solve\n"
+                     "from numpy.linalg import _umath_linalg\n"
+                     "from __future__ import annotations\n")
+    assert _private_sibling_imports(tree) == [".netlist:_fmt", "hystlab.solver:_solve"]
