@@ -1,10 +1,10 @@
 """Swept-DC and transient engines plus the derived measurements.
 
-Both engines return a Trace: node voltages per sample against the
-stimulus of a sweep or the time of a transient; trace_csv writes
-either. The hysteresis measurement mirrors the bench procedure: trace
-the transfer curve in both directions with warm-started solves, then
-bisect each output transition down to the requested current
+Both engines return a Trace, one float array with a row per sample: the
+stimulus of a sweep or the time of a transient, then the node voltages;
+trace_csv writes either. The hysteresis measurement mirrors the bench
+procedure: trace the transfer curve in both directions with warm-started
+solves, then bisect each output transition down to the requested current
 resolution. Delay measurement works on a transient's samples.
 """
 
@@ -24,25 +24,32 @@ class Trace:
     """Solved samples of a DC sweep or a transient, in solve order.
 
     ``axis`` names the independent variable, "stimulus" for a sweep and
-    "time" for a transient; it heads the first CSV column. Each sample
-    is (axis value, node voltages). ``source_name`` is the swept source,
-    empty for a transient.
+    "time" for a transient; it heads the first CSV column. Each row of
+    ``samples`` is one sample: the axis value, then the voltage of each
+    node in ``nodes``, ground left out. It is made read-only, so the
+    column views that times() and node() return cannot write into it.
+    ``source_name`` is the swept source, empty for a transient.
     """
 
     axis: str
-    samples: tuple[tuple[float, dict[str, float]], ...]
+    nodes: tuple[str, ...]
+    samples: np.ndarray
     source_name: str = ""
+
+    def __post_init__(self):
+        self.samples.flags.writeable = False
 
     def times(self) -> np.ndarray:
         """The axis values: stimulus of a sweep, time of a transient."""
-        return np.array([v for v, _ in self.samples])
+        return self.samples[:, 0]
 
     def node(self, name: str) -> np.ndarray:
-        try:
-            return np.array([volts[name] for _, volts in self.samples])
-        except KeyError:
-            nodes = ", ".join(self.samples[0][1])
-            raise MeasurementError(f"no node {name!r} in the trace; it has {nodes}") from None
+        if name == "0":
+            return np.zeros(len(self.samples))
+        if name not in self.nodes:
+            nodes = ", ".join(("0", *self.nodes))
+            raise MeasurementError(f"no node {name!r} in the trace; it has {nodes}")
+        return self.samples[:, 1 + self.nodes.index(name)]
 
 
 @dataclass(frozen=True)
@@ -61,9 +68,8 @@ class DelayReport:
     average: float  # [s]
 
 
-# the most sweep points or transient steps one analysis takes: each sample
-# keeps a dict of node voltages, 0.36 kB on the stock build, so a trace at
-# this budget holds about 0.4 GB
+# the most sweep points or transient steps one analysis takes: a trace
+# keeps 8 B per value, 64 MB at this budget on the 7-node stock build
 _MAX_POINTS = 1_000_000
 
 
@@ -103,7 +109,7 @@ def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
     values = _sweep_grid(start, stop, step)
     plan = Plan(netlist)
 
-    samples = []
+    rows = []
     guess = None
     for v in values:
         plan.set_source(src.name, v)
@@ -113,28 +119,28 @@ def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
             raise ConvergenceError(
                 f"sweep failed at {source_name}={v:.6g}: {e}",
                 stage=e.stage, residual=e.residual) from None
-        samples.append((v, sol.node_voltages))
         guess = sol.node_voltages
-    return Trace("stimulus", tuple(samples), source_name)
+        rows.append((v, *map(guess.get, plan.node_names)))
+    return Trace("stimulus", plan.node_names, np.array(rows), source_name)
 
 
-def _crossing_brackets(curve: Trace, node: str, threshold: float):
-    out = curve.node(node)
-    above = out >= threshold
-    return [i for i in range(len(out) - 1) if above[i] != above[i + 1]]
+def _crossing_brackets(curve: Trace, node: str, threshold: float) -> np.ndarray:
+    above = curve.node(node) >= threshold
+    return np.flatnonzero(above[:-1] != above[1:])
 
 
 def _refine_transition(netlist: Netlist, curve: Trace, node: str,
                        threshold: float, refine_to: float):
     brackets = _crossing_brackets(curve, node, threshold)
     if len(brackets) != 1:
-        direction = "up" if curve.samples[-1][0] >= curve.samples[0][0] else "down"
+        direction = "up" if curve.times()[-1] >= curve.times()[0] else "down"
         raise MeasurementError(
             f"expected exactly one {node} crossing of {threshold:g} V on the "
             f"{direction} sweep, found {len(brackets)}")
     i = brackets[0]
-    a, volts_a = curve.samples[i]
-    b, _ = curve.samples[i + 1]
+    # Python floats: the bisection and its warm guesses stay off numpy scalars
+    (a, *row_a), (b, *_) = curve.samples[i:i + 2].tolist()
+    volts_a = dict(zip(curve.nodes, row_a))
     pre_side = volts_a[node] >= threshold
     name = netlist.find_source(curve.source_name).name
     plan = Plan(netlist)
@@ -188,9 +194,10 @@ def transient(netlist: Netlist, dt: float, tstop: float) -> Trace:
     if tstop < dt:
         raise MeasurementError(f"tstop must be >= dt, got {tstop}")
     n_steps = _point_count(tstop, dt)
-    start = dc_solve(netlist)
-    steps = Plan(netlist, dt=dt).steps(start, n_steps)
-    return Trace("time", ((0.0, start.node_voltages), *steps))
+    plan = Plan(netlist, dt=dt)
+    volts = plan.steps(dc_solve(netlist), n_steps)
+    time = np.arange(n_steps + 1) * dt  # k * dt bit for bit, as Plan.steps times step k
+    return Trace("time", plan.node_names, np.column_stack((time, volts)))
 
 
 def source_trace(netlist: Netlist, source_name: str, times: np.ndarray) -> np.ndarray:
@@ -203,9 +210,7 @@ def _interp_crossings(times: np.ndarray, values: np.ndarray, level: float):
     # (time, rising?) for every linear-interpolated crossing of level
     out = []
     above = values >= level
-    for i in range(len(values) - 1):
-        if above[i] == above[i + 1]:
-            continue
+    for i in np.flatnonzero(above[:-1] != above[1:]):
         frac = (level - values[i]) / (values[i + 1] - values[i])
         out.append((times[i] + frac * (times[i + 1] - times[i]), bool(above[i + 1])))
     return out
@@ -255,9 +260,8 @@ def branch_solution_at(netlist: Netlist, source_name: str, value: float,
 
 
 def trace_csv(trace: Trace) -> str:
-    """CSV text: header <axis>,<nodes>; ground column omitted."""
-    nodes = [n for n in trace.samples[0][1] if n != "0"]
-    lines = [trace.axis + "," + ",".join(nodes)]
-    for v, volts in trace.samples:
-        lines.append(",".join(f"{x:.12e}" for x in (v, *(volts[n] for n in nodes))))
+    """CSV text: header <axis>,<nodes>, then one line per sample."""
+    lines = [trace.axis + "," + ",".join(trace.nodes)]
+    for row in trace.samples:
+        lines.append(",".join(f"{x:.12e}" for x in row.tolist()))
     return "\n".join(lines) + "\n"

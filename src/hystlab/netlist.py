@@ -211,7 +211,7 @@ def _fmt(v: float) -> str:
 def _element_line(el: Element) -> str:
     if isinstance(el, Mosfet):
         return (f"{el.name} {el.d} {el.g} {el.s} {el.b} {el.model_name} "
-                f"W={el.geom.w * 1e6:.6g}u L={el.geom.l * 1e6:.6g}u")
+                f"W={_fmt(el.geom.w * 1e6)}u L={_fmt(el.geom.l * 1e6)}u")
     if isinstance(el, Resistor):
         value = _fmt(el.ohms)
     elif isinstance(el, Capacitor):

@@ -14,6 +14,7 @@ floating-point error scope per solve run (_lapack_errors).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf, isfinite
@@ -339,26 +340,20 @@ class Plan:
             self._inverse_norm = _inverse_norm(self.jac)
         return self._inverse_norm
 
-    def voltages(self, x: list[float]) -> dict[str, float]:
-        """Node voltages of x, ground "0" first."""
-        volts = {"0": 0.0}
-        volts.update(zip(self.node_names, x))
-        return volts
+    def steps(self, start: Solution, n_steps: int) -> np.ndarray:
+        """Node voltages at the DC point ``start`` and after each of
+        n_steps steps of dt: (n_steps + 1) x n_nodes, one row per time.
 
-    def steps(self, start: Solution, n_steps: int) -> list[tuple[float, dict[str, float]]]:
-        """(t, node voltages) after each of n_steps steps of dt.
-
-        Integration starts from the DC point ``start``, where no
-        capacitor current flows. Raises ConvergenceError at the first
-        step whose Newton run fails, naming its status, such as
-        "(stalled)". All steps run inside one _lapack_errors() scope;
-        returning a list rather than yielding keeps that scope from
-        staying open while the caller's code runs.
+        Columns follow ``node_names``. Integration starts from ``start``,
+        where no capacitor current flows. Raises ConvergenceError at the
+        first step whose Newton run fails, naming its status, such as
+        "(stalled)". All steps run inside one _lapack_errors() scope, and
+        the error is raised after it has closed.
         """
         x = self.vector_from_guess(start.node_voltages)
         x[self.n_nodes:] = [start.branch_currents[name] for name in self.vsource_names]
         ieq = self.next_ieq(x, None)
-        out = []
+        rows = array("d", x[:self.n_nodes])
         with _lapack_errors():
             for k in range(1, n_steps + 1):
                 t = k * self.dt
@@ -366,12 +361,12 @@ class Plan:
                 if status != "ok":
                     break
                 ieq = self.next_ieq(x, ieq)
-                out.append((t, self.voltages(x)))
-        if len(out) < n_steps:
-            raise _convergence_error(
-                self, a, f"transient step failed at t={t:.6g} s ({status})",
-                f"transient t={t:.6g}")
-        return out
+                rows.extend(x[:self.n_nodes])
+            else:
+                return np.frombuffer(rows).reshape(n_steps + 1, self.n_nodes)
+        raise _convergence_error(
+            self, a, f"transient step failed at t={t:.6g} s ({status})",
+            f"transient t={t:.6g}")
 
 
 def _residual_ok(plan: Plan, a: _Assembled) -> bool:
@@ -568,8 +563,9 @@ def _suspect_unknown(plan: Plan, jac: np.ndarray) -> str:
 
 
 def _build_solution(plan: Plan, x: list[float], iterations: int) -> Solution:
+    volts = dict(zip(("0", *plan.node_names), [0.0, *x]))
     branches = dict(zip(plan.vsource_names, x[plan.n_nodes:]))
-    return Solution(plan.voltages(x), branches, plan.mosfet_elements, iterations)
+    return Solution(volts, branches, plan.mosfet_elements, iterations)
 
 
 def _convergence_error(plan: Plan, a: _Assembled, what: str, stage: str):

@@ -308,7 +308,9 @@ def test_criterion_07_pinned_range_hysteresis_demo(hysteresis_net):
     if out_hi < 2.97:
         problems.append(f"high level {out_hi:.3f} V below 99% of the rail")
 
-    _, volts = min(up.samples + down.samples, key=lambda s: s[1]["OUT"])
+    rows = np.vstack((up.samples, down.samples))
+    low = rows[np.argmin(rows[:, 1 + up.nodes.index("OUT")])]
+    volts = dict(zip(up.nodes, low[1:].tolist()))
     v_c, v_out, vdd = volts["C"], volts["OUT"], volts["VDD"]
     mni, mpi = net.find_element("MNI"), net.find_element("MPI")
     if v_out >= mni.model.vto:

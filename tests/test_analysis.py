@@ -1,5 +1,7 @@
 """Sweep, hysteresis-measurement, transient and delay checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hystlab import (
     MeasurementError,
     Trace,
     branch_solution_at,
+    dc_solve,
     dc_sweep,
     measure_delay,
     measure_hysteresis,
@@ -58,9 +61,9 @@ def test_monostable_path_independence():
     net = parse_netlist(PROBE)
     up = dc_sweep(net, "IIN", -1e-6, 1e-6, 0.25e-6)
     dn = dc_sweep(net, "IIN", 1e-6, -1e-6, 0.25e-6)
-    for (su, nu), (sd, nd) in zip(up.samples, reversed(dn.samples)):
+    for su, sd, nu, nd in zip(up.times(), dn.times()[::-1], up.node("a"), dn.node("a")[::-1]):
         assert su == pytest.approx(sd, abs=1e-18)
-        assert nu["a"] == pytest.approx(nd["a"], abs=1e-9)
+        assert nu == pytest.approx(nd, abs=1e-9)
 
 
 def test_sweep_tags_failures_with_stimulus():
@@ -127,8 +130,8 @@ def test_no_crossing_is_an_error():
 
 def test_multiple_crossings_is_an_error():
     net = parse_netlist(PROBE)
-    zigzag = [(i * 1e-7, {"a": v}) for i, v in enumerate([0.0, 2.0, 1.0, 2.0, 2.2])]
-    up = Trace("stimulus", tuple(zigzag), "IIN")
+    zigzag = [(i * 1e-7, v) for i, v in enumerate([0.0, 2.0, 1.0, 2.0, 2.2])]
+    up = Trace("stimulus", ("a",), np.array(zigzag), "IIN")
     dn = dc_sweep(net, "IIN", 2e-6, -2e-6, 1e-6)
     with pytest.raises(MeasurementError) as exc:
         measure_hysteresis(up, dn, output_node="a", threshold=1.5,
@@ -159,6 +162,37 @@ C1 b 0 1n
     b = wave.node("b")
     assert np.max(np.abs(b - b[0])) < 1e-9
     assert b[0] == pytest.approx(1.0, rel=1e-6)
+
+
+def test_transient_samples_are_one_read_only_array():
+    net = parse_netlist(RC_STEP)
+    wave = transient(net, dt=1e-7, tstop=1e-6)
+    assert wave.nodes == ("in", "out")
+    assert wave.samples.dtype == np.float64
+    assert wave.samples.shape == (11, 3)  # n_steps + 1 rows: time, in, out
+    assert not wave.samples.flags.writeable
+    # the time column is k * dt bit for bit, and row 0 is the DC point
+    assert wave.times().tolist() == [k * 1e-7 for k in range(11)]
+    start = dc_solve(net)
+    assert wave.samples[0, 1:].tolist() == [start.node_voltages[n] for n in wave.nodes]
+    assert wave.node("0").tolist() == [0.0] * 11
+    with pytest.raises(ValueError):
+        wave.times()[0] = 1.0
+    with pytest.raises(ValueError):
+        wave.node("out")[0] = 1.0
+
+
+def test_transient_trace_keeps_under_64_bytes_per_sample():
+    net = parse_netlist(RC_STEP)
+    transient(net, dt=1e-9, tstop=1e-7)  # one-off imports and caches first
+    tracemalloc.start()
+    try:
+        wave = transient(net, dt=1e-9, tstop=1e-6)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(wave.samples) == 1001
+    assert kept / len(wave.samples) <= 64
 
 
 def _trapezoid(t, period, rise, lo, hi):
@@ -205,6 +239,32 @@ def test_delay_missing_crossing_is_an_error():
         measure_delay(times, stim, out, vdd=3.0)
 
 
+def test_crossing_search_matches_the_sample_loop():
+    # the loop over every sample that the vectorized search replaced; the
+    # interpolation is the same arithmetic, so the crossings match exactly
+    def reference(times, values, level):
+        out = []
+        for i in range(len(values) - 1):
+            if (values[i] >= level) != (values[i + 1] >= level):
+                frac = (level - values[i]) / (values[i + 1] - values[i])
+                out.append((times[i] + frac * (times[i + 1] - times[i]),
+                            bool(values[i + 1] >= level)))
+        return out
+
+    rng = np.random.default_rng(7)
+    times = np.arange(400) * 1e-9
+    # a random walk on a 0.25 V grid; each level is a sample's value, so
+    # some samples sit exactly on it (5 to 21 crossings per level)
+    values = np.cumsum(rng.integers(-2, 3, size=400)) * 0.25
+    trace = Trace("time", ("a",), np.column_stack((times, values)))
+    for level in values[[50, 150, 250, 350]].tolist():
+        crossings = analysis._interp_crossings(times, values, level)
+        assert len(crossings) >= 5
+        assert crossings == reference(times, values, level)
+        assert analysis._crossing_brackets(trace, "a", level).tolist() == [
+            i for i in range(399) if (values[i] >= level) != (values[i + 1] >= level)]
+
+
 def test_source_trace_follows_pulse():
     net = parse_netlist("""pulse
 IIN 0 a PULSE(-1u 1u 0 10n 10n 90n 200n)
@@ -239,10 +299,10 @@ def test_trace_csv_round_trips(make, axis, node):
     col = header.index(node)
     assert len(lines) == len(trace.samples) + 1
     # %.12e formatting: 13 significant digits survive the trip
-    for (x, nodes), line in zip(trace.samples, lines[1:]):
+    for x, v, line in zip(trace.times(), trace.node(node), lines[1:]):
         parts = line.split(",")
         assert float(parts[0]) == pytest.approx(x, rel=1e-12, abs=0)
-        assert float(parts[col]) == pytest.approx(nodes[node], rel=1e-12, abs=0)
+        assert float(parts[col]) == pytest.approx(v, rel=1e-12, abs=0)
 
 
 def test_point_budget_caps_sweeps_and_transients():

@@ -182,6 +182,7 @@ C1 mid 0 2.2p
 I1 0 mid DC 1.5u
 M1 out mid 0 0 nch W=0.36u L=0.18u
 M2 out mid vdd vdd pch W=0.72u L=0.18u
+M3 out mid 0 0 nch W=1.0416210002712285u L=0.18u
 .model nch NMOS (KP=170u VTO=0.5 LAMBDA=0.05 CGS=1f)
 .model pch PMOS (KP=60u VTO=-0.5)
 .end

@@ -27,6 +27,11 @@ from hystlab.solver import Plan, Solution
 
 GMIN = 1e-12
 
+
+def _sample_volts(trace, i):
+    """Node voltages of a trace's sample i as floats by name, a dc_solve guess."""
+    return dict(zip(trace.nodes, trace.samples[i, 1:].tolist()))
+
 DIVIDER = """divider
 V1 in 0 DC 3
 R1 in mid 1k
@@ -241,7 +246,7 @@ def test_stale_guess_on_vanished_branch_recovers(hysteresis_net):
     # a guess from deep on the other branch must not strand the solver
     from hystlab import dc_sweep
     up = dc_sweep(hysteresis_net, "IIN", -8e-6, 6e-6, 0.5e-6)
-    guess = dict(up.samples[-1][1])
+    guess = _sample_volts(up, -1)
     hot = hysteresis_net.replaced_source("IIN", DcSpec(12e-6))
     sol = dc_solve(hot, initial_guess=guess)
     assert sol.node_voltages["OUT"] > 2.9  # aligned branch, not the dead one
@@ -309,7 +314,7 @@ def test_warm_fold_solve_restarts_cold_before_any_gmin_rung(monkeypatch):
     # gone at 3.3 uA; the cold restart converges, so no pseudo-transient
     # step runs
     net = build_comparator(ComparatorConfig())
-    guess = dc_sweep(net, "IIN", -8e-6, 3.25e-6, 50e-9).samples[-1][1]
+    guess = _sample_volts(dc_sweep(net, "IIN", -8e-6, 3.25e-6, 50e-9), -1)
     runs = []
     real = solver_module._newton
 
@@ -352,7 +357,7 @@ def test_warm_fold_run_stalls_then_cold_restart_converges(monkeypatch):
     # the stock up fold again: the doomed warm run used to take 100
     # iterations; it now ends within 15, and the answer does not move
     net = build_comparator(ComparatorConfig())
-    guess = dc_sweep(net, "IIN", -8e-6, 3.25e-6, 50e-9).samples[-1][1]
+    guess = _sample_volts(dc_sweep(net, "IIN", -8e-6, 3.25e-6, 50e-9), -1)
     hot = net.replaced_source("IIN", DcSpec(3.3e-6))
     runs = _spy_runs(monkeypatch)
     sol = dc_solve(hot, initial_guess=guess)
@@ -622,7 +627,8 @@ def test_warm_solve_past_fold_rescued_by_pseudo_transient(monkeypatch):
     # from zero follows the circuit down to the low branch
     net = build_comparator(ComparatorConfig()).replaced_source(
         "IREF", DcSpec(1.1057981355806849e-06))
-    value, guess = dc_sweep(net, "IIN", 8e-6, -2.35e-6, 50e-9).samples[-1]
+    curve = dc_sweep(net, "IIN", 8e-6, -2.35e-6, 50e-9)
+    value, guess = curve.times()[-1], _sample_volts(curve, -1)
     assert value == pytest.approx(-2.35e-6)
     runs = []
     real = solver_module._newton
@@ -729,7 +735,7 @@ def test_down_sweep_completes_past_iref_variant_fold(monkeypatch):
     down = dc_sweep(net, "IIN", 8e-6, -8e-6, 50e-9)
     assert len(down.samples) == 321
     # the solve that failed, warm from the last point before the fold
-    value, guess = down.samples[228]
+    value, guess = down.times()[228], _sample_volts(down, 228)
     assert value == pytest.approx(-3.4e-6)
     runs = _spy_runs(monkeypatch)
     low = net.replaced_source("IIN", DcSpec(-3.45e-6))
