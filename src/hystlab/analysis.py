@@ -2,15 +2,17 @@
 
 Both engines return a Trace, one float array with a row per sample: the
 stimulus of a sweep or the time of a transient, then the node voltages;
-trace_csv writes either. The hysteresis measurement mirrors the bench
-procedure: trace the transfer curve in both directions with warm-started
-solves, then bisect each output transition down to the requested current
-resolution. Delay measurement works on a transient's samples.
+trace_csv writes either to a text stream. The hysteresis measurement
+mirrors the bench procedure: trace the transfer curve in both directions
+with warm-started solves, then bisect each output transition down to the
+requested current resolution. Delay measurement works on a transient's
+samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -259,9 +261,7 @@ def branch_solution_at(netlist: Netlist, source_name: str, value: float,
     return sol
 
 
-def trace_csv(trace: Trace) -> str:
-    """CSV text: header <axis>,<nodes>, then one line per sample."""
-    lines = [trace.axis + "," + ",".join(trace.nodes)]
-    for row in trace.samples:
-        lines.append(",".join(f"{x:.12e}" for x in row.tolist()))
-    return "\n".join(lines) + "\n"
+def trace_csv(trace: Trace, out: TextIO):
+    """Write CSV to a text stream: header <axis>,<nodes>, then one line per sample."""
+    np.savetxt(out, trace.samples, fmt="%.12e", delimiter=",",
+               header=",".join((trace.axis, *trace.nodes)), comments="")

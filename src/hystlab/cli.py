@@ -3,14 +3,15 @@
 Subcommands: op, dc, tran, hyst, delay, gen, analytic. Circuit input
 is either a netlist file or a generated comparator via --variant.
 Reports print human-readable text plus key=value machine lines; curves
-are emitted as CSV. Exit codes: 0 ok, 1 convergence or measurement
-failure, 2 usage or file error, 3 netlist parse error.
+are emitted as CSV. Exit codes: 0 ok, 1 any other hystlab error
+(convergence, measurement, ...), 2 usage or file error, 3 netlist error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .analysis import (dc_sweep, measure_delay, measure_hysteresis, source_trace,
@@ -18,8 +19,7 @@ from .analysis import (dc_sweep, measure_delay, measure_hysteresis, source_trace
 from .comparator import (ComparatorConfig, ComparatorVariant, LatchOperatingPoint,
                          build_comparator)
 from .analytics import RatioDirection, current_ratio, node_squares, transition_currents
-from .errors import (ConfigError, ConvergenceError, DomainError, MeasurementError,
-                     NetlistError, SingularMatrixError, SingularityError)
+from .errors import ConfigError, HystlabError, NetlistError
 from .netlist import Netlist, PulseSpec, parse_netlist, parse_value
 from .solver import dc_solve
 
@@ -121,11 +121,19 @@ def _positive(flag: str, value: float | None) -> float | None:
     return value
 
 
-def _emit(args, text: str):
+@contextmanager
+def _output(args):
+    """The -o file, opened for writing, or stdout."""
     if getattr(args, "output", None):
-        Path(args.output).write_text(text)
+        with open(args.output, "w") as out:
+            yield out
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(args, text: str):
+    with _output(args) as out:
+        out.write(text)
 
 
 def _cmd_op(args) -> int:
@@ -154,11 +162,12 @@ def _cmd_dc(args) -> int:
     _positive("--step", args.step)
     net = _load_circuit(args)
     up = dc_sweep(net, args.source, args.start, args.stop, args.step)
-    text = trace_csv(up)
-    if args.both:
-        down = dc_sweep(net, args.source, args.stop, args.start, args.step)
-        text += "\n" + trace_csv(down)
-    _emit(args, text)
+    down = dc_sweep(net, args.source, args.stop, args.start, args.step) if args.both else None
+    with _output(args) as out:
+        trace_csv(up, out)
+        if down is not None:
+            out.write("\n")
+            trace_csv(down, out)
     return 0
 
 
@@ -167,7 +176,8 @@ def _cmd_tran(args) -> int:
     _positive("--stop", args.stop)
     net = _load_circuit(args)
     wave = transient(net, args.dt, args.stop)
-    _emit(args, trace_csv(wave))
+    with _output(args) as out:
+        trace_csv(wave, out)
     return 0
 
 
@@ -282,16 +292,11 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if (e.code or 0) == 0 else 2
     try:
         return _COMMANDS[args.command](args)
-    except NetlistError as e:
+    except (HystlabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ConvergenceError, MeasurementError, SingularMatrixError,
-            SingularityError, DomainError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ConfigError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        if isinstance(e, NetlistError):
+            return 3
+        return 2 if isinstance(e, (ConfigError, OSError)) else 1
 
 
 def main():

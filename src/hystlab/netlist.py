@@ -7,6 +7,9 @@ is ground and "gnd" is accepted as an alias for it.
 
 A Netlist holds element records and model cards. `parse_netlist` and the
 comparator generators build one; `Netlist.to_text` is the one text writer.
+Each record checks its own values and a Netlist its element names, so a
+netlist built by hand meets the parser's rules, with no line number in
+its errors. The parser checks syntax and adds line numbers in one place.
 """
 
 from __future__ import annotations
@@ -113,6 +116,12 @@ class Resistor:
     neg: str
     ohms: float
 
+    def __post_init__(self):
+        if not self.ohms > 0.0:  # NaN fails too
+            raise NetlistError(f"resistance must be > 0, got {self.ohms}")
+        if not math.isfinite(1.0 / self.ohms):
+            raise NetlistError(f"resistance {self.ohms} has no finite conductance")
+
 
 @dataclass(frozen=True)
 class Capacitor:
@@ -120,6 +129,10 @@ class Capacitor:
     pos: str
     neg: str
     farads: float
+
+    def __post_init__(self):
+        if not self.farads >= 0.0:  # NaN fails too
+            raise NetlistError(f"capacitance must be >= 0, got {self.farads}")
 
 
 @dataclass(frozen=True)
@@ -160,11 +173,24 @@ class Mosfet:
 Element = Resistor | Capacitor | VSource | ISource | Mosfet
 
 
+def _claim(seen: set[str], name: str):
+    """Add name to seen, rejecting a repeat; names are case-insensitive."""
+    key = name.upper()
+    if key in seen:
+        raise NetlistError(f"duplicate element name {name!r}")
+    seen.add(key)
+
+
 @dataclass(frozen=True)
 class Netlist:
     title: str
     elements: tuple[Element, ...]
     models: dict[str, MosModel]
+
+    def __post_init__(self):
+        seen: set[str] = set()
+        for el in self.elements:
+            _claim(seen, el.name)
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -237,40 +263,27 @@ def _model_line(name: str, m: MosModel) -> str:
     return f".model {name} {kind} ({' '.join(params)})"
 
 
-def _value_at(token: str, line_no: int) -> float:
-    try:
-        return parse_value(token)
-    except NetlistError as e:
-        raise NetlistError(str(e), line_no) from None
-
-
-def _parse_source_spec(tokens: list[str], line_no: int) -> SourceSpec:
+def _parse_source_spec(tokens: list[str]) -> SourceSpec:
     if not tokens:
-        raise NetlistError("missing source value (DC or PULSE)", line_no)
+        raise NetlistError("missing source value (DC or PULSE)")
     head = tokens[0].upper()
     if head == "DC":
         if len(tokens) != 2:
-            raise NetlistError("DC spec takes exactly one value", line_no)
-        return DcSpec(_value_at(tokens[1], line_no))
+            raise NetlistError("DC spec takes exactly one value")
+        return DcSpec(parse_value(tokens[1]))
     if head == "PULSE":
         if len(tokens) != 8:
-            raise NetlistError("PULSE spec takes 7 values", line_no)
-        vals = [_value_at(t, line_no) for t in tokens[1:]]
-        try:
-            return PulseSpec(*vals)
-        except NetlistError as e:
-            raise NetlistError(str(e), line_no) from None
-    raise NetlistError(f"unknown source spec {tokens[0]!r}", line_no)
+            raise NetlistError("PULSE spec takes 7 values")
+        return PulseSpec(*map(parse_value, tokens[1:]))
+    raise NetlistError(f"unknown source spec {tokens[0]!r}")
 
 
-def _parse_kv(tokens: list[str], line_no: int) -> dict[str, str]:
+def _parse_kv(tokens: list[str]) -> dict[str, str]:
     out = {}
     for tok in tokens:
-        if "=" not in tok:
-            raise NetlistError(f"expected key=value, got {tok!r}", line_no)
         key, _, val = tok.partition("=")
         if not key or not val:
-            raise NetlistError(f"expected key=value, got {tok!r}", line_no)
+            raise NetlistError(f"expected key=value, got {tok!r}")
         out[key.upper()] = val
     return out
 
@@ -279,10 +292,10 @@ def _parse_kv(tokens: list[str], line_no: int) -> dict[str, str]:
 _MODEL_FIELDS = {"KP": "kp", "VTO": "vto", "LAMBDA": "lam", "CGS": "cgs", "CGD": "cgd"}
 
 
-def _parse_model_card(tokens: list[str], line_no: int) -> tuple[str, MosModel]:
+def _parse_model_card(tokens: list[str]) -> tuple[str, MosModel]:
     # .model <name> NMOS|PMOS (params)
     if len(tokens) < 3:
-        raise NetlistError(".model needs a name and a type", line_no)
+        raise NetlistError(".model needs a name and a type")
     name = tokens[1].lower()
     kind = tokens[2].upper()
     if kind == "NMOS":
@@ -290,20 +303,47 @@ def _parse_model_card(tokens: list[str], line_no: int) -> tuple[str, MosModel]:
     elif kind == "PMOS":
         polarity, base = MosPolarity.P, PMOS_DEFAULT
     else:
-        raise NetlistError(f"unknown model type {tokens[2]!r}", line_no)
-    kv = _parse_kv(tokens[3:], line_no)
-    for key in kv:
-        if key not in _MODEL_FIELDS:
-            raise NetlistError(f"unknown model parameter {key!r}", line_no)
+        raise NetlistError(f"unknown model type {tokens[2]!r}")
     # KP/VTO fall back to the default card; the rest default to zero
     values = {"kp": base.kp, "vto": base.vto}
-    for key, field in _MODEL_FIELDS.items():
-        if key in kv:
-            values[field] = _value_at(kv[key], line_no)
-    try:
-        return name, MosModel(polarity, **values)
-    except ModelError as e:
-        raise NetlistError(f"bad model {name!r}: {e}", line_no) from None
+    for key, val in _parse_kv(tokens[3:]).items():
+        if key not in _MODEL_FIELDS:
+            raise NetlistError(f"unknown model parameter {key!r}")
+        values[_MODEL_FIELDS[key]] = parse_value(val)
+    return name, MosModel(polarity, **values)
+
+
+def _node(raw: str) -> str:
+    return "0" if raw.lower() == "gnd" else raw
+
+
+def _element(tokens: list[str], models: dict[str, MosModel]) -> Element:
+    head = tokens[0]
+    lead = head[0].upper()
+    if lead in ("R", "C"):
+        if len(tokens) != 4:
+            kind = "resistor" if lead == "R" else "capacitor"
+            raise NetlistError(f"{kind} takes two nodes and a value")
+        cls = Resistor if lead == "R" else Capacitor
+        return cls(head, _node(tokens[1]), _node(tokens[2]), parse_value(tokens[3]))
+    if lead in ("V", "I"):
+        if len(tokens) < 4:
+            raise NetlistError("source takes two nodes and a spec")
+        cls = VSource if lead == "V" else ISource
+        return cls(head, _node(tokens[1]), _node(tokens[2]), _parse_source_spec(tokens[3:]))
+    if lead == "M":
+        if len(tokens) != 8:
+            raise NetlistError("mosfet takes four nodes, a model and W=/L=")
+        kv = _parse_kv(tokens[6:8])
+        if set(kv) != {"W", "L"}:
+            raise NetlistError("mosfet needs exactly W= and L=")
+        w, l = parse_value(kv["W"]), parse_value(kv["L"])
+        model_name = tokens[5].lower()
+        if model_name not in models:
+            raise NetlistError(f"undeclared model {model_name!r}")
+        d, g, s, b = map(_node, tokens[1:5])
+        return Mosfet(head, d, g, s, b, model_name, models[model_name], MosGeometry(w, l))
+    raise NetlistError(f"unknown element type {head!r}")
 
 
 def parse_netlist(text: str) -> Netlist:
@@ -318,8 +358,8 @@ def parse_netlist(text: str) -> Netlist:
         raise NetlistError("empty netlist (missing title line)")
     title = lines[0].strip()
 
-    models: dict[str, MosModel] = {}
-    rows: list[tuple[int, list[str]]] = []  # (line number, tokens) per element
+    cards: list[tuple[int, list[str]]] = []  # (line number, tokens) per line
+    rows: list[tuple[int, list[str]]] = []
     for idx, raw_line in enumerate(lines[1:], start=2):
         line = raw_line.strip()
         if line.startswith("*"):
@@ -328,78 +368,26 @@ def parse_netlist(text: str) -> Netlist:
         tokens = line.replace("(", " ").replace(")", " ").replace(",", " ").split()
         if not tokens:
             continue
-        card = tokens[0].lower()
-        if card == ".end":
+        if tokens[0].lower() == ".end":
             break
-        if card == ".model":
-            name, model = _parse_model_card(tokens, idx)
-            if name in models:
-                raise NetlistError(f"duplicate model {name!r}", idx)
-            models[name] = model
-        elif card.startswith("."):
-            raise NetlistError(f"unknown card {tokens[0]!r}", idx)
-        else:
-            rows.append((idx, tokens))
+        (cards if tokens[0].startswith(".") else rows).append((idx, tokens))
 
-    def node(raw: str) -> str:
-        return "0" if raw.lower() == "gnd" else raw
-
+    models: dict[str, MosModel] = {}
     elements: list[Element] = []
-    seen_names: set[str] = set()
-
-    def check_name(name: str, line_no: int):
-        key = name.upper()
-        if key in seen_names:
-            raise NetlistError(f"duplicate element name {name!r}", line_no)
-        seen_names.add(key)
-
-    for idx, tokens in rows:
-        head = tokens[0]
-        lead = head[0].upper()
-        if lead == "R":
-            if len(tokens) != 4:
-                raise NetlistError("resistor takes two nodes and a value", idx)
-            check_name(head, idx)
-            ohms = _value_at(tokens[3], idx)
-            if ohms <= 0.0:
-                raise NetlistError(f"resistance must be > 0, got {ohms}", idx)
-            if not math.isfinite(1.0 / ohms):
-                raise NetlistError(f"resistance {ohms} has no finite conductance", idx)
-            elements.append(Resistor(head, node(tokens[1]), node(tokens[2]), ohms))
-        elif lead == "C":
-            if len(tokens) != 4:
-                raise NetlistError("capacitor takes two nodes and a value", idx)
-            check_name(head, idx)
-            farads = _value_at(tokens[3], idx)
-            if farads < 0.0:
-                raise NetlistError(f"capacitance must be >= 0, got {farads}", idx)
-            elements.append(Capacitor(head, node(tokens[1]), node(tokens[2]), farads))
-        elif lead in ("V", "I"):
-            if len(tokens) < 4:
-                raise NetlistError("source takes two nodes and a spec", idx)
-            check_name(head, idx)
-            pos, neg = node(tokens[1]), node(tokens[2])
-            spec = _parse_source_spec(tokens[3:], idx)
-            cls = VSource if lead == "V" else ISource
-            elements.append(cls(head, pos, neg, spec))
-        elif lead == "M":
-            if len(tokens) != 8:
-                raise NetlistError("mosfet takes four nodes, a model and W=/L=", idx)
-            check_name(head, idx)
-            d, g, s, b = (node(t) for t in tokens[1:5])
-            kv = _parse_kv(tokens[6:8], idx)
-            if set(kv) != {"W", "L"}:
-                raise NetlistError("mosfet needs exactly W= and L=", idx)
-            w, l = _value_at(kv["W"], idx), _value_at(kv["L"], idx)
-            model_name = tokens[5].lower()
-            if model_name not in models:
-                raise NetlistError(f"undeclared model {model_name!r}", idx)
-            try:
-                geom = MosGeometry(w, l)
-            except ModelError as e:
-                raise NetlistError(f"bad geometry for {head}: {e}", idx) from None
-            elements.append(Mosfet(head, d, g, s, b, model_name, models[model_name], geom))
-        else:
-            raise NetlistError(f"unknown element type {head!r}", idx)
+    seen: set[str] = set()
+    for idx, tokens in cards + rows:
+        try:
+            if tokens[0].lower() == ".model":
+                name, model = _parse_model_card(tokens)
+                if name in models:
+                    raise NetlistError(f"duplicate model {name!r}")
+                models[name] = model
+            elif tokens[0].startswith("."):
+                raise NetlistError(f"unknown card {tokens[0]!r}")
+            else:
+                _claim(seen, tokens[0])
+                elements.append(_element(tokens, models))
+        except (NetlistError, ModelError) as e:
+            raise NetlistError(str(e), idx) from None
 
     return Netlist(title, tuple(elements), models)

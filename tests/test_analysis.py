@@ -1,5 +1,6 @@
 """Sweep, hysteresis-measurement, transient and delay checks."""
 
+import io
 import tracemalloc
 
 import numpy as np
@@ -293,7 +294,9 @@ def test_branch_solution_at_is_side_dependent(hysteresis_net):
 ], ids=["sweep", "transient"])
 def test_trace_csv_round_trips(make, axis, node):
     trace = make()
-    lines = trace_csv(trace).strip().splitlines()
+    out = io.StringIO()
+    trace_csv(trace, out)
+    lines = out.getvalue().strip().splitlines()
     header = lines[0].split(",")
     assert header[0] == axis
     col = header.index(node)

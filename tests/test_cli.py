@@ -9,10 +9,17 @@ from hypothesis import strategies as st
 from hystlab import (
     ComparatorConfig,
     ComparatorVariant,
+    ConfigError,
+    ConvergenceError,
+    ExtractionError,
+    HystlabError,
+    ModelError,
+    NetlistError,
     RatioDirection,
     build_comparator,
     current_ratio,
     dc_solve,
+    dc_sweep,
     node_squares,
     parse_netlist,
     parse_value,
@@ -20,6 +27,7 @@ from hystlab import (
     verify_kcl,
 )
 from hystlab.comparator import LatchOperatingPoint
+from hystlab import cli
 from hystlab.cli import run
 
 PROBE = """current probe
@@ -76,6 +84,40 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("title\nR1 a 0 -5\n.end\n")
     assert run(["op", str(bad)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error,code", [
+    (NetlistError("bad"), 3),
+    (ConfigError("bad"), 2),
+    (OSError("bad"), 2),
+    (ModelError("bad"), 1),
+    (ExtractionError("bad"), 1),
+    (HystlabError("bad"), 1),
+], ids=lambda x: type(x).__name__ if isinstance(x, Exception) else str(x))
+def test_exit_code_follows_error_class(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error
+    monkeypatch.setitem(cli._COMMANDS, "op", fail)
+    assert run(["op", "--variant", "hysteresis"]) == code
+    assert capsys.readouterr().err == "error: bad\n"
+
+
+def test_failed_dc_both_writes_no_file(probe_file, tmp_path, monkeypatch, capsys):
+    # the reverse sweep fails after the forward one has finished
+    sweeps = []
+
+    def sweep(*args):
+        sweeps.append(args)
+        if len(sweeps) == 2:
+            raise ConvergenceError("reverse sweep failed")
+        return dc_sweep(*args)
+    monkeypatch.setattr(cli, "dc_sweep", sweep)
+    out = tmp_path / "sweep.csv"
+    rc = run(["dc", str(probe_file), "--source", "IIN", "--from=-1u",
+              "--to", "1u", "--step", "0.5u", "--both", "-o", str(out)])
+    assert rc == 1
+    assert len(sweeps) == 2
+    assert not out.exists()
 
 
 def test_neither_input_is_usage_error(capsys):

@@ -133,6 +133,9 @@ M1 a a 0 0 n1 W=1u L=1u
         ("M1 a a 0 0 nox W=1u L=1u\nR1 a 0 bogus", "line 2: undeclared model 'nox'"),
         # card errors come before element errors
         ("R1 a 0 bogus\n.op", "line 3: unknown card '.op'"),
+        # a record's own check gets the line number too
+        (".model n1 NMOS (KP=-1u)", "line 2"),
+        ("R1 a 0 1k\nM1 a a 0 0 n1 W=0 L=1u\n.model n1 NMOS ()", "line 3"),
     ],
 )
 def test_parse_errors(body, fragment):
@@ -243,6 +246,31 @@ def test_hand_built_netlist_has_parsed_nodes():
     assert hand == parsed
     assert hand.nodes == parsed.nodes == ("0", "in", "mid", "d", "s", "b")
     assert Netlist("t", (), {}).nodes == parse_netlist("t\n.end\n").nodes == ()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Resistor("R1", "a", "0", 0.0),
+    lambda: Resistor("R1", "a", "0", math.nan),
+    lambda: Resistor("R1", "a", "0", 5e-324),  # 1/R overflows to inf
+    lambda: Capacitor("C1", "a", "0", -1e-12),
+    lambda: Capacitor("C1", "a", "0", math.nan),
+], ids=["r-zero", "r-nan", "r-subnormal", "c-negative", "c-nan"])
+def test_records_check_their_values(make):
+    with pytest.raises(NetlistError) as exc:
+        make()
+    assert exc.value.line_no is None
+    assert not str(exc.value).startswith("line")
+
+
+def test_hand_built_netlist_rejects_duplicate_names():
+    # a sweep of V1 would move only one of them, so none may be built
+    with pytest.raises(NetlistError, match="duplicate element name 'V1'") as exc:
+        Netlist("t", (VSource("V1", "a", "0", DcSpec(1.0)),
+                      VSource("V1", "b", "0", DcSpec(2.0)),
+                      Resistor("R1", "a", "b", 1e3)), {})
+    assert exc.value.line_no is None
+    with pytest.raises(NetlistError, match="duplicate"):
+        Netlist("t", (Resistor("R1", "a", "0", 1e3), Resistor("r1", "a", "0", 2e3)), {})
 
 
 def test_case_insensitive_duplicate_names():

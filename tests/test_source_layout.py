@@ -36,3 +36,29 @@ def test_private_import_detector():
                      "from numpy.linalg import _umath_linalg\n"
                      "from __future__ import annotations\n")
     assert _private_sibling_imports(tree) == [".netlist:_fmt", "hystlab.solver:_solve"]
+
+
+def _line_number_sites(tree: ast.Module) -> list[str]:
+    """Top-level functions and classes that pass NetlistError a line number."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "NetlistError"
+                    and len(node.args) + len(node.keywords) > 1):
+                found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_only_the_parser_adds_line_numbers():
+    # records and helpers raise bare NetlistErrors; parse_netlist adds the line
+    path = Path(hystlab.__file__).parent / "netlist.py"
+    assert _line_number_sites(ast.parse(path.read_text())) == ["parse_netlist"]
+
+
+def test_line_number_detector():
+    tree = ast.parse("def f(t, n):\n    raise NetlistError('x', n)\n"
+                     "def g(t, n):\n    raise NetlistError('x', line_no=n)\n"
+                     "class R:\n    def check(self):\n        raise NetlistError('x')\n"
+                     "NetlistError('x', 2)\n")
+    assert _line_number_sites(tree) == ["f", "g", "<module>"]
