@@ -189,7 +189,10 @@ def measure_hysteresis(up: Trace, down: Trace, output_node: str,
 def transient(netlist: Netlist, dt: float, tstop: float) -> Trace:
     """Fixed-step trapezoidal integration from the t=0 operating point.
 
-    Every node carries the solver's CMIN to ground during the steps.
+    Every node carries the solver's CMIN to ground during the steps. A
+    step whose input repeats, bit for bit, that of the step two back, as
+    on a settled plateau, reuses that step's result: the samples are
+    those of solving every step (see Plan.steps).
     """
     if dt <= 0.0:
         raise MeasurementError(f"dt must be > 0, got {dt}")

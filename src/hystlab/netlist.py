@@ -67,6 +67,10 @@ def parse_value(token: str) -> float:
 class DcSpec:
     value: float  # [V] or [A]
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise NetlistError(f"source value must be finite, got {self.value}")
+
     def value_at(self, t: float) -> float:
         return self.value
 
@@ -82,6 +86,8 @@ class PulseSpec:
     period: float  # [s], 0 means single-shot
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise NetlistError(f"pulse parameters must be finite, got {self}")
         if self.rise <= 0.0 or self.fall <= 0.0:
             raise NetlistError("pulse rise and fall times must be > 0")
         if self.width < 0.0:

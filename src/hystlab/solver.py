@@ -349,24 +349,51 @@ class Plan:
         first step whose Newton run fails, naming its status, such as
         "(stalled)". All steps run inside one _lapack_errors() scope, and
         the error is raised after it has closed.
+
+        Replay. A step's input is its start x, its companion currents
+        ieq and its source values e, and its result (the x _newton
+        accepts, then next_ieq) depends on nothing else. So a step whose
+        input has the same bits (_same_bits) as that of the step two back
+        takes that step's result. On a settled plateau the trapezoidal
+        companions ring with period 2 (ieq alternates while v holds), and
+        a period-1 orbit is also period 2. A failed step is never kept, so
+        a step that fails is always run and raises as before.
         """
         x = self.vector_from_guess(start.node_voltages)
         x[self.n_nodes:] = [start.branch_currents[name] for name in self.vsource_names]
         ieq = self.next_ieq(x, None)
         rows = array("d", x[:self.n_nodes])
+        # (input, x, next ieq) of the steps two back and one back
+        back = last = ((), None, None)
         with _lapack_errors():
             for k in range(1, n_steps + 1):
                 t = k * self.dt
-                x, a, _, status = _newton(self, x, time=t, ieq=ieq)
-                if status != "ok":
-                    break
-                ieq = self.next_ieq(x, ieq)
+                e = self.source_values(t)
+                key = x + ieq + e
+                if _same_bits(key, back[0]):
+                    x, ieq = back[1], back[2]
+                else:
+                    x, a, _, status = _newton(self, x, e=e, ieq=ieq)
+                    if status != "ok":
+                        break
+                    ieq = self.next_ieq(x, ieq)
+                back, last = last, (key, x, ieq)
                 rows.extend(x[:self.n_nodes])
             else:
                 return np.frombuffer(rows).reshape(n_steps + 1, self.n_nodes)
         raise _convergence_error(
             self, a, f"transient step failed at t={t:.6g} s ({status})",
             f"transient t={t:.6g}")
+
+
+def _same_bits(a: list[float], b: list[float]) -> bool:
+    """a and b hold the same float64 bits: -0.0 differs from 0.0.
+
+    == is the cheap first test. Floats that compare equal differ in bits
+    only as -0.0 and 0.0 do, which the bytes then tell apart. (A NaN can
+    fail == though its bits match; such a step is just solved.)
+    """
+    return a == b and array("d", a).tobytes() == array("d", b).tobytes()
 
 
 def _residual_ok(plan: Plan, a: _Assembled) -> bool:
@@ -421,9 +448,13 @@ def _solve(jac: np.ndarray, rhs: list[float]) -> list[float]:
     return _umath_linalg.solve1(jac, rhs, signature="dd->d").tolist()
 
 
-def _newton(plan: Plan, x0: list[float], g: float = 0.0, time: float = 0.0,
+def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
             ieq: list[float] | tuple = ()):
     """Damped Newton loop. Returns (x, assembled, iterations, status).
+
+    ``e`` holds the source values (Plan.source_values), ``ieq`` the
+    companion currents of a transient step. Nothing else read here varies
+    between runs on one plan, which is what lets Plan.steps replay a step.
 
     status: "ok" | "maxiter" | "stalled" | "singular" | "nonfinite". x is
     a list of Python floats; the Jacobian is the only array, the input of
@@ -469,7 +500,6 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, time: float = 0.0,
     starts from an abandoned run's x, so a stall changes how many
     iterations a solve takes, never its answer.
     """
-    e = plan.source_values(time)
     x = x0
     nn = plan.n_nodes
     clamp, vntol, reltol = OPTIONS.dv_clamp, OPTIONS.vntol, OPTIONS.reltol
@@ -602,6 +632,7 @@ def dc_solve(netlist: Netlist | Plan,
     values it holds (see Plan.set_source), so a sweep can reuse one plan.
     """
     plan = netlist if isinstance(netlist, Plan) else Plan(netlist)
+    e = plan.source_values(0.0)
     total = 0
     starts = [plan.vector_from_guess(initial_guess)]
     if initial_guess is not None:
@@ -610,7 +641,7 @@ def dc_solve(netlist: Netlist | Plan,
         starts.append(plan.vector_from_guess(None))
     with _lapack_errors():
         for x0 in starts:
-            x, a, iters, status = _newton(plan, x0)
+            x, a, iters, status = _newton(plan, x0, e=e)
             total += iters
             if status == "ok":
                 return _build_solution(plan, x, total)
@@ -619,7 +650,7 @@ def dc_solve(netlist: Netlist | Plan,
     while total < _PTC_MAX_ITERS:
         plain = g < _PTC_G_END
         with _lapack_errors():
-            x_next, a, iters, status = _newton(plan, x, 0.0 if plain else g)
+            x_next, a, iters, status = _newton(plan, x, 0.0 if plain else g, e=e)
         total += iters
         if status == "ok" and plain:
             return _build_solution(plan, x_next, total)
@@ -634,6 +665,6 @@ def dc_solve(netlist: Netlist | Plan,
         else:
             g *= 8.0
         first = False
-    a = plan.assemble(x, plan.source_values(0.0))
+    a = plan.assemble(x, e)
     raise _convergence_error(
         plan, a, f"no DC convergence (pseudo-transient, g={g:g} S)", "pseudo-transient")

@@ -12,7 +12,6 @@ from hystlab import (
     DcSpec,
     ExtractionError,
     MosGeometry,
-    PulseSpec,
     build_comparator,
     build_latch_testbench,
     dc_solve,
@@ -82,8 +81,6 @@ def test_custom_config_is_built_exactly():
 @pytest.mark.parametrize("kwargs", [
     dict(i_ref=math.nan),
     dict(i_ref=-math.inf),
-    dict(i_in=DcSpec(math.nan)),
-    dict(i_in=PulseSpec(0.0, math.inf, 0.0, 1e-9, 1e-9, 1e-8, 0.0)),
 ])
 def test_nonfinite_currents_rejected(kwargs):
     with pytest.raises(ConfigError, match="finite"):

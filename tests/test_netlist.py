@@ -254,7 +254,14 @@ def test_hand_built_netlist_has_parsed_nodes():
     lambda: Resistor("R1", "a", "0", 5e-324),  # 1/R overflows to inf
     lambda: Capacitor("C1", "a", "0", -1e-12),
     lambda: Capacitor("C1", "a", "0", math.nan),
-], ids=["r-zero", "r-nan", "r-subnormal", "c-negative", "c-nan"])
+    lambda: DcSpec(math.nan),
+    lambda: DcSpec(-math.inf),
+    lambda: PulseSpec(math.nan, 1.0, 0.0, 1e-9, 1e-9, 1e-8, 0.0),
+    lambda: PulseSpec(0.0, math.inf, 0.0, 1e-9, 1e-9, 1e-8, 0.0),
+    lambda: PulseSpec(0.0, 1.0, 0.0, math.nan, 1e-9, 1e-8, 0.0),
+    lambda: PulseSpec(0.0, 1.0, 0.0, 1e-9, 1e-9, 1e-8, math.inf),
+], ids=["r-zero", "r-nan", "r-subnormal", "c-negative", "c-nan", "dc-nan", "dc-inf",
+        "pulse-nan-level", "pulse-inf-level", "pulse-nan-rise", "pulse-inf-period"])
 def test_records_check_their_values(make):
     with pytest.raises(NetlistError) as exc:
         make()

@@ -261,13 +261,14 @@ def test_solution_records_iterations_and_evals(hysteresis_net):
 
 
 def test_nonfinite_stimulus_reports_nan_residual():
-    # a NaN source makes every stage stop at "nonfinite"; the reported
-    # residual must stay NaN, not the largest finite entry
-    net = build_comparator(ComparatorConfig()).replaced_source("IIN", DcSpec(float("nan")))
-    with pytest.raises(ConvergenceError) as exc:
-        dc_solve(net)
-    assert np.isnan(exc.value.residual)
-    assert "residual=nan A" in str(exc.value)
+    # a NaN nodal current must be reported as NaN, not as the largest
+    # finite entry; source specs reject NaN, so it is set in the rows here
+    plan = Plan(build_comparator(ComparatorConfig()))
+    a = plan.assemble(plan.vector_from_guess(None), plan.source_values(0.0))
+    a.f[:2] = [float("nan"), 1.0]
+    exc = solver_module._convergence_error(plan, a, "no DC convergence", "plain")
+    assert np.isnan(exc.residual)
+    assert "residual=nan A" in str(exc)
 
 
 def test_branch_row_mismatch_is_reported():
@@ -821,6 +822,61 @@ def test_polish_repeats_no_solve(monkeypatch):
     assert len(calls) > 41
     for (jac0, b0), (jac1, b1) in zip(calls, calls[1:]):
         assert not (np.array_equal(jac0, jac1) and b0 == b1)
+
+
+def _delay_bench(net, amp, period=400e-9):
+    """The square-wave bench of criteria 11-12 on ``net``'s IIN."""
+    rise = period / 20.0
+    return net.replaced_source("IIN", PulseSpec(v1=-amp, v2=amp, delay=0.0, rise=rise,
+                                                fall=rise, width=period / 2.0 - rise,
+                                                period=period))
+
+
+def _solve_every_step(net, dt, n_steps):
+    """The samples of transient(net, dt, n_steps * dt) with every step
+    solved: _newton on each step, then next_ieq, with no replay."""
+    plan = Plan(net, dt=dt)
+    start = dc_solve(net)
+    x = plan.vector_from_guess(start.node_voltages)
+    x[plan.n_nodes:] = [start.branch_currents[name] for name in plan.vsource_names]
+    ieq = plan.next_ieq(x, None)
+    rows = [x[:plan.n_nodes]]
+    with solver_module._lapack_errors():
+        for k in range(1, n_steps + 1):
+            x, _, _, status = solver_module._newton(
+                plan, x, e=plan.source_values(k * dt), ieq=ieq)
+            assert status == "ok"
+            ieq = plan.next_ieq(x, ieq)
+            rows.append(x[:plan.n_nodes])
+    return np.column_stack((np.arange(n_steps + 1) * dt, rows))
+
+
+@pytest.mark.parametrize("amp", [1e-6, 8e-6, 100e-6, None],
+                         ids=["cap-1u", "cap-8u", "cap-100u", "rc-edge"])
+def test_replayed_transient_matches_solving_every_step(amp, capacitance_net):
+    if amp is None:
+        net, n_steps = RC_EDGE, 500
+    else:
+        net, n_steps = _delay_bench(capacitance_net, amp), 800
+    wave = transient(net, 1e-9, n_steps * 1e-9)
+    assert wave.samples.tobytes() == _solve_every_step(net, 1e-9, n_steps).tobytes()
+
+
+def test_settled_steps_replay_instead_of_solving(monkeypatch, capacitance_net):
+    # one DC run and 800 step runs without replay; the plateaus repeat
+    # the input of the step two back from a few steps after each edge
+    runs = _spy_runs(monkeypatch)
+    transient(_delay_bench(capacitance_net, 8e-6), 1e-9, 800e-9)
+    assert len(runs) <= 400
+
+
+def test_replay_key_tells_signed_zeros_apart():
+    # equal under == but not in bits: such a step is solved, not replayed
+    key = [0.5, 0.0, -2.5]
+    assert solver_module._same_bits(key, [0.5, 0.0, -2.5])
+    assert [0.5, -0.0, -2.5] == key
+    assert not solver_module._same_bits([0.5, -0.0, -2.5], key)
+    assert not solver_module._same_bits([0.5, 0.0, -2.5000000000000004], key)
 
 
 @pytest.mark.parametrize("jac,expected", [
