@@ -16,7 +16,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import ConvergenceError, MeasurementError, NetlistError
+from .errors import MeasurementError, NetlistError
 from .netlist import DcSpec, Netlist
 from .solver import Plan, Solution, dc_solve
 
@@ -103,27 +103,16 @@ def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
     """Solve along a stimulus grid, warm-starting each point from the last.
 
     The warm chain is what lets a bistable circuit hold its branch
-    through the hysteresis band.
+    through the hysteresis band. The points are solved by Plan.sweep,
+    whose error at a failed point reads "sweep failed at <source>=<value>".
     """
     src = netlist.find_source(source_name)
     if not isinstance(src.spec, DcSpec):
         raise NetlistError(f"source {source_name!r} is not a DC source")
     values = _sweep_grid(start, stop, step)
     plan = Plan(netlist)
-
-    rows = []
-    guess = None
-    for v in values:
-        plan.set_source(src.name, v)
-        try:
-            sol = dc_solve(plan, guess)
-        except ConvergenceError as e:
-            raise ConvergenceError(
-                f"sweep failed at {source_name}={v:.6g}: {e}",
-                stage=e.stage, residual=e.residual) from None
-        guess = sol.node_voltages
-        rows.append((v, *map(guess.get, plan.node_names)))
-    return Trace("stimulus", plan.node_names, np.array(rows), source_name)
+    volts = plan.sweep(src.name, values)
+    return Trace("stimulus", plan.node_names, np.column_stack((values, volts)), source_name)
 
 
 def _crossing_brackets(curve: Trace, node: str, threshold: float) -> np.ndarray:

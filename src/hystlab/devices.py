@@ -91,12 +91,13 @@ def kfactor(model: MosModel, geom: MosGeometry) -> float:
 
 def mos_kernel(k: float, sign: float, vto: float, lam: float,
                vgs: float, vds: float):
-    """Scalar device law: (id, gm, gds, region) at a source-referenced bias.
+    """Scalar device law: (id, gm, gds) at a source-referenced bias.
 
     ``k`` is kfactor(), ``sign`` is +1.0 for N devices and -1.0 for P
     devices, ``vto`` and ``lam`` come from the model card. P devices are
     evaluated by mirroring the N equations; every product with ``sign``
-    is exact, so both polarities round as the N law does.
+    is exact, so both polarities round as the N law does. The region is
+    left to mos_eval, as the Newton loop reads none.
     """
     vgs = sign * vgs
     vds = sign * vds
@@ -112,19 +113,27 @@ def mos_kernel(k: float, sign: float, vto: float, lam: float,
     cm = 1.0 + lam * vds
     if vov <= 0.0:
         i = gm = gds = 0.0
-        region = Region.CUTOFF
     elif vds >= vov:
         base = k * vov * vov
         i, gm, gds = base * cm, 2.0 * k * vov * cm, base * lam
-        region = Region.SATURATION
     else:
         i = k * (2.0 * vov - vds) * vds * cm
         gm = 2.0 * k * vds * cm
         gds = k * ((2.0 * vov - 2.0 * vds) * cm + (2.0 * vov - vds) * vds * lam)
-        region = Region.TRIODE
     if reverse:
-        return -sign * i, -gm, gm + gds, region
-    return sign * i, gm, gds, region
+        return -sign * i, -gm, gm + gds
+    return sign * i, gm, gds
+
+
+def _region(sign: float, vto: float, vgs: float, vds: float) -> Region:
+    """The branch mos_kernel takes at this bias, by the same arithmetic."""
+    vgs, vds, vto = sign * vgs, sign * vds, sign * vto
+    if not vds >= 0.0:  # reversed conduction (or NaN), as in mos_kernel
+        vgs, vds = vgs - vds, -vds
+    vov = vgs - vto
+    if vov <= 0.0:
+        return Region.CUTOFF
+    return Region.SATURATION if vds >= vov else Region.TRIODE
 
 
 def mos_sign(model: MosModel) -> float:
@@ -138,6 +147,6 @@ def mos_eval(model: MosModel, geom: MosGeometry, vgs: float, vds: float) -> Devi
     Total function: every real (vgs, vds) maps to a branch. P devices
     are evaluated by polarity mirroring of the N equations.
     """
-    i, gm, gds, region = mos_kernel(kfactor(model, geom), mos_sign(model),
-                                    model.vto, model.lam, vgs, vds)
-    return DeviceEval(id=i, gm=gm, gds=gds, region=region)
+    sign = mos_sign(model)
+    i, gm, gds = mos_kernel(kfactor(model, geom), sign, model.vto, model.lam, vgs, vds)
+    return DeviceEval(id=i, gm=gm, gds=gds, region=_region(sign, model.vto, vgs, vds))

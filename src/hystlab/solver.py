@@ -18,6 +18,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf, isfinite
+from operator import add
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -67,8 +68,8 @@ class Solution:
     def device_evals(self) -> dict[str, DeviceEval]:
         """Per mosfet, evaluated at node_voltages on first read.
 
-        Sweeps and bisection read only the voltages, so their points
-        evaluate no device.
+        Bisection reads only the voltages, so its points evaluate no
+        device; a sweep (Plan.sweep) builds no Solution at all.
         """
         v = self.node_voltages
         return {el.name: mos_eval(el.model, el.geom, v[el.g] - v[el.s], v[el.d] - v[el.s])
@@ -273,7 +274,7 @@ class Plan:
         jac = self._jac_list.copy() if self.mosfets or tie else None
         for d, g, s, k, sign, vto, lam, dg, dd, ds, sg, sd, ss in self.mosfets:
             vs = xl[s]
-            i, gm, gds, _ = mos_kernel(k, sign, vto, lam, xl[g] - vs, xl[d] - vs)
+            i, gm, gds = mos_kernel(k, sign, vto, lam, xl[g] - vs, xl[d] - vs)
             f[d] += i
             f[s] -= i
             jac[dg] += gm
@@ -339,6 +340,40 @@ class Plan:
         if self._inverse_norm is None:
             self._inverse_norm = _inverse_norm(self.jac)
         return self._inverse_norm
+
+    def sweep(self, name: str, values: list[float]) -> np.ndarray:
+        """Node voltages with source ``name`` (as the netlist spells it)
+        held at each of ``values`` in turn: len(values) x n_nodes, one row
+        per value.
+
+        Columns follow ``node_names``. Each point runs dc_solve's stages:
+        the first from zero, each later one warm from the node voltages of
+        the point before, its branch currents from zero, as dc_solve's
+        dict guess starts them. The source keeps the last value solved.
+        Raises ConvergenceError "sweep failed at <name>=<value>: ..." at
+        the first point that does not solve, SingularMatrixError as
+        dc_solve does. All points run inside one _lapack_errors() scope,
+        and the error is raised after it has closed.
+        """
+        nn = self.n_nodes
+        branches = [0.0] * (self.n_unknowns - nn)
+        x = [0.0] * self.n_unknowns
+        rows = array("d")
+        with _lapack_errors():
+            for v in values:
+                self.set_source(name, v)
+                e = self.source_values(0.0)
+                x, _, failed = _dc_point(self, e, x[:nn] + branches)
+                if failed:
+                    break
+                rows.extend(x[:nn])
+            else:
+                return np.frombuffer(rows).reshape(len(values), nn)
+        err = _dc_error(self, e, x, *failed)
+        if isinstance(err, ConvergenceError):
+            err = ConvergenceError(f"sweep failed at {name}={v:.6g}: {err}",
+                                   stage=err.stage, residual=err.residual)
+        raise err
 
     def steps(self, start: Solution, n_steps: int) -> np.ndarray:
         """Node voltages at the DC point ``start`` and after each of
@@ -534,8 +569,13 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
             step += dx[nn:]
         else:
             step = dx
-        x_next = [xi + d for xi, d in zip(x, step)]
-        step_ok = all(abs(d) <= vntol + reltol * abs(xd) for d, xd in zip(step, x_next))
+        x_next = list(map(add, x, step))
+        for d, xd in zip(step, x_next):
+            if not abs(d) <= vntol + reltol * abs(xd):
+                step_ok = False
+                break
+        else:
+            step_ok = True
         if step_ok and _residual_ok(plan, a):
             if g:  # no polish follows a pseudo-transient step: take the step
                 return x_next, a, iters, "ok"
@@ -610,61 +650,84 @@ def _convergence_error(plan: Plan, a: _Assembled, what: str, stage: str):
                             stage=stage, residual=residual)
 
 
-def dc_solve(netlist: Netlist | Plan,
-             initial_guess: dict[str, float] | None = None) -> Solution:
-    """DC operating point.
+def _dc_point(plan: Plan, e: list[float], x0: list[float]):
+    """dc_solve's stages at source values ``e``, starting from x0.
 
-    Each stage runs only when the one before it fails: plain Newton from
-    the guess (from zero when none is given); with a guess, plain Newton
-    from zero; then pseudo-transient continuation (see _PTC_G_START) from
-    zero, which past a fold follows the circuit's own dynamics to a
-    surviving branch. A plain run that ends "stalled" (see _newton: its
-    steps stop contracting, or it cycles through the clamp, tested from
-    iteration _STALL_FROM on; linear runs and pseudo-transient steps are
-    exempt) moves on exactly as one that ends "maxiter". Every stage
-    starts from the guess or from zero, never from a failed run's x, so
-    failing fast changes the iteration count, not the answer. Raises
-    SingularMatrixError when its first step's matrix is singular,
-    ConvergenceError with the residual at its last accepted point when
-    it gives up.
-
-    A Netlist is compiled here. A compiled Plan is solved at the source
-    values it holds (see Plan.set_source), so a sweep can reuse one plan.
+    Returns (x, iterations, None) from the first stage that converges.
+    When all fail it returns (x, iterations, (g, jac)) instead: the last
+    pseudo-transient x and g, and the singular J that stopped the first
+    pseudo-transient step or None, which _dc_error turns into the error.
+    Run it inside _lapack_errors(), and raise after the scope has closed,
+    as Plan.steps does.
     """
-    plan = netlist if isinstance(netlist, Plan) else Plan(netlist)
-    e = plan.source_values(0.0)
+    zero = [0.0] * plan.n_unknowns
     total = 0
-    starts = [plan.vector_from_guess(initial_guess)]
-    if initial_guess is not None:
-        # a stale guess can strand Newton on a branch of the solution set
-        # that no longer exists; from zero it lands on a surviving one
-        starts.append(plan.vector_from_guess(None))
-    with _lapack_errors():
-        for x0 in starts:
-            x, a, iters, status = _newton(plan, x0, e=e)
-            total += iters
-            if status == "ok":
-                return _build_solution(plan, x, total)
+    # a stale guess can strand Newton on a branch of the solution set that
+    # no longer exists; from zero it lands on a surviving one. A start of
+    # zero (bit for bit) is that cold run already, so it runs once.
+    for start in (zero,) if _same_bits(x0, zero) else (x0, zero):
+        x, a, iters, status = _newton(plan, start, e=e)
+        total += iters
+        if status == "ok":
+            return x, total, None
 
-    x, g, first = plan.vector_from_guess(None), _PTC_G_START, True
+    x, g, first = zero, _PTC_G_START, True
     while total < _PTC_MAX_ITERS:
         plain = g < _PTC_G_END
-        with _lapack_errors():
-            x_next, a, iters, status = _newton(plan, x, 0.0 if plain else g, e=e)
+        x_next, a, iters, status = _newton(plan, x, 0.0 if plain else g, e=e)
         total += iters
         if status == "ok" and plain:
-            return _build_solution(plan, x_next, total)
+            return x_next, total, None
         if status == "ok":
             x, g = x_next, g / 4.0
         elif status == "singular" and first:
-            raise SingularMatrixError(
-                f"singular system matrix with pseudo-transient g={g:g} S",
-                suspect=_suspect_unknown(plan, a.jac))
+            return x, total, (g, a.jac)
         elif g > _PTC_G_MAX:
             break
         else:
             g *= 8.0
         first = False
-    a = plan.assemble(x, e)
-    raise _convergence_error(
-        plan, a, f"no DC convergence (pseudo-transient, g={g:g} S)", "pseudo-transient")
+    return x, total, (g, None)
+
+
+def _dc_error(plan: Plan, e: list[float], x: list[float], g: float,
+              jac: np.ndarray | None) -> Exception:
+    """The error of a DC point whose every stage failed (see _dc_point)."""
+    if jac is not None:
+        return SingularMatrixError(
+            f"singular system matrix with pseudo-transient g={g:g} S",
+            suspect=_suspect_unknown(plan, jac))
+    return _convergence_error(
+        plan, plan.assemble(x, e), f"no DC convergence (pseudo-transient, g={g:g} S)",
+        "pseudo-transient")
+
+
+def dc_solve(netlist: Netlist | Plan,
+             initial_guess: dict[str, float] | None = None) -> Solution:
+    """DC operating point.
+
+    Each stage runs only when the one before it fails: plain Newton from
+    the guess (from zero when none is given); with a guess that is not
+    all zero, plain Newton from zero; then pseudo-transient continuation
+    (see _PTC_G_START) from zero, which past a fold follows the circuit's
+    own dynamics to a surviving branch. A plain run that ends "stalled"
+    (see _newton: its steps stop contracting, or it cycles through the
+    clamp, tested from iteration _STALL_FROM on; linear runs and
+    pseudo-transient steps are exempt) moves on exactly as one that ends
+    "maxiter". Every stage starts from the guess or from zero, never from
+    a failed run's x, so failing fast changes the iteration count, not
+    the answer. Raises SingularMatrixError when its first step's matrix
+    is singular, ConvergenceError with the residual at its last accepted
+    point when it gives up.
+
+    A Netlist is compiled here. A compiled Plan is solved at the source
+    values it holds (see Plan.set_source); Plan.sweep runs the same
+    stages along a list of source values.
+    """
+    plan = netlist if isinstance(netlist, Plan) else Plan(netlist)
+    e = plan.source_values(0.0)
+    with _lapack_errors():
+        x, total, failed = _dc_point(plan, e, plan.vector_from_guess(initial_guess))
+    if failed:
+        raise _dc_error(plan, e, x, *failed)
+    return _build_solution(plan, x, total)

@@ -72,6 +72,28 @@ def test_saturation_boundary_included():
     assert ev.region is Region.SATURATION
 
 
+@pytest.mark.parametrize(
+    "model,vgs,vds,region",
+    [
+        # drain below source on an N device: vov = vgs - vds - vto, seen
+        # from the swapped end, and -vds takes the place of vds
+        (NCH, 0.0, -0.2, Region.CUTOFF),        # vov = -0.3
+        (NCH, 1.5, -0.5, Region.TRIODE),        # vov = 1.5 > 0.5
+        (NCH, 0.0, -2.0, Region.SATURATION),    # vov = 1.5 <= 2.0
+        (NCH_LAM, 0.5, -1.0, Region.SATURATION),  # vov = 1.0 == -vds
+        # drain above source on a P device, the mirror image
+        (PCH, 0.0, 0.2, Region.CUTOFF),
+        (PCH, -1.5, 0.5, Region.TRIODE),
+        (PCH, 0.0, 2.0, Region.SATURATION),
+        (PCH, -0.5, 1.0, Region.SATURATION),
+    ],
+)
+def test_region_under_reversed_conduction(model, vgs, vds, region):
+    assert mos_eval(model, UNIT, vgs, vds).region is region
+    # the same device read from its other end conducts forward
+    assert mos_eval(model, UNIT, vgs - vds, -vds).region is region
+
+
 @pytest.mark.parametrize("model", [NCH, NCH_LAM, PCH])
 @pytest.mark.parametrize("vgs", [0.9, 1.3, 2.1])
 def test_continuity_at_pinchoff(model, vgs):

@@ -696,6 +696,26 @@ def test_pseudo_transient_rescues_cold_solve(monkeypatch):
     assert sol.iterations == sum(iters for _, iters, _ in runs) == 59
 
 
+@pytest.mark.parametrize("guess", [{}, {"nowhere": 1.0}], ids=["empty", "no-node"])
+def test_zero_warm_start_is_the_cold_start(monkeypatch, guess):
+    # a guess that sets no node starts from zero, so its failed plain run
+    # is not repeated from zero before pseudo-transient continuation
+    net = parse_netlist(MISMATCH_DECK)
+    runs = _spy_runs(monkeypatch)
+    cold = dc_solve(net)
+    cold_runs = runs.copy()
+    runs.clear()
+    warm = dc_solve(net, initial_guess=guess)
+    assert runs == cold_runs
+    assert [g for g, _, _ in runs[:2]] == [0.0, solver_module._PTC_G_START]
+    assert warm.iterations == cold.iterations == 59
+    assert warm.node_voltages == cold.node_voltages
+    # zero is compared bit for bit: a start at -0.0 is not the cold start
+    runs.clear()
+    assert dc_solve(net, initial_guess={"A": -0.0}).iterations == 80
+    assert runs[:2] == [(0.0, 21, "stalled")] * 2
+
+
 # Monte Carlo W-mismatch instance of the stock build whose plain Newton
 # from zero does not converge and which source stepping, the stage that
 # pseudo-transient continuation replaced, failed to solve
@@ -746,6 +766,39 @@ def test_down_sweep_completes_past_iref_variant_fold(monkeypatch):
     assert [(g, status) for g, _, status in runs[:2]] == [(0.0, "stalled")] * 2
     assert runs[2][0] == solver_module._PTC_G_START
     assert runs[-1][::2] == (0.0, "ok")
+
+
+def _sweep_solving_each_point(net, values):
+    """The samples of dc_sweep(net, "IIN", ...) at ``values`` by its former
+    chain: set_source, then dc_solve warm from the last point's voltages."""
+    plan = Plan(net)
+    rows, guess = [], None
+    for v in values:
+        plan.set_source("IIN", v)
+        sol = dc_solve(plan, guess)
+        guess = sol.node_voltages
+        rows.append([v, *(guess[n] for n in plan.node_names)])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("iref,start,stop", [
+    (None, -8e-6, 8e-6),
+    (None, 8e-6, -8e-6),
+    # the down sweep of test_down_sweep_completes_past_iref_variant_fold,
+    # whose -3.45 uA point is solved by pseudo-transient continuation
+    (9.11010274375754e-08, 8e-6, -8e-6),
+], ids=["stock-up", "stock-down", "iref-variant-down"])
+def test_sweep_matches_solving_each_point(monkeypatch, iref, start, stop):
+    net = build_comparator(ComparatorConfig())
+    if iref is not None:
+        net = net.replaced_source("IREF", DcSpec(iref))
+    runs = _spy_runs(monkeypatch)
+    curve = dc_sweep(net, "IIN", start, stop, 50e-9)
+    assert len(curve.samples) == 321
+    reference = _sweep_solving_each_point(net, curve.times().tolist())
+    assert curve.samples.tobytes() == reference.tobytes()
+    if iref is not None:
+        assert any(g > 0.0 for g, _, _ in runs)
 
 
 # a 3 V edge in 1 ps moves node "in" by more than dv_clamp in one 1 ns
