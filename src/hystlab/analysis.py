@@ -85,7 +85,7 @@ def _point_count(span: float, step: float) -> int:
 
 
 def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
-    if step <= 0.0:
+    if not step > 0.0:  # NaN fails too
         raise NetlistError(f"sweep step must be > 0, got {step}")
     span = stop - start
     if span == 0.0:
@@ -134,7 +134,6 @@ def _refine_transition(netlist: Netlist, curve: Trace, node: str,
     volts_a = dict(zip(curve.nodes, row_a))
     pre_side = volts_a[node] >= threshold
     name = netlist.find_source(curve.source_name).name
-    plan = Plan(netlist)
 
     # warm every probe from the pre-transition side so the bisection
     # follows the surviving branch right up to the jump
@@ -142,8 +141,7 @@ def _refine_transition(netlist: Netlist, curve: Trace, node: str,
         mid = 0.5 * (a + b)
         if mid in (a, b):
             break  # a and b are adjacent floats: no finer bracket exists
-        plan.set_source(name, mid)
-        sol = dc_solve(plan, volts_a)
+        sol = dc_solve(netlist.replaced_source(name, DcSpec(mid)), volts_a)
         if (sol.node_voltages[node] >= threshold) == pre_side:
             a, volts_a = mid, sol.node_voltages
         else:
@@ -167,7 +165,7 @@ def measure_hysteresis(up: Trace, down: Trace, output_node: str,
     on both edges. A ``refine_to`` below the float spacing at an edge
     stops at adjacent floats, and ``resolution`` reports that width.
     """
-    if refine_to <= 0.0:
+    if not refine_to > 0.0:  # NaN fails too
         raise MeasurementError(f"refine_to must be > 0, got {refine_to}")
     i_t1, w1 = _refine_transition(netlist, up, output_node, threshold, refine_to)
     i_t2, w2 = _refine_transition(netlist, down, output_node, threshold, refine_to)
@@ -183,9 +181,9 @@ def transient(netlist: Netlist, dt: float, tstop: float) -> Trace:
     on a settled plateau, reuses that step's result: the samples are
     those of solving every step (see Plan.steps).
     """
-    if dt <= 0.0:
+    if not dt > 0.0:  # NaN fails too
         raise MeasurementError(f"dt must be > 0, got {dt}")
-    if tstop < dt:
+    if not tstop >= dt:
         raise MeasurementError(f"tstop must be >= dt, got {tstop}")
     n_steps = _point_count(tstop, dt)
     plan = Plan(netlist, dt=dt)
@@ -241,16 +239,16 @@ def branch_solution_at(netlist: Netlist, source_name: str, value: float,
 
     Warm-walks the solver from approach_from in 32 equal moves so the
     returned Solution sits on the branch reachable from that side, which
-    matters inside a hysteresis band.
+    matters inside a hysteresis band. The walk is one Plan.sweep; the end
+    point, solved warm from its last row, is the path's own last value,
+    which in floating point need not equal ``value``.
     """
     name = netlist.find_source(source_name).name
+    path = [approach_from + (value - approach_from) * k / 32 for k in range(33)]
     plan = Plan(netlist)
-    guess = None
-    for k in range(33):
-        plan.set_source(name, approach_from + (value - approach_from) * k / 32)
-        sol = dc_solve(plan, guess)
-        guess = sol.node_voltages
-    return sol
+    walk = plan.sweep(name, path[:-1])
+    end = netlist.replaced_source(name, DcSpec(path[-1]))
+    return dc_solve(end, dict(zip(plan.node_names, walk[-1].tolist())))
 
 
 def trace_csv(trace: Trace, out: TextIO):

@@ -101,8 +101,8 @@ class Plan:
     trailing unknown ``n_unknowns``, and every Jacobian entry in its row
     or column to the spare trailing slot; assemble() drops both, so no
     stamp branches on ground. Source values come from ``specs``, indexed
-    by ``source_slots[name]``; set_source swaps one entry, so a sweep
-    moves its source without compiling again.
+    by ``source_slots[name]``. A plan never changes once compiled: sweep
+    moves its source on its own copy of the values.
 
     With ``dt`` given, every capacitor, every MOSFET cgs/cgd and CMIN
     from each node to ground become trapezoidal companions. Their
@@ -142,7 +142,7 @@ class Plan:
             jac[slot(q, p)] -= g
             jac[slot(q, q)] += g
 
-        self.specs: list = []
+        specs = []
         self.source_slots: dict[str, int] = {}
         mosfet_elements: list[Mosfet] = []
         resistors, isources, vsources, mosfets, caps = [], [], [], [], []
@@ -156,18 +156,18 @@ class Plan:
                 if dt is not None and el.farads > 0.0:  # open in DC
                     caps.append((ni[el.pos], ni[el.neg], el.farads))
             elif isinstance(el, ISource):
-                self.source_slots[el.name] = len(self.specs)
-                isources.append((ni[el.pos], ni[el.neg], len(self.specs)))
-                self.specs.append(el.spec)
+                self.source_slots[el.name] = len(specs)
+                isources.append((ni[el.pos], ni[el.neg], len(specs)))
+                specs.append(el.spec)
             elif isinstance(el, VSource):
                 p, q = ni[el.pos], ni[el.neg]
-                self.source_slots[el.name] = len(self.specs)
-                vsources.append((p, q, b, len(self.specs)))
+                self.source_slots[el.name] = len(specs)
+                vsources.append((p, q, b, len(specs)))
                 jac[slot(p, b)] += 1.0
                 jac[slot(q, b)] -= 1.0
                 jac[slot(b, p)] += 1.0
                 jac[slot(b, q)] -= 1.0
-                self.specs.append(el.spec)
+                specs.append(el.spec)
                 b += 1
             elif isinstance(el, Mosfet):
                 d, g, s = ni[el.d], ni[el.g], ni[el.s]
@@ -183,6 +183,7 @@ class Plan:
                         caps.append((g, d, m.cgd))
         if dt is not None:
             caps.extend((i, n, CMIN) for i in range(nn))
+        self.specs = tuple(specs)
         self.mosfet_elements = tuple(mosfet_elements)
         self.resistors = tuple(resistors)
         self.isources = tuple(isources)
@@ -198,16 +199,11 @@ class Plan:
         self.jac = np.array(jac[:-1]).reshape(n, n)
         self.jac.flags.writeable = False
         self.jac_finite = bool(np.isfinite(self.jac).all())
-        self._inverse_norm: float | None = None
 
     def unknown_name(self, i: int) -> str:
         if i < self.n_nodes:
             return self.node_names[i]
         return f"I({self.vsource_names[i - self.n_nodes]})"
-
-    def set_source(self, name: str, value: float) -> None:
-        """Hold source ``name`` (as the netlist spells it) at a DC value."""
-        self.specs[self.source_slots[name]] = DcSpec(value)
 
     def source_values(self, time: float) -> list[float]:
         return [spec.value_at(time) for spec in self.specs]
@@ -330,16 +326,15 @@ class Plan:
             out.append(-gv - (0.0 if ieq is None else gv + ieq[j]))
         return out
 
+    @cached_property
     def inverse_norm(self) -> float:
-        """beta = ||J^-1||_inf of the compiled ``jac``, cached.
+        """beta = ||J^-1||_inf of the compiled ``jac``, on first read.
 
         Only for a plan with no MOSFET: its plain Jacobian is ``jac`` at
         every x, source value and companion current (dt is fixed in the
         plan). inf when the inverse cannot bound a step (see _inverse_norm).
         """
-        if self._inverse_norm is None:
-            self._inverse_norm = _inverse_norm(self.jac)
-        return self._inverse_norm
+        return _inverse_norm(self.jac)
 
     def sweep(self, name: str, values: list[float]) -> np.ndarray:
         """Node voltages with source ``name`` (as the netlist spells it)
@@ -349,7 +344,8 @@ class Plan:
         Columns follow ``node_names``. Each point runs dc_solve's stages:
         the first from zero, each later one warm from the node voltages of
         the point before, its branch currents from zero, as dc_solve's
-        dict guess starts them. The source keeps the last value solved.
+        dict guess starts them. Each value passes DcSpec's check and is
+        held in a copy of source_values, so the plan is left as compiled.
         Raises ConvergenceError "sweep failed at <name>=<value>: ..." at
         the first point that does not solve, SingularMatrixError as
         dc_solve does. All points run inside one _lapack_errors() scope,
@@ -358,11 +354,12 @@ class Plan:
         nn = self.n_nodes
         branches = [0.0] * (self.n_unknowns - nn)
         x = [0.0] * self.n_unknowns
+        e = self.source_values(0.0)
+        slot = self.source_slots[name]
         rows = array("d")
         with _lapack_errors():
             for v in values:
-                self.set_source(name, v)
-                e = self.source_values(0.0)
+                e[slot] = DcSpec(v).value
                 x, _, failed = _dc_point(self, e, x[:nn] + branches)
                 if failed:
                     break
@@ -552,7 +549,7 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
         if not (all(map(isfinite, a.f)) and (jac_checked or np.isfinite(a.jac).all())):
             return x, a, iters, "nonfinite"
         if linear:
-            bound = 4.0 * plan.inverse_norm() * max(map(abs, a.f), default=0.0)
+            bound = 4.0 * plan.inverse_norm * max(map(abs, a.f), default=0.0)
             if bound <= vntol and _residual_ok(plan, a):
                 # the step from x provably passes: accept x unsolved
                 x, a = _polish(plan, x, a, e, ieq)
@@ -702,7 +699,7 @@ def _dc_error(plan: Plan, e: list[float], x: list[float], g: float,
         "pseudo-transient")
 
 
-def dc_solve(netlist: Netlist | Plan,
+def dc_solve(netlist: Netlist,
              initial_guess: dict[str, float] | None = None) -> Solution:
     """DC operating point.
 
@@ -718,13 +715,10 @@ def dc_solve(netlist: Netlist | Plan,
     a failed run's x, so failing fast changes the iteration count, not
     the answer. Raises SingularMatrixError when its first step's matrix
     is singular, ConvergenceError with the residual at its last accepted
-    point when it gives up.
-
-    A Netlist is compiled here. A compiled Plan is solved at the source
-    values it holds (see Plan.set_source); Plan.sweep runs the same
-    stages along a list of source values.
+    point when it gives up. Plan.sweep runs the same stages along a list
+    of source values.
     """
-    plan = netlist if isinstance(netlist, Plan) else Plan(netlist)
+    plan = Plan(netlist)
     e = plan.source_values(0.0)
     with _lapack_errors():
         x, total, failed = _dc_point(plan, e, plan.vector_from_guess(initial_guess))

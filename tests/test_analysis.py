@@ -8,10 +8,14 @@ import pytest
 
 from hystlab import analysis
 from hystlab import (
+    ComparatorConfig,
     ConvergenceError,
+    DcSpec,
+    HystlabError,
     MeasurementError,
     Trace,
     branch_solution_at,
+    build_comparator,
     dc_solve,
     dc_sweep,
     measure_delay,
@@ -288,6 +292,29 @@ def test_branch_solution_at_is_side_dependent(hysteresis_net):
     assert hi.node_voltages["OUT"] > 2.5
 
 
+def _walk_solving_each_point(net, value, approach_from):
+    """branch_solution_at(net, "IIN", ...) by its former chain: 33 dc_solve
+    calls, each warm from the last point's voltages."""
+    guess = None
+    for k in range(33):
+        v = approach_from + (value - approach_from) * k / 32
+        sol = dc_solve(net.replaced_source("IIN", DcSpec(v)), guess)
+        guess = sol.node_voltages
+    return sol
+
+
+# inside the stock band (-3.54 to 3.20 uA); the walk to 1 uA ends a float
+# away from 1 uA from either side, and to 3.1 uA from below
+@pytest.mark.parametrize("value", [-3e-6, 0.0, 1e-6, 3.1e-6])
+@pytest.mark.parametrize("approach_from", [-8e-6, 8e-6], ids=["from-below", "from-above"])
+def test_branch_solution_at_matches_solving_each_point(approach_from, value):
+    net = build_comparator(ComparatorConfig())
+    got = branch_solution_at(net, "IIN", value, approach_from)
+    want = _walk_solving_each_point(net, value, approach_from)
+    assert (repr((got.node_voltages, got.branch_currents, got.iterations))
+            == repr((want.node_voltages, want.branch_currents, want.iterations)))
+
+
 @pytest.mark.parametrize("make,axis,node", [
     (lambda: dc_sweep(parse_netlist(PROBE), "IIN", 0.0, 1e-6, 0.5e-6), "stimulus", "a"),
     (lambda: transient(parse_netlist(RC_STEP), dt=1e-7, tstop=1e-6), "time", "out"),
@@ -318,6 +345,27 @@ def test_point_budget_caps_sweeps_and_transients():
         dc_sweep(net, "IIN", -1.0, 1.0, 1e-20)
     with pytest.raises(MeasurementError, match="steps, over the budget"):
         transient(parse_netlist(RC_STEP), 1e-15, 1e-6)
+
+
+def _probe_hysteresis(refine_to):
+    net = parse_netlist(PROBE)
+    up = dc_sweep(net, "IIN", -2e-6, 2e-6, 0.5e-6)
+    dn = dc_sweep(net, "IIN", 2e-6, -2e-6, 0.5e-6)
+    return measure_hysteresis(up, dn, "a", 1.5, refine_to, net)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("analyse,message", [
+    (_probe_hysteresis, "refine_to must be > 0"),
+    (lambda x: transient(parse_netlist(RC_STEP), x, 1e-6), "dt must be > 0"),
+    (lambda x: transient(parse_netlist(RC_STEP), 1e-7, x), "tstop must be >= dt"),
+    (lambda x: dc_sweep(parse_netlist(PROBE), "IIN", 0.0, 1e-6, x), "sweep step must be > 0"),
+], ids=["refine_to", "dt", "tstop", "step"])
+def test_limits_reject_nonpositive_and_nan(analyse, message, bad):
+    # a NaN used to pass a `<= 0` test: refine_to then returned the
+    # unrefined bracket, and dt or step hit the point budget as "nan steps"
+    with pytest.raises(HystlabError, match=message):
+        analyse(bad)
 
 
 def test_capacitor_companion_overflow_is_rejected():

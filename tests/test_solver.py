@@ -12,6 +12,7 @@ from hystlab import (
     ConvergenceError,
     DcSpec,
     Mosfet,
+    NetlistError,
     PulseSpec,
     SingularMatrixError,
     build_comparator,
@@ -769,15 +770,13 @@ def test_down_sweep_completes_past_iref_variant_fold(monkeypatch):
 
 
 def _sweep_solving_each_point(net, values):
-    """The samples of dc_sweep(net, "IIN", ...) at ``values`` by its former
-    chain: set_source, then dc_solve warm from the last point's voltages."""
-    plan = Plan(net)
+    """The samples of dc_sweep(net, "IIN", ...) at ``values`` by a chain
+    of dc_solve calls, each warm from the last point's voltages."""
     rows, guess = [], None
     for v in values:
-        plan.set_source("IIN", v)
-        sol = dc_solve(plan, guess)
+        sol = dc_solve(net.replaced_source("IIN", DcSpec(v)), guess)
         guess = sol.node_voltages
-        rows.append([v, *(guess[n] for n in plan.node_names)])
+        rows.append([v, *(guess[n] for n in net.nodes if n != "0")])
     return np.array(rows)
 
 
@@ -799,6 +798,17 @@ def test_sweep_matches_solving_each_point(monkeypatch, iref, start, stop):
     assert curve.samples.tobytes() == reference.tobytes()
     if iref is not None:
         assert any(g > 0.0 for g, _, _ in runs)
+
+
+def test_sweep_leaves_the_plan_as_compiled():
+    net = build_comparator(ComparatorConfig())
+    plan = Plan(net)
+    plan.sweep("IIN", [-1e-6, 0.0, 2e-6])
+    assert plan.specs == Plan(net).specs
+    # a sweep value passes DcSpec's check, as a netlist's source value does
+    with pytest.raises(NetlistError, match="must be finite"):
+        plan.sweep("IIN", [0.0, float("nan")])
+    assert plan.specs == Plan(net).specs
 
 
 # a 3 V edge in 1 ps moves node "in" by more than dv_clamp in one 1 ns
@@ -968,8 +978,9 @@ def test_solve_matches_numpy_on_ill_conditioned_matrix():
 
 
 def test_solve_matches_numpy_on_stock_jacobian():
-    plan = Plan(build_comparator(ComparatorConfig()))
-    sol = dc_solve(plan)
+    net = build_comparator(ComparatorConfig())
+    plan = Plan(net)
+    sol = dc_solve(net)
     x = plan.vector_from_guess(sol.node_voltages)
     x[plan.n_nodes:] = [sol.branch_currents[name] for name in plan.vsource_names]
     a = plan.assemble(x, plan.source_values(0.0))
