@@ -1,9 +1,10 @@
 """hystlab: a desk-scale MOS circuit simulator and comparator workbench.
 
-Square-law device models, modified nodal analysis with Newton/homotopy
-DC solution, swept-DC and trapezoidal transient engines, hysteresis
-and delay measurements, comparator netlist generation, and the
-matching closed-form transition-current algebra.
+Square-law device models, modified nodal analysis with damped Newton
+DC solution and a pseudo-transient continuation fallback, swept-DC and
+trapezoidal transient engines, hysteresis and delay measurements,
+comparator netlist generation, and the matching closed-form
+transition-current algebra.
 """
 
 from .devices import (DeviceEval, MosGeometry, MosModel, MosPolarity,

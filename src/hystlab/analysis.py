@@ -86,7 +86,7 @@ def _point_count(span: float, step: float) -> int:
 
 def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
     if not step > 0.0:  # NaN fails too
-        raise NetlistError(f"sweep step must be > 0, got {step}")
+        raise MeasurementError(f"sweep step must be > 0, got {step}")
     span = stop - start
     if span == 0.0:
         return [start]

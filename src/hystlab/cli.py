@@ -111,7 +111,11 @@ def _load_circuit(args) -> Netlist:
     if has_variant:
         cfg = ComparatorConfig(variant=ComparatorVariant(args.variant))
         return build_comparator(cfg)
-    return parse_netlist(Path(args.netlist).read_text())
+    try:
+        text = Path(args.netlist).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{args.netlist}: not UTF-8 text ({e})") from None
+    return parse_netlist(text)
 
 
 def _positive(flag: str, value: float | None) -> float | None:

@@ -236,14 +236,17 @@ class Netlist:
         return "\n".join(lines) + "\n"
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
+def _fmt(v: float, micro: bool = False) -> str:
+    """v to 12 significant digits (in micro, with a "u" suffix, if asked),
+    or repr(v) where those digits would not parse back to v."""
+    short = f"{v * 1e6:.12g}u" if micro else f"{v:.12g}"
+    return short if parse_value(short) == v else repr(v)
 
 
 def _element_line(el: Element) -> str:
     if isinstance(el, Mosfet):
         return (f"{el.name} {el.d} {el.g} {el.s} {el.b} {el.model_name} "
-                f"W={_fmt(el.geom.w * 1e6)}u L={_fmt(el.geom.l * 1e6)}u")
+                f"W={_fmt(el.geom.w, micro=True)} L={_fmt(el.geom.l, micro=True)}")
     if isinstance(el, Resistor):
         value = _fmt(el.ohms)
     elif isinstance(el, Capacitor):

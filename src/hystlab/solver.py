@@ -348,8 +348,7 @@ class Plan:
         held in a copy of source_values, so the plan is left as compiled.
         Raises ConvergenceError "sweep failed at <name>=<value>: ..." at
         the first point that does not solve, SingularMatrixError as
-        dc_solve does. All points run inside one _lapack_errors() scope,
-        and the error is raised after it has closed.
+        dc_solve does. All points run inside one _lapack_errors() scope.
         """
         nn = self.n_nodes
         branches = [0.0] * (self.n_unknowns - nn)
@@ -360,17 +359,13 @@ class Plan:
         with _lapack_errors():
             for v in values:
                 e[slot] = DcSpec(v).value
-                x, _, failed = _dc_point(self, e, x[:nn] + branches)
-                if failed:
-                    break
+                try:
+                    x, _ = _dc_point(self, e, x[:nn] + branches)
+                except ConvergenceError as err:
+                    raise ConvergenceError(f"sweep failed at {name}={v:.6g}: {err}",
+                                           stage=err.stage, residual=err.residual) from None
                 rows.extend(x[:nn])
-            else:
-                return np.frombuffer(rows).reshape(len(values), nn)
-        err = _dc_error(self, e, x, *failed)
-        if isinstance(err, ConvergenceError):
-            err = ConvergenceError(f"sweep failed at {name}={v:.6g}: {err}",
-                                   stage=err.stage, residual=err.residual)
-        raise err
+        return np.frombuffer(rows).reshape(len(values), nn)
 
     def steps(self, start: Solution, n_steps: int) -> np.ndarray:
         """Node voltages at the DC point ``start`` and after each of
@@ -379,8 +374,7 @@ class Plan:
         Columns follow ``node_names``. Integration starts from ``start``,
         where no capacitor current flows. Raises ConvergenceError at the
         first step whose Newton run fails, naming its status, such as
-        "(stalled)". All steps run inside one _lapack_errors() scope, and
-        the error is raised after it has closed.
+        "(stalled)". All steps run inside one _lapack_errors() scope.
 
         Replay. A step's input is its start x, its companion currents
         ieq and its source values e, and its result (the x _newton
@@ -407,15 +401,13 @@ class Plan:
                 else:
                     x, a, _, status = _newton(self, x, e=e, ieq=ieq)
                     if status != "ok":
-                        break
+                        raise _convergence_error(
+                            self, a, f"transient step failed at t={t:.6g} s ({status})",
+                            f"transient t={t:.6g}")
                     ieq = self.next_ieq(x, ieq)
                 back, last = last, (key, x, ieq)
                 rows.extend(x[:self.n_nodes])
-            else:
-                return np.frombuffer(rows).reshape(n_steps + 1, self.n_nodes)
-        raise _convergence_error(
-            self, a, f"transient step failed at t={t:.6g} s ({status})",
-            f"transient t={t:.6g}")
+        return np.frombuffer(rows).reshape(n_steps + 1, self.n_nodes)
 
 
 def _same_bits(a: list[float], b: list[float]) -> bool:
@@ -475,7 +467,7 @@ def _solve(jac: np.ndarray, rhs: list[float]) -> list[float]:
     where a singular jac raises LinAlgError; outside, it returns NaN with a
     RuntimeWarning. np.linalg.solve checks its arguments and enters that
     scope on every call, which costs more than gesv on the solver's small
-    systems, so dc_solve and Plan.steps enter it once per run instead.
+    systems, so dc_solve, Plan.sweep and Plan.steps enter it once per run.
     """
     return _umath_linalg.solve1(jac, rhs, signature="dd->d").tolist()
 
@@ -629,12 +621,6 @@ def _suspect_unknown(plan: Plan, jac: np.ndarray) -> str:
     return plan.unknown_name(comp)
 
 
-def _build_solution(plan: Plan, x: list[float], iterations: int) -> Solution:
-    volts = dict(zip(("0", *plan.node_names), [0.0, *x]))
-    branches = dict(zip(plan.vsource_names, x[plan.n_nodes:]))
-    return Solution(volts, branches, plan.mosfet_elements, iterations)
-
-
 def _convergence_error(plan: Plan, a: _Assembled, what: str, stage: str):
     """ConvergenceError reading ``<what>: residual=...`` at the last assembly."""
     nn = plan.n_nodes
@@ -650,12 +636,11 @@ def _convergence_error(plan: Plan, a: _Assembled, what: str, stage: str):
 def _dc_point(plan: Plan, e: list[float], x0: list[float]):
     """dc_solve's stages at source values ``e``, starting from x0.
 
-    Returns (x, iterations, None) from the first stage that converges.
-    When all fail it returns (x, iterations, (g, jac)) instead: the last
-    pseudo-transient x and g, and the singular J that stopped the first
-    pseudo-transient step or None, which _dc_error turns into the error.
-    Run it inside _lapack_errors(), and raise after the scope has closed,
-    as Plan.steps does.
+    Returns (x, iterations) from the first stage that converges. Raises
+    SingularMatrixError when the first pseudo-transient step's J is
+    singular, ConvergenceError at the last pseudo-transient x and g when
+    every stage fails. Run it inside _lapack_errors(), as dc_solve and
+    Plan.sweep do.
     """
     zero = [0.0] * plan.n_unknowns
     total = 0
@@ -666,7 +651,7 @@ def _dc_point(plan: Plan, e: list[float], x0: list[float]):
         x, a, iters, status = _newton(plan, start, e=e)
         total += iters
         if status == "ok":
-            return x, total, None
+            return x, total
 
     x, g, first = zero, _PTC_G_START, True
     while total < _PTC_MAX_ITERS:
@@ -674,27 +659,19 @@ def _dc_point(plan: Plan, e: list[float], x0: list[float]):
         x_next, a, iters, status = _newton(plan, x, 0.0 if plain else g, e=e)
         total += iters
         if status == "ok" and plain:
-            return x_next, total, None
+            return x_next, total
         if status == "ok":
             x, g = x_next, g / 4.0
         elif status == "singular" and first:
-            return x, total, (g, a.jac)
+            raise SingularMatrixError(
+                f"singular system matrix with pseudo-transient g={g:g} S",
+                suspect=_suspect_unknown(plan, a.jac))
         elif g > _PTC_G_MAX:
             break
         else:
             g *= 8.0
         first = False
-    return x, total, (g, None)
-
-
-def _dc_error(plan: Plan, e: list[float], x: list[float], g: float,
-              jac: np.ndarray | None) -> Exception:
-    """The error of a DC point whose every stage failed (see _dc_point)."""
-    if jac is not None:
-        return SingularMatrixError(
-            f"singular system matrix with pseudo-transient g={g:g} S",
-            suspect=_suspect_unknown(plan, jac))
-    return _convergence_error(
+    raise _convergence_error(
         plan, plan.assemble(x, e), f"no DC convergence (pseudo-transient, g={g:g} S)",
         "pseudo-transient")
 
@@ -719,9 +696,9 @@ def dc_solve(netlist: Netlist,
     of source values.
     """
     plan = Plan(netlist)
-    e = plan.source_values(0.0)
     with _lapack_errors():
-        x, total, failed = _dc_point(plan, e, plan.vector_from_guess(initial_guess))
-    if failed:
-        raise _dc_error(plan, e, x, *failed)
-    return _build_solution(plan, x, total)
+        x, total = _dc_point(plan, plan.source_values(0.0),
+                             plan.vector_from_guess(initial_guess))
+    volts = dict(zip(("0", *plan.node_names), [0.0, *x]))
+    branches = dict(zip(plan.vsource_names, x[plan.n_nodes:]))
+    return Solution(volts, branches, plan.mosfet_elements, total)

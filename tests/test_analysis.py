@@ -11,7 +11,6 @@ from hystlab import (
     ComparatorConfig,
     ConvergenceError,
     DcSpec,
-    HystlabError,
     MeasurementError,
     Trace,
     branch_solution_at,
@@ -81,6 +80,8 @@ M1 a 0 0 0 nch W=1u L=1u
     with pytest.raises(ConvergenceError) as exc:
         dc_sweep(net, "IIN", 0.0, 1e-3, 0.5e-3)
     assert "sweep failed at" in str(exc.value)
+    assert exc.value.stage == "pseudo-transient"
+    assert np.isfinite(exc.value.residual)
 
 
 def test_hysteresis_on_monostable_is_zero():
@@ -364,7 +365,7 @@ def _probe_hysteresis(refine_to):
 def test_limits_reject_nonpositive_and_nan(analyse, message, bad):
     # a NaN used to pass a `<= 0` test: refine_to then returned the
     # unrefined bracket, and dt or step hit the point budget as "nan steps"
-    with pytest.raises(HystlabError, match=message):
+    with pytest.raises(MeasurementError, match=message):
         analyse(bad)
 
 

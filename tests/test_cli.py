@@ -86,6 +86,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_file_is_file_error(tmp_path, capsys):
+    # a file that does not decode is a file error, not a crash
+    bad = tmp_path / "bad.cir"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert run(["op", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
+
+
 @pytest.mark.parametrize("error,code", [
     (NetlistError("bad"), 3),
     (ConfigError("bad"), 2),

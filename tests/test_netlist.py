@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hystlab import (
     Capacitor,
     DcSpec,
-    ISource,
     MosGeometry,
     Mosfet,
     Netlist,
@@ -191,23 +190,12 @@ M3 out mid 0 0 nch W=1.0416210002712285u L=0.18u
 .end
 """
     first = parse_netlist(src)
-    second = parse_netlist(first.to_text())
-    assert [e.name for e in first.elements] == [e.name for e in second.elements]
-    for a, b in zip(first.elements, second.elements):
-        # values survive %.12g serialization to 12 significant digits
-        if isinstance(a, Resistor):
-            assert b.ohms == pytest.approx(a.ohms, rel=1e-11)
-        elif isinstance(a, Capacitor):
-            assert b.farads == pytest.approx(a.farads, rel=1e-11)
-        elif isinstance(a, Mosfet):
-            assert b.geom.w == pytest.approx(a.geom.w, rel=1e-11)
-            for field in ("kp", "vto", "lam", "cgs", "cgd"):
-                assert getattr(b.model, field) == pytest.approx(
-                    getattr(a.model, field), rel=1e-11, abs=1e-30)
-        elif isinstance(a, (VSource, ISource)):
-            for t in (0.0, 1.5e-9, 6e-9):
-                assert b.spec.value_at(t) == pytest.approx(a.spec.value_at(t), rel=1e-11)
-    assert first.to_text() == second.to_text()
+    # 12 significant digits where they parse back exactly (M3's W does not)
+    text = first.to_text()
+    assert "W=0.36u L=0.18u" in text and "W=1.0416210002712285e-06" in text
+    second = parse_netlist(text)
+    assert second == first
+    assert second.to_text() == text
 
 
 R_VALUES = st.floats(1.0, 1e7, allow_nan=False, allow_infinity=False)
@@ -222,10 +210,7 @@ def test_round_trip_property(values):
     lines.append("V1 n0 0 DC 1")
     lines.append(".end")
     net = parse_netlist("\n".join(lines))
-    again = parse_netlist(net.to_text())
-    for a, b in zip(net.elements, again.elements):
-        if isinstance(a, Resistor):
-            assert b.ohms == pytest.approx(a.ohms, rel=1e-11)
+    assert parse_netlist(net.to_text()) == net
 
 
 def test_ground_always_interned_first():

@@ -1,6 +1,7 @@
 """Checks over seeded random circuits: every DC solve either passes the
-KCL audit or raises a HystlabError (oracle A), and a warm sweep equals
-the chain of dc_solve calls it replaces."""
+KCL audit or raises a HystlabError (oracle A), each netlist survives
+to_text and parse_netlist unchanged, and a warm sweep equals the chain
+of dc_solve calls it replaces."""
 
 import math
 import random
@@ -21,6 +22,7 @@ from hystlab import (
     VSource,
     dc_solve,
     dc_sweep,
+    parse_netlist,
     verify_kcl,
 )
 
@@ -64,6 +66,13 @@ def test_random_circuits_solve_or_raise():
         verify_kcl(net, sol)
         solved += 1
     assert solved >= 290  # the generator makes mostly solvable circuits
+
+
+def test_random_circuits_round_trip_through_text():
+    # to_text keeps every value exactly, so parsing it rebuilds the netlist
+    for seed in range(300):
+        net = random_circuit(seed)
+        assert parse_netlist(net.to_text()) == net
 
 
 # the circuits among seeds 100-199 that have a current source; seed 128's

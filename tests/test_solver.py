@@ -197,13 +197,24 @@ def test_kcl_audit_clean(hysteresis_net):
         assert abs(r) <= 1e-12 + 1e-4 * scale
 
 
+# two ideal sources fighting over one node: structurally singular
+CLASH = "clash\nV1 a 0 DC 1\nV2 a 0 DC 2\n.end\n"
+# current forced into a cutoff device: only the gmin path absorbs it,
+# which needs ~1e9 V
+STUCK = """stuck
+I1 0 a DC 1m
+M1 a 0 0 0 nch W=1u L=1u
+.model nch NMOS (KP=200u VTO=0.5)
+.end
+"""
+
+
 @pytest.mark.parametrize("guess", [None, {"a": 1.5}], ids=["cold", "warm"])
 def test_singular_circuit_names_suspect(guess):
-    # two ideal sources fighting over one node: structurally singular;
     # a warm solve reaches the pseudo-transient stage only after its cold
     # restart. Every stage must see the singular matrix as LinAlgError,
     # not as a NaN step and a RuntimeWarning.
-    net = parse_netlist("clash\nV1 a 0 DC 1\nV2 a 0 DC 2\n.end\n")
+    net = parse_netlist(CLASH)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularMatrixError) as exc:
@@ -213,19 +224,49 @@ def test_singular_circuit_names_suspect(guess):
 
 
 def test_hopeless_circuit_raises_convergence_error():
-    # current forced into a cutoff device: only the gmin path absorbs it,
-    # which needs ~1e9 V; pseudo-transient continuation must give up
-    net = parse_netlist("""stuck
-I1 0 a DC 1m
-M1 a 0 0 0 nch W=1u L=1u
-.model nch NMOS (KP=200u VTO=0.5)
-.end
-""")
+    # pseudo-transient continuation must give up
+    net = parse_netlist(STUCK)
     with pytest.raises(ConvergenceError) as exc:
         dc_solve(net)
     assert exc.value.stage == "pseudo-transient"
     # the plain residual at the last accepted point: the source's full 1 mA
     assert exc.value.residual == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_sweep_passes_singular_error_unwrapped():
+    # a sweep names its point in a ConvergenceError only; a singular
+    # matrix reads as dc_solve reports it at that point
+    net = parse_netlist(CLASH)
+    with pytest.raises(SingularMatrixError) as solve:
+        dc_solve(net.replaced_source("V1", DcSpec(0.0)))
+    with pytest.raises(SingularMatrixError) as sweep:
+        dc_sweep(net, "V1", 0.0, 1.0, 0.5)
+    assert str(sweep.value) == str(solve.value)
+    assert sweep.value.suspect == solve.value.suspect
+
+
+def _caller_policy(err, flag):
+    pass
+
+
+@pytest.mark.parametrize("fail", [
+    lambda: dc_solve(parse_netlist(CLASH)),
+    lambda: dc_solve(parse_netlist(STUCK)),
+    lambda: Plan(parse_netlist(CLASH)).sweep("V1", [0.0, 1.0]),
+    lambda: Plan(parse_netlist(STUCK)).sweep("I1", [1e-3]),
+    lambda: transient(parse_netlist(
+        "t\nV1 in 0 PULSE(0 1e300 0 1n 1n 5n 0)\nR1 in a 1e-300\n"
+        "R2 a 0 1k\nC1 a 0 1p\n.end\n"), 1e-9, 5e-9),
+], ids=["solve-singular", "solve-stuck", "sweep-singular", "sweep-stuck", "steps"])
+def test_failed_solve_restores_callers_error_policy(fail):
+    # each error is raised inside the solver's floating-point error scope;
+    # leaving the scope must hand back the caller's policy and handler
+    with np.errstate(divide="raise", over="warn", under="print", invalid="call",
+                     call=_caller_policy):
+        before = np.geterr(), np.geterrcall()
+        with pytest.raises((ConvergenceError, SingularMatrixError)):
+            fail()
+        assert (np.geterr(), np.geterrcall()) == before
 
 
 def test_gmin_rescues_floating_gate():
