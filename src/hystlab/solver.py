@@ -8,8 +8,11 @@ stop contracting or it cycles through the clamp (see _newton). A failed
 warm-started Newton run falls back to a cold restart; when plain Newton
 fails from every start, pseudo-transient continuation integrates from
 zero to the steady state (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).
-Each Newton step is solved by LAPACK gesv (_solve) inside one
-floating-point error scope per solve run (_lapack_errors).
+A sweep starts each point from a quadratic predictor through the points
+before it (Plan.sweep; Allgower & Georg, Introduction to Numerical
+Continuation Methods, 2003). Each Newton step is solved by LAPACK gesv
+(_solve) inside one floating-point error scope per solve run
+(_lapack_errors).
 """
 
 from __future__ import annotations
@@ -56,6 +59,12 @@ _PTC_MAX_ITERS = 1200   # iterations of the whole solve
 _STALL_FROM = 4
 _STALL_STEPS = 5
 
+# Plan.sweep starts a point from the quadratic through the last three
+# points while each of them converged within _PREDICT_ITERS iterations
+# and the three stimulus steps through them agree to _EVEN_STEPS relative
+_PREDICT_ITERS = 3
+_EVEN_STEPS = 1e-6
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -79,7 +88,7 @@ class Solution:
 @dataclass(slots=True)
 class _Assembled:
     f: list[float]
-    jac: np.ndarray
+    jac: np.ndarray | None  # None from assemble(..., jacobian=False) on a MOSFET plan
     node_scale: list[float]
     branch_scale: list[float]
 
@@ -119,12 +128,13 @@ class Plan:
     def __init__(self, netlist: Netlist, dt: float | None = None):
         self.dt = dt
         self.node_names = tuple(n for n in netlist.nodes if n != "0")
-        self.index = {n: i for i, n in enumerate(self.node_names)}
         nn = self.n_nodes = len(self.node_names)
         self.vsource_names = tuple(el.name for el in netlist.elements
                                    if isinstance(el, VSource))
         n = self.n_unknowns = nn + len(self.vsource_names)
-        ni = dict(self.index)
+        ni = {name: i for i, name in enumerate(self.node_names)}
+        # every unknown by unknown_name; a node wins over a branch spelled alike
+        self.index = {f"I({v})": nn + j for j, v in enumerate(self.vsource_names)} | ni
         ni["0"] = n
 
         def slot(p: int, q: int) -> int:
@@ -209,6 +219,12 @@ class Plan:
         return [spec.value_at(time) for spec in self.specs]
 
     def vector_from_guess(self, guess: dict[str, float] | None) -> list[float]:
+        """The unknowns named in ``guess``, zero elsewhere.
+
+        Keys are unknown_name's: a node's name, or ``I(<source>)`` for a
+        voltage source's branch current. A node wins over a branch of the
+        same spelling. Other keys, such as ground "0", are ignored.
+        """
         x = [0.0] * self.n_unknowns
         if guess:
             for name, v in guess.items():
@@ -218,7 +234,8 @@ class Plan:
         return x
 
     def assemble(self, x: list[float], e: list[float],
-                 ieq: list[float] | tuple = (), tie: float = 0.0, x0=()) -> _Assembled:
+                 ieq: list[float] | tuple = (), tie: float = 0.0, x0=(),
+                 jacobian: bool = True) -> _Assembled:
         """Residual, Jacobian and convergence scales at x.
 
         ``e`` holds the source values (see source_values), ``ieq`` the
@@ -232,7 +249,9 @@ class Plan:
         MOSFET, assembled without a tie, returns the compiled read-only
         ``jac`` itself, whose finiteness was checked once (``jac_finite``).
         Only the Jacobian leaves as an ndarray, the input of the linear
-        solve.
+        solve. ``jacobian=False`` (no tie) skips the MOSFET stamps in a
+        loop of its own and leaves ``jac`` None on a MOSFET plan; f and
+        the scales are the same bits.
         """
         n = self.n_unknowns
         xl = [*x, 0.0]
@@ -267,21 +286,31 @@ class Plan:
             f[b] = (vp - vq) - ej
             sc[b] = abs(vp) + abs(vq) + abs(ej)
 
-        jac = self._jac_list.copy() if self.mosfets or tie else None
-        for d, g, s, k, sign, vto, lam, dg, dd, ds, sg, sd, ss in self.mosfets:
-            vs = xl[s]
-            i, gm, gds = mos_kernel(k, sign, vto, lam, xl[g] - vs, xl[d] - vs)
-            f[d] += i
-            f[s] -= i
-            jac[dg] += gm
-            jac[dd] += gds
-            jac[ds] -= gm + gds
-            jac[sg] -= gm
-            jac[sd] -= gds
-            jac[ss] += gm + gds
-            i = abs(i)
-            sc[d] += i
-            sc[s] += i
+        jac = self._jac_list.copy() if jacobian and (self.mosfets or tie) else None
+        if jac is None:
+            for d, g, s, k, sign, vto, lam, _, _, _, _, _, _ in self.mosfets:
+                vs = xl[s]
+                i = mos_kernel(k, sign, vto, lam, xl[g] - vs, xl[d] - vs)[0]
+                f[d] += i
+                f[s] -= i
+                i = abs(i)
+                sc[d] += i
+                sc[s] += i
+        else:
+            for d, g, s, k, sign, vto, lam, dg, dd, ds, sg, sd, ss in self.mosfets:
+                vs = xl[s]
+                i, gm, gds = mos_kernel(k, sign, vto, lam, xl[g] - vs, xl[d] - vs)
+                f[d] += i
+                f[s] -= i
+                jac[dg] += gm
+                jac[dd] += gds
+                jac[ds] -= gm + gds
+                jac[sg] -= gm
+                jac[sd] -= gds
+                jac[ss] += gm + gds
+                i = abs(i)
+                sc[d] += i
+                sc[s] += i
 
         for (p, q, g), c in zip(self.caps, ieq):
             gv = g * (xl[p] - xl[q])
@@ -308,7 +337,7 @@ class Plan:
         f.pop()
         nn = self.n_nodes
         if jac is None:
-            return _Assembled(f, self.jac, sc[:nn], sc[nn:n])
+            return _Assembled(f, None if self.mosfets else self.jac, sc[:nn], sc[nn:n])
         jac.pop()
         return _Assembled(f, np.array(jac).reshape(n, n), sc[:nn], sc[nn:n])
 
@@ -341,14 +370,22 @@ class Plan:
         held at each of ``values`` in turn: len(values) x n_nodes, one row
         per value.
 
-        Columns follow ``node_names``. Each point runs dc_solve's stages:
-        the first from zero, each later one warm from the node voltages of
-        the point before, its branch currents from zero, as dc_solve's
-        dict guess starts them. Each value passes DcSpec's check and is
-        held in a copy of source_values, so the plan is left as compiled.
-        Raises ConvergenceError "sweep failed at <name>=<value>: ..." at
-        the first point that does not solve, SingularMatrixError as
-        dc_solve does. All points run inside one _lapack_errors() scope.
+        Columns follow ``node_names``. Each point runs dc_solve's stages
+        from one of two starts, each one a dc_solve guess can spell:
+        - every unknown, branch currents included, at x0 + 3*(x2 - x1),
+          the quadratic in the stimulus through the last three points,
+          while each of them converged within _PREDICT_ITERS iterations
+          and the three steps up to this point agree within _EVEN_STEPS
+          relative. Most points then converge in one iteration, against
+          two from the point before;
+        - otherwise, as at a repeated value or after an uneven step such
+          as dc_sweep's partial last one, the node voltages of the point
+          before (zero at the first point), branch currents from zero.
+        Each value passes DcSpec's check and is held in a copy of
+        source_values, so the plan is left as compiled. Raises
+        ConvergenceError "sweep failed at <name>=<value>: ..." at the
+        first point that does not solve, SingularMatrixError as dc_solve
+        does. All points run inside one _lapack_errors() scope.
         """
         nn = self.n_nodes
         branches = [0.0] * (self.n_unknowns - nn)
@@ -356,14 +393,23 @@ class Plan:
         e = self.source_values(0.0)
         slot = self.source_slots[name]
         rows = array("d")
+        # (value, x) of the last points, each solved within _PREDICT_ITERS
+        fit: list[tuple[float, list[float]]] = []
         with _lapack_errors():
             for v in values:
-                e[slot] = DcSpec(v).value
+                s = e[slot] = DcSpec(v).value
+                start = x[:nn] + branches
+                if len(fit) == 3:
+                    (s0, x0), (s1, x1), (s2, x2) = fit
+                    step = s2 - s1
+                    if abs(s1 - s0 - step) + abs(s - s2 - step) < _EVEN_STEPS * abs(step):
+                        start = [a + 3.0 * (c - b) for a, b, c in zip(x0, x1, x2)]
                 try:
-                    x, _ = _dc_point(self, e, x[:nn] + branches)
+                    x, iters = _dc_point(self, e, start)
                 except ConvergenceError as err:
                     raise ConvergenceError(f"sweep failed at {name}={v:.6g}: {err}",
                                            stage=err.stage, residual=err.residual) from None
+                fit = [*fit[-2:], (s, x)] if iters <= _PREDICT_ITERS else []
                 rows.extend(x[:nn])
         return np.frombuffer(rows).reshape(len(values), nn)
 
@@ -589,6 +635,8 @@ def _polish(plan: Plan, x, a, e, ieq, dx=None):
     """Up to 3 undamped Newton steps from the accepted x, each kept only
     if it lowers the worst nodal residual, so converged points audit
     cleanly. ``dx``, when given, is the step already solved at (x, a).
+    A trial point is assembled without its Jacobian, which is built only
+    when polish steps again from it; the returned ``a.jac`` can be None.
     """
     nn = plan.n_nodes
     best = max(map(abs, a.f[:nn])) if nn else 0.0
@@ -596,12 +644,14 @@ def _polish(plan: Plan, x, a, e, ieq, dx=None):
         if best <= 0.1 * OPTIONS.abstol:
             break
         if dx is None:
+            if a.jac is None:
+                a = plan.assemble(x, e, ieq)
             try:
                 dx = _solve(a.jac, [-v for v in a.f])
             except np.linalg.LinAlgError:
                 break
         x_try = [xi + d for xi, d in zip(x, dx)]
-        a_try = plan.assemble(x_try, e, ieq)
+        a_try = plan.assemble(x_try, e, ieq, jacobian=False)
         # finite first: Python's max can pass over a NaN
         if not all(map(isfinite, a_try.f)):
             break
@@ -679,6 +729,12 @@ def _dc_point(plan: Plan, e: list[float], x0: list[float]):
 def dc_solve(netlist: Netlist,
              initial_guess: dict[str, float] | None = None) -> Solution:
     """DC operating point.
+
+    ``initial_guess`` names unknowns as Plan.unknown_name does: node
+    voltages by node name, branch currents as ``I(<source>)``; an unknown
+    it does not name starts at zero (see Plan.vector_from_guess). A
+    solved point's voltages with its branch currents reconverge in one
+    iteration; without them, its branch rows fail the step test once.
 
     Each stage runs only when the one before it fails: plain Newton from
     the guess (from zero when none is given); with a guess that is not

@@ -7,10 +7,13 @@ from hystlab import (
     PMOS_DEFAULT,
     ComparatorConfig,
     ComparatorVariant,
+    DcSpec,
     MosGeometry,
     build_comparator,
+    dc_solve,
     table_sizing,
 )
+from hystlab import solver as solver_module
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +46,37 @@ def capacitance_net():
     sizing["M7"] = sizing["M10"] = MosGeometry(0.36e-6, 0.18e-6)
     return build_comparator(ComparatorConfig(nmos=nmos, pmos=pmos,
                                              sizing=sizing, i_ref=11.5e-6))
+
+
+def _sweep_chain(net, name, values):
+    """Yield (value, Solution) of dc_solve at each of ``values`` in turn,
+    each guessed as Plan.sweep starts its points.
+
+    The guess is the quadratic x0 + 3*(x2 - x1) through the last three
+    points, every unknown spelled as the guess reads it (node names, and
+    I(<source>) for branch currents), while each of the three took at most
+    _PREDICT_ITERS iterations and the three steps from x0's value to this
+    one agree within _EVEN_STEPS relative. Otherwise it is the node
+    voltages of the point before, none for the first. A point that fails
+    raises as dc_solve does.
+    """
+    fit, guess = [], None
+    for v in values:
+        if len(fit) == 3:
+            (s0, x0), (s1, x1), (s2, x2) = fit
+            step = s2 - s1
+            if abs(s1 - s0 - step) + abs(v - s2 - step) < solver_module._EVEN_STEPS * abs(step):
+                guess = {k: x0[k] + 3.0 * (x2[k] - x1[k]) for k in x2}
+        sol = dc_solve(net.replaced_source(name, DcSpec(v)), guess)
+        yield v, sol
+        unknowns = {**sol.node_voltages,
+                    **{f"I({b})": i for b, i in sol.branch_currents.items()}}
+        keep = sol.iterations <= solver_module._PREDICT_ITERS
+        fit = [*fit[-2:], (v, unknowns)] if keep else []
+        guess = sol.node_voltages
+
+
+@pytest.fixture(scope="session")
+def sweep_chain():
+    """Plan.sweep restated as a chain of public dc_solve calls (_sweep_chain)."""
+    return _sweep_chain

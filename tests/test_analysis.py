@@ -293,25 +293,23 @@ def test_branch_solution_at_is_side_dependent(hysteresis_net):
     assert hi.node_voltages["OUT"] > 2.5
 
 
-def _walk_solving_each_point(net, value, approach_from):
-    """branch_solution_at(net, "IIN", ...) by its former chain: 33 dc_solve
-    calls, each warm from the last point's voltages."""
-    guess = None
-    for k in range(33):
-        v = approach_from + (value - approach_from) * k / 32
-        sol = dc_solve(net.replaced_source("IIN", DcSpec(v)), guess)
-        guess = sol.node_voltages
-    return sol
+def _walk_solving_each_point(sweep_chain, net, value, approach_from):
+    """branch_solution_at(net, "IIN", ...) by a chain of 33 dc_solve
+    calls: the walk's 32, each guessed as Plan.sweep starts its points,
+    then the end point warm from the last point's voltages."""
+    path = [approach_from + (value - approach_from) * k / 32 for k in range(33)]
+    *_, (_, last) = sweep_chain(net, "IIN", path[:-1])
+    return dc_solve(net.replaced_source("IIN", DcSpec(path[-1])), last.node_voltages)
 
 
 # inside the stock band (-3.54 to 3.20 uA); the walk to 1 uA ends a float
 # away from 1 uA from either side, and to 3.1 uA from below
 @pytest.mark.parametrize("value", [-3e-6, 0.0, 1e-6, 3.1e-6])
 @pytest.mark.parametrize("approach_from", [-8e-6, 8e-6], ids=["from-below", "from-above"])
-def test_branch_solution_at_matches_solving_each_point(approach_from, value):
+def test_branch_solution_at_matches_solving_each_point(sweep_chain, approach_from, value):
     net = build_comparator(ComparatorConfig())
     got = branch_solution_at(net, "IIN", value, approach_from)
-    want = _walk_solving_each_point(net, value, approach_from)
+    want = _walk_solving_each_point(sweep_chain, net, value, approach_from)
     assert (repr((got.node_voltages, got.branch_currents, got.iterations))
             == repr((want.node_voltages, want.branch_currents, want.iterations)))
 

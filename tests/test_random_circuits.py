@@ -1,7 +1,7 @@
 """Checks over seeded random circuits: every DC solve either passes the
 KCL audit or raises a HystlabError (oracle A), each netlist survives
 to_text and parse_netlist unchanged, and a warm sweep equals the chain
-of dc_solve calls it replaces."""
+of dc_solve calls guessed as the sweep starts its points."""
 
 import math
 import random
@@ -82,19 +82,16 @@ SWEEP_SEEDS = [s for s in range(100, 200)
 
 
 @pytest.mark.parametrize("seed", SWEEP_SEEDS)
-def test_random_sweep_matches_solving_each_point(seed):
+def test_random_sweep_matches_solving_each_point(sweep_chain, seed):
     net = random_circuit(seed)
     name = next(el.name for el in net.elements if isinstance(el, ISource))
     values = [-20e-6 + 4e-6 * i for i in range(11)]  # dc_sweep's grid, bit for bit
-    rows, guess, chain_error = [], None, None
-    for v in values:
-        try:
-            sol = dc_solve(net.replaced_source(name, DcSpec(v)), guess)
-        except HystlabError as exc:
-            chain_error = exc, v
-            break
-        guess = sol.node_voltages
-        rows.append([v, *(guess[n] for n in net.nodes if n != "0")])
+    rows, chain_error = [], None
+    try:
+        for v, sol in sweep_chain(net, name, values):
+            rows.append([v, *(sol.node_voltages[n] for n in net.nodes if n != "0")])
+    except HystlabError as exc:
+        chain_error = exc, values[len(rows)]
     if chain_error is None:
         curve = dc_sweep(net, name, -20e-6, 20e-6, 4e-6)
         assert curve.samples.tobytes() == np.array(rows).tobytes()

@@ -15,6 +15,7 @@ from hystlab import (
     NetlistError,
     PulseSpec,
     SingularMatrixError,
+    branch_solution_at,
     build_comparator,
     dc_solve,
     dc_sweep,
@@ -810,15 +811,11 @@ def test_down_sweep_completes_past_iref_variant_fold(monkeypatch):
     assert runs[-1][::2] == (0.0, "ok")
 
 
-def _sweep_solving_each_point(net, values):
+def _sweep_solving_each_point(sweep_chain, net, values):
     """The samples of dc_sweep(net, "IIN", ...) at ``values`` by a chain
-    of dc_solve calls, each warm from the last point's voltages."""
-    rows, guess = [], None
-    for v in values:
-        sol = dc_solve(net.replaced_source("IIN", DcSpec(v)), guess)
-        guess = sol.node_voltages
-        rows.append([v, *(guess[n] for n in net.nodes if n != "0")])
-    return np.array(rows)
+    of dc_solve calls, each guessed as Plan.sweep starts its points."""
+    return np.array([[v, *(sol.node_voltages[n] for n in net.nodes if n != "0")]
+                     for v, sol in sweep_chain(net, "IIN", values)])
 
 
 @pytest.mark.parametrize("iref,start,stop", [
@@ -828,14 +825,14 @@ def _sweep_solving_each_point(net, values):
     # whose -3.45 uA point is solved by pseudo-transient continuation
     (9.11010274375754e-08, 8e-6, -8e-6),
 ], ids=["stock-up", "stock-down", "iref-variant-down"])
-def test_sweep_matches_solving_each_point(monkeypatch, iref, start, stop):
+def test_sweep_matches_solving_each_point(monkeypatch, sweep_chain, iref, start, stop):
     net = build_comparator(ComparatorConfig())
     if iref is not None:
         net = net.replaced_source("IREF", DcSpec(iref))
     runs = _spy_runs(monkeypatch)
     curve = dc_sweep(net, "IIN", start, stop, 50e-9)
     assert len(curve.samples) == 321
-    reference = _sweep_solving_each_point(net, curve.times().tolist())
+    reference = _sweep_solving_each_point(sweep_chain, net, curve.times().tolist())
     assert curve.samples.tobytes() == reference.tobytes()
     if iref is not None:
         assert any(g > 0.0 for g, _, _ in runs)
@@ -850,6 +847,76 @@ def test_sweep_leaves_the_plan_as_compiled():
     with pytest.raises(NetlistError, match="must be finite"):
         plan.sweep("IIN", [0.0, float("nan")])
     assert plan.specs == Plan(net).specs
+
+
+def test_predicted_sweep_starts_halve_the_newton_iterations(monkeypatch):
+    # warm from the last point's voltages, the stock up and down sweeps
+    # took 1,521 iterations, 2 stalled runs and no pseudo-transient step
+    net = build_comparator(ComparatorConfig())
+    runs = _spy_runs(monkeypatch)
+    dc_sweep(net, "IIN", -8e-6, 8e-6, 50e-9)
+    dc_sweep(net, "IIN", 8e-6, -8e-6, 50e-9)
+    assert sum(iters for _, iters, _ in runs) <= 800
+    assert sum(status == "stalled" for _, _, status in runs) == 2
+    assert not any(g > 0.0 for g, _, _ in runs)
+
+
+def test_guess_reads_branch_currents_by_unknown_name():
+    net = build_comparator(ComparatorConfig())
+    sol = dc_solve(net)
+    plan = Plan(net)
+    assert plan.unknown_name(plan.n_nodes) == "I(VDD)"
+    # the node VDD and the branch I(VDD) are two unknowns
+    guess = {**sol.node_voltages, "I(VDD)": sol.branch_currents["VDD"], "I(IIN)": 1.0}
+    x = plan.vector_from_guess(guess)
+    assert x == [*(sol.node_voltages[n] for n in plan.node_names), sol.branch_currents["VDD"]]
+    # from a solved point, only its branch current spares the second iteration
+    assert dc_solve(net, guess).iterations == 1
+    assert dc_solve(net, sol.node_voltages).iterations == 2
+
+
+def _spy_starts(monkeypatch):
+    """Record (x0, x) of every sweep point's _dc_point call."""
+    points = []
+    real = solver_module._dc_point
+
+    def spy(plan, e, x0):
+        x, iters = real(plan, e, x0)
+        points.append((x0, x))
+        return x, iters
+
+    monkeypatch.setattr(solver_module, "_dc_point", spy)
+    return points
+
+
+def _warm_start(x, n_nodes):
+    """Plan.sweep's start without a prediction: x's voltages, branches zero."""
+    return x[:n_nodes] + [0.0] * (len(x) - n_nodes)
+
+
+def test_repeated_sweep_values_are_not_extrapolated(monkeypatch):
+    # approached from the value itself, the walk holds IIN at 1 uA 32
+    # times: every step is 0, so no point may be extrapolated. The 33rd
+    # point is the end point, which dc_solve starts warm as well.
+    net = build_comparator(ComparatorConfig())
+    points = _spy_starts(monkeypatch)
+    branch_solution_at(net, "IIN", 1e-6, approach_from=1e-6)
+    nn = Plan(net).n_nodes
+    assert len(points) == 33
+    for (_, before), (start, _) in zip(points, points[1:]):
+        assert start == _warm_start(before, nn)
+
+
+def test_uneven_last_sweep_step_is_not_extrapolated(monkeypatch):
+    # the grid ends 50 nA steps at 7.95 uA and appends 7.99 uA
+    net = build_comparator(ComparatorConfig())
+    points = _spy_starts(monkeypatch)
+    curve = dc_sweep(net, "IIN", -8e-6, 7.99e-6, 50e-9)
+    assert curve.times()[-3:].tolist() == pytest.approx([7.9e-6, 7.95e-6, 7.99e-6])
+    nn = Plan(net).n_nodes
+    (_, x_a), (start_b, x_b), (start_c, _) = points[-3:]
+    assert start_b != _warm_start(x_a, nn)  # the even steps before it were extrapolated
+    assert start_c == _warm_start(x_b, nn)
 
 
 # a 3 V edge in 1 ps moves node "in" by more than dv_clamp in one 1 ns
