@@ -100,11 +100,16 @@ def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
 
 def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
              step: float) -> Trace:
-    """Solve along a stimulus grid, warm-starting each point from the last.
+    """Solve along a stimulus grid, each point started from the points before.
 
-    The warm chain is what lets a bistable circuit hold its branch
-    through the hysteresis band. The points are solved by Plan.sweep,
-    whose error at a failed point reads "sweep failed at <source>=<value>".
+    The points are solved by Plan.sweep, whose start rule applies: the
+    quadratic through the last three points while each converged within
+    3 Newton iterations and the steps are even, else the last point's
+    node voltages. Either start lies by the branch of the point before,
+    so a bistable circuit holds that branch through the hysteresis band.
+    At a fold, where the branch ends, the start fails and dc_solve's next
+    stage, plain Newton from zero, lands on the surviving branch. A
+    failed point raises "sweep failed at <source>=<value>".
     """
     src = netlist.find_source(source_name)
     if not isinstance(src.spec, DcSpec):
@@ -237,10 +242,11 @@ def branch_solution_at(netlist: Netlist, source_name: str, value: float,
                        approach_from: float) -> Solution:
     """Solve at one stimulus value, approached by continuation.
 
-    Warm-walks the solver from approach_from in 32 equal moves so the
-    returned Solution sits on the branch reachable from that side, which
-    matters inside a hysteresis band. The walk is one Plan.sweep; the end
-    point, solved warm from its last row, is the path's own last value,
+    Walks the solver from approach_from in 32 equal moves, one
+    Plan.sweep with its start rule (see dc_sweep), so the returned
+    Solution sits on the branch reachable from that side, which matters
+    inside a hysteresis band. The end point, solved by dc_solve from the
+    walk's last row of node voltages, is the path's own last value,
     which in floating point need not equal ``value``.
     """
     name = netlist.find_source(source_name).name

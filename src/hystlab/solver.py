@@ -88,7 +88,7 @@ class Solution:
 @dataclass(slots=True)
 class _Assembled:
     f: list[float]
-    jac: np.ndarray | None  # None from assemble(..., jacobian=False) on a MOSFET plan
+    jac: np.ndarray
     node_scale: list[float]
     branch_scale: list[float]
 
@@ -234,8 +234,7 @@ class Plan:
         return x
 
     def assemble(self, x: list[float], e: list[float],
-                 ieq: list[float] | tuple = (), tie: float = 0.0, x0=(),
-                 jacobian: bool = True) -> _Assembled:
+                 ieq: list[float] | tuple = (), tie: float = 0.0, x0=()) -> _Assembled:
         """Residual, Jacobian and convergence scales at x.
 
         ``e`` holds the source values (see source_values), ``ieq`` the
@@ -249,9 +248,7 @@ class Plan:
         MOSFET, assembled without a tie, returns the compiled read-only
         ``jac`` itself, whose finiteness was checked once (``jac_finite``).
         Only the Jacobian leaves as an ndarray, the input of the linear
-        solve. ``jacobian=False`` (no tie) skips the MOSFET stamps in a
-        loop of its own and leaves ``jac`` None on a MOSFET plan; f and
-        the scales are the same bits.
+        solve.
         """
         n = self.n_unknowns
         xl = [*x, 0.0]
@@ -286,31 +283,21 @@ class Plan:
             f[b] = (vp - vq) - ej
             sc[b] = abs(vp) + abs(vq) + abs(ej)
 
-        jac = self._jac_list.copy() if jacobian and (self.mosfets or tie) else None
-        if jac is None:
-            for d, g, s, k, sign, vto, lam, _, _, _, _, _, _ in self.mosfets:
-                vs = xl[s]
-                i = mos_kernel(k, sign, vto, lam, xl[g] - vs, xl[d] - vs)[0]
-                f[d] += i
-                f[s] -= i
-                i = abs(i)
-                sc[d] += i
-                sc[s] += i
-        else:
-            for d, g, s, k, sign, vto, lam, dg, dd, ds, sg, sd, ss in self.mosfets:
-                vs = xl[s]
-                i, gm, gds = mos_kernel(k, sign, vto, lam, xl[g] - vs, xl[d] - vs)
-                f[d] += i
-                f[s] -= i
-                jac[dg] += gm
-                jac[dd] += gds
-                jac[ds] -= gm + gds
-                jac[sg] -= gm
-                jac[sd] -= gds
-                jac[ss] += gm + gds
-                i = abs(i)
-                sc[d] += i
-                sc[s] += i
+        jac = self._jac_list.copy() if self.mosfets or tie else None
+        for d, g, s, k, sign, vto, lam, dg, dd, ds, sg, sd, ss in self.mosfets:
+            vs = xl[s]
+            i, gm, gds = mos_kernel(k, sign, vto, lam, xl[g] - vs, xl[d] - vs)
+            f[d] += i
+            f[s] -= i
+            jac[dg] += gm
+            jac[dd] += gds
+            jac[ds] -= gm + gds
+            jac[sg] -= gm
+            jac[sd] -= gds
+            jac[ss] += gm + gds
+            i = abs(i)
+            sc[d] += i
+            sc[s] += i
 
         for (p, q, g), c in zip(self.caps, ieq):
             gv = g * (xl[p] - xl[q])
@@ -337,7 +324,7 @@ class Plan:
         f.pop()
         nn = self.n_nodes
         if jac is None:
-            return _Assembled(f, None if self.mosfets else self.jac, sc[:nn], sc[nn:n])
+            return _Assembled(f, self.jac, sc[:nn], sc[nn:n])
         jac.pop()
         return _Assembled(f, np.array(jac).reshape(n, n), sc[:nn], sc[nn:n])
 
@@ -376,8 +363,7 @@ class Plan:
           the quadratic in the stimulus through the last three points,
           while each of them converged within _PREDICT_ITERS iterations
           and the three steps up to this point agree within _EVEN_STEPS
-          relative. Most points then converge in one iteration, against
-          two from the point before;
+          relative;
         - otherwise, as at a repeated value or after an uneven step such
           as dc_sweep's partial last one, the node voltages of the point
           before (zero at the first point), branch currents from zero.
@@ -635,8 +621,6 @@ def _polish(plan: Plan, x, a, e, ieq, dx=None):
     """Up to 3 undamped Newton steps from the accepted x, each kept only
     if it lowers the worst nodal residual, so converged points audit
     cleanly. ``dx``, when given, is the step already solved at (x, a).
-    A trial point is assembled without its Jacobian, which is built only
-    when polish steps again from it; the returned ``a.jac`` can be None.
     """
     nn = plan.n_nodes
     best = max(map(abs, a.f[:nn])) if nn else 0.0
@@ -644,14 +628,12 @@ def _polish(plan: Plan, x, a, e, ieq, dx=None):
         if best <= 0.1 * OPTIONS.abstol:
             break
         if dx is None:
-            if a.jac is None:
-                a = plan.assemble(x, e, ieq)
             try:
                 dx = _solve(a.jac, [-v for v in a.f])
             except np.linalg.LinAlgError:
                 break
         x_try = [xi + d for xi, d in zip(x, dx)]
-        a_try = plan.assemble(x_try, e, ieq, jacobian=False)
+        a_try = plan.assemble(x_try, e, ieq)
         # finite first: Python's max can pass over a NaN
         if not all(map(isfinite, a_try.f)):
             break
