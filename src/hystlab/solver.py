@@ -520,19 +520,26 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     (no MOSFET, no tie): that is the plan's compiled ``jac``, checked once
     when the plan was compiled (see Plan.assemble).
 
-    An iterate x is accepted when its residual passes _residual_ok and
-    the Newton step from x is within vntol + reltol*|x|. Normally that
-    step is solved for, and _polish starts from it. On a plan with no
-    MOSFET it need not be: with beta = ||J^-1||_inf (Plan.inverse_norm)
-    the computed step is at most about beta*||f(x)||_inf (LU backward
-    error; Higham, Accuracy and Stability of Numerical Algorithms, ch. 9),
-    so when 4*beta*||f(x)||_inf <= vntol the step would pass and x is
-    accepted unsolved. Both ways accept the same x after the same
-    iterations.
+    A run converges at an iterate x whose residual passes _residual_ok
+    and whose Newton step dx is within vntol + reltol*|x|. Normally that
+    step is solved for. A DC run (plan.dt is None) then returns x + dx,
+    the solved step, as SPICE does (Nagel, SPICE2, UCB ERL-M520, 1975):
+    no further assembly. A transient step returns _polish's point, which
+    starts from the same dx; replay (Plan.steps) needs the plateaus that
+    polish settles bit for bit. So on a DC "ok" the returned assembled
+    belongs to the residual-checked x, not to the returned x + dx; every
+    caller reads it only on failure.
+    On a plan with no MOSFET the step need not be solved: with
+    beta = ||J^-1||_inf (Plan.inverse_norm) the computed step is at most
+    about beta*||f(x)||_inf (LU backward error; Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 9), so when
+    4*beta*||f(x)||_inf <= vntol the step would pass, and x is polished
+    and accepted unsolved after the same iterations.
 
     A nonzero ``g`` makes the run one pseudo-transient step, every node
-    tied to x0 by g, of at most _PTC_STEP_ITERS iterations. Neither the
-    step bound nor _polish applies: both assume the plain system.
+    tied to x0 by g, of at most _PTC_STEP_ITERS iterations. It returns
+    its solved step; the step bound does not apply, as it assumes the
+    plain system.
 
     Failing fast. A plain run (g = 0) on a plan with MOSFETs ends
     "stalled" when one of two signals fires at iteration _STALL_FROM or
@@ -598,10 +605,9 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
         else:
             step_ok = True
         if step_ok and _residual_ok(plan, a):
-            if g:  # no polish follows a pseudo-transient step: take the step
+            if g or plan.dt is None:  # a DC run takes its solved step
                 return x_next, a, iters, "ok"
-            # accept the residual-checked point, not the final micro-step;
-            # polish starts from the unclamped step already solved at it
+            # a transient step polishes from the unclamped step solved at x
             x, a = _polish(plan, x, a, e, ieq, dx)
             return x, a, iters, "ok"
         if watch and iters >= _STALL_FROM:
@@ -619,8 +625,13 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
 
 def _polish(plan: Plan, x, a, e, ieq, dx=None):
     """Up to 3 undamped Newton steps from the accepted x, each kept only
-    if it lowers the worst nodal residual, so converged points audit
-    cleanly. ``dx``, when given, is the step already solved at (x, a).
+    if it lowers the worst nodal residual. ``dx``, when given, is the
+    step already solved at (x, a).
+
+    It serves a transient step, whose settled plateaus must repeat bit
+    for bit for Plan.steps to replay them, and the step-bound acceptance
+    of a plan with no MOSFET, which has no solved step to take. A
+    converged DC run takes its solved step instead (see _newton).
     """
     nn = plan.n_nodes
     best = max(map(abs, a.f[:nn])) if nn else 0.0
@@ -714,9 +725,11 @@ def dc_solve(netlist: Netlist,
 
     ``initial_guess`` names unknowns as Plan.unknown_name does: node
     voltages by node name, branch currents as ``I(<source>)``; an unknown
-    it does not name starts at zero (see Plan.vector_from_guess). A
-    solved point's voltages with its branch currents reconverge in one
-    iteration; without them, its branch rows fail the step test once.
+    it does not name starts at zero (see Plan.vector_from_guess). The
+    answer is the converged run's final solved Newton step. A solved
+    point's voltages with its ``I(<source>)`` branch currents still
+    reconverge in one iteration; without them, its branch rows fail the
+    step test once.
 
     Each stage runs only when the one before it fails: plain Newton from
     the guess (from zero when none is given); with a guess that is not

@@ -1,7 +1,8 @@
 """Checks over seeded random circuits: every DC solve either passes the
 KCL audit or raises a HystlabError (oracle A), each netlist survives
 to_text and parse_netlist unchanged, and a warm sweep equals the chain
-of dc_solve calls guessed as the sweep starts its points."""
+of dc_solve calls guessed as the sweep starts its points, each of which
+passes the audit."""
 
 import math
 import random
@@ -90,6 +91,8 @@ def test_random_sweep_matches_solving_each_point(sweep_chain, seed):
     try:
         for v, sol in sweep_chain(net, name, values):
             rows.append([v, *(sol.node_voltages[n] for n in net.nodes if n != "0")])
+            # a warm or predicted answer is audited as a cold one is
+            verify_kcl(net.replaced_source(name, DcSpec(v)), sol)
     except HystlabError as exc:
         chain_error = exc, values[len(rows)]
     if chain_error is None:

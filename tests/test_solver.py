@@ -861,6 +861,39 @@ def test_predicted_sweep_starts_halve_the_newton_iterations(monkeypatch):
     assert not any(g > 0.0 for g, _, _ in runs)
 
 
+def _spy_work(monkeypatch):
+    """Count Plan.assemble and _solve calls, and record every _newton run."""
+    counts = {"assemble": 0, "solve": 0}
+    real_assemble, real_solve = Plan.assemble, solver_module._solve
+
+    def assemble(*args, **kwargs):
+        counts["assemble"] += 1
+        return real_assemble(*args, **kwargs)
+
+    def solve(*args):
+        counts["solve"] += 1
+        return real_solve(*args)
+
+    monkeypatch.setattr(Plan, "assemble", assemble)
+    monkeypatch.setattr(solver_module, "_solve", solve)
+    return counts, _spy_runs(monkeypatch)
+
+
+def test_dc_runs_assemble_and_solve_once_per_iteration(monkeypatch):
+    # a converged DC run takes its solved step, with no polish assembly,
+    # so every Newton iteration is one assembly and one solve
+    net = build_comparator(ComparatorConfig())
+    counts, runs = _spy_work(monkeypatch)
+    dc_sweep(net, "IIN", -8e-6, 8e-6, 50e-9)
+    dc_sweep(net, "IIN", 8e-6, -8e-6, 50e-9)
+    iters = sum(n for _, n, _ in runs)
+    assert counts == {"assemble": iters, "solve": iters}
+    assert iters == 768
+    counts.update(assemble=0, solve=0)
+    assert dc_solve(net).iterations == 11
+    assert counts == {"assemble": 11, "solve": 11}
+
+
 def test_guess_reads_branch_currents_by_unknown_name():
     net = build_comparator(ComparatorConfig())
     sol = dc_solve(net)
@@ -993,6 +1026,30 @@ def test_polish_repeats_no_solve(monkeypatch):
     assert len(calls) > 41
     for (jac0, b0), (jac1, b1) in zip(calls, calls[1:]):
         assert not (np.array_equal(jac0, jac1) and b0 == b1)
+
+
+def test_transient_polish_repeats_no_solve(monkeypatch, capacitance_net):
+    # only transient steps polish, each from the step its Newton loop
+    # solved at the same point
+    polished = _spy_polish(monkeypatch)
+    with _count_solves(monkeypatch) as calls:
+        transient(_delay_bench(capacitance_net, 8e-6), 1e-9, 40e-9)
+    assert polished and all(dt is not None for dt in polished)
+    for (jac0, b0), (jac1, b1) in zip(calls, calls[1:]):
+        assert not (np.array_equal(jac0, jac1) and b0 == b1)
+
+
+def _spy_polish(monkeypatch):
+    """Record the plan.dt of every _polish call."""
+    polished = []
+    real = solver_module._polish
+
+    def spy(plan, *args):
+        polished.append(plan.dt)
+        return real(plan, *args)
+
+    monkeypatch.setattr(solver_module, "_polish", spy)
+    return polished
 
 
 def _delay_bench(net, amp, period=400e-9):
