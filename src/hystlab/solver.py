@@ -521,20 +521,20 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     when the plan was compiled (see Plan.assemble).
 
     A run converges at an iterate x whose residual passes _residual_ok
-    and whose Newton step dx is within vntol + reltol*|x|. Normally that
-    step is solved for. A DC run (plan.dt is None) then returns x + dx,
-    the solved step, as SPICE does (Nagel, SPICE2, UCB ERL-M520, 1975):
-    no further assembly. A transient step returns _polish's point, which
-    starts from the same dx; replay (Plan.steps) needs the plateaus that
-    polish settles bit for bit. So on a DC "ok" the returned assembled
-    belongs to the residual-checked x, not to the returned x + dx; every
-    caller reads it only on failure.
-    On a plan with no MOSFET the step need not be solved: with
-    beta = ||J^-1||_inf (Plan.inverse_norm) the computed step is at most
-    about beta*||f(x)||_inf (LU backward error; Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 9), so when
-    4*beta*||f(x)||_inf <= vntol the step would pass, and x is polished
-    and accepted unsolved after the same iterations.
+    and whose Newton step dx is within vntol + reltol*|x|. It is accepted
+    in one of two ways. On "ok" the returned assembled always belongs to
+    the residual-checked x; callers read it only on failure.
+    - Solved step: return x + dx, as SPICE does (Nagel, SPICE2, UCB
+      ERL-M520, 1975), with no further assembly. Only a transient step
+      that converged at its first iteration returns _polish's point:
+      such steps make up the settled plateaus, which replay (Plan.steps)
+      needs to repeat bit for bit.
+    - Step bound, on a plan with no MOSFET: with beta = ||J^-1||_inf
+      (Plan.inverse_norm) the computed step is at most about
+      beta*||f(x)||_inf (LU backward error; Higham, Accuracy and
+      Stability of Numerical Algorithms, ch. 9), so when
+      4*beta*||f(x)||_inf <= vntol the step would pass. x itself is
+      returned: no step is solved and nothing is polished.
 
     A nonzero ``g`` makes the run one pseudo-transient step, every node
     tied to x0 by g, of at most _PTC_STEP_ITERS iterations. It returns
@@ -583,7 +583,6 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
             bound = 4.0 * plan.inverse_norm * max(map(abs, a.f), default=0.0)
             if bound <= vntol and _residual_ok(plan, a):
                 # the step from x provably passes: accept x unsolved
-                x, a = _polish(plan, x, a, e, ieq)
                 return x, a, iters, "ok"
         try:
             dx = _solve(a.jac, [-v for v in a.f])
@@ -605,11 +604,9 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
         else:
             step_ok = True
         if step_ok and _residual_ok(plan, a):
-            if g or plan.dt is None:  # a DC run takes its solved step
+            if g or plan.dt is None or iters > 1:
                 return x_next, a, iters, "ok"
-            # a transient step polishes from the unclamped step solved at x
-            x, a = _polish(plan, x, a, e, ieq, dx)
-            return x, a, iters, "ok"
+            return _polish(plan, x, a, e, ieq, dx), a, iters, "ok"
         if watch and iters >= _STALL_FROM:
             if longest >= last:  # theta >= 1 after an unclamped step
                 growing += 1
@@ -623,36 +620,24 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     return x, a, iters, "maxiter"
 
 
-def _polish(plan: Plan, x, a, e, ieq, dx=None):
-    """Up to 3 undamped Newton steps from the accepted x, each kept only
-    if it lowers the worst nodal residual. ``dx``, when given, is the
-    step already solved at (x, a).
+def _polish(plan: Plan, x, a, e, ieq, dx) -> list[float]:
+    """x + dx if it lowers the worst nodal residual below that of (x, a),
+    else x. ``dx`` is the step already solved at (x, a).
 
-    It serves a transient step, whose settled plateaus must repeat bit
-    for bit for Plan.steps to replay them, and the step-bound acceptance
-    of a plan with no MOSFET, which has no solved step to take. A
-    converged DC run takes its solved step instead (see _newton).
+    Its one caller is _newton, for a transient step that converged at its
+    first iteration: such steps make up the settled plateaus, which must
+    repeat bit for bit for Plan.steps to replay them.
     """
     nn = plan.n_nodes
-    best = max(map(abs, a.f[:nn])) if nn else 0.0
-    for _ in range(3):
-        if best <= 0.1 * OPTIONS.abstol:
-            break
-        if dx is None:
-            try:
-                dx = _solve(a.jac, [-v for v in a.f])
-            except np.linalg.LinAlgError:
-                break
-        x_try = [xi + d for xi, d in zip(x, dx)]
-        a_try = plan.assemble(x_try, e, ieq)
-        # finite first: Python's max can pass over a NaN
-        if not all(map(isfinite, a_try.f)):
-            break
-        worst = max(map(abs, a_try.f[:nn])) if nn else 0.0
-        if worst >= best:
-            break
-        x, a, best, dx = x_try, a_try, worst, None
-    return x, a
+    best = max(map(abs, a.f[:nn]), default=0.0)
+    if best <= 0.1 * OPTIONS.abstol:
+        return x
+    x_try = list(map(add, x, dx))
+    f = plan.assemble(x_try, e, ieq).f
+    # finite first: Python's max can pass over a NaN
+    if all(map(isfinite, f)) and max(map(abs, f[:nn]), default=0.0) < best:
+        return x_try
+    return x
 
 
 def _suspect_unknown(plan: Plan, jac: np.ndarray) -> str:

@@ -1019,37 +1019,56 @@ def test_linear_transient_solves_once_per_step(monkeypatch):
     assert len(calls) <= 1.1 * 500
 
 
-def test_polish_repeats_no_solve(monkeypatch):
-    # polish starts from the step the Newton loop solved at the same point
-    with _count_solves(monkeypatch) as calls:
-        dc_sweep(build_comparator(ComparatorConfig()), "IIN", -2e-6, 2e-6, 0.1e-6)
-    assert len(calls) > 41
-    for (jac0, b0), (jac1, b1) in zip(calls, calls[1:]):
-        assert not (np.array_equal(jac0, jac1) and b0 == b1)
+def test_linear_dc_solve_takes_the_bounded_point_unpolished(monkeypatch):
+    # the step-bound acceptance returns its iterate as it is: no _polish
+    _, _, polished = _spy_polish(monkeypatch)
+    sol = dc_solve(parse_netlist("vr\nV1 a 0 DC 1\nR1 a 0 1k\n.end\n"))
+    assert polished == []
+    assert repr(sol) == ("Solution(node_voltages={'0': 0.0, 'a': 1.0}, "
+                         "branch_currents={'V1': -0.001000000001}, mosfets=(), iterations=3)")
 
 
 def test_transient_polish_repeats_no_solve(monkeypatch, capacitance_net):
-    # only transient steps polish, each from the step its Newton loop
-    # solved at the same point
-    polished = _spy_polish(monkeypatch)
+    # only a transient step that converged at its first iteration
+    # polishes, from the step its Newton loop solved at the same point;
+    # the steps of the first 40 ns all take more than one iteration
+    _, runs, polished = _spy_polish(monkeypatch)
     with _count_solves(monkeypatch) as calls:
-        transient(_delay_bench(capacitance_net, 8e-6), 1e-9, 40e-9)
-    assert polished and all(dt is not None for dt in polished)
+        transient(_delay_bench(capacitance_net, 8e-6), 1e-9, 100e-9)
+    assert polished
+    for dt, run, _, solves in polished:
+        assert dt is not None and runs[run][1:] == (1, "ok") and solves == 0
     for (jac0, b0), (jac1, b1) in zip(calls, calls[1:]):
         assert not (np.array_equal(jac0, jac1) and b0 == b1)
 
 
+def test_transient_assembles_once_per_iteration_and_polish(monkeypatch, capacitance_net):
+    # a step solves once per iteration, and its polish makes at most one
+    # trial assembly: none when the point already meets 0.1*abstol
+    counts, runs, polished = _spy_polish(monkeypatch)
+    transient(_delay_bench(capacitance_net, 8e-6), 1e-9, 800e-9)
+    iters = sum(n for _, n, _ in runs)
+    trials = [n for _, _, n, _ in polished]
+    assert set(trials) == {0, 1}
+    assert counts == {"assemble": iters + sum(trials), "solve": iters}
+
+
 def _spy_polish(monkeypatch):
-    """Record the plan.dt of every _polish call."""
+    """_spy_work's counts and runs, and (plan.dt, index in runs of the
+    calling _newton run, assemblies, solves) of every _polish call."""
+    counts, runs = _spy_work(monkeypatch)
     polished = []
     real = solver_module._polish
 
     def spy(plan, *args):
-        polished.append(plan.dt)
-        return real(plan, *args)
+        before = dict(counts)
+        x = real(plan, *args)
+        polished.append((plan.dt, len(runs), counts["assemble"] - before["assemble"],
+                         counts["solve"] - before["solve"]))
+        return x
 
     monkeypatch.setattr(solver_module, "_polish", spy)
-    return polished
+    return counts, runs, polished
 
 
 def _delay_bench(net, amp, period=400e-9):
