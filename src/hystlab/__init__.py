@@ -17,8 +17,8 @@ from .netlist import (Capacitor, DcSpec, ISource, Mosfet, Netlist, PulseSpec,
 from .solver import Solution, SolverOptions, dc_solve
 from .audit import kcl_residuals, verify_kcl
 from .analysis import (DelayReport, HysteresisReport, Trace, branch_solution_at,
-                       dc_sweep, measure_delay, measure_hysteresis, source_trace,
-                       trace_csv, transient)
+                       dc_sweep, hysteresis_walk, measure_delay, measure_hysteresis,
+                       source_trace, trace_csv, transient)
 from .comparator import (ComparatorConfig, ComparatorVariant, LatchOperatingPoint,
                          build_comparator, build_latch_testbench,
                          extract_operating_point, table_sizing)

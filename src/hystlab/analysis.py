@@ -5,8 +5,11 @@ stimulus of a sweep or the time of a transient, then the node voltages;
 trace_csv writes either to a text stream. The hysteresis measurement
 mirrors the bench procedure: trace the transfer curve in both directions
 with warm-started solves, then bisect each output transition down to the
-requested current resolution. Delay measurement works on a transient's
-samples.
+requested current resolution. measure_hysteresis takes both full sweeps;
+hysteresis_walk, which the CLI's hyst runs, visits every _STRIDE-th point
+and walks point by point only where the output can cross. Each bisection
+probe starts from the bracket's pre-transition side, then from its far
+side. Delay measurement works on a transient's samples.
 """
 
 from __future__ import annotations
@@ -74,6 +77,9 @@ class DelayReport:
 # keeps 8 B per value, 64 MB at this budget on the 7-node stock build
 _MAX_POINTS = 1_000_000
 
+# grid steps between the points of the coarse walk (see _walk)
+_STRIDE = 8
+
 
 def _point_count(span: float, step: float) -> int:
     """Whole steps of ``step`` in ``span``; MeasurementError past _MAX_POINTS."""
@@ -98,6 +104,14 @@ def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
+def _dc_source(netlist: Netlist, source_name: str) -> str:
+    """The name of DC source ``source_name`` as the netlist spells it."""
+    src = netlist.find_source(source_name)
+    if not isinstance(src.spec, DcSpec):
+        raise NetlistError(f"source {source_name!r} is not a DC source")
+    return src.name
+
+
 def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
              step: float) -> Trace:
     """Solve along a stimulus grid, each point started from the points before.
@@ -111,13 +125,60 @@ def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
     stage, plain Newton from zero, lands on the surviving branch. A
     failed point raises "sweep failed at <source>=<value>".
     """
-    src = netlist.find_source(source_name)
-    if not isinstance(src.spec, DcSpec):
-        raise NetlistError(f"source {source_name!r} is not a DC source")
+    name = _dc_source(netlist, source_name)
     values = _sweep_grid(start, stop, step)
     plan = Plan(netlist)
-    volts = plan.sweep(src.name, values)
+    volts = plan.sweep(name, values)
     return Trace("stimulus", plan.node_names, np.column_stack((values, volts)), source_name)
+
+
+def _near_strides(y: np.ndarray, threshold: float) -> np.ndarray:
+    """For each stride between consecutive coarse outputs ``y``, whether
+    either end sits no farther from ``threshold`` than the output moved
+    across that stride or the stride before it. A stride the output
+    crosses always does.
+    """
+    near = np.abs(y - threshold)
+    moved = np.abs(np.diff(y))
+    reach = np.maximum(moved, np.concatenate(([0.0], moved[:-1])))
+    return np.minimum(near[:-1], near[1:]) <= reach
+
+
+def _walk(netlist: Netlist, source_name: str, start: float, stop: float,
+          step: float, node: str, threshold: float) -> Trace:
+    """The points of dc_sweep's grid that the coarse walk visits, in order.
+
+    One Plan.sweep solves every _STRIDE-th point and the last. A stride
+    is walked point by point, from its earlier end's row, when it is near
+    the threshold (_near_strides). So is every stride after a
+    point-by-point walk that ends on the other side of the threshold than
+    the coarse point at the same value, as when the coarse walk left a
+    branch early: the fine walk holds the branch a full sweep holds, up to
+    its own crossing.
+    """
+    name = _dc_source(netlist, source_name)
+    grid = _sweep_grid(start, stop, step)
+    plan = Plan(netlist)
+
+    def trace(values: list[float], before: list[float] | None = None) -> Trace:
+        volts = plan.sweep(name, values, before)
+        return Trace("stimulus", plan.node_names, np.column_stack((values, volts)), source_name)
+
+    ends = [*range(0, len(grid) - 1, _STRIDE), len(grid) - 1]
+    coarse = trace([grid[i] for i in ends])
+    y = coarse.node(node)
+    walk = _near_strides(y, threshold)
+    blocks = [coarse.samples[:1]]
+    above = y[0] >= threshold  # at the last visited point
+    for s, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        if walk[s] or above != (y[s] >= threshold):
+            block = trace(grid[lo + 1:hi + 1], blocks[-1][-1, 1:].tolist())
+            blocks.append(block.samples)
+            above = block.node(node)[-1] >= threshold
+        else:
+            blocks.append(coarse.samples[s + 1:s + 2])
+            above = y[s + 1] >= threshold
+    return Trace("stimulus", plan.node_names, np.vstack(blocks), source_name)
 
 
 def _crossing_brackets(curve: Trace, node: str, threshold: float) -> np.ndarray:
@@ -135,22 +196,24 @@ def _refine_transition(netlist: Netlist, curve: Trace, node: str,
             f"{direction} sweep, found {len(brackets)}")
     i = brackets[0]
     # Python floats: the bisection and its warm guesses stay off numpy scalars
-    (a, *row_a), (b, *_) = curve.samples[i:i + 2].tolist()
-    volts_a = dict(zip(curve.nodes, row_a))
+    (a, *row_a), (b, *row_b) = curve.samples[i:i + 2].tolist()
+    volts_a, volts_b = dict(zip(curve.nodes, row_a)), dict(zip(curve.nodes, row_b))
     pre_side = volts_a[node] >= threshold
     name = netlist.find_source(curve.source_name).name
 
-    # warm every probe from the pre-transition side so the bisection
-    # follows the surviving branch right up to the jump
+    # start every probe from the pre-transition side, so the bisection
+    # follows that branch right up to the jump. Past a fold that branch
+    # has ended, and the probe starts again from the post side's last row,
+    # which already sits on the branch that survives
     while abs(b - a) > refine_to:
         mid = 0.5 * (a + b)
         if mid in (a, b):
             break  # a and b are adjacent floats: no finer bracket exists
-        sol = dc_solve(netlist.replaced_source(name, DcSpec(mid)), volts_a)
+        sol = dc_solve(netlist.replaced_source(name, DcSpec(mid)), volts_a, volts_b)
         if (sol.node_voltages[node] >= threshold) == pre_side:
             a, volts_a = mid, sol.node_voltages
         else:
-            b = mid
+            b, volts_b = mid, sol.node_voltages
     return 0.5 * (a + b), abs(b - a)
 
 
@@ -176,6 +239,23 @@ def measure_hysteresis(up: Trace, down: Trace, output_node: str,
     i_t2, w2 = _refine_transition(netlist, down, output_node, threshold, refine_to)
     return HysteresisReport(i_t1=i_t1, i_t2=i_t2, i_hy=abs(i_t1 - i_t2),
                             resolution=max(w1, w2), threshold=threshold)
+
+
+def hysteresis_walk(netlist: Netlist, source_name: str, start: float, stop: float,
+                    step: float, output_node: str, threshold: float,
+                    refine_to: float) -> HysteresisReport:
+    """measure_hysteresis over dc_sweep's grid from start to stop and back,
+    each way found by a coarse walk instead of a full sweep.
+
+    The walk (_walk) solves every _STRIDE-th point and walks point by
+    point only near the threshold, so the bracket and its end rows come
+    from a point-by-point walk as in a full sweep. Every visited point
+    counts toward "exactly one crossing". A double crossing inside one
+    stride whose ends both sit out of reach of the threshold is not seen.
+    """
+    up = _walk(netlist, source_name, start, stop, step, output_node, threshold)
+    down = _walk(netlist, source_name, stop, start, step, output_node, threshold)
+    return measure_hysteresis(up, down, output_node, threshold, refine_to, netlist)
 
 
 def transient(netlist: Netlist, dt: float, tstop: float) -> Trace:

@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .analysis import (dc_sweep, measure_delay, measure_hysteresis, source_trace,
+from .analysis import (dc_sweep, hysteresis_walk, measure_delay, source_trace,
                        trace_csv, transient)
 from .comparator import (ComparatorConfig, ComparatorVariant, LatchOperatingPoint,
                          build_comparator)
@@ -192,9 +192,8 @@ def _cmd_hyst(args) -> int:
     net = _load_circuit(args)
     if resolution is None:
         resolution = max(1e-9, args.step / 100.0)
-    up = dc_sweep(net, args.source, -args.span, args.span, args.step)
-    down = dc_sweep(net, args.source, args.span, -args.span, args.step)
-    rep = measure_hysteresis(up, down, args.node, args.threshold, resolution, net)
+    rep = hysteresis_walk(net, args.source, -args.span, args.span, args.step,
+                          args.node, args.threshold, resolution)
     lines = [
         f"hysteresis of {args.node} against {args.threshold:g} V "
         f"({args.source} swept +/-{args.span:g} A):",

@@ -5,9 +5,10 @@ voltage source. The residual at a node is the sum of currents leaving
 it. Newton iteration is damped by a per-node voltage clamp. A plain
 Newton run on a circuit with MOSFETs ends early, "stalled", once its steps
 stop contracting or it cycles through the clamp (see _newton). A failed
-warm-started Newton run falls back to a cold restart; when plain Newton
-fails from every start, pseudo-transient continuation integrates from
-zero to the steady state (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).
+warm-started Newton run falls back to a second guess when one is given,
+then to a cold restart; when plain Newton fails from every start,
+pseudo-transient continuation integrates from zero to the steady state
+(Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).
 A sweep starts each point from a quadratic predictor through the points
 before it (Plan.sweep; Allgower & Georg, Introduction to Numerical
 Continuation Methods, 2003). Each Newton step is solved by LAPACK gesv
@@ -352,7 +353,8 @@ class Plan:
         """
         return _inverse_norm(self.jac)
 
-    def sweep(self, name: str, values: list[float]) -> np.ndarray:
+    def sweep(self, name: str, values: list[float],
+              before: list[float] | None = None) -> np.ndarray:
         """Node voltages with source ``name`` (as the netlist spells it)
         held at each of ``values`` in turn: len(values) x n_nodes, one row
         per value.
@@ -366,7 +368,9 @@ class Plan:
           relative;
         - otherwise, as at a repeated value or after an uneven step such
           as dc_sweep's partial last one, the node voltages of the point
-          before (zero at the first point), branch currents from zero.
+          before, branch currents from zero. For the first point that is
+          ``before``, one row of node voltages as this returns them, as a
+          list of floats; zero when it is None.
         Each value passes DcSpec's check and is held in a copy of
         source_values, so the plan is left as compiled. Raises
         ConvergenceError "sweep failed at <name>=<value>: ..." at the
@@ -375,7 +379,7 @@ class Plan:
         """
         nn = self.n_nodes
         branches = [0.0] * (self.n_unknowns - nn)
-        x = [0.0] * self.n_unknowns
+        x = [0.0] * nn if before is None else before
         e = self.source_values(0.0)
         slot = self.source_slots[name]
         rows = array("d")
@@ -391,7 +395,7 @@ class Plan:
                     if abs(s1 - s0 - step) + abs(s - s2 - step) < _EVEN_STEPS * abs(step):
                         start = [a + 3.0 * (c - b) for a, b, c in zip(x0, x1, x2)]
                 try:
-                    x, iters = _dc_point(self, e, start)
+                    x, iters = _dc_point(self, e, (start,))
                 except ConvergenceError as err:
                     raise ConvergenceError(f"sweep failed at {name}={v:.6g}: {err}",
                                            stage=err.stage, residual=err.residual) from None
@@ -661,8 +665,9 @@ def _convergence_error(plan: Plan, a: _Assembled, what: str, stage: str):
                             stage=stage, residual=residual)
 
 
-def _dc_point(plan: Plan, e: list[float], x0: list[float]):
-    """dc_solve's stages at source values ``e``, starting from x0.
+def _dc_point(plan: Plan, e: list[float], starts: tuple[list[float], ...]):
+    """dc_solve's stages at source values ``e``: plain Newton from each of
+    ``starts`` in turn, then from zero, then pseudo-transient continuation.
 
     Returns (x, iterations) from the first stage that converges. Raises
     SingularMatrixError when the first pseudo-transient step's J is
@@ -675,7 +680,9 @@ def _dc_point(plan: Plan, e: list[float], x0: list[float]):
     # a stale guess can strand Newton on a branch of the solution set that
     # no longer exists; from zero it lands on a surviving one. A start of
     # zero (bit for bit) is that cold run already, so it runs once.
-    for start in (zero,) if _same_bits(x0, zero) else (x0, zero):
+    if not any(_same_bits(x0, zero) for x0 in starts):
+        starts = (*starts, zero)
+    for start in starts:
         x, a, iters, status = _newton(plan, start, e=e)
         total += iters
         if status == "ok":
@@ -704,27 +711,28 @@ def _dc_point(plan: Plan, e: list[float], x0: list[float]):
         "pseudo-transient")
 
 
-def dc_solve(netlist: Netlist,
-             initial_guess: dict[str, float] | None = None) -> Solution:
+def dc_solve(netlist: Netlist, initial_guess: dict[str, float] | None = None,
+             second_guess: dict[str, float] | None = None) -> Solution:
     """DC operating point.
 
-    ``initial_guess`` names unknowns as Plan.unknown_name does: node
-    voltages by node name, branch currents as ``I(<source>)``; an unknown
-    it does not name starts at zero (see Plan.vector_from_guess). The
-    answer is the converged run's final solved Newton step. A solved
-    point's voltages with its ``I(<source>)`` branch currents still
-    reconverge in one iteration; without them, its branch rows fail the
-    step test once.
+    ``initial_guess`` and ``second_guess`` name unknowns as
+    Plan.unknown_name does: node voltages by node name, branch currents
+    as ``I(<source>)``; an unknown a guess does not name starts at zero
+    (see Plan.vector_from_guess). The answer is the converged run's final
+    solved Newton step. A solved point's voltages with its ``I(<source>)``
+    branch currents still reconverge in one iteration; without them, its
+    branch rows fail the step test once.
 
     Each stage runs only when the one before it fails: plain Newton from
-    the guess (from zero when none is given); with a guess that is not
+    the guess (from zero when none is given); plain Newton from
+    ``second_guess``, when one is given; unless one of those starts was
     all zero, plain Newton from zero; then pseudo-transient continuation
     (see _PTC_G_START) from zero, which past a fold follows the circuit's
     own dynamics to a surviving branch. A plain run that ends "stalled"
     (see _newton: its steps stop contracting, or it cycles through the
     clamp, tested from iteration _STALL_FROM on; linear runs and
     pseudo-transient steps are exempt) moves on exactly as one that ends
-    "maxiter". Every stage starts from the guess or from zero, never from
+    "maxiter". Every stage starts from a guess or from zero, never from
     a failed run's x, so failing fast changes the iteration count, not
     the answer. Raises SingularMatrixError when its first step's matrix
     is singular, ConvergenceError with the residual at its last accepted
@@ -732,9 +740,10 @@ def dc_solve(netlist: Netlist,
     of source values.
     """
     plan = Plan(netlist)
+    guesses = (initial_guess,) if second_guess is None else (initial_guess, second_guess)
     with _lapack_errors():
         x, total = _dc_point(plan, plan.source_values(0.0),
-                             plan.vector_from_guess(initial_guess))
+                             tuple(map(plan.vector_from_guess, guesses)))
     volts = dict(zip(("0", *plan.node_names), [0.0, *x]))
     branches = dict(zip(plan.vsource_names, x[plan.n_nodes:]))
     return Solution(volts, branches, plan.mosfet_elements, total)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hystlab import analysis
+from hystlab import solver as solver_module
 from hystlab import (
     ComparatorConfig,
     ConvergenceError,
@@ -17,6 +18,7 @@ from hystlab import (
     build_comparator,
     dc_solve,
     dc_sweep,
+    hysteresis_walk,
     measure_delay,
     measure_hysteresis,
     parse_netlist,
@@ -122,6 +124,83 @@ def test_hysteresis_band_located(hysteresis_net):
     assert rep.i_t2 == pytest.approx(-4.651e-6, abs=5e-9)
     assert rep.i_hy == abs(rep.i_t1 - rep.i_t2)
     assert rep.threshold == 1.5
+
+
+def test_iref_variant_probes_take_no_pseudo_transient_step(monkeypatch):
+    # IREF = 1.106 uA: a probe past the down fold stalls from the pre
+    # side. It used to restart from zero and then run pseudo-transient
+    # continuation (10 steps); it now converges from the post side's row
+    net = build_comparator(ComparatorConfig()).replaced_source(
+        "IREF", DcSpec(1.1057981355806849e-06))
+    up = dc_sweep(net, "IIN", -8e-6, 8e-6, 50e-9)
+    dn = dc_sweep(net, "IIN", 8e-6, -8e-6, 50e-9)
+    steps = []
+    real = solver_module._newton
+
+    def spy(plan, x0, g=0.0, **kwargs):
+        steps.append(g)
+        return real(plan, x0, g, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_newton", spy)
+    rep = measure_hysteresis(up, dn, "OUT", 1.5, 1e-9, net)
+    assert steps and not any(steps)
+    # the answer is the one the probes gave through the cold restart
+    assert (repr(rep.i_t1), repr(rep.i_t2), repr(rep.resolution)) == (
+        "4.161328125e-06", "-2.3933593749999987e-06", "7.81250000000019e-10")
+
+
+def test_walk_finds_the_brackets_of_the_full_sweeps(hysteresis_net):
+    full = measure_hysteresis(dc_sweep(hysteresis_net, "IIN", -8e-6, 8e-6, 50e-9),
+                              dc_sweep(hysteresis_net, "IIN", 8e-6, -8e-6, 50e-9),
+                              "OUT", 1.5, 1e-9, hysteresis_net)
+    assert hysteresis_walk(hysteresis_net, "IIN", -8e-6, 8e-6, 50e-9,
+                           "OUT", 1.5, 1e-9) == full
+    # the walk visits a subset of the grid, in order, with the first and
+    # last points
+    grid = analysis._sweep_grid(-8e-6, 8e-6, 50e-9)
+    up = analysis._walk(hysteresis_net, "IIN", -8e-6, 8e-6, 50e-9, "OUT", 1.5)
+    visited = up.times().tolist()
+    assert visited[0] == grid[0] and visited[-1] == grid[-1]
+    assert len(visited) < len(grid) // 2
+    assert set(visited) <= set(grid) and visited == sorted(visited)
+
+
+@pytest.mark.parametrize("y, walked", [
+    # a crossing, and the stride after it, whose ends sit within the move
+    # before it
+    ([0.0, 0.2, 2.8, 3.0, 3.0], [False, True, True, False]),
+    # 1.4 -> 1.41 moves less than its 0.09 V gap, but the stride before moved 1.4 V
+    ([0.0, 0.0, 1.4, 1.41, 1.41], [False, True, True, False]),
+    # an end exactly at the threshold of a flat stretch: within a move of 0
+    ([1.5, 1.5, 1.5], [True, True]),
+    ([3.0, 3.0, 3.0], [False, False]),
+])
+def test_near_strides(y, walked):
+    assert analysis._near_strides(np.array(y), 1.5).tolist() == walked
+
+
+def test_walk_holds_its_branch_past_coarse_points_that_left_it(monkeypatch):
+    # the coarse sweep is made to report 1.2-1.44 uA beyond the threshold,
+    # as coarse points that landed on the other branch early would. The
+    # point-by-point walk goes on past them to its own crossing, so the
+    # bracket is the full sweep's pair of adjacent grid points
+    net = parse_netlist(PROBE)
+    real = solver_module.Plan.sweep
+
+    def sweep(self, name, values, before=None):
+        rows = real(self, name, values, before)
+        if before is None:  # the coarse sweep
+            rows = rows.copy()
+            rows[[1.19e-6 < v < 1.45e-6 for v in values]] = 2.0
+        return rows
+
+    monkeypatch.setattr(solver_module.Plan, "sweep", sweep)
+    walk = analysis._walk(net, "IIN", -2e-6, 2e-6, 10e-9, "a", 1.5)
+    (i,) = analysis._crossing_brackets(walk, "a", 1.5)
+    monkeypatch.undo()
+    full = dc_sweep(net, "IIN", -2e-6, 2e-6, 10e-9)
+    (j,) = analysis._crossing_brackets(full, "a", 1.5)
+    assert walk.times()[i:i + 2].tolist() == full.times()[j:j + 2].tolist()
 
 
 def test_no_crossing_is_an_error():

@@ -13,6 +13,7 @@ from hystlab import (
     ConvergenceError,
     ExtractionError,
     HystlabError,
+    MeasurementError,
     ModelError,
     NetlistError,
     RatioDirection,
@@ -20,6 +21,7 @@ from hystlab import (
     current_ratio,
     dc_solve,
     dc_sweep,
+    measure_hysteresis,
     node_squares,
     parse_netlist,
     parse_value,
@@ -28,6 +30,7 @@ from hystlab import (
 )
 from hystlab.comparator import LatchOperatingPoint
 from hystlab import cli
+from hystlab import solver as solver_module
 from hystlab.cli import run
 
 PROBE = """current probe
@@ -474,6 +477,68 @@ def test_infinite_point_count_fails(argv, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "inf steps, over the budget of 1,000,000" in err
+
+
+def test_stock_hyst_takes_under_400_newton_iterations(monkeypatch, capsys):
+    # the coarse walk solves every 8th point and walks point by point only
+    # near the threshold; both full sweeps took 768 iterations
+    iters = []
+    real = solver_module._newton
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        iters.append(result[2])
+        return result
+
+    monkeypatch.setattr(solver_module, "_newton", spy)
+    assert run(["hyst", "--variant", "hysteresis", "--range", "8u", "--step", "50n"]) == 0
+    assert sum(iters) < 400  # test_hyst_stock_golden pins the answer
+
+
+def test_hyst_walk_with_partial_last_step_matches_full_sweeps(capsys):
+    # 16 uA in steps of 30 nA ends on a partial step, and neither the
+    # 533 points nor the edges fall on the stride
+    assert run(["hyst", "--variant", "hysteresis", "--range", "8u", "--step", "30n"]) == 0
+    vals = _machine_lines(capsys.readouterr().out)
+    net = build_comparator(ComparatorConfig())
+    span, step = parse_value("8u"), parse_value("30n")  # the floats the CLI sweeps
+    rep = measure_hysteresis(dc_sweep(net, "IIN", -span, span, step),
+                             dc_sweep(net, "IIN", span, -span, step), "OUT", 1.5, 1e-9, net)
+    assert (vals["i_t1"], vals["i_t2"]) == (rep.i_t1, rep.i_t2)
+
+
+# a series PMOS/NMOS pair gated by the input drives a 100 kohm load: out
+# rises to a bump of 1.63 V at 5.65 uA and falls back to 0
+BUMP = """bump
+VDD vdd 0 DC 3
+IIN 0 in DC 0
+RIN in 0 400k
+MP mid in vdd vdd pch W=2u L=0.18u
+MN mid in out 0 nch W=2u L=0.18u
+RL out 0 100k
+.model nch NMOS ()
+.model pch PMOS ()
+.end
+"""
+
+
+@pytest.mark.parametrize("threshold", ["1", "1.62"], ids=["wide", "peak"])
+def test_hyst_rejects_a_double_crossing(threshold, tmp_path, capsys):
+    # at 1.62 V only the grid point at 5.65 uA lies above the threshold,
+    # inside a stride whose coarse ends lie below it; the stride is walked
+    # because its end sits nearer the threshold than the output moves
+    deck = tmp_path / "bump.cir"
+    deck.write_text(BUMP)
+    rc = run(["hyst", str(deck), "--range", "8u", "--step", "50n",
+              "--node", "out", "--threshold", threshold])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "on the up sweep, found 2" in err
+    net = parse_netlist(BUMP)
+    with pytest.raises(MeasurementError, match="on the up sweep, found 2"):
+        measure_hysteresis(dc_sweep(net, "IIN", -8e-6, 8e-6, 50e-9),
+                           dc_sweep(net, "IIN", 8e-6, -8e-6, 50e-9), "out",
+                           float(threshold), 1e-9, net)
 
 
 def test_hyst_unknown_node_fails(capsys):

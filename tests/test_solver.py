@@ -376,6 +376,35 @@ def test_warm_fold_solve_restarts_cold_before_any_gmin_rung(monkeypatch):
     assert all(g == 0.0 for _, g in runs)
 
 
+def test_dc_solve_tries_its_guesses_in_order():
+    # inside the stock band at IIN = 0 both branches solve, so the first
+    # guess decides the branch and the second is never tried
+    net = build_comparator(ComparatorConfig())
+    low = branch_solution_at(net, "IIN", 0.0, approach_from=-8e-6).node_voltages
+    high = branch_solution_at(net, "IIN", 0.0, approach_from=8e-6).node_voltages
+    assert low["OUT"] < 1.5 < high["OUT"]
+    at_zero = net.replaced_source("IIN", DcSpec(0.0))
+    assert dc_solve(at_zero, low, high).node_voltages["OUT"] < 1.5
+    assert dc_solve(at_zero, high, low).node_voltages["OUT"] > 1.5
+
+
+def test_second_guess_converges_past_a_fold(monkeypatch):
+    # a bisection probe past the stock up fold: the first guess, from
+    # 3.25 uA, sits on a branch that is gone at 3.3 uA. The second, the
+    # 3.35 uA point on the far side, converges: no cold restart, no
+    # pseudo-transient step
+    net = build_comparator(ComparatorConfig())
+    up = dc_sweep(net, "IIN", -8e-6, 3.35e-6, 50e-9)
+    assert up.times()[-3] == pytest.approx(3.25e-6)
+    first, second = _sample_volts(up, -3), _sample_volts(up, -1)
+    runs = _spy_runs(monkeypatch)
+    sol = dc_solve(net.replaced_source("IIN", DcSpec(3.3e-6)), first, second)
+    assert sol.node_voltages["OUT"] > 2.5  # on the branch past the fold
+    assert len(runs) == 2
+    assert runs[0][2] != "ok" and runs[1][2] == "ok"
+    assert all(g == 0.0 for g, _, _ in runs)
+
+
 def _spy_runs(monkeypatch):
     """Record (g, iterations, status) of every _newton run."""
     runs = []
@@ -909,13 +938,13 @@ def test_guess_reads_branch_currents_by_unknown_name():
 
 
 def _spy_starts(monkeypatch):
-    """Record (x0, x) of every sweep point's _dc_point call."""
+    """Record (first start, x) of every sweep point's _dc_point call."""
     points = []
     real = solver_module._dc_point
 
-    def spy(plan, e, x0):
-        x, iters = real(plan, e, x0)
-        points.append((x0, x))
+    def spy(plan, e, starts):
+        x, iters = real(plan, e, starts)
+        points.append((starts[0], x))
         return x, iters
 
     monkeypatch.setattr(solver_module, "_dc_point", spy)
