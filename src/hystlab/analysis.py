@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MeasurementError, NetlistError
 from .netlist import DcSpec, Netlist
-from .solver import Plan, Solution, dc_solve
+from .solver import OPTIONS, Plan, Solution, dc_solve
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,16 @@ def _crossing_brackets(curve: Trace, node: str, threshold: float) -> np.ndarray:
 
 def _refine_transition(netlist: Netlist, curve: Trace, node: str,
                        threshold: float, refine_to: float):
+    direction = "up" if curve.times()[-1] >= curve.times()[0] else "down"
+    y = curve.node(node)
+    span = float(y.max() - y.min())
+    # an output that moves no more than the solver's voltage tolerance
+    # has no crossing: which side of the threshold each point falls on is noise
+    if span <= OPTIONS.vntol + OPTIONS.reltol * float(np.abs(y).max()):
+        raise MeasurementError(f"{node} does not move on the {direction} sweep: it spans "
+                               f"{span:.3g} V, within the solver's voltage tolerance")
     brackets = _crossing_brackets(curve, node, threshold)
     if len(brackets) != 1:
-        direction = "up" if curve.times()[-1] >= curve.times()[0] else "down"
         raise MeasurementError(
             f"expected exactly one {node} crossing of {threshold:g} V on the "
             f"{direction} sweep, found {len(brackets)}")

@@ -141,7 +141,7 @@ def build_comparator(config: ComparatorConfig | None = None) -> Netlist:
     sources = (_VDD, ISource("IIN", "0", "A", config.i_in),
                ISource("IREF", "0", "B", DcSpec(config.i_ref)))
     return Netlist(f"current comparator ({config.variant.value} variant)",
-                   sources + _mosfets(models, config.resolved_sizing()), models)
+                   sources + _mosfets(models, config.resolved_sizing()))
 
 
 def build_latch_testbench(diode_geom: MosGeometry, cross_geom: MosGeometry,
@@ -157,7 +157,7 @@ def build_latch_testbench(diode_geom: MosGeometry, cross_geom: MosGeometry,
     sources = (_VDD, ISource("I1", "0", "C", DcSpec(i_1)),
                ISource("I2", "0", "D", DcSpec(i_2)))
     return Netlist("positive feedback latch testbench",
-                   sources + _mosfets(models, sizing), models)
+                   sources + _mosfets(models, sizing))
 
 
 def extract_operating_point(netlist: Netlist, solution: Solution) -> LatchOperatingPoint:

@@ -5,11 +5,14 @@ Supported elements: R, C, V, I, M. Supported cards: .model and .end;
 any other card is an error. Node names are arbitrary identifiers; "0"
 is ground and "gnd" is accepted as an alias for it.
 
-A Netlist holds element records and model cards. `parse_netlist` and the
-comparator generators build one; `Netlist.to_text` is the one text writer.
-Each record checks its own values and a Netlist its element names, so a
-netlist built by hand meets the parser's rules, with no line number in
-its errors. The parser checks syntax and adds line numbers in one place.
+A Netlist is its title and its element records; each MOSFET record
+carries its model card, and `Netlist.models` is worked out from them.
+`parse_netlist` and the comparator generators build one; `Netlist.to_text`
+is the one text writer, and prints only the cards that MOSFETs name. Each
+record checks its own values, and a Netlist its element names, its model
+cards (one card per name) and its ground (spelled "0"), so a netlist built
+by hand meets the parser's rules, with no line number in its errors. The
+parser checks syntax and adds line numbers in one place.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from itertools import product
 
 from .devices import MosGeometry, MosModel, MosPolarity, NMOS_DEFAULT, PMOS_DEFAULT
 from .errors import ModelError, NetlistError
@@ -179,6 +183,14 @@ class Mosfet:
 Element = Resistor | Capacitor | VSource | ISource | Mosfet
 
 
+# every case spelling of "gnd", which the parser reads as ground "0"
+_GND = frozenset(map("".join, product("gG", "nN", "dD")))
+
+
+def _terminals(el: Element) -> tuple[str, ...]:
+    return (el.d, el.g, el.s, el.b) if isinstance(el, Mosfet) else (el.pos, el.neg)
+
+
 def _claim(seen: set[str], name: str):
     """Add name to seen, rejecting a repeat; names are case-insensitive."""
     key = name.upper()
@@ -191,21 +203,35 @@ def _claim(seen: set[str], name: str):
 class Netlist:
     title: str
     elements: tuple[Element, ...]
-    models: dict[str, MosModel]
 
     def __post_init__(self):
         seen: set[str] = set()
+        cards: dict[str, MosModel] = {}
         for el in self.elements:
             _claim(seen, el.name)
+            for node in _terminals(el):
+                if node in _GND:
+                    raise NetlistError(f"{el.name} names node {node!r}; spell ground '0'")
+            if isinstance(el, Mosfet):
+                # the generators share one card object per model: one `is` test each
+                card = cards.setdefault(el.model_name.lower(), el.model)
+                if card is not el.model and card != el.model:
+                    raise NetlistError(f"model {el.model_name!r} names two different cards")
 
     @property
     def nodes(self) -> tuple[str, ...]:
         """Ground "0" first (if any element), then terminals in order of first use."""
         used = {"0": None} if self.elements else {}
         for el in self.elements:
-            for node in (el.d, el.g, el.s, el.b) if isinstance(el, Mosfet) else (el.pos, el.neg):
+            for node in _terminals(el):
                 used[node] = None
         return tuple(used)
+
+    @property
+    def models(self) -> dict[str, MosModel]:
+        """Each MOSFET's card by lower-case model name, in order of first use."""
+        return {el.model_name.lower(): el.model
+                for el in self.elements if isinstance(el, Mosfet)}
 
     def find_element(self, name: str) -> Element:
         want = name.upper()
@@ -260,16 +286,17 @@ def _element_line(el: Element) -> str:
     return f"{el.name} {el.pos} {el.neg} {value}"
 
 
+# .model parameter -> MosModel field, in print order. KP and VTO fall back
+# to the default card when left out, so they are always printed; the rest
+# fall back to zero and are printed when nonzero.
+_MODEL_FIELDS = {"KP": "kp", "VTO": "vto", "LAMBDA": "lam", "CGS": "cgs", "CGD": "cgd"}
+
+
 def _model_line(name: str, m: MosModel) -> str:
     kind = "NMOS" if m.polarity is MosPolarity.N else "PMOS"
-    params = [f"KP={_fmt(m.kp)}", f"VTO={_fmt(m.vto)}"]
-    if m.lam:
-        params.append(f"LAMBDA={_fmt(m.lam)}")
-    if m.cgs:
-        params.append(f"CGS={_fmt(m.cgs)}")
-    if m.cgd:
-        params.append(f"CGD={_fmt(m.cgd)}")
-    return f".model {name} {kind} ({' '.join(params)})"
+    params = " ".join(f"{key}={_fmt(value)}" for key, field in _MODEL_FIELDS.items()
+                      if (value := getattr(m, field)) or key in ("KP", "VTO"))
+    return f".model {name} {kind} ({params})"
 
 
 def _parse_source_spec(tokens: list[str]) -> SourceSpec:
@@ -297,10 +324,6 @@ def _parse_kv(tokens: list[str]) -> dict[str, str]:
     return out
 
 
-# .model parameter -> MosModel field
-_MODEL_FIELDS = {"KP": "kp", "VTO": "vto", "LAMBDA": "lam", "CGS": "cgs", "CGD": "cgd"}
-
-
 def _parse_model_card(tokens: list[str]) -> tuple[str, MosModel]:
     # .model <name> NMOS|PMOS (params)
     if len(tokens) < 3:
@@ -313,7 +336,6 @@ def _parse_model_card(tokens: list[str]) -> tuple[str, MosModel]:
         polarity, base = MosPolarity.P, PMOS_DEFAULT
     else:
         raise NetlistError(f"unknown model type {tokens[2]!r}")
-    # KP/VTO fall back to the default card; the rest default to zero
     values = {"kp": base.kp, "vto": base.vto}
     for key, val in _parse_kv(tokens[3:]).items():
         if key not in _MODEL_FIELDS:
@@ -323,7 +345,7 @@ def _parse_model_card(tokens: list[str]) -> tuple[str, MosModel]:
 
 
 def _node(raw: str) -> str:
-    return "0" if raw.lower() == "gnd" else raw
+    return "0" if raw in _GND else raw
 
 
 def _element(tokens: list[str], models: dict[str, MosModel]) -> Element:
@@ -359,8 +381,9 @@ def parse_netlist(text: str) -> Netlist:
     """Parse netlist text into an immutable Netlist.
 
     Cards are read before elements, so a MOSFET may precede its .model
-    card. Errors carry the 1-based line number of the offending line;
-    card errors come first, then element errors in line order.
+    card; a card that no MOSFET names is checked and then dropped. Errors
+    carry the 1-based line number of the offending line; card errors come
+    first, then element errors in line order.
     """
     lines = text.splitlines()
     if not lines:
@@ -381,7 +404,7 @@ def parse_netlist(text: str) -> Netlist:
             break
         (cards if tokens[0].startswith(".") else rows).append((idx, tokens))
 
-    models: dict[str, MosModel] = {}
+    models: dict[str, MosModel] = {}  # lookup only: each MOSFET carries its card
     elements: list[Element] = []
     seen: set[str] = set()
     for idx, tokens in cards + rows:
@@ -399,4 +422,4 @@ def parse_netlist(text: str) -> Netlist:
         except (NetlistError, ModelError) as e:
             raise NetlistError(str(e), idx) from None
 
-    return Netlist(title, tuple(elements), models)
+    return Netlist(title, tuple(elements))

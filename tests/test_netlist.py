@@ -7,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hystlab import (
+    NMOS_DEFAULT,
+    PMOS_DEFAULT,
     Capacitor,
     DcSpec,
     MosGeometry,
+    MosModel,
+    MosPolarity,
     Mosfet,
     Netlist,
     NetlistError,
@@ -227,10 +231,10 @@ def test_hand_built_netlist_has_parsed_nodes():
         Resistor("R1", "in", "mid", 1e3),
         Resistor("R2", "mid", "0", 2e3),  # the deck names this node gnd
         Mosfet("M1", "d", "mid", "s", "b", "nm", nm, MosGeometry(1e-6, 1e-6)),
-    ), {"nm": nm})
+    ))
     assert hand == parsed
     assert hand.nodes == parsed.nodes == ("0", "in", "mid", "d", "s", "b")
-    assert Netlist("t", (), {}).nodes == parse_netlist("t\n.end\n").nodes == ()
+    assert Netlist("t", ()).nodes == parse_netlist("t\n.end\n").nodes == ()
 
 
 @pytest.mark.parametrize("make", [
@@ -259,10 +263,58 @@ def test_hand_built_netlist_rejects_duplicate_names():
     with pytest.raises(NetlistError, match="duplicate element name 'V1'") as exc:
         Netlist("t", (VSource("V1", "a", "0", DcSpec(1.0)),
                       VSource("V1", "b", "0", DcSpec(2.0)),
-                      Resistor("R1", "a", "b", 1e3)), {})
+                      Resistor("R1", "a", "b", 1e3)))
     assert exc.value.line_no is None
     with pytest.raises(NetlistError, match="duplicate"):
-        Netlist("t", (Resistor("R1", "a", "0", 1e3), Resistor("r1", "a", "0", 2e3)), {})
+        Netlist("t", (Resistor("R1", "a", "0", 1e3), Resistor("r1", "a", "0", 2e3)))
+
+
+def _nmos(name: str, model_name: str, model: MosModel) -> Mosfet:
+    return Mosfet(name, "a", "a", "0", "0", model_name, model, MosGeometry(1e-6, 1e-6))
+
+
+@pytest.mark.parametrize("first", ["nm", "NM"])
+def test_hand_built_netlist_rejects_two_cards_for_one_model(first):
+    # to_text would print one .model nm card for both, so the text would
+    # describe another circuit than the records
+    with pytest.raises(NetlistError, match="model 'nm' names two different cards") as exc:
+        Netlist("t", (VSource("V1", "a", "0", DcSpec(1.0)),
+                      _nmos("M1", first, NMOS_DEFAULT), _nmos("M2", "nm", PMOS_DEFAULT)))
+    assert exc.value.line_no is None
+
+
+@pytest.mark.parametrize("ground", ["gnd", "GND"])
+def test_hand_built_netlist_rejects_gnd_node(ground):
+    # the parser reads gnd as ground "0"; a record would float it as its own node
+    with pytest.raises(NetlistError, match=f"R1 names node '{ground}'; spell ground '0'") as exc:
+        Netlist("t", (VSource("V1", "a", "0", DcSpec(1.0)), Resistor("R1", "a", ground, 1e3)))
+    assert exc.value.line_no is None
+
+
+def test_hand_built_mosfet_netlist_round_trips():
+    pm = MosModel(MosPolarity.P, kp=50e-6, vto=0.0, lam=0.02, cgs=1e-15, cgd=2e-16)
+    net = Netlist("two cards", (
+        VSource("VDD", "vdd", "0", DcSpec(1.8)),
+        _nmos("M1", "nm", NMOS_DEFAULT),
+        Mosfet("M2", "a", "a", "vdd", "vdd", "pm", pm, MosGeometry(2e-6, 0.18e-6)),
+        _nmos("M3", "nm", MosModel(MosPolarity.N, NMOS_DEFAULT.kp, NMOS_DEFAULT.vto,
+                                   NMOS_DEFAULT.lam)),  # an equal card, not the same object
+    ))
+    assert list(net.models) == ["nm", "pm"]
+    text = net.to_text()
+    assert ".model pm PMOS (KP=5e-05 VTO=0 LAMBDA=0.02 CGS=1e-15 CGD=2e-16)" in text
+    assert parse_netlist(text) == net
+
+
+def test_unused_model_card_is_checked_then_dropped():
+    deck = "t\nM1 a a 0 0 nm W=1u L=1u\n.model nm NMOS ()\n.model spare PMOS ()\n.end\n"
+    parsed = parse_netlist(deck)
+    assert parsed.models["nm"] == MosModel(MosPolarity.N, NMOS_DEFAULT.kp, NMOS_DEFAULT.vto)
+    assert list(parsed.models) == ["nm"]
+    assert ".model spare" not in parsed.to_text()
+    assert parse_netlist(parsed.to_text()) == parsed
+    with pytest.raises(NetlistError, match="line 4: unknown model type 'QMOS'"):
+        parse_netlist(deck.replace("spare PMOS", "spare QMOS"))
 
 
 def test_case_insensitive_duplicate_names():

@@ -2,7 +2,7 @@
 KCL audit or raises a HystlabError (oracle A), each netlist survives
 to_text and parse_netlist unchanged, and a warm sweep equals the chain
 of dc_solve calls guessed as the sweep starts its points, each of which
-passes the audit."""
+passes the audit. An output that does not move has no crossing."""
 
 import math
 import random
@@ -16,6 +16,7 @@ from hystlab import (
     DcSpec,
     HystlabError,
     ISource,
+    MeasurementError,
     MosGeometry,
     Mosfet,
     Netlist,
@@ -23,6 +24,8 @@ from hystlab import (
     VSource,
     dc_solve,
     dc_sweep,
+    hysteresis_walk,
+    measure_hysteresis,
     parse_netlist,
     verify_kcl,
 )
@@ -52,7 +55,7 @@ def random_circuit(seed: int) -> Netlist:
         elements.append(Mosfet(f"M{i}", d, g, s,
                                "0" if card == "nch" else nodes[0], card, MODELS[card],
                                MosGeometry(w, 0.18e-6)))
-    return Netlist(f"random circuit {seed}", tuple(elements), MODELS)
+    return Netlist(f"random circuit {seed}", tuple(elements))
 
 
 def test_random_circuits_solve_or_raise():
@@ -104,3 +107,16 @@ def test_random_sweep_matches_solving_each_point(sweep_chain, seed):
     with pytest.raises(type(exc)) as got:
         dc_sweep(net, name, -20e-6, 20e-6, 4e-6)
     assert str(got.value) in (str(exc), f"sweep failed at {name}={v:.6g}: {exc}")
+
+
+def test_output_that_does_not_move_has_no_crossing():
+    # n2 spans about 1.4e-23 V over the sweep: each point's side of a
+    # threshold inside that span is solver noise, not a crossing
+    net = random_circuit(515)
+    threshold, message = 7.136e-24, "n2 does not move on the up sweep: it spans"
+    up = dc_sweep(net, "I0", -20e-6, 20e-6, 250e-9)
+    down = dc_sweep(net, "I0", 20e-6, -20e-6, 250e-9)
+    with pytest.raises(MeasurementError, match=message):
+        measure_hysteresis(up, down, "n2", threshold, 1e-9, net)
+    with pytest.raises(MeasurementError, match=message):
+        hysteresis_walk(net, "I0", -20e-6, 20e-6, 250e-9, "n2", threshold, 1e-9)
