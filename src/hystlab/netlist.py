@@ -300,8 +300,6 @@ def _model_line(name: str, m: MosModel) -> str:
 
 
 def _parse_source_spec(tokens: list[str]) -> SourceSpec:
-    if not tokens:
-        raise NetlistError("missing source value (DC or PULSE)")
     head = tokens[0].upper()
     if head == "DC":
         if len(tokens) != 2:
@@ -369,11 +367,12 @@ def _element(tokens: list[str], models: dict[str, MosModel]) -> Element:
         if set(kv) != {"W", "L"}:
             raise NetlistError("mosfet needs exactly W= and L=")
         w, l = parse_value(kv["W"]), parse_value(kv["L"])
-        model_name = tokens[5].lower()
-        if model_name not in models:
+        model_name = tokens[5]
+        model = models.get(model_name.lower())
+        if model is None:
             raise NetlistError(f"undeclared model {model_name!r}")
         d, g, s, b = map(_node, tokens[1:5])
-        return Mosfet(head, d, g, s, b, model_name, models[model_name], MosGeometry(w, l))
+        return Mosfet(head, d, g, s, b, model_name, model, MosGeometry(w, l))
     raise NetlistError(f"unknown element type {head!r}")
 
 

@@ -2,9 +2,10 @@
 
 Unknowns are the non-ground node voltages plus one branch current per
 voltage source. The residual at a node is the sum of currents leaving
-it. Newton iteration is damped by a per-node voltage clamp. A plain
-Newton run on a circuit with MOSFETs ends early, "stalled", once its steps
-stop contracting or it cycles through the clamp (see _newton). A failed
+it. Newton iteration is damped by a per-node voltage clamp, and a
+converged run returns its last solved step. A plain Newton run on a
+circuit with MOSFETs ends early, "stalled", once its steps stop
+contracting or it cycles through the clamp (see _newton). A failed
 warm-started Newton run falls back to a second guess when one is given,
 then to a cold restart; when plain Newton fails from every start,
 pseudo-transient continuation integrates from zero to the steady state
@@ -529,16 +530,17 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     in one of two ways. On "ok" the returned assembled always belongs to
     the residual-checked x; callers read it only on failure.
     - Solved step: return x + dx, as SPICE does (Nagel, SPICE2, UCB
-      ERL-M520, 1975), with no further assembly. Only a transient step
-      that converged at its first iteration returns _polish's point:
-      such steps make up the settled plateaus, which replay (Plan.steps)
-      needs to repeat bit for bit.
+      ERL-M520, 1975), with no further assembly. The one exception is a
+      transient step that converged at its first iteration with its
+      worst nodal residual at most 0.1*abstol: it returns its start x
+      unchanged. Such steps make up the settled plateaus, which replay
+      (Plan.steps) needs to repeat bit for bit.
     - Step bound, on a plan with no MOSFET: with beta = ||J^-1||_inf
       (Plan.inverse_norm) the computed step is at most about
       beta*||f(x)||_inf (LU backward error; Higham, Accuracy and
       Stability of Numerical Algorithms, ch. 9), so when
       4*beta*||f(x)||_inf <= vntol the step would pass. x itself is
-      returned: no step is solved and nothing is polished.
+      returned: no step is solved.
 
     A nonzero ``g`` makes the run one pseudo-transient step, every node
     tied to x0 by g, of at most _PTC_STEP_ITERS iterations. It returns
@@ -608,9 +610,10 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
         else:
             step_ok = True
         if step_ok and _residual_ok(plan, a):
-            if g or plan.dt is None or iters > 1:
-                return x_next, a, iters, "ok"
-            return _polish(plan, x, a, e, ieq, dx), a, iters, "ok"
+            if (iters == 1 and plan.dt is not None and not g
+                    and max(map(abs, a.f[:nn]), default=0.0) <= 0.1 * OPTIONS.abstol):
+                return x, a, iters, "ok"  # a settled step keeps its start
+            return x_next, a, iters, "ok"
         if watch and iters >= _STALL_FROM:
             if longest >= last:  # theta >= 1 after an unclamped step
                 growing += 1
@@ -622,26 +625,6 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
         x_back, x = x, x_next
     a = plan.assemble(x, e, ieq, g, x0)
     return x, a, iters, "maxiter"
-
-
-def _polish(plan: Plan, x, a, e, ieq, dx) -> list[float]:
-    """x + dx if it lowers the worst nodal residual below that of (x, a),
-    else x. ``dx`` is the step already solved at (x, a).
-
-    Its one caller is _newton, for a transient step that converged at its
-    first iteration: such steps make up the settled plateaus, which must
-    repeat bit for bit for Plan.steps to replay them.
-    """
-    nn = plan.n_nodes
-    best = max(map(abs, a.f[:nn]), default=0.0)
-    if best <= 0.1 * OPTIONS.abstol:
-        return x
-    x_try = list(map(add, x, dx))
-    f = plan.assemble(x_try, e, ieq).f
-    # finite first: Python's max can pass over a NaN
-    if all(map(isfinite, f)) and max(map(abs, f[:nn]), default=0.0) < best:
-        return x_try
-    return x
 
 
 def _suspect_unknown(plan: Plan, jac: np.ndarray) -> str:

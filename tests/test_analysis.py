@@ -324,6 +324,23 @@ def test_delay_missing_crossing_is_an_error():
         measure_delay(times, stim, out, vdd=3.0)
 
 
+def test_delay_needs_stimulus_edges():
+    times = np.arange(0.0, 100e-9, 1e-9)
+    out = np.interp(times, [0, 40e-9, 60e-9, 100e-9], [0, 0, 3, 3])
+    with pytest.raises(MeasurementError, match="stimulus has no 50% edges"):
+        measure_delay(times, np.zeros_like(times), out, vdd=3.0)
+
+
+def test_delay_needs_edges_in_both_directions():
+    # one rising stimulus edge answered by one rising output edge
+    times = np.arange(0.0, 100e-9, 1e-9)
+    stim = np.interp(times, [0, 40e-9, 60e-9, 100e-9], [-1, -1, 1, 1])
+    out = np.interp(times, [0, 45e-9, 65e-9, 100e-9], [0, 0, 3, 3])
+    with pytest.raises(MeasurementError,
+                       match="need both low-to-high and high-to-low output edges"):
+        measure_delay(times, stim, out, vdd=3.0)
+
+
 def test_crossing_search_matches_the_sample_loop():
     # the loop over every sample that the vectorized search replaced; the
     # interpolation is the same arithmetic, so the crossings match exactly

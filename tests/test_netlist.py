@@ -139,12 +139,31 @@ M1 a a 0 0 n1 W=1u L=1u
         # a record's own check gets the line number too
         (".model n1 NMOS (KP=-1u)", "line 2"),
         ("R1 a 0 1k\nM1 a a 0 0 n1 W=0 L=1u\n.model n1 NMOS ()", "line 3"),
+        ("R1 a 0 1k2", "line 2: malformed value '1k2' (bad unit tail '2')"),
+        ("V1 a 0 PULSE(0 1 0 1n 1n -1n 0)", "line 2: pulse width must be >= 0"),
+        ("V1 a 0 DC 1 2", "line 2: DC spec takes exactly one value"),
+        ("V1 a 0 PULSE(0 1)", "line 2: PULSE spec takes 7 values"),
+        ("V1 a 0 SIN(0 1 1k)", "line 2: unknown source spec 'SIN'"),
+        ("V1 a 0", "line 2: source takes two nodes and a spec"),
+        (".model n1 NMOS (KP)", "line 2: expected key=value, got 'KP'"),
+        (".model n1", "line 2: .model needs a name and a type"),
+        (".model n1 NMOS (GAMMA=0.4)", "line 2: unknown model parameter 'GAMMA'"),
+        (".model n1 NMOS ()\n.model N1 PMOS ()", "line 3: duplicate model 'n1'"),
+        ("M1 a a 0 0 n1 W=1u", "line 2: mosfet takes four nodes, a model and W=/L="),
+        ("M1 a a 0 0 n1 W=1u X=1u", "line 2: mosfet needs exactly W= and L="),
+        # the error names the model as the element line spells it
+        ("M1 a a 0 0 NOX W=1u L=1u", "line 2: undeclared model 'NOX'"),
     ],
 )
 def test_parse_errors(body, fragment):
     with pytest.raises(NetlistError) as exc:
         parse_netlist(f"bad\n{body}\n.end\n")
     assert fragment in str(exc.value)
+
+
+def test_empty_netlist_is_rejected():
+    with pytest.raises(NetlistError, match="empty netlist"):
+        parse_netlist("")
 
 
 def test_error_carries_line_number():
@@ -177,6 +196,12 @@ def test_replaced_source():
     assert swapped.find_source("I1").spec.value_at(0.0) == 5e-6
     # original untouched
     assert net.find_source("I1").spec.value_at(0.0) == 1e-6
+
+
+def test_find_source_rejects_other_elements():
+    net = parse_netlist("t\nI1 0 a DC 1u\nR1 a 0 1k\n.end\n")
+    with pytest.raises(NetlistError, match="element 'R1' is not a source"):
+        net.find_source("R1")
 
 
 def test_round_trip():
@@ -303,6 +328,15 @@ def test_hand_built_mosfet_netlist_round_trips():
     assert list(net.models) == ["nm", "pm"]
     text = net.to_text()
     assert ".model pm PMOS (KP=5e-05 VTO=0 LAMBDA=0.02 CGS=1e-15 CGD=2e-16)" in text
+    assert parse_netlist(text) == net
+
+
+def test_upper_case_model_name_round_trips():
+    # the card prints under its lower-case name; the element line keeps
+    # the model name as spelled, and the parser reads it back so
+    net = Netlist("t", (VSource("V1", "a", "0", DcSpec(1.0)), _nmos("M1", "NM", NMOS_DEFAULT)))
+    text = net.to_text()
+    assert "M1 a a 0 0 NM W=1u L=1u" in text and ".model nm NMOS" in text
     assert parse_netlist(text) == net
 
 

@@ -1,6 +1,7 @@
 """DC solver checks: linear exactness, nonlinear roots against bisection,
 the pseudo-transient fallback, warm starts and the independent KCL audit."""
 
+import dataclasses
 import warnings
 from contextlib import contextmanager
 
@@ -11,6 +12,7 @@ from hystlab import (
     ComparatorConfig,
     ConvergenceError,
     DcSpec,
+    HystlabError,
     Mosfet,
     NetlistError,
     PulseSpec,
@@ -196,6 +198,28 @@ def test_kcl_audit_clean(hysteresis_net):
     assert set(res) == {n for n in hysteresis_net.nodes if n != "0"}
     for node, (r, scale) in res.items():
         assert abs(r) <= 1e-12 + 1e-4 * scale
+
+
+def test_kcl_audit_flags_a_moved_node():
+    # the audit's failing branch: 1 mV off the stock answer at C breaks KCL there
+    net = build_comparator(ComparatorConfig())
+    sol = dc_solve(net)
+    moved = dataclasses.replace(
+        sol, node_voltages={**sol.node_voltages, "C": sol.node_voltages["C"] + 1e-3})
+    with pytest.raises(HystlabError, match="KCL violated at node C"):
+        verify_kcl(net, moved)
+
+
+def test_residual_check_reads_the_branch_rows():
+    # at a = 0.5 V with I(V1) = -0.5 mA the node row balances to the gmin
+    # shunt (5e-13 A); only V1's branch row, off by -0.5 V, fails
+    plan = Plan(parse_netlist("vr\nV1 a 0 DC 1\nR1 a 0 1k\n.end\n"))
+    a = plan.assemble([0.5, -0.5e-3], plan.source_values(0.0))
+    opts = solver_module.OPTIONS
+    assert abs(a.f[0]) <= opts.abstol + opts.reltol * a.node_scale[0]
+    assert a.f[1] == -0.5
+    assert not solver_module._residual_ok(plan, a)
+    assert solver_module._residual_ok(plan, plan.assemble([1.0, -1e-3], plan.source_values(0.0)))
 
 
 # two ideal sources fighting over one node: structurally singular
@@ -1049,55 +1073,61 @@ def test_linear_transient_solves_once_per_step(monkeypatch):
 
 
 def test_linear_dc_solve_takes_the_bounded_point_unpolished(monkeypatch):
-    # the step-bound acceptance returns its iterate as it is: no _polish
-    _, _, polished = _spy_polish(monkeypatch)
+    # the step-bound acceptance returns its iterate as it is: the third
+    # iteration assembles and solves nothing more
+    counts, _ = _spy_work(monkeypatch)
     sol = dc_solve(parse_netlist("vr\nV1 a 0 DC 1\nR1 a 0 1k\n.end\n"))
-    assert polished == []
+    assert counts == {"assemble": 3, "solve": 2}
     assert repr(sol) == ("Solution(node_voltages={'0': 0.0, 'a': 1.0}, "
                          "branch_currents={'V1': -0.001000000001}, mosfets=(), iterations=3)")
 
 
-def test_transient_polish_repeats_no_solve(monkeypatch, capacitance_net):
-    # only a transient step that converged at its first iteration
-    # polishes, from the step its Newton loop solved at the same point;
-    # the steps of the first 40 ns all take more than one iteration
-    _, runs, polished = _spy_polish(monkeypatch)
+def test_transient_keeps_a_settled_start_and_repeats_no_solve(monkeypatch, capacitance_net):
+    # a converged run returns x + dx, dx solved at the last x it
+    # assembled; only a transient step that converged at its first
+    # iteration with its worst nodal residual within 0.1*abstol keeps its
+    # start. No linear system is solved twice in a row.
+    last = {}
+    real_assemble, real_solve = Plan.assemble, solver_module._solve
+    real_newton = solver_module._newton
+
+    def assemble(plan, x, *args, **kwargs):
+        last["x"] = x
+        return real_assemble(plan, x, *args, **kwargs)
+
+    def solve(jac, b):
+        last["dx"] = real_solve(jac, b)
+        return last["dx"]
+
+    kept, solved = [], []
+
+    def newton(plan, x0, g=0.0, *args, **kwargs):
+        x, a, iters, status = result = real_newton(plan, x0, g, *args, **kwargs)
+        if status == "ok":
+            settled = (plan.dt is not None and not g and iters == 1 and max(
+                map(abs, a.f[:plan.n_nodes])) <= 0.1 * solver_module.OPTIONS.abstol)
+            want = x0 if settled else [xi + di for xi, di in zip(last["x"], last["dx"])]
+            assert solver_module._same_bits(x, want)
+            (kept if settled else solved).append(plan.dt)
+        return result
+
+    monkeypatch.setattr(Plan, "assemble", assemble)
+    monkeypatch.setattr(solver_module, "_solve", solve)
+    monkeypatch.setattr(solver_module, "_newton", newton)
     with _count_solves(monkeypatch) as calls:
-        transient(_delay_bench(capacitance_net, 8e-6), 1e-9, 100e-9)
-    assert polished
-    for dt, run, _, solves in polished:
-        assert dt is not None and runs[run][1:] == (1, "ok") and solves == 0
+        transient(_delay_bench(capacitance_net, 8e-6), 1e-9, 200e-9)
+    assert kept and any(dt is not None for dt in solved)
     for (jac0, b0), (jac1, b1) in zip(calls, calls[1:]):
         assert not (np.array_equal(jac0, jac1) and b0 == b1)
 
 
-def test_transient_assembles_once_per_iteration_and_polish(monkeypatch, capacitance_net):
-    # a step solves once per iteration, and its polish makes at most one
-    # trial assembly: none when the point already meets 0.1*abstol
-    counts, runs, polished = _spy_polish(monkeypatch)
+def test_transient_assembles_and_solves_once_per_iteration(monkeypatch, capacitance_net):
+    # a MOSFET transient step, settled or not, spends exactly one
+    # assembly and one linear solve per Newton iteration
+    counts, runs = _spy_work(monkeypatch)
     transient(_delay_bench(capacitance_net, 8e-6), 1e-9, 800e-9)
     iters = sum(n for _, n, _ in runs)
-    trials = [n for _, _, n, _ in polished]
-    assert set(trials) == {0, 1}
-    assert counts == {"assemble": iters + sum(trials), "solve": iters}
-
-
-def _spy_polish(monkeypatch):
-    """_spy_work's counts and runs, and (plan.dt, index in runs of the
-    calling _newton run, assemblies, solves) of every _polish call."""
-    counts, runs = _spy_work(monkeypatch)
-    polished = []
-    real = solver_module._polish
-
-    def spy(plan, *args):
-        before = dict(counts)
-        x = real(plan, *args)
-        polished.append((plan.dt, len(runs), counts["assemble"] - before["assemble"],
-                         counts["solve"] - before["solve"]))
-        return x
-
-    monkeypatch.setattr(solver_module, "_polish", spy)
-    return counts, runs, polished
+    assert counts == {"assemble": iters, "solve": iters}
 
 
 def _delay_bench(net, amp, period=400e-9):
