@@ -268,10 +268,11 @@ def hysteresis_walk(netlist: Netlist, source_name: str, start: float, stop: floa
 def transient(netlist: Netlist, dt: float, tstop: float) -> Trace:
     """Fixed-step trapezoidal integration from the t=0 operating point.
 
-    Every node carries the solver's CMIN to ground during the steps. A
+    Every node carries the solver's CMIN to ground during the steps. On
+    a circuit with MOSFETs a moving step starts from a prediction. A
     step whose input repeats, bit for bit, that of the step two back, as
     on a settled plateau, reuses that step's result: the samples are
-    those of solving every step (see Plan.steps).
+    those of solving every step from the same starts (see Plan.steps).
     """
     if not dt > 0.0:  # NaN fails too
         raise MeasurementError(f"dt must be > 0, got {dt}")

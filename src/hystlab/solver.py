@@ -12,7 +12,10 @@ pseudo-transient continuation integrates from zero to the steady state
 (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).
 A sweep starts each point from a quadratic predictor through the points
 before it (Plan.sweep; Allgower & Georg, Introduction to Numerical
-Continuation Methods, 2003). Each Newton step is solved by LAPACK gesv
+Continuation Methods, 2003), and a MOSFET transient starts each moving
+step from the same quadratic through the time points before it, as
+SPICE2 does (Plan.steps; Nagel, UCB ERL-M520, 1975). Each Newton step
+is solved by LAPACK gesv
 (_solve) inside one floating-point error scope per solve run
 (_lapack_errors).
 """
@@ -116,7 +119,12 @@ class Plan:
     moves its source on its own copy of the values.
 
     With ``dt`` given, every capacitor, every MOSFET cgs/cgd and CMIN
-    from each node to ground become trapezoidal companions. Their
+    from each node to ground become trapezoidal companions, one per
+    unordered node pair. A pair's capacitance is summed in element order
+    (capacitors and MOSFET caps as the netlist lists them, then CMIN),
+    pairs stay in the order and orientation in which they first appear,
+    and a pair whose two ends are one node, such as a diode-connected
+    gate-drain cap, carries no current and is dropped. Each companion's
     conductance 2C/dt is fixed here; only the equivalent current ``ieq``
     changes from step to step (see steps).
 
@@ -195,13 +203,20 @@ class Plan:
                         caps.append((g, d, m.cgd))
         if dt is not None:
             caps.extend((i, n, CMIN) for i in range(nn))
+        # one companion per unordered node pair, in first-seen order, its
+        # capacitance summed in element order; a node-to-itself pair is dropped
+        farads: dict[tuple[int, int], float] = {}
+        for p, q, c in caps:
+            if p != q:
+                pair = (q, p) if (q, p) in farads else (p, q)
+                farads[pair] = farads.get(pair, 0.0) + c
         self.specs = tuple(specs)
         self.mosfet_elements = tuple(mosfet_elements)
         self.resistors = tuple(resistors)
         self.isources = tuple(isources)
         self.vsources = tuple(vsources)
         self.mosfets = tuple(mosfets)
-        self.caps = tuple((p, q, _companion_g(c, dt)) for p, q, c in caps)
+        self.caps = tuple((p, q, _companion_g(c, dt)) for (p, q), c in farads.items())
         for p, q, g in self.caps:
             conductance(p, q, g)
         self.diag = tuple(slot(i, i) for i in range(nn))
@@ -394,7 +409,7 @@ class Plan:
                     (s0, x0), (s1, x1), (s2, x2) = fit
                     step = s2 - s1
                     if abs(s1 - s0 - step) + abs(s - s2 - step) < _EVEN_STEPS * abs(step):
-                        start = [a + 3.0 * (c - b) for a, b, c in zip(x0, x1, x2)]
+                        start = _quadratic(x0, x1, x2)
                 try:
                     x, iters = _dc_point(self, e, (start,))
                 except ConvergenceError as err:
@@ -413,38 +428,65 @@ class Plan:
         first step whose Newton run fails, naming its status, such as
         "(stalled)". All steps run inside one _lapack_errors() scope.
 
-        Replay. A step's input is its start x, its companion currents
-        ieq and its source values e, and its result (the x _newton
-        accepts, then next_ieq) depends on nothing else. So a step whose
-        input has the same bits (_same_bits) as that of the step two back
-        takes that step's result. On a settled plateau the trapezoidal
+        Start. On a plan with MOSFETs, a step starts from every unknown
+        at x0 + 3*(x2 - x1), the quadratic through the last three accepted
+        points, while each of the last two steps was solved (not
+        replayed) and moved some node by more than vntol + reltol*|x|, x
+        its new voltage; SPICE2 predicts each time point the same way
+        (Nagel, UCB ERL-M520, 1975). Otherwise, and always on a plan with
+        no MOSFET, it starts from the last accepted x. The gate keeps
+        settled plateaus, where the companions ring with period 2, from
+        extrapolating that ringing; a MOSFET-free step would accept an
+        unsolved prediction under the step bound (see _newton).
+
+        Replay. A step's input is its start, its companion currents ieq
+        and its source values e, and its result (the x _newton accepts,
+        then next_ieq) depends on nothing else. So a step whose input has
+        the same bits (_same_bits) as that of the step two back takes
+        that step's result. On a settled plateau the trapezoidal
         companions ring with period 2 (ieq alternates while v holds), and
         a period-1 orbit is also period 2. A failed step is never kept, so
         a step that fails is always run and raises as before.
         """
+        nn = self.n_nodes
+        vntol, reltol = OPTIONS.vntol, OPTIONS.reltol
         x = self.vector_from_guess(start.node_voltages)
-        x[self.n_nodes:] = [start.branch_currents[name] for name in self.vsource_names]
+        x[nn:] = [start.branch_currents[name] for name in self.vsource_names]
         ieq = self.next_ieq(x, None)
-        rows = array("d", x[:self.n_nodes])
+        rows = array("d", x[:nn])
         # (input, x, next ieq) of the steps two back and one back
         back = last = ((), None, None)
+        # the last accepted points, joined by solved steps that moved
+        fit = [x]
         with _lapack_errors():
             for k in range(1, n_steps + 1):
                 t = k * self.dt
                 e = self.source_values(t)
-                key = x + ieq + e
+                x_start = _quadratic(*fit) if len(fit) == 3 else x
+                key = x_start + ieq + e
                 if _same_bits(key, back[0]):
                     x, ieq = back[1], back[2]
+                    fit = [x]
                 else:
-                    x, a, _, status = _newton(self, x, e=e, ieq=ieq)
+                    x_new, a, _, status = _newton(self, x_start, e=e, ieq=ieq)
                     if status != "ok":
                         raise _convergence_error(
                             self, a, f"transient step failed at t={t:.6g} s ({status})",
                             f"transient t={t:.6g}")
+                    moved = self.mosfets and any(
+                        abs(v - u) > vntol + reltol * abs(v) for u, v in zip(x[:nn], x_new))
+                    x = x_new
+                    fit = [*fit[-2:], x] if moved else [x]
                     ieq = self.next_ieq(x, ieq)
                 back, last = last, (key, x, ieq)
-                rows.extend(x[:self.n_nodes])
-        return np.frombuffer(rows).reshape(n_steps + 1, self.n_nodes)
+                rows.extend(x[:nn])
+        return np.frombuffer(rows).reshape(n_steps + 1, nn)
+
+
+def _quadratic(x0: list[float], x1: list[float], x2: list[float]) -> list[float]:
+    """x0 + 3*(x2 - x1): the quadratic through three evenly spaced points,
+    one more step on."""
+    return [a + 3.0 * (c - b) for a, b, c in zip(x0, x1, x2)]
 
 
 def _same_bits(a: list[float], b: list[float]) -> bool:
