@@ -61,7 +61,8 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tran", help="transient waveform as CSV")
     _add_circuit_input(sp)
-    sp.add_argument("--dt", type=_si, required=True)
+    sp.add_argument("--dt", type=_si, required=True,
+                    help="row spacing and shortest step; without MOSFETs steps grow to 16*dt")
     sp.add_argument("--stop", type=_si, required=True)
     sp.add_argument("-o", "--output")
 
@@ -82,7 +83,9 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--amp", type=_si, required=True,
                     help="stimulus toggles between -amp and +amp")
     sp.add_argument("--period", type=_si, required=True)
-    sp.add_argument("--dt", type=_si, help="default period/400")
+    sp.add_argument("--dt", type=_si,
+                    help="row spacing and shortest step, default period/400; "
+                         "without MOSFETs steps grow to 16*dt")
     sp.add_argument("--stop", type=_si, help="default 2*period")
     sp.add_argument("--source", default="IIN")
     sp.add_argument("--node", default="OUT")

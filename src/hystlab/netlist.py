@@ -78,6 +78,10 @@ class DcSpec:
     def value_at(self, t: float) -> float:
         return self.value
 
+    def corner_after(self, t: float) -> float:
+        """A constant has no corner: inf."""
+        return math.inf
+
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -114,6 +118,27 @@ class PulseSpec:
         if tau < self.fall:
             return self.v2 + (self.v1 - self.v2) * tau / self.fall
         return self.v1
+
+    def corner_after(self, t: float) -> float:
+        """The first time after t at which value_at may change slope: the
+        start or end of a rise or fall; inf when none follows.
+
+        Between t and that time value_at is one straight piece. A period
+        too short to resolve at t (cycles beyond 2**52) puts a corner
+        everywhere: that returns t itself.
+        """
+        marks = (0.0, self.rise, self.rise + self.width, self.rise + self.width + self.fall)
+        start = self.delay
+        if self.period > 0.0 and t > start:
+            cycles = (t - start) // self.period
+            if not cycles < 2.0**52:
+                return t
+            start += max(cycles - 1.0, 0.0) * self.period  # a cycle early, for rounding
+        for base in (start, start + self.period, start + 2.0 * self.period):
+            for mark in marks:
+                if base + mark > t:
+                    return base + mark
+        return math.inf
 
 
 SourceSpec = DcSpec | PulseSpec

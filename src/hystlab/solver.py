@@ -12,19 +12,21 @@ pseudo-transient continuation integrates from zero to the steady state
 (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).
 A sweep starts each point from a quadratic predictor through the points
 before it (Plan.sweep; Allgower & Georg, Introduction to Numerical
-Continuation Methods, 2003), and a MOSFET transient starts each moving
-step from the same quadratic through the time points before it, as
-SPICE2 does (Plan.steps; Nagel, UCB ERL-M520, 1975). Each Newton step
-is solved by LAPACK gesv
-(_solve) inside one floating-point error scope per solve run
-(_lapack_errors).
+Continuation Methods, 2003). A transient follows SPICE2 (Nagel, UCB
+ERL-M520, 1975) in two ways (Plan.steps): with MOSFETs it steps by dt
+and starts each moving step from the same quadratic through the time
+points before it; without, it takes steps of up to 16*dt as the local
+truncation error allows, never across a source corner. Each Newton step
+is solved by LAPACK gesv (_solve) inside one floating-point error scope
+per solve run (_lapack_errors).
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 from math import inf, isfinite
 from operator import add
 
@@ -69,6 +71,11 @@ _STALL_STEPS = 5
 # and the three stimulus steps through them agree to _EVEN_STEPS relative
 _PREDICT_ITERS = 3
 _EVEN_STEPS = 1e-6
+
+# a transient on a plan with no MOSFET keeps each step's local truncation
+# error within _LTE_TOL [V] in steps of up to _MAX_STRETCH * dt (Plan.steps)
+_LTE_TOL = 1e-4
+_MAX_STRETCH = 16
 
 
 @dataclass(frozen=True)
@@ -126,7 +133,8 @@ class Plan:
     and a pair whose two ends are one node, such as a diode-connected
     gate-drain cap, carries no current and is dropped. Each companion's
     conductance 2C/dt is fixed here; only the equivalent current ``ieq``
-    changes from step to step (see steps).
+    changes from step to step. A step of another length runs on a plan
+    compiled at that length from ``netlist`` (see steps).
 
     Summation order. The constant J is compiled here into the read-only
     ``jac``: resistors, voltage sources, companions, then gmin. Per
@@ -136,6 +144,7 @@ class Plan:
     """
 
     def __init__(self, netlist: Netlist, dt: float | None = None):
+        self.netlist = netlist
         self.dt = dt
         self.node_names = tuple(n for n in netlist.nodes if n != "0")
         nn = self.n_nodes = len(self.node_names)
@@ -345,6 +354,18 @@ class Plan:
         jac.pop()
         return _Assembled(f, np.array(jac).reshape(n, n), sc[:nn], sc[nn:n])
 
+    def currents(self, x: list[float], ieq: list[float]) -> list[float]:
+        """Each companion's capacitor current i = g*v + ieq at x, the end
+        of a step whose equivalent currents were ``ieq``."""
+        xl = [*x, 0.0]
+        return [g * (xl[p] - xl[q]) + c for (p, q, g), c in zip(self.caps, ieq)]
+
+    def ieq_from(self, x: list[float], i: list[float]) -> list[float]:
+        """Equivalent currents -g*v - i of a step on this plan from x,
+        where each companion's capacitor carries the current in ``i``."""
+        xl = [*x, 0.0]
+        return [-(g * (xl[p] - xl[q])) - c for (p, q, g), c in zip(self.caps, i)]
+
     def next_ieq(self, x: list[float], ieq: list[float] | None) -> list[float]:
         """Companion currents of the trapezoidal step that follows x.
 
@@ -420,67 +441,182 @@ class Plan:
         return np.frombuffer(rows).reshape(len(values), nn)
 
     def steps(self, start: Solution, n_steps: int) -> np.ndarray:
-        """Node voltages at the DC point ``start`` and after each of
-        n_steps steps of dt: (n_steps + 1) x n_nodes, one row per time.
+        """Node voltages at the DC point ``start`` and at each k*dt, k = 1
+        to n_steps: (n_steps + 1) x n_nodes, one row per time.
 
         Columns follow ``node_names``. Integration starts from ``start``,
         where no capacitor current flows. Raises ConvergenceError at the
         first step whose Newton run fails, naming its status, such as
         "(stalled)". All steps run inside one _lapack_errors() scope.
 
-        Start. On a plan with MOSFETs, a step starts from every unknown
-        at x0 + 3*(x2 - x1), the quadratic through the last three accepted
-        points, while each of the last two steps was solved (not
-        replayed) and moved some node by more than vntol + reltol*|x|, x
-        its new voltage; SPICE2 predicts each time point the same way
-        (Nagel, UCB ERL-M520, 1975). Otherwise, and always on a plan with
-        no MOSFET, it starts from the last accepted x. The gate keeps
-        settled plateaus, where the companions ring with period 2, from
-        extrapolating that ringing; a MOSFET-free step would accept an
-        unsolved prediction under the step bound (see _newton).
+        Step length. A plan with MOSFETs steps by dt, from a predicted
+        start (see _fixed_steps). A plan with none takes steps of
+        h = m*dt, m = 1, 2, 4, 8 or _MAX_STRETCH = 16, each from the last
+        accepted x (a predicted start would pass the step bound unsolved,
+        see _newton) and on a plan compiled at h on first need, and carries
+        each capacitor's current i = g*v + ieq from step to step: a step
+        of conductance g' takes ieq = -g'*v - i. Every step starts and
+        ends on the k*dt grid, so dt is both the row spacing and the
+        shortest step. The length follows SPICE2's rule (Nagel, UCB
+        ERL-M520, 1975): the local truncation error, h**3/2 times the
+        largest |third divided difference| of the node voltages through
+        the last four accepted points, the new one included, may be at
+        most _LTE_TOL. A step longer than dt whose error is above that is
+        redone at h/2, and the next step is 2h when the error is below
+        _LTE_TOL/8.
+
+        Corners. A step longer than dt holds no source corner
+        (corner_after of each source), not even at its end: the step that
+        holds or ends at one has length dt. The estimate then starts
+        afresh from that step's end, so the next three steps have length
+        dt too.
+
+        Interpolation. A row inside a longer step comes from the
+        quadratic through the step's end, its start and the accepted
+        point before its start, written as the step is accepted. All
+        three lie past the last corner, so a node tied to a source reads
+        that source's straight line.
 
         Replay. A step's input is its start, its companion currents ieq
         and its source values e, and its result (the x _newton accepts,
-        then next_ieq) depends on nothing else. So a step whose input has
-        the same bits (_same_bits) as that of the step two back takes
-        that step's result. On a settled plateau the trapezoidal
-        companions ring with period 2 (ieq alternates while v holds), and
-        a period-1 orbit is also period 2. A failed step is never kept, so
-        a step that fails is always run and raises as before.
+        then its companion currents) depends on nothing else but the
+        step's length. So a step whose input has the same bits
+        (_same_bits) as that of the step two back, and whose length is
+        the same, takes that step's result. On a settled plateau the
+        trapezoidal companions ring with period 2 (ieq alternates while v
+        holds), and a period-1 orbit is also period 2. A failed step is
+        never kept, so a step that fails is always run and raises.
+        """
+        nn = self.n_nodes
+        x = self.vector_from_guess(start.node_voltages)
+        x[nn:] = [start.branch_currents[name] for name in self.vsource_names]
+        rows = array("d", x[:nn])
+        with _lapack_errors():
+            (self._fixed_steps if self.mosfets else self._lte_steps)(x, n_steps, rows)
+        return np.frombuffer(rows).reshape(n_steps + 1, nn)
+
+    def _fixed_steps(self, x: list[float], n_steps: int, rows: array) -> None:
+        """steps on a plan with MOSFETs: n_steps steps of dt from x, each
+        accepted point's node voltages appended to ``rows``.
+
+        A step starts from every unknown at x0 + 3*(x2 - x1), the
+        quadratic through the last three accepted points, while each of
+        the last two steps was solved (not replayed) and moved some node
+        by more than vntol + reltol*|x|, x its new voltage; SPICE2
+        predicts each time point the same way (Nagel, UCB ERL-M520,
+        1975). Otherwise it starts from the last accepted x. The gate
+        keeps settled plateaus, where the companions ring with period 2,
+        from extrapolating that ringing.
         """
         nn = self.n_nodes
         vntol, reltol = OPTIONS.vntol, OPTIONS.reltol
-        x = self.vector_from_guess(start.node_voltages)
-        x[nn:] = [start.branch_currents[name] for name in self.vsource_names]
         ieq = self.next_ieq(x, None)
-        rows = array("d", x[:nn])
         # (input, x, next ieq) of the steps two back and one back
         back = last = ((), None, None)
         # the last accepted points, joined by solved steps that moved
         fit = [x]
-        with _lapack_errors():
-            for k in range(1, n_steps + 1):
-                t = k * self.dt
-                e = self.source_values(t)
-                x_start = _quadratic(*fit) if len(fit) == 3 else x
-                key = x_start + ieq + e
-                if _same_bits(key, back[0]):
-                    x, ieq = back[1], back[2]
-                    fit = [x]
-                else:
-                    x_new, a, _, status = _newton(self, x_start, e=e, ieq=ieq)
-                    if status != "ok":
-                        raise _convergence_error(
-                            self, a, f"transient step failed at t={t:.6g} s ({status})",
-                            f"transient t={t:.6g}")
-                    moved = self.mosfets and any(
-                        abs(v - u) > vntol + reltol * abs(v) for u, v in zip(x[:nn], x_new))
-                    x = x_new
-                    fit = [*fit[-2:], x] if moved else [x]
-                    ieq = self.next_ieq(x, ieq)
-                back, last = last, (key, x, ieq)
-                rows.extend(x[:nn])
-        return np.frombuffer(rows).reshape(n_steps + 1, nn)
+        for k in range(1, n_steps + 1):
+            t = k * self.dt
+            e = self.source_values(t)
+            x_start = _quadratic(*fit) if len(fit) == 3 else x
+            key = x_start + ieq + e
+            if _same_bits(key, back[0]):
+                x, ieq = back[1], back[2]
+                fit = [x]
+            else:
+                x_new = self._step(x_start, e, ieq, t)
+                moved = any(abs(v - u) > vntol + reltol * abs(v) for u, v in zip(x[:nn], x_new))
+                x = x_new
+                fit = [*fit[-2:], x] if moved else [x]
+                ieq = self.next_ieq(x, ieq)
+            back, last = last, (key, x, ieq)
+            rows.extend(x[:nn])
+
+    def _lte_steps(self, x: list[float], n_steps: int, rows: array) -> None:
+        """steps on a plan with no MOSFET: from x to n_steps*dt in steps
+        of up to _MAX_STRETCH*dt, chosen by truncation error, appending the
+        node voltages of every k*dt to ``rows`` as each step is accepted.
+        """
+        nn, dt = self.n_nodes, self.dt
+        plans = {1: self}
+        cur = [0.0] * len(self.caps)  # no capacitor current flows at the DC point
+        # (k, x) of the last accepted points since the last corner, at most three
+        fit = [(0, x)]
+        # (input, m, x, i) of the steps two back and one back
+        back = last = ((), 0, None, None)
+        k, m = 0, 1
+        corner = self._corner_after(0.0)
+        while k < n_steps:
+            while m > 1 and (k + m > n_steps or corner <= (k + m) * dt):
+                m //= 2
+            plan = plans.get(m)
+            if plan is None:
+                plan = plans[m] = Plan(self.netlist, m * dt)
+            t = (k + m) * dt
+            e = self.source_values(t)
+            ieq = plan.ieq_from(x, cur)
+            key = x + ieq + e
+            if m == back[1] and _same_bits(key, back[0]):
+                x_new, cur_new = back[2], back[3]
+            else:
+                x_new = plan._step(x, e, ieq, t)
+                cur_new = plan.currents(x_new, ieq)
+            lte = m**3 * _third_difference(fit, k + m, x_new, nn) if len(fit) == 3 else inf
+            if m > 1 and lte > _LTE_TOL:
+                m //= 2
+                continue
+            if m > 1:
+                kp, xp = fit[-2]
+                weights = _lagrange_weights(k - kp, m)
+                # one column per node, rows k+1 .. k+m-1
+                cols = [[wp * u + ws * v + we * w for wp, ws, we in weights]
+                        for u, v, w in zip(xp, x, x_new[:nn])]
+                rows.extend(chain.from_iterable(zip(*cols)))
+            rows.extend(x_new[:nn])
+            back, last = last, (key, m, x_new, cur_new)
+            k, x, cur = k + m, x_new, cur_new
+            if corner <= t:
+                fit, m = [(k, x)], 1
+                corner = self._corner_after(t)
+            else:
+                fit = [*fit[-2:], (k, x)]
+                if lte < _LTE_TOL / 8.0:
+                    m = min(2 * m, _MAX_STRETCH)
+
+    def _step(self, x_start: list[float], e: list[float], ieq: list[float],
+              t: float) -> list[float]:
+        """The x that _newton accepts for the step ending at time t.
+        Raises ConvergenceError, naming the status, when the run fails."""
+        x, a, _, status = _newton(self, x_start, e=e, ieq=ieq)
+        if status != "ok":
+            raise _convergence_error(self, a, f"transient step failed at t={t:.6g} s ({status})",
+                                     f"transient t={t:.6g}")
+        return x
+
+    def _corner_after(self, t: float) -> float:
+        return min((spec.corner_after(t) for spec in self.specs), default=inf)
+
+
+@cache
+def _lagrange_weights(a: int, m: int) -> tuple[tuple[float, float, float], ...]:
+    """Per row j = 1 .. m-1 of a step from 0 to m, the weights of the
+    points at -a, 0 and m in the quadratic through them, evaluated at j.
+    a and m are at most _MAX_STRETCH, so the cache stays small."""
+    return tuple((j * (j - m) / (a * (a + m)), (j + a) * (m - j) / (a * m),
+                  j * (j + a) / (m * (a + m))) for j in range(1, m))
+
+
+def _third_difference(fit: list[tuple[int, list[float]]], k: int, x: list[float],
+                      nn: int) -> float:
+    """Half the largest |third divided difference| of the node voltages
+    through the three (k, x) of ``fit`` and (k, x), times in steps of dt:
+    the trapezoidal truncation error of a step of dt (Nagel, 1975)."""
+    (k0, x0), (k1, x1), (k2, x2) = fit
+    worst = 0.0
+    for a, b, c, d in zip(x0[:nn], x1, x2, x):
+        d01, d12, d23 = (b - a) / (k1 - k0), (c - b) / (k2 - k1), (d - c) / (k - k2)
+        worst = max(worst, abs((d23 - d12) / (k - k1) - (d12 - d01) / (k2 - k0)) / (k - k0))
+    return 0.5 * worst
 
 
 def _quadratic(x0: list[float], x1: list[float], x2: list[float]) -> list[float]:

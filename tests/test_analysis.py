@@ -235,6 +235,22 @@ def test_rc_step_matches_exponential():
     assert np.allclose(np.diff(t), 1e-9, rtol=1e-9)
 
 
+def test_rc_step_takes_steps_longer_than_dt(monkeypatch):
+    # 5000 rows of dt; with no MOSFET the steps grow up to 16 dt once the
+    # truncation error allows, so far fewer steps are solved (320 here)
+    runs = []
+    real = solver_module._newton
+
+    def newton(plan, *args, **kwargs):
+        runs.append(plan.dt)
+        return real(plan, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_newton", newton)
+    wave = transient(parse_netlist(RC_STEP), dt=1e-9, tstop=5e-6)
+    assert len(wave.samples) == 5001
+    assert len(runs) < 1000
+
+
 def test_transient_holds_dc_equilibrium():
     net = parse_netlist("""hold
 V1 a 0 DC 2

@@ -186,8 +186,26 @@ def test_pulse_value_at():
     assert single.value_at(1e-3) == 0.0                   # one-shot tail
 
 
+def test_pulse_corner_after():
+    # corners at delay + n*period + {0, rise, rise+width, rise+width+fall}
+    p = PulseSpec(v1=-1.0, v2=1.0, delay=2e-9, rise=1e-9, fall=1e-9,
+                  width=3e-9, period=10e-9)
+    assert p.corner_after(0.0) == 2e-9
+    assert p.corner_after(2e-9) == pytest.approx(3e-9)    # strictly after t
+    assert p.corner_after(6.5e-9) == pytest.approx(7e-9)
+    assert p.corner_after(7.5e-9) == pytest.approx(12e-9)  # the next cycle
+    assert p.corner_after(1e-6 + 2.5e-9) == pytest.approx(1e-6 + 3e-9)
+    single = PulseSpec(0.0, 1.0, 0.0, 1e-9, 1e-9, 5e-9, 0.0)
+    assert single.corner_after(6.5e-9) == pytest.approx(7e-9)
+    assert single.corner_after(7.5e-9) == math.inf       # one-shot tail
+    # a period too short to resolve at t: a corner everywhere
+    tiny = PulseSpec(0.0, 1.0, 0.0, 1e-300, 1e-300, 0.0, 3e-300)
+    assert tiny.corner_after(1e-9) == 1e-9
+
+
 def test_dc_spec():
     assert DcSpec(2.5).value_at(123.0) == 2.5
+    assert DcSpec(2.5).corner_after(0.0) == math.inf
 
 
 def test_replaced_source():

@@ -2,6 +2,7 @@
 the pseudo-transient fallback, warm starts and the independent KCL audit."""
 
 import dataclasses
+import random
 import warnings
 from contextlib import contextmanager
 
@@ -1204,44 +1205,185 @@ def _solve_every_step(net, dt, n_steps):
                          ids=["cap-1u", "cap-8u", "cap-100u", "rc-edge"])
 def test_replayed_transient_matches_solving_every_step(amp, capacitance_net):
     if amp is None:
-        net, n_steps = RC_EDGE, 500
-    else:
-        net, n_steps = _delay_bench(capacitance_net, amp), 800
+        # a MOSFET-free plan takes steps longer than dt, which _solve_every_step
+        # does not; its samples are held to the closed form instead. Fixed
+        # steps of dt err by 1.498e-3 V there, set by the 1 ps edges between
+        # grid points; the longer steps may add RC_MARGIN
+        wave = transient(RC_EDGE, 1e-9, 500e-9)
+        exact = 3.0 * _rc_pulse_response(wave.times(), 1e-6, 10e-9, 1e-12, 200e-9, 1e-12)
+        assert np.max(np.abs(wave.node("out") - exact)) < 1.498e-3 + RC_MARGIN
+        return
+    net, n_steps = _delay_bench(capacitance_net, amp), 800
     wave = transient(net, 1e-9, n_steps * 1e-9)
     assert wave.samples.tobytes() == _solve_every_step(net, 1e-9, n_steps).tobytes()
 
 
-def test_mosfet_free_transient_starts_each_step_from_the_last_point(monkeypatch):
-    # no prediction without a MOSFET: every solved step starts from the
-    # point accepted one step before, bit for bit, branch current included.
-    # A replayed step, which runs no Newton, took the point of the step
-    # two back
-    now, starts, accepted = {}, [], {}
-    real_values, real_newton = Plan.source_values, solver_module._newton
+def _spy_steps(monkeypatch):
+    """Record every transient step attempted, solved or replayed, as
+    [end time, step length, Newton run or None]; a run is (x0, result).
+
+    Plan.steps reads the source values at each step's end, then the
+    companion currents on the step's own plan, then solves or replays.
+    """
+    steps = []
+    real_values, real_ieq, real_newton = Plan.source_values, Plan.ieq_from, solver_module._newton
+    now = {}
 
     def source_values(plan, time):
-        now["k"] = 0 if plan.dt is None else round(time / plan.dt)
+        now["t"] = time
         return real_values(plan, time)
+
+    def ieq_from(plan, x, i):
+        steps.append([now["t"], plan.dt, None])
+        return real_ieq(plan, x, i)
 
     def newton(plan, x0, *args, **kwargs):
         result = real_newton(plan, x0, *args, **kwargs)
-        if plan.dt is not None:
-            starts.append((now["k"], x0))
-        if result[3] == "ok":
-            accepted[now["k"]] = result[0]
+        if steps and plan.dt is not None:
+            steps[-1][2] = (x0, result)
         return result
 
-    def accepted_at(k):
-        return accepted[k] if k in accepted else accepted_at(k - 2)
-
     monkeypatch.setattr(Plan, "source_values", source_values)
+    monkeypatch.setattr(Plan, "ieq_from", ieq_from)
     monkeypatch.setattr(solver_module, "_newton", newton)
+    return steps
+
+
+def test_mosfet_free_transient_starts_each_step_from_the_last_point(monkeypatch):
+    # no prediction without a MOSFET: every solved step starts from the
+    # last accepted point, bit for bit, branch current included. A step is
+    # accepted unless the next one ends no later (it was redone shorter),
+    # and a replayed step, which runs no Newton, took the point of the
+    # step two back. Rows at accepted points are those points
+    steps = _spy_steps(monkeypatch)
+    start = dc_solve(RC_EDGE)
     wave = transient(RC_EDGE, 1e-9, 500e-9)
-    assert 20 < len(starts) < 500  # the edges are solved, plateaus replay
-    for k, x0 in starts:
-        assert solver_module._same_bits(x0, accepted_at(k - 1)), k
-    nn = len(wave.nodes)
-    assert wave.samples[:, 1:].tolist() == [accepted_at(k)[:nn] for k in range(501)]
+    points = [[start.node_voltages["in"], start.node_voltages["out"],
+               start.branch_currents["V1"]]]
+    times = [0.0]
+    for (t, _, run), after in zip(steps, [*steps[1:], None]):
+        if run is not None:
+            assert solver_module._same_bits(run[0], points[-1]), t
+            assert run[1][3] == "ok"
+        if after is None or after[0] > t:
+            points.append(points[-2] if run is None else run[1][0])
+            times.append(t)
+    assert times[-1] == 500 * 1e-9 and len(times) < 100  # steps longer than dt
+    assert any(run is None for _, _, run in steps)  # a plateau replays
+    rows = wave.samples[[round(t / 1e-9) for t in times], 1:]
+    assert rows.tolist() == [x[:2] for x in points]
+
+
+# the error of RC_EDGE and of each _rc_pulse_deck against the closed form may
+# exceed that of fixed steps of dt by this much [V]
+RC_MARGIN = 2e-5
+
+
+def _rc_pulse_deck(seed):
+    """A single-pole RC low-pass driven by one 0-1 V pulse, with seeded
+    R (about 1 kOhm), C (about 1 nF), delay, rise, fall and width:
+    (netlist, tau, (delay, rise, width, fall))."""
+    rng = random.Random(seed)
+    ohms = 1e3 * 2.0 ** rng.uniform(-0.5, 0.5)
+    farads = 1e-9 * 2.0 ** rng.uniform(-0.5, 0.5)
+    delay = rng.uniform(0.0, 0.5e-6)
+    rise, fall = rng.uniform(1e-12, 50e-9), rng.uniform(1e-12, 50e-9)
+    width = rng.uniform(1e-6, 3e-6)
+    net = parse_netlist(f"rc pulse\nV1 in 0 PULSE(0 1 {delay!r} {rise!r} {fall!r} {width!r} 0)\n"
+                        f"R1 in out {ohms!r}\nC1 out 0 {farads!r}\n.end\n")
+    return net, ohms * farads, (delay, rise, width, fall)
+
+
+def _rc_pulse_response(t, tau, delay, rise, width, fall):
+    """Exact RC response to a 0-1 V trapezoidal pulse: the sum of the
+    responses s*(u - tau*(1 - exp(-u/tau))) to the four ramps, u the time
+    since each corner and s its change of slope."""
+    top = delay + rise + width
+    out = np.zeros_like(t)
+    for corner, slope in ((delay, 1.0 / rise), (delay + rise, -1.0 / rise),
+                          (top, -1.0 / fall), (top + fall, 1.0 / fall)):
+        u = np.clip(t - corner, 0.0, None)
+        out += slope * (u + tau * np.expm1(-u / tau))
+    return out
+
+
+# max |out - closed form| of _rc_pulse_deck(seed) over 5 us when every step
+# is dt = 1 ns, rounded up
+FIXED_STEP_ERROR = {0: 5.2e-6, 1: 5.8e-6, 2: 1.26e-5, 3: 4.3e-6,
+                    4: 3.9e-5, 5: 2.7e-6, 6: 1.65e-4, 7: 5.0e-5}
+
+
+@pytest.mark.parametrize("seed", sorted(FIXED_STEP_ERROR))
+def test_seeded_rc_pulse_keeps_the_grid_and_the_closed_form(seed):
+    net, tau, pulse = _rc_pulse_deck(seed)
+    wave = transient(net, 1e-9, 5e-6)
+    assert wave.times().tolist() == [k * 1e-9 for k in range(5001)]
+    exact = _rc_pulse_response(wave.times(), tau, *pulse)
+    assert np.max(np.abs(wave.node("out") - exact)) < FIXED_STEP_ERROR[seed] + RC_MARGIN
+
+
+def _corners(delay, rise, width, fall):
+    return (delay, delay + rise, delay + rise + width, delay + rise + width + fall)
+
+
+@pytest.mark.parametrize("case", ["rc-edge", *range(4)])
+def test_only_steps_of_dt_reach_a_source_corner(monkeypatch, case):
+    # a step longer than dt holds no PULSE corner, not even at its end;
+    # each corner lies in a step of dt
+    if case == "rc-edge":
+        net, corners = RC_EDGE, _corners(10e-9, 1e-12, 200e-9, 1e-12)
+    else:
+        net, _, pulse = _rc_pulse_deck(case)
+        corners = _corners(*pulse)
+    steps = _spy_steps(monkeypatch)
+    transient(net, 1e-9, 500e-9 if case == "rc-edge" else 5e-6)
+    assert max(h for _, h, _ in steps) == 16e-9
+    for c in corners:
+        holders = [h for t, h, _ in steps if t - h < c <= t]
+        assert holders and set(holders) == {1e-9}, c
+
+
+# a two-pole RC ladder: on its 20 ns ramps some steps of 4 dt err by more
+# than the tolerance
+LADDER = parse_netlist("rc ladder\nV1 in 0 PULSE(0 3 10n 20n 20n 300n 0)\n"
+                       "R1 in a 1k\nC1 a 0 100p\nR2 a b 10k\nC2 b 0 1n\n.end\n")
+
+
+def test_step_over_the_error_tolerance_is_redone_at_half_length(monkeypatch):
+    steps = _spy_steps(monkeypatch)
+    transient(LADDER, 1e-9, 500e-9)
+    redone = [(step, again) for step, again in zip(steps, steps[1:]) if again[0] <= step[0]]
+    assert redone
+    for (t, h, run), (t_again, h_again, run_again) in redone:
+        assert h > 1e-9 and h_again == h / 2
+        assert round((t - h) / 1e-9) == round((t_again - h_again) / 1e-9)
+        assert solver_module._same_bits(run_again[0], run[0])  # from the same start
+
+
+def test_source_driven_node_reads_its_pulse_between_steps(monkeypatch):
+    # rows inside a longer step come from a quadratic through accepted
+    # points past the last corner, where the source is one straight piece
+    runs = _spy_runs(monkeypatch)
+    wave = transient(RC_EDGE, 1e-9, 500e-9)
+    assert len(runs) < 100  # most rows are interpolated
+    spec = RC_EDGE.find_source("V1").spec
+    pulse = [spec.value_at(t) for t in wave.times().tolist()]
+    assert np.max(np.abs(wave.node("in") - pulse)) <= 1e-12
+
+
+def test_mosfet_transient_steps_by_dt_on_one_plan(monkeypatch, capacitance_net):
+    compiled = []
+    real_init = Plan.__init__
+
+    def init(plan, netlist, dt=None):
+        compiled.append(dt)
+        real_init(plan, netlist, dt)
+
+    steps = _spy_steps(monkeypatch)
+    monkeypatch.setattr(Plan, "__init__", init)
+    transient(_delay_bench(capacitance_net, 8e-6), 1e-9, 100e-9)
+    assert len(compiled) == 2 and set(compiled) == {None, 1e-9}  # the DC point's and the transient's
+    assert steps == []  # no step rebuilds its companion currents
 
 
 # an RC deck whose node b carries the given capacitor lines
