@@ -13,12 +13,12 @@ pseudo-transient continuation integrates from zero to the steady state
 A sweep starts each point from a quadratic predictor through the points
 before it (Plan.sweep; Allgower & Georg, Introduction to Numerical
 Continuation Methods, 2003). A transient follows SPICE2 (Nagel, UCB
-ERL-M520, 1975) in two ways (Plan.steps): with MOSFETs it steps by dt
-and starts each moving step from the same quadratic through the time
-points before it; without, it takes steps of up to 16*dt as the local
-truncation error allows, never across a source corner. Each Newton step
-is solved by LAPACK gesv (_solve) inside one floating-point error scope
-per solve run (_lapack_errors).
+ERL-M520, 1975) in one loop with one length cap (Plan.steps): with
+MOSFETs the cap is dt, and each moving step starts from the same
+quadratic through the time points before it; without, steps of up to
+16*dt are as long as the local truncation error allows, never across a
+source corner. Each Newton step is solved by LAPACK gesv (_solve)
+inside one floating-point error scope per solve run (_lapack_errors).
 """
 
 from __future__ import annotations
@@ -354,31 +354,25 @@ class Plan:
         jac.pop()
         return _Assembled(f, np.array(jac).reshape(n, n), sc[:nn], sc[nn:n])
 
-    def currents(self, x: list[float], ieq: list[float]) -> list[float]:
-        """Each companion's capacitor current i = g*v + ieq at x, the end
-        of a step whose equivalent currents were ``ieq``."""
-        xl = [*x, 0.0]
-        return [g * (xl[p] - xl[q]) + c for (p, q, g), c in zip(self.caps, ieq)]
-
     def ieq_from(self, x: list[float], i: list[float]) -> list[float]:
         """Equivalent currents -g*v - i of a step on this plan from x,
         where each companion's capacitor carries the current in ``i``."""
         xl = [*x, 0.0]
         return [-(g * (xl[p] - xl[q])) - c for (p, q, g), c in zip(self.caps, i)]
 
-    def next_ieq(self, x: list[float], ieq: list[float] | None) -> list[float]:
-        """Companion currents of the trapezoidal step that follows x.
-
-        ``ieq`` is the step's own; None means x is the DC point, where no
-        capacitor current flows. Each capacitor carries i = g*v + ieq at
-        x, and the next step's equivalent current is -g*v - i.
-        """
+    def advance(self, x: list[float], ieq: list[float]) -> tuple[list[float], list[float]]:
+        """(i, next ieq) at x, the end of a step whose equivalent currents
+        were ``ieq``, in one pass: each capacitor's current i = g*v + ieq,
+        and the equivalent current -g*v - i of a next step on this plan,
+        the same bits as ieq_from(x, i)."""
         xl = [*x, 0.0]
-        out = []
-        for j, (p, q, g) in enumerate(self.caps):
+        i, nxt = [], []
+        for (p, q, g), c in zip(self.caps, ieq):
             gv = g * (xl[p] - xl[q])
-            out.append(-gv - (0.0 if ieq is None else gv + ieq[j]))
-        return out
+            ic = gv + c
+            i.append(ic)
+            nxt.append(-gv - ic)
+        return i, nxt
 
     @cached_property
     def inverse_norm(self) -> float:
@@ -427,10 +421,10 @@ class Plan:
                 s = e[slot] = DcSpec(v).value
                 start = x[:nn] + branches
                 if len(fit) == 3:
-                    (s0, x0), (s1, x1), (s2, x2) = fit
+                    (s0, _), (s1, _), (s2, _) = fit
                     step = s2 - s1
                     if abs(s1 - s0 - step) + abs(s - s2 - step) < _EVEN_STEPS * abs(step):
-                        start = _quadratic(x0, x1, x2)
+                        start = _quadratic(fit)
                 try:
                     x, iters = _dc_point(self, e, (start,))
                 except ConvergenceError as err:
@@ -449,33 +443,38 @@ class Plan:
         first step whose Newton run fails, naming its status, such as
         "(stalled)". All steps run inside one _lapack_errors() scope.
 
-        Step length. A plan with MOSFETs steps by dt, from a predicted
-        start (see _fixed_steps). A plan with none takes steps of
-        h = m*dt, m = 1, 2, 4, 8 or _MAX_STRETCH = 16, each from the last
-        accepted x (a predicted start would pass the step bound unsolved,
-        see _newton) and on a plan compiled at h on first need, and carries
-        each capacitor's current i = g*v + ieq from step to step: a step
-        of conductance g' takes ieq = -g'*v - i. Every step starts and
-        ends on the k*dt grid, so dt is both the row spacing and the
-        shortest step. The length follows SPICE2's rule (Nagel, UCB
-        ERL-M520, 1975): the local truncation error, h**3/2 times the
-        largest |third divided difference| of the node voltages through
-        the last four accepted points, the new one included, may be at
-        most _LTE_TOL. A step longer than dt whose error is above that is
-        redone at h/2, and the next step is 2h when the error is below
-        _LTE_TOL/8.
+        One loop, one length cap. Every plan takes steps of h = m*dt that
+        start and end on the k*dt grid, so dt is both the row spacing and
+        the shortest step; only the cap on m differs. A step runs on a
+        plan compiled at h on first need and carries each capacitor's
+        current i = g*v + ieq (advance): a step as long as the last takes
+        the next ieq that advance gave, and only a change of length takes
+        ieq_from(x, i) on the new plan, the same bits either way.
 
-        Corners. A step longer than dt holds no source corner
-        (corner_after of each source), not even at its end: the step that
-        holds or ends at one has length dt. The estimate then starts
-        afresh from that step's end, so the next three steps have length
-        dt too.
+        With MOSFETs the cap is 1, and a step starts from every unknown at
+        x0 + 3*(x2 - x1), the quadratic through the last three accepted
+        points, while each of the last two steps was solved (not replayed)
+        and moved some node by more than vntol + reltol*|x|, x its new
+        voltage, as SPICE2 predicts each time point (Nagel, UCB ERL-M520,
+        1975); otherwise from the last accepted x. The gate keeps settled
+        plateaus, where the companions ring with period 2, from
+        extrapolating that ringing.
 
-        Interpolation. A row inside a longer step comes from the
-        quadratic through the step's end, its start and the accepted
-        point before its start, written as the step is accepted. All
-        three lie past the last corner, so a node tied to a source reads
-        that source's straight line.
+        Without MOSFETs the cap is _MAX_STRETCH = 16, and every step starts
+        from the last accepted x (a predicted start would pass the step
+        bound unsolved, see _newton). m = 1, 2, 4, 8 or 16 follows SPICE2's
+        rule: the local truncation error, h**3/2 times the largest |third
+        divided difference| of the node voltages through the last four
+        accepted points, the new one included, may be at most _LTE_TOL. A
+        step longer than dt whose error is above that is redone at h/2,
+        and the next step is 2h when the error is below _LTE_TOL/8. A step
+        longer than dt holds no source corner (corner_after of each
+        source), not even at its end; the estimate starts afresh from the
+        end of the step of dt that holds one, so the next three steps have
+        length dt too. A row inside a longer step comes from the quadratic
+        through the step's end, its start and the accepted point before
+        its start, all three past the last corner, so a node tied to a
+        source reads that source's straight line.
 
         Replay. A step's input is its start, its companion currents ieq
         and its source values e, and its result (the x _newton accepts,
@@ -487,101 +486,70 @@ class Plan:
         holds), and a period-1 orbit is also period 2. A failed step is
         never kept, so a step that fails is always run and raises.
         """
-        nn = self.n_nodes
+        nn, dt = self.n_nodes, self.dt
+        vntol, reltol = OPTIONS.vntol, OPTIONS.reltol
+        predict = bool(self.mosfets)
+        cap = 1 if predict else _MAX_STRETCH
         x = self.vector_from_guess(start.node_voltages)
         x[nn:] = [start.branch_currents[name] for name in self.vsource_names]
         rows = array("d", x[:nn])
-        with _lapack_errors():
-            (self._fixed_steps if self.mosfets else self._lte_steps)(x, n_steps, rows)
-        return np.frombuffer(rows).reshape(n_steps + 1, nn)
-
-    def _fixed_steps(self, x: list[float], n_steps: int, rows: array) -> None:
-        """steps on a plan with MOSFETs: n_steps steps of dt from x, each
-        accepted point's node voltages appended to ``rows``.
-
-        A step starts from every unknown at x0 + 3*(x2 - x1), the
-        quadratic through the last three accepted points, while each of
-        the last two steps was solved (not replayed) and moved some node
-        by more than vntol + reltol*|x|, x its new voltage; SPICE2
-        predicts each time point the same way (Nagel, UCB ERL-M520,
-        1975). Otherwise it starts from the last accepted x. The gate
-        keeps settled plateaus, where the companions ring with period 2,
-        from extrapolating that ringing.
-        """
-        nn = self.n_nodes
-        vntol, reltol = OPTIONS.vntol, OPTIONS.reltol
-        ieq = self.next_ieq(x, None)
-        # (input, x, next ieq) of the steps two back and one back
-        back = last = ((), None, None)
-        # the last accepted points, joined by solved steps that moved
-        fit = [x]
-        for k in range(1, n_steps + 1):
-            t = k * self.dt
-            e = self.source_values(t)
-            x_start = _quadratic(*fit) if len(fit) == 3 else x
-            key = x_start + ieq + e
-            if _same_bits(key, back[0]):
-                x, ieq = back[1], back[2]
-                fit = [x]
-            else:
-                x_new = self._step(x_start, e, ieq, t)
-                moved = any(abs(v - u) > vntol + reltol * abs(v) for u, v in zip(x[:nn], x_new))
-                x = x_new
-                fit = [*fit[-2:], x] if moved else [x]
-                ieq = self.next_ieq(x, ieq)
-            back, last = last, (key, x, ieq)
-            rows.extend(x[:nn])
-
-    def _lte_steps(self, x: list[float], n_steps: int, rows: array) -> None:
-        """steps on a plan with no MOSFET: from x to n_steps*dt in steps
-        of up to _MAX_STRETCH*dt, chosen by truncation error, appending the
-        node voltages of every k*dt to ``rows`` as each step is accepted.
-        """
-        nn, dt = self.n_nodes, self.dt
         plans = {1: self}
-        cur = [0.0] * len(self.caps)  # no capacitor current flows at the DC point
-        # (k, x) of the last accepted points since the last corner, at most three
+        # the capacitor currents at x, none at the DC point, and the companion
+        # currents of a next step as long as the last one, m_last*dt
+        i, nxt, m_last = [0.0] * len(self.caps), None, 0
+        # (k, x) of the last accepted points that one quadratic may join, at
+        # most three: joined by solved steps that moved when predicting, else
+        # every point since the last corner
         fit = [(0, x)]
-        # (input, m, x, i) of the steps two back and one back
-        back = last = ((), 0, None, None)
+        # (input, m, x, i, next ieq) of the steps two back and one back
+        back = last = ((), 0, None, None, None)
         k, m = 0, 1
-        corner = self._corner_after(0.0)
-        while k < n_steps:
-            while m > 1 and (k + m > n_steps or corner <= (k + m) * dt):
-                m //= 2
-            plan = plans.get(m)
-            if plan is None:
-                plan = plans[m] = Plan(self.netlist, m * dt)
-            t = (k + m) * dt
-            e = self.source_values(t)
-            ieq = plan.ieq_from(x, cur)
-            key = x + ieq + e
-            if m == back[1] and _same_bits(key, back[0]):
-                x_new, cur_new = back[2], back[3]
-            else:
-                x_new = plan._step(x, e, ieq, t)
-                cur_new = plan.currents(x_new, ieq)
-            lte = m**3 * _third_difference(fit, k + m, x_new, nn) if len(fit) == 3 else inf
-            if m > 1 and lte > _LTE_TOL:
-                m //= 2
-                continue
-            if m > 1:
-                kp, xp = fit[-2]
-                weights = _lagrange_weights(k - kp, m)
-                # one column per node, rows k+1 .. k+m-1
-                cols = [[wp * u + ws * v + we * w for wp, ws, we in weights]
-                        for u, v, w in zip(xp, x, x_new[:nn])]
-                rows.extend(chain.from_iterable(zip(*cols)))
-            rows.extend(x_new[:nn])
-            back, last = last, (key, m, x_new, cur_new)
-            k, x, cur = k + m, x_new, cur_new
-            if corner <= t:
-                fit, m = [(k, x)], 1
-                corner = self._corner_after(t)
-            else:
-                fit = [*fit[-2:], (k, x)]
-                if lte < _LTE_TOL / 8.0:
-                    m = min(2 * m, _MAX_STRETCH)
+        corner = self._corner_after(0.0) if cap > 1 else inf
+        with _lapack_errors():
+            while k < n_steps:
+                while m > 1 and (k + m > n_steps or corner <= (k + m) * dt):
+                    m //= 2
+                plan = plans.get(m)
+                if plan is None:
+                    plan = plans[m] = Plan(self.netlist, m * dt)
+                t = (k + m) * dt
+                e = plan.source_values(t)
+                ieq = nxt if m == m_last else plan.ieq_from(x, i)
+                x_start = _quadratic(fit) if predict and len(fit) == 3 else x
+                key = x_start + ieq + e
+                solved = m != back[1] or not _same_bits(key, back[0])
+                if solved:
+                    x_new = plan._step(x_start, e, ieq, t)
+                    i_new, nxt_new = plan.advance(x_new, ieq)
+                else:
+                    _, _, x_new, i_new, nxt_new = back
+                lte = (m**3 * _third_difference(fit, k + m, x_new, nn)
+                       if cap > 1 and len(fit) == 3 else inf)
+                if m > 1:
+                    if lte > _LTE_TOL:
+                        m //= 2
+                        continue
+                    kp, xp = fit[-2]
+                    weights = _lagrange_weights(k - kp, m)
+                    # one column per node, rows k+1 .. k+m-1
+                    cols = [[wp * u + ws * v + we * w for wp, ws, we in weights]
+                            for u, v, w in zip(xp, x, x_new[:nn])]
+                    rows.extend(chain.from_iterable(zip(*cols)))
+                rows.extend(x_new[:nn])
+                back, last = last, (key, m, x_new, i_new, nxt_new)
+                keep = not predict or solved and any(
+                    abs(v - u) > vntol + reltol * abs(v) for u, v in zip(x[:nn], x_new))
+                k, x, i, nxt, m_last = k + m, x_new, i_new, nxt_new, m
+                if corner <= t:
+                    fit, m = [(k, x)], 1
+                    corner = self._corner_after(t)
+                elif keep:
+                    fit = [*fit[-2:], (k, x)]
+                    if lte < _LTE_TOL / 8.0:
+                        m = min(2 * m, cap)
+                else:
+                    fit = [(k, x)]
+        return np.frombuffer(rows).reshape(n_steps + 1, nn)
 
     def _step(self, x_start: list[float], e: list[float], ieq: list[float],
               t: float) -> list[float]:
@@ -619,9 +587,10 @@ def _third_difference(fit: list[tuple[int, list[float]]], k: int, x: list[float]
     return 0.5 * worst
 
 
-def _quadratic(x0: list[float], x1: list[float], x2: list[float]) -> list[float]:
-    """x0 + 3*(x2 - x1): the quadratic through three evenly spaced points,
-    one more step on."""
+def _quadratic(fit: list[tuple[float, list[float]]]) -> list[float]:
+    """x0 + 3*(x2 - x1), x0 to x2 the x of the three (key, x) of ``fit``:
+    the quadratic through three evenly spaced points, one more step on."""
+    (_, x0), (_, x1), (_, x2) = fit
     return [a + 3.0 * (c - b) for a, b, c in zip(x0, x1, x2)]
 
 

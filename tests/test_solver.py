@@ -1162,7 +1162,7 @@ def _delay_bench(net, amp, period=400e-9):
 
 def _solve_every_step(net, dt, n_steps):
     """The samples of transient(net, dt, n_steps * dt) with every step
-    solved: _newton on each step, then next_ieq, with no replay.
+    solved: _newton on each step, then Plan.advance, with no replay.
 
     A MOSFET plan starts step k from x0 + 3*(x2 - x1) through the accepted
     points of steps k-3, k-2 and k-1 when steps k-2 and k-1 each moved a
@@ -1177,7 +1177,7 @@ def _solve_every_step(net, dt, n_steps):
     start = dc_solve(net)
     x = plan.vector_from_guess(start.node_voltages)
     x[nn:] = [start.branch_currents[name] for name in plan.vsource_names]
-    ieq = plan.next_ieq(x, None)
+    ieq = plan.ieq_from(x, [0.0] * len(plan.caps))  # no current flows at the DC point
     rows = [x[:nn]]
     points, moving, inputs = [x], [False], []
     with solver_module._lapack_errors():
@@ -1196,7 +1196,7 @@ def _solve_every_step(net, dt, n_steps):
                 for u, v in zip(x[:nn], x_new[:nn])) > 0.0)
             x = x_new
             points.append(x)
-            ieq = plan.next_ieq(x, ieq)
+            _, ieq = plan.advance(x, ieq)
             rows.append(x[:nn])
     return np.column_stack((np.arange(n_steps + 1) * dt, rows))
 
@@ -1222,20 +1222,17 @@ def _spy_steps(monkeypatch):
     """Record every transient step attempted, solved or replayed, as
     [end time, step length, Newton run or None]; a run is (x0, result).
 
-    Plan.steps reads the source values at each step's end, then the
-    companion currents on the step's own plan, then solves or replays.
+    Plan.steps reads the source values at each step's end, once per
+    attempt and on the step's own plan, then solves or replays; no other
+    caller reads them on a plan with a dt.
     """
     steps = []
-    real_values, real_ieq, real_newton = Plan.source_values, Plan.ieq_from, solver_module._newton
-    now = {}
+    real_values, real_newton = Plan.source_values, solver_module._newton
 
     def source_values(plan, time):
-        now["t"] = time
+        if plan.dt is not None:
+            steps.append([time, plan.dt, None])
         return real_values(plan, time)
-
-    def ieq_from(plan, x, i):
-        steps.append([now["t"], plan.dt, None])
-        return real_ieq(plan, x, i)
 
     def newton(plan, x0, *args, **kwargs):
         result = real_newton(plan, x0, *args, **kwargs)
@@ -1244,7 +1241,6 @@ def _spy_steps(monkeypatch):
         return result
 
     monkeypatch.setattr(Plan, "source_values", source_values)
-    monkeypatch.setattr(Plan, "ieq_from", ieq_from)
     monkeypatch.setattr(solver_module, "_newton", newton)
     return steps
 
@@ -1383,7 +1379,39 @@ def test_mosfet_transient_steps_by_dt_on_one_plan(monkeypatch, capacitance_net):
     monkeypatch.setattr(Plan, "__init__", init)
     transient(_delay_bench(capacitance_net, 8e-6), 1e-9, 100e-9)
     assert len(compiled) == 2 and set(compiled) == {None, 1e-9}  # the DC point's and the transient's
-    assert steps == []  # no step rebuilds its companion currents
+    assert [t for t, _, _ in steps] == [k * 1e-9 for k in range(1, 101)]
+    assert {h for _, h, _ in steps} == {1e-9}  # every step has length dt
+
+
+@pytest.mark.parametrize("which", ["cap-build", "ladder"])
+def test_advance_gives_the_next_currents_of_ieq_from(which, capacitance_net):
+    # a step as long as the last one takes advance's next companion
+    # currents instead of calling ieq_from(x, i): the two agree bit for bit
+    net = capacitance_net if which == "cap-build" else LADDER
+    rng = random.Random(which)
+    for dt in (1e-9, 4e-9):
+        plan = Plan(net, dt=dt)
+        for _ in range(50):
+            x = [rng.uniform(-3.0, 3.0) for _ in range(plan.n_unknowns)]
+            ieq = [rng.uniform(-1e-3, 1e-3) for _ in plan.caps]
+            i, nxt = plan.advance(x, ieq)
+            xl = [*x, 0.0]
+            assert solver_module._same_bits(
+                i, [g * (xl[p] - xl[q]) + c for (p, q, g), c in zip(plan.caps, ieq)])
+            assert solver_module._same_bits(nxt, plan.ieq_from(x, i))
+
+
+def test_replayed_step_has_the_length_of_the_step_two_back(monkeypatch):
+    # replay compares only steps of one length. A step is accepted unless
+    # the next one ends no later (it was redone shorter)
+    steps = _spy_steps(monkeypatch)
+    transient(LADDER, 1e-9, 500e-9)
+    accepted = [s for s, after in zip(steps, [*steps[1:], None])
+                if after is None or after[0] > s[0]]
+    replayed = [j for j, (_, _, run) in enumerate(accepted) if run is None]
+    assert replayed and len({h for _, h, _ in accepted}) > 1
+    for j in replayed:
+        assert j >= 2 and accepted[j][1] == accepted[j - 2][1]
 
 
 # an RC deck whose node b carries the given capacitor lines
