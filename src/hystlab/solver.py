@@ -26,7 +26,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain
 from math import inf, isfinite
 from operator import add
 
@@ -76,6 +75,7 @@ _EVEN_STEPS = 1e-6
 # error within _LTE_TOL [V] in steps of up to _MAX_STRETCH * dt (Plan.steps)
 _LTE_TOL = 1e-4
 _MAX_STRETCH = 16
+_FILL_BLOCK = 128  # long steps whose rows _fill_long_steps fills at a time
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ class Plan:
             jac[slot(q, p)] -= g
             jac[slot(q, q)] += g
 
-        specs = []
+        specs, pinned = [], []
         self.source_slots: dict[str, int] = {}
         mosfet_elements: list[Mosfet] = []
         resistors, isources, vsources, mosfets, caps = [], [], [], [], []
@@ -196,6 +196,8 @@ class Plan:
                 jac[slot(q, b)] -= 1.0
                 jac[slot(b, p)] += 1.0
                 jac[slot(b, q)] -= 1.0
+                if n in (p, q):
+                    pinned.extend(i for i in (p, q) if i != n)
                 specs.append(el.spec)
                 b += 1
             elif isinstance(el, Mosfet):
@@ -220,6 +222,7 @@ class Plan:
                 pair = (q, p) if (q, p) in farads else (p, q)
                 farads[pair] = farads.get(pair, 0.0) + c
         self.specs = tuple(specs)
+        self.pinned = tuple(pinned)  # the nodes a voltage source ties to ground
         self.mosfet_elements = tuple(mosfet_elements)
         self.resistors = tuple(resistors)
         self.isources = tuple(isources)
@@ -474,7 +477,10 @@ class Plan:
         length dt too. A row inside a longer step comes from the quadratic
         through the step's end, its start and the accepted point before
         its start, all three past the last corner, so a node tied to a
-        source reads that source's straight line.
+        source reads that source's straight line. The loop only records
+        each such step's start under its shape (distance back to that
+        point, length); _fill_long_steps fills the rows after the loop,
+        with the same bits as that sum in Python floats.
 
         Replay. A step's input is its start, its companion currents ieq
         and its source values e, and its result (the x _newton accepts,
@@ -503,6 +509,9 @@ class Plan:
         fit = [(0, x)]
         # (input, m, x, i, next ieq) of the steps two back and one back
         back = last = ((), 0, None, None, None)
+        # the start k of each accepted step longer than dt, by its shape
+        # (a, m): a = k - kp back to the accepted point kp before k, m its length
+        long_steps: dict[tuple[int, int], array] = {}
         k, m = 0, 1
         corner = self._corner_after(0.0) if cap > 1 else inf
         with _lapack_errors():
@@ -529,12 +538,8 @@ class Plan:
                     if lte > _LTE_TOL:
                         m //= 2
                         continue
-                    kp, xp = fit[-2]
-                    weights = _lagrange_weights(k - kp, m)
-                    # one column per node, rows k+1 .. k+m-1
-                    cols = [[wp * u + ws * v + we * w for wp, ws, we in weights]
-                            for u, v, w in zip(xp, x, x_new[:nn])]
-                    rows.extend(chain.from_iterable(zip(*cols)))
+                    long_steps.setdefault((k - fit[-2][0], m), array("q")).append(k)
+                    rows.frombytes(bytes(8 * nn * (m - 1)))  # rows k+1 .. k+m-1, filled below
                 rows.extend(x_new[:nn])
                 back, last = last, (key, m, x_new, i_new, nxt_new)
                 keep = not predict or solved and any(
@@ -549,7 +554,9 @@ class Plan:
                         m = min(2 * m, cap)
                 else:
                     fit = [(k, x)]
-        return np.frombuffer(rows).reshape(n_steps + 1, nn)
+        out = np.frombuffer(rows).reshape(n_steps + 1, nn)
+        _fill_long_steps(out, long_steps)
+        return out
 
     def _step(self, x_start: list[float], e: list[float], ieq: list[float],
               t: float) -> list[float]:
@@ -572,6 +579,29 @@ def _lagrange_weights(a: int, m: int) -> tuple[tuple[float, float, float], ...]:
     a and m are at most _MAX_STRETCH, so the cache stays small."""
     return tuple((j * (j - m) / (a * (a + m)), (j + a) * (m - j) / (a * m),
                   j * (j + a) / (m * (a + m))) for j in range(1, m))
+
+
+def _fill_long_steps(out: np.ndarray, long_steps: dict[tuple[int, int], array]) -> None:
+    """Rows k+1 .. k+m-1 of ``out`` for each k of each shape (a, m) in
+    ``long_steps``: the quadratic through rows k-a, k and k+m, summed as
+    (w0*u + w1*v) + w2*w with the weights of _lagrange_weights(a, m). Each
+    ufunc rounds as a Python float does, so a row has the bits of that
+    sum in Python floats. Steps are filled _FILL_BLOCK at a time, which
+    keeps the temporaries small on a long run."""
+    if not out.shape[1]:
+        return  # no node: the rows are empty
+    # each row as one opaque element, so that one scatter moves whole rows
+    row = np.dtype((np.void, out.itemsize * out.shape[1]))
+    rows = out.view(row)[:, 0]
+    for (a, m), starts in long_steps.items():
+        w = np.array(_lagrange_weights(a, m)).T[:, :, None, None]  # (3, m-1, 1, 1)
+        inside = np.arange(1, m)[:, None]
+        for b in range(0, len(starts), _FILL_BLOCK):
+            k = np.array(starts[b:b + _FILL_BLOCK])
+            fill = w[0] * out.take(k - a, axis=0)  # (m-1, steps, nodes)
+            fill += w[1] * out.take(k, axis=0)
+            fill += w[2] * out.take(k + m, axis=0)
+            rows[k + inside] = fill.view(row)[..., 0]
 
 
 def _third_difference(fit: list[tuple[int, list[float]]], k: int, x: list[float],
@@ -692,7 +722,10 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     A nonzero ``g`` makes the run one pseudo-transient step, every node
     tied to x0 by g, of at most _PTC_STEP_ITERS iterations. It returns
     its solved step; the step bound does not apply, as it assumes the
-    plain system.
+    plain system. In such a step each node that a voltage source ties to
+    ground (Plan.pinned) takes its full step, unclamped: an ideal source
+    has no dynamics, and its branch row places the node in one step, so
+    a supply of many clamps' height is met within the step's iterations.
 
     Failing fast. A plain run (g = 0) on a plan with MOSFETs ends
     "stalled" when one of two signals fires at iteration _STALL_FROM or
@@ -746,6 +779,9 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
         longest = max(map(abs, dx[:nn]), default=0.0)
         if longest > clamp:
             step = [min(max(d, -clamp), clamp) for d in dx[:nn]]
+            if g:
+                for i in plan.pinned:
+                    step[i] = dx[i]
             step += dx[nn:]
         else:
             step = dx

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -312,6 +313,22 @@ def test_tran_csv(tmp_path):
     rc = run(["tran", str(f), "--dt", "100n", "--stop", "1u", "-o", str(out)])
     assert rc == 0
     assert out.read_text() == TRAN_GOLDEN
+
+
+# sha256 of the full `tran` output on RC_DECK at dt=1n to 5u: 5,001 samples,
+# taken in steps of up to 16 ns, so most rows lie inside a longer step
+TRAN_LONG_STEPS_SHA256 = "096f12b2d88723aaba6b31e2defa03f19f60d6c251a10a445094593045807ced"
+
+
+def test_tran_csv_with_long_steps(tmp_path):
+    f = tmp_path / "rc.cir"
+    f.write_text(RC_DECK)
+    out = tmp_path / "wave.csv"
+    rc = run(["tran", str(f), "--dt", "1n", "--stop", "5u", "-o", str(out)])
+    assert rc == 0
+    text = out.read_text()
+    assert text.count("\n") == 5002
+    assert hashlib.sha256(text.encode()).hexdigest() == TRAN_LONG_STEPS_SHA256
 
 
 def test_hyst_resistor_report(probe_file, capsys):

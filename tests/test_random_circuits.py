@@ -72,6 +72,17 @@ def test_random_circuits_solve_or_raise():
     assert solved >= 290  # the generator makes mostly solvable circuits
 
 
+def test_supply_tied_to_ground_is_placed_by_pseudo_transient():
+    # seed 202's plain runs fail. Pseudo-transient continuation used to
+    # give up with VDD's branch row off by the full 5 V, as the 0.5 V clamp
+    # kept the node from reaching it within a step's iterations; a node
+    # that a voltage source ties to ground now takes its full step there
+    net = random_circuit(202)
+    sol = dc_solve(net)
+    verify_kcl(net, sol)
+    assert sol.node_voltages["n5"] == pytest.approx(0.853, abs=1e-3)
+
+
 def test_random_circuits_round_trip_through_text():
     # to_text keeps every value exactly, so parsing it rebuilds the netlist
     for seed in range(300):

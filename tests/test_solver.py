@@ -766,7 +766,8 @@ def test_warm_solve_past_fold_rescued_by_pseudo_transient(monkeypatch):
     assert runs[2][:2] == (zero, solver_module._PTC_G_START)
     assert all(g > 0.0 for _, g, _, _ in runs[2:-1])
     assert runs[-1][1] == 0.0 and runs[-1][3] == "ok"  # the plain finish
-    assert sol.iterations == sum(iters for *_, iters, _ in runs) == 81
+    # VDD, tied to ground, takes its full step in each pseudo-transient step
+    assert sol.iterations == sum(iters for *_, iters, _ in runs) == 78
 
 
 # a Monte Carlo W-mismatch instance of the stock build (5 % sigma per
@@ -806,7 +807,8 @@ def test_pseudo_transient_rescues_cold_solve(monkeypatch):
     assert runs[1][0] == solver_module._PTC_G_START
     assert all(g > 0.0 for g, _, _ in runs[1:-1])
     assert runs[-1][0] == 0.0 and runs[-1][2] == "ok"  # the plain finish
-    assert sol.iterations == sum(iters for _, iters, _ in runs) == 59
+    # VDD, tied to ground, takes its full step in each pseudo-transient step
+    assert sol.iterations == sum(iters for _, iters, _ in runs) == 56
 
 
 @pytest.mark.parametrize("guess", [{}, {"nowhere": 1.0}], ids=["empty", "no-node"])
@@ -821,12 +823,33 @@ def test_zero_warm_start_is_the_cold_start(monkeypatch, guess):
     warm = dc_solve(net, initial_guess=guess)
     assert runs == cold_runs
     assert [g for g, _, _ in runs[:2]] == [0.0, solver_module._PTC_G_START]
-    assert warm.iterations == cold.iterations == 59
+    assert warm.iterations == cold.iterations == 56
     assert warm.node_voltages == cold.node_voltages
     # zero is compared bit for bit: a start at -0.0 is not the cold start
     runs.clear()
-    assert dc_solve(net, initial_guess={"A": -0.0}).iterations == 80
+    assert dc_solve(net, initial_guess={"A": -0.0}).iterations == 77
     assert runs[:2] == [(0.0, 21, "stalled")] * 2
+
+
+def test_pseudo_transient_places_a_60_volt_supply(monkeypatch):
+    # plain Newton climbs the 60 V node by the 0.5 V clamp and runs out of
+    # iterations; in each pseudo-transient step the node, tied to ground
+    # by V1, takes its full step and lands on the source's value
+    net = parse_netlist("sixty volts\nV1 a 0 DC 60\nR1 a 0 1k\n.end\n")
+    assert Plan(net).pinned == (0,)
+    runs = _spy_runs(monkeypatch)
+    sol = dc_solve(net)
+    verify_kcl(net, sol)
+    assert sol.node_voltages["a"] == 60.0
+    assert runs[0] == (0.0, 100, "maxiter")  # the plain run is clamped as before
+    assert any(g > 0.0 for g, _, _ in runs)
+
+
+def test_only_nodes_a_voltage_source_ties_to_ground_are_pinned():
+    net = parse_netlist("pins\nV1 a 0 DC 1\nV2 0 b DC 1\nV3 a c DC 1\nV4 0 0 DC 0\n"
+                        "R1 a b 1k\nR2 b c 1k\nR3 c 0 1k\n.end\n")
+    plan = Plan(net)
+    assert [plan.node_names[i] for i in plan.pinned] == ["a", "b"]
 
 
 # Monte Carlo W-mismatch instance of the stock build whose plain Newton
@@ -1354,6 +1377,54 @@ def test_step_over_the_error_tolerance_is_redone_at_half_length(monkeypatch):
         assert h > 1e-9 and h_again == h / 2
         assert round((t - h) / 1e-9) == round((t_again - h_again) / 1e-9)
         assert solver_module._same_bits(run_again[0], run[0])  # from the same start
+
+
+def _accepted_points(steps, start, dt):
+    """(k, x, m) of the DC point and of each accepted step, from a
+    _spy_steps record: the step ends at k*dt, x is its answer and m*dt its
+    length. A step is accepted unless the next one ends no later (it was
+    redone shorter); a replayed step took the point of the step two back."""
+    points = [(0, [*start.node_voltages.values()][1:], 0)]
+    for (t, h, run), after in zip(steps, [*steps[1:], None]):
+        if after is None or after[0] > t:
+            x = points[-2][1] if run is None else run[1][0]
+            points.append((round(t / dt), x, round(h / dt)))
+    return points
+
+
+@pytest.mark.parametrize("case", ["ladder", *range(8)])
+def test_rows_inside_a_long_step_are_the_quadratic_in_python_floats(monkeypatch, case):
+    # each row strictly inside an accepted step from k to k+m is
+    # wp*u + ws*v + we*w, summed left to right in Python floats, with u, v
+    # and w the node voltages at the accepted points kp (the one before
+    # k), k and k+m and the weights of _lagrange_weights(k - kp, m); every
+    # row at an accepted point is that point
+    net = LADDER if case == "ladder" else _rc_pulse_deck(case)[0]
+    stop = 500e-9 if case == "ladder" else 5e-6
+    steps = _spy_steps(monkeypatch)
+    start = dc_solve(net)
+    rows = transient(net, 1e-9, stop).samples[:, 1:].tolist()
+    points = _accepted_points(steps, start, 1e-9)
+    assert points[-1][0] == len(rows) - 1
+    nn = len(rows[0])
+    for k, x, _ in points:
+        assert solver_module._same_bits(rows[k], x[:nn])
+    long_steps = 0
+    for (kp, u, _), (k, v, _), (_, w, m) in zip(points, points[1:], points[2:]):
+        if m > 1:
+            long_steps += 1
+            for j, (wp, ws, we) in enumerate(solver_module._lagrange_weights(k - kp, m), 1):
+                want = [wp * a + ws * b + we * c for a, b, c in zip(u[:nn], v, w)]
+                assert solver_module._same_bits(rows[k + j], want), (k, j)
+    assert long_steps > 10
+
+
+def test_transient_without_a_node_keeps_its_rows():
+    # a deck whose only element ties ground to itself still has one row
+    # per k*dt, holding only the time
+    wave = transient(parse_netlist("no node\nR1 0 0 1k\n.end\n"), 1e-9, 100e-9)
+    assert wave.samples.shape == (101, 1)
+    assert wave.times().tolist() == [k * 1e-9 for k in range(101)]
 
 
 def test_source_driven_node_reads_its_pulse_between_steps(monkeypatch):
