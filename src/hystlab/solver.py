@@ -2,14 +2,15 @@
 
 Unknowns are the non-ground node voltages plus one branch current per
 voltage source. The residual at a node is the sum of currents leaving
-it. Newton iteration is damped by a per-node voltage clamp, and a
-converged run returns its last solved step. A plain Newton run on a
-circuit with MOSFETs ends early, "stalled", once its steps stop
-contracting or it cycles through the clamp (see _newton). A failed
-warm-started Newton run falls back to a second guess when one is given,
-then to a cold restart; when plain Newton fails from every start,
-pseudo-transient continuation integrates from zero to the steady state
-(Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).
+it. A plain Newton run is damped by a per-node voltage clamp, a
+pseudo-transient step by its own tie, and a converged run returns its
+last solved step. A plain Newton run on a circuit with MOSFETs ends
+early, "stalled", once its steps stop contracting or it cycles through
+the clamp (see _newton). A failed warm-started Newton run falls back to
+a second guess when one is given, then to a cold restart; when plain
+Newton fails from every start, pseudo-transient continuation integrates
+from zero to the steady state (Kelley & Keyes, SIAM J. Numer. Anal. 35,
+1998).
 A sweep starts each point from a quadratic predictor through the points
 before it (Plan.sweep; Allgower & Georg, Introduction to Numerical
 Continuation Methods, 2003). A transient follows SPICE2 (Nagel, UCB
@@ -171,7 +172,7 @@ class Plan:
             jac[slot(q, p)] -= g
             jac[slot(q, q)] += g
 
-        specs, pinned = [], []
+        specs = []
         self.source_slots: dict[str, int] = {}
         mosfet_elements: list[Mosfet] = []
         resistors, isources, vsources, mosfets, caps = [], [], [], [], []
@@ -196,8 +197,6 @@ class Plan:
                 jac[slot(q, b)] -= 1.0
                 jac[slot(b, p)] += 1.0
                 jac[slot(b, q)] -= 1.0
-                if n in (p, q):
-                    pinned.extend(i for i in (p, q) if i != n)
                 specs.append(el.spec)
                 b += 1
             elif isinstance(el, Mosfet):
@@ -222,7 +221,6 @@ class Plan:
                 pair = (q, p) if (q, p) in farads else (p, q)
                 farads[pair] = farads.get(pair, 0.0) + c
         self.specs = tuple(specs)
-        self.pinned = tuple(pinned)  # the nodes a voltage source ties to ground
         self.mosfet_elements = tuple(mosfet_elements)
         self.resistors = tuple(resistors)
         self.isources = tuple(isources)
@@ -722,10 +720,8 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     A nonzero ``g`` makes the run one pseudo-transient step, every node
     tied to x0 by g, of at most _PTC_STEP_ITERS iterations. It returns
     its solved step; the step bound does not apply, as it assumes the
-    plain system. In such a step each node that a voltage source ties to
-    ground (Plan.pinned) takes its full step, unclamped: an ideal source
-    has no dynamics, and its branch row places the node in one step, so
-    a supply of many clamps' height is met within the step's iterations.
+    plain system. The clamp damps plain runs only; a pseudo-transient
+    step takes its full Newton step, its tie being its damping.
 
     Failing fast. A plain run (g = 0) on a plan with MOSFETs ends
     "stalled" when one of two signals fires at iteration _STALL_FROM or
@@ -777,12 +773,8 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
         if not all(map(isfinite, dx)):
             return x, a, iters, "nonfinite"
         longest = max(map(abs, dx[:nn]), default=0.0)
-        if longest > clamp:
-            step = [min(max(d, -clamp), clamp) for d in dx[:nn]]
-            if g:
-                for i in plan.pinned:
-                    step[i] = dx[i]
-            step += dx[nn:]
+        if longest > clamp and not g:
+            step = [min(max(d, -clamp), clamp) for d in dx[:nn]] + dx[nn:]
         else:
             step = dx
         x_next = list(map(add, x, step))
@@ -894,7 +886,9 @@ def dc_solve(netlist: Netlist, initial_guess: dict[str, float] | None = None,
     ``second_guess``, when one is given; unless one of those starts was
     all zero, plain Newton from zero; then pseudo-transient continuation
     (see _PTC_G_START) from zero, which past a fold follows the circuit's
-    own dynamics to a surviving branch. A plain run that ends "stalled"
+    own dynamics to a surviving branch. Plain runs are damped by the
+    voltage clamp; a pseudo-transient step is damped by its tie alone and
+    takes its full Newton step. A plain run that ends "stalled"
     (see _newton: its steps stop contracting, or it cycles through the
     clamp, tested from iteration _STALL_FROM on; linear runs and
     pseudo-transient steps are exempt) moves on exactly as one that ends
