@@ -270,14 +270,16 @@ def transient(netlist: Netlist, dt: float, tstop: float) -> Trace:
     k*dt, the time column k*dt bit for bit.
 
     Every node carries the solver's CMIN to ground during the steps. One
-    loop with one length cap runs every circuit: dt with MOSFETs, where a
-    moving step starts from a prediction; 16*dt without, in steps of
-    2**j * dt as the local truncation error allows, never longer than dt
+    loop with one length rule runs every circuit: steps of 2**j * dt, up
+    to 16*dt, as the local truncation error allows, never longer than dt
     across a source corner, with rows inside a longer step interpolated.
-    So dt is the row spacing and the shortest step. A step whose input
-    repeats, bit for bit, that of the step two back of the same length,
-    as on a settled plateau, reuses that step's result: the samples are
-    those of solving every step from the same starts (see Plan.steps).
+    A longer step whose Newton run fails is redone at half its length; a
+    step of dt that fails raises ConvergenceError. So dt is the row
+    spacing and the shortest step. With MOSFETs a moving step starts from
+    a prediction. A step whose input repeats, bit for bit, that of the
+    step two back of the same length, as on a settled plateau, reuses
+    that step's result: the samples are those of solving every step from
+    the same starts (see Plan.steps).
     """
     if not dt > 0.0:  # NaN fails too
         raise MeasurementError(f"dt must be > 0, got {dt}")

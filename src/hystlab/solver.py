@@ -14,12 +14,13 @@ from zero to the steady state (Kelley & Keyes, SIAM J. Numer. Anal. 35,
 A sweep starts each point from a quadratic predictor through the points
 before it (Plan.sweep; Allgower & Georg, Introduction to Numerical
 Continuation Methods, 2003). A transient follows SPICE2 (Nagel, UCB
-ERL-M520, 1975) in one loop with one length cap (Plan.steps): with
-MOSFETs the cap is dt, and each moving step starts from the same
-quadratic through the time points before it; without, steps of up to
-16*dt are as long as the local truncation error allows, never across a
-source corner. Each Newton step is solved by LAPACK gesv (_solve)
-inside one floating-point error scope per solve run (_lapack_errors).
+ERL-M520, 1975) in one loop with one length rule (Plan.steps): steps of
+up to 16*dt are as long as the local truncation error allows, never
+across a source corner, and a longer step that fails is redone at half
+its length. With MOSFETs each moving step starts from the quadratic
+through the time points before it. Each Newton step is solved by LAPACK
+gesv (_solve) inside one floating-point error scope per solve run
+(_lapack_errors).
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ _STALL_STEPS = 5
 _PREDICT_ITERS = 3
 _EVEN_STEPS = 1e-6
 
-# a transient on a plan with no MOSFET keeps each step's local truncation
-# error within _LTE_TOL [V] in steps of up to _MAX_STRETCH * dt (Plan.steps)
+# a transient keeps each step's local truncation error within _LTE_TOL [V]
+# in steps of up to _MAX_STRETCH * dt (Plan.steps)
 _LTE_TOL = 1e-4
 _MAX_STRETCH = 16
 _FILL_BLOCK = 128  # long steps whose rows _fill_long_steps fills at a time
@@ -441,44 +442,47 @@ class Plan:
 
         Columns follow ``node_names``. Integration starts from ``start``,
         where no capacitor current flows. Raises ConvergenceError at the
-        first step whose Newton run fails, naming its status, such as
+        first step of dt whose Newton run fails, naming its status, such as
         "(stalled)". All steps run inside one _lapack_errors() scope.
 
-        One loop, one length cap. Every plan takes steps of h = m*dt that
+        One loop, one length rule. Every plan takes steps of h = m*dt that
         start and end on the k*dt grid, so dt is both the row spacing and
-        the shortest step; only the cap on m differs. A step runs on a
-        plan compiled at h on first need and carries each capacitor's
-        current i = g*v + ieq (advance): a step as long as the last takes
-        the next ieq that advance gave, and only a change of length takes
-        ieq_from(x, i) on the new plan, the same bits either way.
+        the shortest step. A step runs on a plan compiled at h on first
+        need and carries each capacitor's current i = g*v + ieq (advance):
+        a step as long as the last takes the next ieq that advance gave,
+        and only a change of length takes ieq_from(x, i) on the new plan,
+        the same bits either way.
 
-        With MOSFETs the cap is 1, and a step starts from every unknown at
-        x0 + 3*(x2 - x1), the quadratic through the last three accepted
-        points, while each of the last two steps was solved (not replayed)
-        and moved some node by more than vntol + reltol*|x|, x its new
-        voltage, as SPICE2 predicts each time point (Nagel, UCB ERL-M520,
-        1975); otherwise from the last accepted x. The gate keeps settled
-        plateaus, where the companions ring with period 2, from
-        extrapolating that ringing.
+        m = 1, 2, 4, 8 or 16 (_MAX_STRETCH) follows SPICE2's rule: the
+        local truncation error, h**3/2 times the largest |third divided
+        difference| of the node voltages through the last four accepted
+        points since the last corner, the new one included, may be at most
+        _LTE_TOL. A step longer than dt whose error is above that, or whose
+        Newton run fails, is redone at h/2 from the same accepted point;
+        the next step is 2h when the error is below _LTE_TOL/8. A step of
+        dt whose Newton run fails raises. A step longer than dt holds no
+        source corner (corner_after of each source), not even at its end;
+        the estimate starts afresh from the end of the step of dt that
+        holds one, so the next three steps have length dt too. A row
+        inside a longer step comes from the quadratic through the step's
+        end, its start and the accepted point before its start, all three
+        past the last corner, so a node tied to a source reads that
+        source's straight line. The loop only records each such step's
+        start under its shape (distance back to that point, length);
+        _fill_long_steps fills the rows after the loop, with the same bits
+        as that sum in Python floats.
 
-        Without MOSFETs the cap is _MAX_STRETCH = 16, and every step starts
-        from the last accepted x (a predicted start would pass the step
-        bound unsolved, see _newton). m = 1, 2, 4, 8 or 16 follows SPICE2's
-        rule: the local truncation error, h**3/2 times the largest |third
-        divided difference| of the node voltages through the last four
-        accepted points, the new one included, may be at most _LTE_TOL. A
-        step longer than dt whose error is above that is redone at h/2,
-        and the next step is 2h when the error is below _LTE_TOL/8. A step
-        longer than dt holds no source corner (corner_after of each
-        source), not even at its end; the estimate starts afresh from the
-        end of the step of dt that holds one, so the next three steps have
-        length dt too. A row inside a longer step comes from the quadratic
-        through the step's end, its start and the accepted point before
-        its start, all three past the last corner, so a node tied to a
-        source reads that source's straight line. The loop only records
-        each such step's start under its shape (distance back to that
-        point, length); _fill_long_steps fills the rows after the loop,
-        with the same bits as that sum in Python floats.
+        Prediction, with MOSFETs only. While each of the last two steps
+        was solved (not replayed) and moved some node by more than vntol
+        + reltol*|x|, x its new voltage, a step starts from every unknown
+        of the quadratic through the last three accepted points since the
+        last corner, evaluated at the step's end at their actual spacing
+        (_extrapolate), as SPICE2 predicts each time point (Nagel, UCB
+        ERL-M520, 1975); otherwise from the last accepted x. The gate keeps
+        settled plateaus, where the companions ring with period 2, from
+        extrapolating that ringing. Without MOSFETs every step starts from
+        the last accepted x: a predicted start would pass the step bound
+        unsolved (see _newton).
 
         Replay. A step's input is its start, its companion currents ieq
         and its source values e, and its result (the x _newton accepts,
@@ -488,12 +492,11 @@ class Plan:
         the same, takes that step's result. On a settled plateau the
         trapezoidal companions ring with period 2 (ieq alternates while v
         holds), and a period-1 orbit is also period 2. A failed step is
-        never kept, so a step that fails is always run and raises.
+        never kept, so a step that fails is always run.
         """
         nn, dt = self.n_nodes, self.dt
         vntol, reltol = OPTIONS.vntol, OPTIONS.reltol
         predict = bool(self.mosfets)
-        cap = 1 if predict else _MAX_STRETCH
         x = self.vector_from_guess(start.node_voltages)
         x[nn:] = [start.branch_currents[name] for name in self.vsource_names]
         rows = array("d", x[:nn])
@@ -501,17 +504,17 @@ class Plan:
         # the capacitor currents at x, none at the DC point, and the companion
         # currents of a next step as long as the last one, m_last*dt
         i, nxt, m_last = [0.0] * len(self.caps), None, 0
-        # (k, x) of the last accepted points that one quadratic may join, at
-        # most three: joined by solved steps that moved when predicting, else
-        # every point since the last corner
+        # (k, x) of the last three accepted points since the last corner
         fit = [(0, x)]
+        # the last steps in a row that were solved and moved, when predicting
+        moving = 0
         # (input, m, x, i, next ieq) of the steps two back and one back
         back = last = ((), 0, None, None, None)
         # the start k of each accepted step longer than dt, by its shape
         # (a, m): a = k - kp back to the accepted point kp before k, m its length
         long_steps: dict[tuple[int, int], array] = {}
         k, m = 0, 1
-        corner = self._corner_after(0.0) if cap > 1 else inf
+        corner = self._corner_after(0.0)
         with _lapack_errors():
             while k < n_steps:
                 while m > 1 and (k + m > n_steps or corner <= (k + m) * dt):
@@ -522,16 +525,22 @@ class Plan:
                 t = (k + m) * dt
                 e = plan.source_values(t)
                 ieq = nxt if m == m_last else plan.ieq_from(x, i)
-                x_start = _quadratic(fit) if predict and len(fit) == 3 else x
+                x_start = _extrapolate(fit, k + m) if moving > 1 and len(fit) == 3 else x
                 key = x_start + ieq + e
                 solved = m != back[1] or not _same_bits(key, back[0])
                 if solved:
-                    x_new = plan._step(x_start, e, ieq, t)
+                    x_new, a, _, status = _newton(plan, x_start, e=e, ieq=ieq)
+                    if status != "ok":
+                        if m > 1:
+                            m //= 2
+                            continue
+                        raise _convergence_error(
+                            plan, a, f"transient step failed at t={t:.6g} s ({status})",
+                            f"transient t={t:.6g}")
                     i_new, nxt_new = plan.advance(x_new, ieq)
                 else:
                     _, _, x_new, i_new, nxt_new = back
-                lte = (m**3 * _third_difference(fit, k + m, x_new, nn)
-                       if cap > 1 and len(fit) == 3 else inf)
+                lte = m**3 * _third_difference(fit, k + m, x_new, nn) if len(fit) == 3 else inf
                 if m > 1:
                     if lte > _LTE_TOL:
                         m //= 2
@@ -540,31 +549,21 @@ class Plan:
                     rows.frombytes(bytes(8 * nn * (m - 1)))  # rows k+1 .. k+m-1, filled below
                 rows.extend(x_new[:nn])
                 back, last = last, (key, m, x_new, i_new, nxt_new)
-                keep = not predict or solved and any(
-                    abs(v - u) > vntol + reltol * abs(v) for u, v in zip(x[:nn], x_new))
+                if predict:
+                    moving = moving + 1 if solved and any(
+                        abs(v - u) > vntol + reltol * abs(v)
+                        for u, v in zip(x[:nn], x_new)) else 0
                 k, x, i, nxt, m_last = k + m, x_new, i_new, nxt_new, m
                 if corner <= t:
                     fit, m = [(k, x)], 1
                     corner = self._corner_after(t)
-                elif keep:
+                else:
                     fit = [*fit[-2:], (k, x)]
                     if lte < _LTE_TOL / 8.0:
-                        m = min(2 * m, cap)
-                else:
-                    fit = [(k, x)]
+                        m = min(2 * m, _MAX_STRETCH)
         out = np.frombuffer(rows).reshape(n_steps + 1, nn)
         _fill_long_steps(out, long_steps)
         return out
-
-    def _step(self, x_start: list[float], e: list[float], ieq: list[float],
-              t: float) -> list[float]:
-        """The x that _newton accepts for the step ending at time t.
-        Raises ConvergenceError, naming the status, when the run fails."""
-        x, a, _, status = _newton(self, x_start, e=e, ieq=ieq)
-        if status != "ok":
-            raise _convergence_error(self, a, f"transient step failed at t={t:.6g} s ({status})",
-                                     f"transient t={t:.6g}")
-        return x
 
     def _corner_after(self, t: float) -> float:
         return min((spec.corner_after(t) for spec in self.specs), default=inf)
@@ -577,6 +576,24 @@ def _lagrange_weights(a: int, m: int) -> tuple[tuple[float, float, float], ...]:
     a and m are at most _MAX_STRETCH, so the cache stays small."""
     return tuple((j * (j - m) / (a * (a + m)), (j + a) * (m - j) / (a * m),
                   j * (j + a) / (m * (a + m))) for j in range(1, m))
+
+
+@cache
+def _predictor_weights(a: int, b: int, m: int) -> tuple[float, float, float]:
+    """The weights of the points at -(a+b), -b and 0 in the quadratic
+    through them, evaluated at m. a, b and m are powers of two of at most
+    _MAX_STRETCH, so the cache stays small."""
+    return (m * (m + b) / (a * (a + b)), -(m * (m + a + b)) / (a * b),
+            (m + b) * (m + a + b) / (b * (a + b)))
+
+
+def _extrapolate(fit: list[tuple[int, list[float]]], k: int) -> list[float]:
+    """Every unknown at k of the quadratic through the three (k, x) of
+    ``fit``, at their actual spacing: w0*x0 + w1*x1 + w2*x2 summed left to
+    right, with the weights of _predictor_weights."""
+    (k0, x0), (k1, x1), (k2, x2) = fit
+    w0, w1, w2 = _predictor_weights(k1 - k0, k2 - k1, k - k2)
+    return [w0 * p + w1 * q + w2 * r for p, q, r in zip(x0, x1, x2)]
 
 
 def _fill_long_steps(out: np.ndarray, long_steps: dict[tuple[int, int], array]) -> None:
@@ -617,7 +634,8 @@ def _third_difference(fit: list[tuple[int, list[float]]], k: int, x: list[float]
 
 def _quadratic(fit: list[tuple[float, list[float]]]) -> list[float]:
     """x0 + 3*(x2 - x1), x0 to x2 the x of the three (key, x) of ``fit``:
-    the quadratic through three evenly spaced points, one more step on."""
+    the quadratic through three evenly spaced points, one more step on.
+    Plan.sweep's predictor; a transient's steps are uneven (_extrapolate)."""
     (_, x0), (_, x1), (_, x2) = fit
     return [a + 3.0 * (c - b) for a, b, c in zip(x0, x1, x2)]
 

@@ -2,35 +2,69 @@
 
     python tests/random_census.py 0 6000
     python tests/random_census.py 0 3000 --vdd 0
+    python tests/random_census.py 0 3000 --tran
 
 Solves ``random_circuit(seed)`` for each seed in [start, stop) with
 dc_solve and audits each answer with verify_kcl. Prints one line per
 circuit that raises or fails the audit, then the failure count and the
 total Newton iterations of every run, failed solves included, counted by
 a wrapper around solver._newton. ``--vdd`` replaces VDD's value, as a
-random transient's DC point does with VDD at 0 V. It imports hystlab from
-this checkout's src/. Pytest does not collect this file.
+random transient's DC point does with VDD at 0 V. ``--tran`` runs each
+seed's random transient instead (random_transient), which fails only by
+raising. It imports hystlab from this checkout's src/. Pytest does not
+collect this file.
 """
 
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from hystlab import DcSpec, HystlabError, dc_solve, verify_kcl  # noqa: E402
+from hystlab import (  # noqa: E402
+    Capacitor,
+    DcSpec,
+    HystlabError,
+    Netlist,
+    PulseSpec,
+    dc_solve,
+    transient,
+    verify_kcl,
+)
 from hystlab import solver  # noqa: E402
 from test_random_circuits import random_circuit  # noqa: E402
+
+
+def random_transient(seed: int) -> Netlist:
+    """random_circuit(seed) with VDD a PULSE from 0 V to its DC value
+    (delay 10 ns, rise and fall 5 ns, width 80 ns, period 200 ns), plus
+    1-3 capacitors of 1 fF to 1 nF (log-uniform), each between two
+    distinct terminals, drawn from random.Random(10_000 + seed). It runs
+    with dt 1 ns to 200 ns."""
+    net = random_circuit(seed)
+    vdd = net.find_source("VDD").spec.value
+    net = net.replaced_source("VDD", PulseSpec(v1=0.0, v2=vdd, delay=10e-9, rise=5e-9,
+                                               fall=5e-9, width=80e-9, period=200e-9))
+    rng = random.Random(10_000 + seed)
+    caps = []
+    for i in range(rng.randint(1, 3)):
+        pos, neg = rng.sample(net.nodes, 2)
+        caps.append(Capacitor(f"C{i}", pos, neg, 10.0 ** rng.uniform(-15.0, -9.0)))
+    return Netlist(net.title, (*net.elements, *caps))
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("start", type=int)
     parser.add_argument("stop", type=int)
-    parser.add_argument("--vdd", type=float, help="VDD's value in volts")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--vdd", type=float, help="VDD's value in volts")
+    group.add_argument("--tran", action="store_true",
+                       help="run each seed's random transient, 1 ns steps to 200 ns")
     args = parser.parse_args(argv)
 
     iterations = 0
@@ -45,11 +79,14 @@ def main(argv: list[str] | None = None) -> int:
     solver._newton = counted
     failures = 0
     for seed in range(args.start, args.stop):
-        net = random_circuit(seed)
+        net = random_transient(seed) if args.tran else random_circuit(seed)
         if args.vdd is not None:
             net = net.replaced_source("VDD", DcSpec(args.vdd))
         try:
-            verify_kcl(net, dc_solve(net))
+            if args.tran:
+                transient(net, 1e-9, 200e-9)
+            else:
+                verify_kcl(net, dc_solve(net))
         except HystlabError as exc:
             failures += 1
             print(f"seed {seed}: {type(exc).__name__}: {exc}")

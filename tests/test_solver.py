@@ -22,8 +22,10 @@ from hystlab import (
     build_comparator,
     dc_solve,
     dc_sweep,
+    measure_delay,
     mos_eval,
     parse_netlist,
+    source_trace,
     transient,
 )
 from hystlab import solver as solver_module
@@ -1119,7 +1121,9 @@ def test_transient_keeps_a_settled_start_and_repeats_no_solve(monkeypatch, capac
     # a converged run returns x + dx, dx solved at the last x it
     # assembled; only a transient step that converged at its first
     # iteration with its worst nodal residual within 0.1*abstol keeps its
-    # start. No linear system is solved twice in a row.
+    # start. No linear system is solved twice in a row. At dt = 1 ns the
+    # delay bench's steps chosen by the truncation error never settle
+    # that far; at dt = 0.25 ns they do, steps longer than dt too
     last = {}
     real_assemble, real_solve = Plan.assemble, solver_module._solve
     real_newton = solver_module._newton
@@ -1148,24 +1152,23 @@ def test_transient_keeps_a_settled_start_and_repeats_no_solve(monkeypatch, capac
     monkeypatch.setattr(solver_module, "_solve", solve)
     monkeypatch.setattr(solver_module, "_newton", newton)
     with _count_solves(monkeypatch) as calls:
-        transient(_delay_bench(capacitance_net, 8e-6), 1e-9, 200e-9)
-    assert kept and any(dt is not None for dt in solved)
+        transient(_delay_bench(capacitance_net, 8e-6), 0.25e-9, 200e-9)
+    assert kept and max(kept) > 0.25e-9 and any(dt is not None for dt in solved)
     for (jac0, b0), (jac1, b1) in zip(calls, calls[1:]):
         assert not (np.array_equal(jac0, jac1) and b0 == b1)
 
 
 def test_transient_assembles_and_solves_once_per_iteration(monkeypatch, capacitance_net):
     # a MOSFET transient step, settled or not, spends exactly one
-    # assembly and one linear solve per Newton iteration. Predicted starts
-    # leave replay intact (351 runs, one of them the DC point, as with
-    # every step started from the last point) and take fewer iterations
-    # (517, against 615 from the last point)
+    # assembly and one linear solve per Newton iteration. Steps chosen by
+    # the truncation error take 233 runs, one of them the DC point, and
+    # 419 iterations, against 351 runs and 517 iterations in steps of dt
     counts, runs = _spy_work(monkeypatch)
     transient(_delay_bench(capacitance_net, 8e-6), 1e-9, 800e-9)
     iters = sum(n for _, n, _ in runs)
     assert counts == {"assemble": iters, "solve": iters}
-    assert len(runs) == 351
-    assert iters <= 540
+    assert len(runs) == 233
+    assert iters <= 440
 
 
 def _delay_bench(net, amp, period=400e-9):
@@ -1176,62 +1179,115 @@ def _delay_bench(net, amp, period=400e-9):
                                                 period=period))
 
 
-def _solve_every_step(net, dt, n_steps):
-    """The samples of transient(net, dt, n_steps * dt) with every step
-    solved: _newton on each step, then Plan.advance, with no replay.
-
-    A MOSFET plan starts step k from x0 + 3*(x2 - x1) through the accepted
-    points of steps k-3, k-2 and k-1 when steps k-2 and k-1 each moved a
-    node by more than vntol + reltol*|v|, v its new voltage, and neither
-    repeated the input (start, ieq, e) of the step two before it, which
-    Plan.steps replays rather than solves. Otherwise, and on a MOSFET-free
-    plan, step k starts from the accepted point of step k-1.
-    """
+def _fixed_steps(net, dt, n_steps):
+    """The samples of a transient of ``net`` over n_steps fixed steps of
+    dt: _newton on each step from the point before, then Plan.advance."""
     plan = Plan(net, dt=dt)
     nn = plan.n_nodes
-    tol = solver_module.OPTIONS
     start = dc_solve(net)
     x = plan.vector_from_guess(start.node_voltages)
     x[nn:] = [start.branch_currents[name] for name in plan.vsource_names]
     ieq = plan.ieq_from(x, [0.0] * len(plan.caps))  # no current flows at the DC point
     rows = [x[:nn]]
-    points, moving, inputs = [x], [False], []
     with solver_module._lapack_errors():
         for k in range(1, n_steps + 1):
-            e = plan.source_values(k * dt)
-            x_start = x
-            if plan.mosfets and moving[-2:] == [True, True]:
-                x0, x1, x2 = points[-3:]
-                x_start = [a + 3.0 * (c - b) for a, b, c in zip(x0, x1, x2)]
-            inputs.append(x_start + ieq + e)
-            repeated = k > 2 and solver_module._same_bits(inputs[-1], inputs[-3])
-            x_new, _, _, status = solver_module._newton(plan, x_start, e=e, ieq=ieq)
+            x, _, _, status = solver_module._newton(
+                plan, x, e=plan.source_values(k * dt), ieq=ieq)
             assert status == "ok"
-            moving.append(not repeated and max(
-                abs(v - u) - (tol.vntol + tol.reltol * abs(v))
-                for u, v in zip(x[:nn], x_new[:nn])) > 0.0)
-            x = x_new
-            points.append(x)
             _, ieq = plan.advance(x, ieq)
             rows.append(x[:nn])
     return np.column_stack((np.arange(n_steps + 1) * dt, rows))
 
 
+@pytest.fixture(scope="module")
+def fine_delay_bench(capacitance_net):
+    """amp -> the samples of _delay_bench(capacitance_net, amp) over 800
+    ns in fixed steps of dt/8 = 0.125 ns, each run once per module."""
+    runs = {}
+
+    def run(amp):
+        if amp not in runs:
+            runs[amp] = _fixed_steps(_delay_bench(capacitance_net, amp), 1e-9 / 8, 6400)
+        return runs[amp]
+
+    return run
+
+
+# max |V - V at dt/8| over every node and row of _delay_bench(capacitance_net,
+# amp) when every step is dt = 1 ns, rounded up [V]; and the multiple of it
+# that steps chosen by the truncation error may reach. At 1 uA the absolute
+# _LTE_TOL per step bounds them, not the error of steps of dt: 13.9 times
+# it, measured; at 8 and 100 uA they err as steps of dt do
+CAP_FIXED_STEP_ERROR = {1e-6: 8.6e-5, 8e-6: 2.33e-3, 100e-6: 3.2e-2}
+CAP_ERROR_RATIO = {1e-6: 14.0, 8e-6: 1.01, 100e-6: 1.01}
+
+
 @pytest.mark.parametrize("amp", [1e-6, 8e-6, 100e-6, None],
                          ids=["cap-1u", "cap-8u", "cap-100u", "rc-edge"])
-def test_replayed_transient_matches_solving_every_step(amp, capacitance_net):
+def test_replayed_transient_matches_solving_every_step(
+        monkeypatch, amp, capacitance_net, fine_delay_bench):
+    # a replayed step takes the result that solving it gives: a run where
+    # no input repeats, so every step is solved, has the same bits. Every
+    # plan takes steps longer than dt, so no run in steps of dt has them;
+    # the delay bench's samples are held to fixed steps of dt/8 instead,
+    # within CAP_ERROR_RATIO times the error of steps of dt
     if amp is None:
-        # a MOSFET-free plan takes steps longer than dt, which _solve_every_step
-        # does not; its samples are held to the closed form instead. Fixed
-        # steps of dt err by 1.498e-3 V there, set by the 1 ps edges between
-        # grid points; the longer steps may add RC_MARGIN
+        # RC_EDGE's samples are held to the closed form. Fixed steps of dt
+        # err by 1.498e-3 V there, set by the 1 ps edges between grid
+        # points; the longer steps may add RC_MARGIN
         wave = transient(RC_EDGE, 1e-9, 500e-9)
         exact = 3.0 * _rc_pulse_response(wave.times(), 1e-6, 10e-9, 1e-12, 200e-9, 1e-12)
         assert np.max(np.abs(wave.node("out") - exact)) < 1.498e-3 + RC_MARGIN
         return
-    net, n_steps = _delay_bench(capacitance_net, amp), 800
-    wave = transient(net, 1e-9, n_steps * 1e-9)
-    assert wave.samples.tobytes() == _solve_every_step(net, 1e-9, n_steps).tobytes()
+    net = _delay_bench(capacitance_net, amp)
+    replayed = []
+    same_bits = solver_module._same_bits
+
+    def spy(a, b):
+        replayed.append(same_bits(a, b))
+        return replayed[-1]
+
+    monkeypatch.setattr(solver_module, "_same_bits", spy)
+    wave = transient(net, 1e-9, 800e-9)
+    assert any(replayed)
+    monkeypatch.setattr(solver_module, "_same_bits", lambda a, b: False)
+    assert wave.samples.tobytes() == transient(net, 1e-9, 800e-9).samples.tobytes()
+    fine = fine_delay_bench(amp)[::8]
+    assert wave.times().tolist() == fine[:, 0].tolist()
+    error = np.max(np.abs(wave.samples[:, 1:] - fine[:, 1:]))
+    assert error < CAP_ERROR_RATIO[amp] * CAP_FIXED_STEP_ERROR[amp]
+
+
+# |t - t at dt/8| / (t at dt/8) of (t_plh, t_phl) on _delay_bench(capacitance_net,
+# amp) when every step is dt = 1 ns, rounded up; steps chosen by the
+# truncation error may add DELAY_MARGIN to either
+CAP_FIXED_STEP_DELAY_ERROR = {1e-6: (1.14e-4, 1.21e-4), 8e-6: (1.164e-3, 8.45e-4),
+                              100e-6: (8.52e-3, 7.33e-3)}
+DELAY_MARGIN = 5e-4
+
+
+@pytest.mark.parametrize("amp", [1e-6, 8e-6, 100e-6], ids=["cap-1u", "cap-8u", "cap-100u"])
+def test_mosfet_transient_keeps_the_delays_of_fine_fixed_steps(
+        monkeypatch, amp, capacitance_net, fine_delay_bench):
+    # the delays of criteria 11-12 agree with fixed steps of dt/8 within
+    # the error of fixed steps of dt plus DELAY_MARGIN, and a settling
+    # tail, where IIN is flat, takes some step longer than dt
+    net = _delay_bench(capacitance_net, amp)
+    fine = fine_delay_bench(amp)
+    steps = _spy_steps(monkeypatch)
+    wave = transient(net, 1e-9, 800e-9)
+    out = 1 + list(wave.nodes).index("OUT")
+
+    def delays(samples):
+        t = samples[:, 0]
+        rep = measure_delay(t, source_trace(net, "IIN", t), samples[:, out], 3.0)
+        return rep.t_plh, rep.t_phl
+
+    for got, want, error in zip(delays(wave.samples), delays(fine),
+                                CAP_FIXED_STEP_DELAY_ERROR[amp]):
+        assert abs(got - want) <= (error + DELAY_MARGIN) * want
+    spec = net.find_source("IIN").spec
+    assert any(h > 1e-9 and spec.value_at(t - h) == spec.value_at(t) for t, h, _ in steps)
 
 
 def _spy_steps(monkeypatch):
@@ -1338,18 +1394,35 @@ def _corners(delay, rise, width, fall):
     return (delay, delay + rise, delay + rise + width, delay + rise + width + fall)
 
 
-@pytest.mark.parametrize("case", ["rc-edge", *range(4)])
-def test_only_steps_of_dt_reach_a_source_corner(monkeypatch, case):
-    # a step longer than dt holds no PULSE corner, not even at its end;
-    # each corner lies in a step of dt
+@pytest.mark.parametrize("case", ["rc-edge", *range(4), "cap-8u"])
+def test_only_steps_of_dt_reach_a_source_corner(monkeypatch, request, case):
+    # with MOSFETs or without, every step is 2**j * dt, at most 16*dt, on
+    # a plan compiled once at its length. A step longer than dt holds no
+    # PULSE corner, not even at its end; each corner lies in a step of dt
+    stop = 5e-6
     if case == "rc-edge":
-        net, corners = RC_EDGE, _corners(10e-9, 1e-12, 200e-9, 1e-12)
+        net, corners, stop = RC_EDGE, _corners(10e-9, 1e-12, 200e-9, 1e-12), 500e-9
+    elif case == "cap-8u":
+        net = _delay_bench(request.getfixturevalue("capacitance_net"), 8e-6)
+        corners = [c * 1e-9 for c in (20, 200, 220, 400, 420, 600, 620, 800)]
+        stop = 800e-9
     else:
         net, _, pulse = _rc_pulse_deck(case)
         corners = _corners(*pulse)
+    compiled = []
+    real_init = Plan.__init__
+
+    def init(plan, netlist, dt=None):
+        compiled.append(dt)
+        real_init(plan, netlist, dt)
+
     steps = _spy_steps(monkeypatch)
-    transient(net, 1e-9, 500e-9 if case == "rc-edge" else 5e-6)
-    assert max(h for _, h, _ in steps) == 16e-9
+    monkeypatch.setattr(Plan, "__init__", init)
+    transient(net, 1e-9, stop)
+    lengths = {h for _, h, _ in steps}
+    assert lengths == {2**j * 1e-9 for j in range(5)}
+    assert compiled.count(None) == 1  # the DC point's
+    assert sorted(dt for dt in compiled if dt is not None) == sorted(lengths)
     for c in corners:
         holders = [h for t, h, _ in steps if t - h < c <= t]
         assert holders and set(holders) == {1e-9}, c
@@ -1370,6 +1443,31 @@ def test_step_over_the_error_tolerance_is_redone_at_half_length(monkeypatch):
         assert h > 1e-9 and h_again == h / 2
         assert round((t - h) / 1e-9) == round((t_again - h_again) / 1e-9)
         assert solver_module._same_bits(run_again[0], run[0])  # from the same start
+
+
+def test_failed_long_step_is_redone_at_half_length(monkeypatch, capacitance_net):
+    # a step longer than dt whose Newton run fails is redone at h/2 from
+    # the same accepted point, as a step over the error tolerance is, and
+    # the transient goes on. Here the first such run is made to fail
+    steps = _spy_steps(monkeypatch)
+    spied = solver_module._newton
+    failed = []
+
+    def newton(plan, x0, *args, **kwargs):
+        x, a, iters, status = spied(plan, x0, *args, **kwargs)
+        if plan.dt is not None and plan.dt > 1e-9 and not failed:
+            failed.append(steps[-1][:2])
+            status = "stalled"
+        return x, a, iters, status
+
+    monkeypatch.setattr(solver_module, "_newton", newton)
+    wave = transient(_delay_bench(capacitance_net, 8e-6), 1e-9, 200e-9)
+    assert failed and wave.times()[-1] == 200 * 1e-9
+    j = [step[:2] for step in steps].index(failed[0])
+    (t, h, _), (t_again, h_again, run_again) = steps[j:j + 2]
+    assert h_again == h / 2
+    assert round((t - h) / 1e-9) == round((t_again - h_again) / 1e-9)
+    assert run_again is not None and run_again[1][3] == "ok"
 
 
 def _accepted_points(steps, start, dt):
@@ -1429,22 +1527,6 @@ def test_source_driven_node_reads_its_pulse_between_steps(monkeypatch):
     spec = RC_EDGE.find_source("V1").spec
     pulse = [spec.value_at(t) for t in wave.times().tolist()]
     assert np.max(np.abs(wave.node("in") - pulse)) <= 1e-12
-
-
-def test_mosfet_transient_steps_by_dt_on_one_plan(monkeypatch, capacitance_net):
-    compiled = []
-    real_init = Plan.__init__
-
-    def init(plan, netlist, dt=None):
-        compiled.append(dt)
-        real_init(plan, netlist, dt)
-
-    steps = _spy_steps(monkeypatch)
-    monkeypatch.setattr(Plan, "__init__", init)
-    transient(_delay_bench(capacitance_net, 8e-6), 1e-9, 100e-9)
-    assert len(compiled) == 2 and set(compiled) == {None, 1e-9}  # the DC point's and the transient's
-    assert [t for t, _, _ in steps] == [k * 1e-9 for k in range(1, 101)]
-    assert {h for _, h, _ in steps} == {1e-9}  # every step has length dt
 
 
 @pytest.mark.parametrize("which", ["cap-build", "ladder"])
