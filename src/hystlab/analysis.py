@@ -276,10 +276,7 @@ def transient(netlist: Netlist, dt: float, tstop: float) -> Trace:
     A longer step whose Newton run fails is redone at half its length; a
     step of dt that fails raises ConvergenceError. So dt is the row
     spacing and the shortest step. With MOSFETs a moving step starts from
-    a prediction. A step whose input repeats, bit for bit, that of the
-    step two back of the same length, as on a settled plateau, reuses
-    that step's result: the samples are those of solving every step from
-    the same starts (see Plan.steps).
+    a prediction. Every step runs its own Newton solve (see Plan.steps).
     """
     if not dt > 0.0:  # NaN fails too
         raise MeasurementError(f"dt must be > 0, got {dt}")

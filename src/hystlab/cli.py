@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 from .analysis import (dc_sweep, hysteresis_walk, measure_delay, source_trace,
@@ -39,7 +40,9 @@ def _add_circuit_input(sub: argparse.ArgumentParser):
                      help="generate a comparator instead of reading a file")
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The CLI's argparse tree, built once: parse_args does not change it."""
     p = argparse.ArgumentParser(
         prog="hystlab",
         description="desk-scale MOS circuit simulator and comparator workbench")
@@ -62,7 +65,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tran", help="transient waveform as CSV")
     _add_circuit_input(sp)
     sp.add_argument("--dt", type=_si, required=True,
-                    help="row spacing and shortest step; without MOSFETs steps grow to 16*dt")
+                    help="row spacing and shortest step; steps grow to 16*dt")
     sp.add_argument("--stop", type=_si, required=True)
     sp.add_argument("-o", "--output")
 
@@ -85,7 +88,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--period", type=_si, required=True)
     sp.add_argument("--dt", type=_si,
                     help="row spacing and shortest step, default period/400; "
-                         "without MOSFETs steps grow to 16*dt")
+                         "steps grow to 16*dt")
     sp.add_argument("--stop", type=_si, help="default 2*period")
     sp.add_argument("--source", default="IIN")
     sp.add_argument("--node", default="OUT")

@@ -473,26 +473,16 @@ class Plan:
         as that sum in Python floats.
 
         Prediction, with MOSFETs only. While each of the last two steps
-        was solved (not replayed) and moved some node by more than vntol
-        + reltol*|x|, x its new voltage, a step starts from every unknown
-        of the quadratic through the last three accepted points since the
-        last corner, evaluated at the step's end at their actual spacing
-        (_extrapolate), as SPICE2 predicts each time point (Nagel, UCB
-        ERL-M520, 1975); otherwise from the last accepted x. The gate keeps
-        settled plateaus, where the companions ring with period 2, from
-        extrapolating that ringing. Without MOSFETs every step starts from
-        the last accepted x: a predicted start would pass the step bound
-        unsolved (see _newton).
-
-        Replay. A step's input is its start, its companion currents ieq
-        and its source values e, and its result (the x _newton accepts,
-        then its companion currents) depends on nothing else but the
-        step's length. So a step whose input has the same bits
-        (_same_bits) as that of the step two back, and whose length is
-        the same, takes that step's result. On a settled plateau the
-        trapezoidal companions ring with period 2 (ieq alternates while v
-        holds), and a period-1 orbit is also period 2. A failed step is
-        never kept, so a step that fails is always run.
+        moved some node by more than vntol + reltol*|x|, x its new
+        voltage, a step starts from every unknown of the quadratic through
+        the last three accepted points since the last corner, evaluated at
+        the step's end at their actual spacing (_extrapolate), as SPICE2
+        predicts each time point (Nagel, UCB ERL-M520, 1975); otherwise
+        from the last accepted x. The gate keeps settled plateaus, where
+        the trapezoidal companions ring with period 2 (ieq alternates while
+        v holds), from extrapolating that ringing. Without MOSFETs every
+        step starts from the last accepted x: a predicted start would pass
+        the step bound unsolved (see _newton).
         """
         nn, dt = self.n_nodes, self.dt
         vntol, reltol = OPTIONS.vntol, OPTIONS.reltol
@@ -506,10 +496,8 @@ class Plan:
         i, nxt, m_last = [0.0] * len(self.caps), None, 0
         # (k, x) of the last three accepted points since the last corner
         fit = [(0, x)]
-        # the last steps in a row that were solved and moved, when predicting
+        # the last steps in a row that moved, when predicting
         moving = 0
-        # (input, m, x, i, next ieq) of the steps two back and one back
-        back = last = ((), 0, None, None, None)
         # the start k of each accepted step longer than dt, by its shape
         # (a, m): a = k - kp back to the accepted point kp before k, m its length
         long_steps: dict[tuple[int, int], array] = {}
@@ -526,20 +514,14 @@ class Plan:
                 e = plan.source_values(t)
                 ieq = nxt if m == m_last else plan.ieq_from(x, i)
                 x_start = _extrapolate(fit, k + m) if moving > 1 and len(fit) == 3 else x
-                key = x_start + ieq + e
-                solved = m != back[1] or not _same_bits(key, back[0])
-                if solved:
-                    x_new, a, _, status = _newton(plan, x_start, e=e, ieq=ieq)
-                    if status != "ok":
-                        if m > 1:
-                            m //= 2
-                            continue
-                        raise _convergence_error(
-                            plan, a, f"transient step failed at t={t:.6g} s ({status})",
-                            f"transient t={t:.6g}")
-                    i_new, nxt_new = plan.advance(x_new, ieq)
-                else:
-                    _, _, x_new, i_new, nxt_new = back
+                x_new, a, _, status = _newton(plan, x_start, e=e, ieq=ieq)
+                if status != "ok":
+                    if m > 1:
+                        m //= 2
+                        continue
+                    raise _convergence_error(
+                        plan, a, f"transient step failed at t={t:.6g} s ({status})",
+                        f"transient t={t:.6g}")
                 lte = m**3 * _third_difference(fit, k + m, x_new, nn) if len(fit) == 3 else inf
                 if m > 1:
                     if lte > _LTE_TOL:
@@ -548,12 +530,12 @@ class Plan:
                     long_steps.setdefault((k - fit[-2][0], m), array("q")).append(k)
                     rows.frombytes(bytes(8 * nn * (m - 1)))  # rows k+1 .. k+m-1, filled below
                 rows.extend(x_new[:nn])
-                back, last = last, (key, m, x_new, i_new, nxt_new)
                 if predict:
-                    moving = moving + 1 if solved and any(
+                    moving = moving + 1 if any(
                         abs(v - u) > vntol + reltol * abs(v)
                         for u, v in zip(x[:nn], x_new)) else 0
-                k, x, i, nxt, m_last = k + m, x_new, i_new, nxt_new, m
+                i, nxt = plan.advance(x_new, ieq)
+                k, x, m_last = k + m, x_new, m
                 if corner <= t:
                     fit, m = [(k, x)], 1
                     corner = self._corner_after(t)
@@ -645,7 +627,8 @@ def _same_bits(a: list[float], b: list[float]) -> bool:
 
     == is the cheap first test. Floats that compare equal differ in bits
     only as -0.0 and 0.0 do, which the bytes then tell apart. (A NaN can
-    fail == though its bits match; such a step is just solved.)
+    fail == though its bits match.) _dc_point's zero-start check is the
+    one caller.
     """
     return a == b and array("d", a).tobytes() == array("d", b).tobytes()
 
@@ -707,8 +690,7 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     """Damped Newton loop. Returns (x, assembled, iterations, status).
 
     ``e`` holds the source values (Plan.source_values), ``ieq`` the
-    companion currents of a transient step. Nothing else read here varies
-    between runs on one plan, which is what lets Plan.steps replay a step.
+    companion currents of a transient step.
 
     status: "ok" | "maxiter" | "stalled" | "singular" | "nonfinite". x is
     a list of Python floats; the Jacobian is the only array, the input of
@@ -723,11 +705,7 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     in one of two ways. On "ok" the returned assembled always belongs to
     the residual-checked x; callers read it only on failure.
     - Solved step: return x + dx, as SPICE does (Nagel, SPICE2, UCB
-      ERL-M520, 1975), with no further assembly. The one exception is a
-      transient step that converged at its first iteration with its
-      worst nodal residual at most 0.1*abstol: it returns its start x
-      unchanged. Such steps make up the settled plateaus, which replay
-      (Plan.steps) needs to repeat bit for bit.
+      ERL-M520, 1975), with no further assembly.
     - Step bound, on a plan with no MOSFET: with beta = ||J^-1||_inf
       (Plan.inverse_norm) the computed step is at most about
       beta*||f(x)||_inf (LU backward error; Higham, Accuracy and
@@ -758,7 +736,7 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     component moves monotonically toward the one solution, so they cannot
     stall. Pseudo-transient steps are exempt, being capped already.
     The signals are evidence, not proof; on the benchmark's seeded
-    workloads every run they ended reached maxiter when replayed without
+    workloads every run they ended reached maxiter when rerun without
     them. dc_solve treats "stalled" as "maxiter", and no later stage
     starts from an abandoned run's x, so a stall changes how many
     iterations a solve takes, never its answer.
@@ -803,9 +781,6 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
         else:
             step_ok = True
         if step_ok and _residual_ok(plan, a):
-            if (iters == 1 and plan.dt is not None and not g
-                    and max(map(abs, a.f[:nn]), default=0.0) <= 0.1 * OPTIONS.abstol):
-                return x, a, iters, "ok"  # a settled step keeps its start
             return x_next, a, iters, "ok"
         if watch and iters >= _STALL_FROM:
             if longest >= last:  # theta >= 1 after an unclamped step

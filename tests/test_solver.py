@@ -1117,13 +1117,11 @@ def test_linear_dc_solve_takes_the_bounded_point_unpolished(monkeypatch):
                          "branch_currents={'V1': -0.001000000001}, mosfets=(), iterations=3)")
 
 
-def test_transient_keeps_a_settled_start_and_repeats_no_solve(monkeypatch, capacitance_net):
-    # a converged run returns x + dx, dx solved at the last x it
-    # assembled; only a transient step that converged at its first
-    # iteration with its worst nodal residual within 0.1*abstol keeps its
-    # start. No linear system is solved twice in a row. At dt = 1 ns the
-    # delay bench's steps chosen by the truncation error never settle
-    # that far; at dt = 0.25 ns they do, steps longer than dt too
+def test_transient_step_returns_x_plus_dx_and_repeats_no_solve(monkeypatch, capacitance_net):
+    # a converged MOSFET run returns x + dx, dx solved at the last x it
+    # assembled; a transient step is no exception, settled or not. No
+    # linear system is solved twice in a row. At dt = 0.25 ns the delay
+    # bench's plateaus settle, and its steps grow past dt
     last = {}
     real_assemble, real_solve = Plan.assemble, solver_module._solve
     real_newton = solver_module._newton
@@ -1136,16 +1134,14 @@ def test_transient_keeps_a_settled_start_and_repeats_no_solve(monkeypatch, capac
         last["dx"] = real_solve(jac, b)
         return last["dx"]
 
-    kept, solved = [], []
+    lengths = []
 
-    def newton(plan, x0, g=0.0, *args, **kwargs):
-        x, a, iters, status = result = real_newton(plan, x0, g, *args, **kwargs)
+    def newton(plan, x0, *args, **kwargs):
+        x, _, _, status = result = real_newton(plan, x0, *args, **kwargs)
         if status == "ok":
-            settled = (plan.dt is not None and not g and iters == 1 and max(
-                map(abs, a.f[:plan.n_nodes])) <= 0.1 * solver_module.OPTIONS.abstol)
-            want = x0 if settled else [xi + di for xi, di in zip(last["x"], last["dx"])]
+            want = [xi + di for xi, di in zip(last["x"], last["dx"])]
             assert solver_module._same_bits(x, want)
-            (kept if settled else solved).append(plan.dt)
+            lengths.append(plan.dt)
         return result
 
     monkeypatch.setattr(Plan, "assemble", assemble)
@@ -1153,7 +1149,7 @@ def test_transient_keeps_a_settled_start_and_repeats_no_solve(monkeypatch, capac
     monkeypatch.setattr(solver_module, "_newton", newton)
     with _count_solves(monkeypatch) as calls:
         transient(_delay_bench(capacitance_net, 8e-6), 0.25e-9, 200e-9)
-    assert kept and max(kept) > 0.25e-9 and any(dt is not None for dt in solved)
+    assert max(dt for dt in lengths if dt is not None) > 0.25e-9
     for (jac0, b0), (jac1, b1) in zip(calls, calls[1:]):
         assert not (np.array_equal(jac0, jac1) and b0 == b1)
 
@@ -1224,13 +1220,11 @@ CAP_ERROR_RATIO = {1e-6: 14.0, 8e-6: 1.01, 100e-6: 1.01}
 
 @pytest.mark.parametrize("amp", [1e-6, 8e-6, 100e-6, None],
                          ids=["cap-1u", "cap-8u", "cap-100u", "rc-edge"])
-def test_replayed_transient_matches_solving_every_step(
-        monkeypatch, amp, capacitance_net, fine_delay_bench):
-    # a replayed step takes the result that solving it gives: a run where
-    # no input repeats, so every step is solved, has the same bits. Every
-    # plan takes steps longer than dt, so no run in steps of dt has them;
-    # the delay bench's samples are held to fixed steps of dt/8 instead,
-    # within CAP_ERROR_RATIO times the error of steps of dt
+def test_transient_samples_stay_near_fine_steps_or_the_closed_form(
+        amp, capacitance_net, fine_delay_bench):
+    # every plan takes steps longer than dt, so no run in steps of dt has
+    # their samples; the delay bench's samples are held to fixed steps of
+    # dt/8 instead, within CAP_ERROR_RATIO times the error of steps of dt
     if amp is None:
         # RC_EDGE's samples are held to the closed form. Fixed steps of dt
         # err by 1.498e-3 V there, set by the 1 ps edges between grid
@@ -1239,19 +1233,7 @@ def test_replayed_transient_matches_solving_every_step(
         exact = 3.0 * _rc_pulse_response(wave.times(), 1e-6, 10e-9, 1e-12, 200e-9, 1e-12)
         assert np.max(np.abs(wave.node("out") - exact)) < 1.498e-3 + RC_MARGIN
         return
-    net = _delay_bench(capacitance_net, amp)
-    replayed = []
-    same_bits = solver_module._same_bits
-
-    def spy(a, b):
-        replayed.append(same_bits(a, b))
-        return replayed[-1]
-
-    monkeypatch.setattr(solver_module, "_same_bits", spy)
-    wave = transient(net, 1e-9, 800e-9)
-    assert any(replayed)
-    monkeypatch.setattr(solver_module, "_same_bits", lambda a, b: False)
-    assert wave.samples.tobytes() == transient(net, 1e-9, 800e-9).samples.tobytes()
+    wave = transient(_delay_bench(capacitance_net, amp), 1e-9, 800e-9)
     fine = fine_delay_bench(amp)[::8]
     assert wave.times().tolist() == fine[:, 0].tolist()
     error = np.max(np.abs(wave.samples[:, 1:] - fine[:, 1:]))
@@ -1291,12 +1273,12 @@ def test_mosfet_transient_keeps_the_delays_of_fine_fixed_steps(
 
 
 def _spy_steps(monkeypatch):
-    """Record every transient step attempted, solved or replayed, as
-    [end time, step length, Newton run or None]; a run is (x0, result).
+    """Record every transient step attempted as [end time, step length,
+    Newton run]; a run is (x0, result).
 
     Plan.steps reads the source values at each step's end, once per
-    attempt and on the step's own plan, then solves or replays; no other
-    caller reads them on a plan with a dt.
+    attempt and on the step's own plan, then runs Newton; no other caller
+    reads them on a plan with a dt.
     """
     steps = []
     real_values, real_newton = Plan.source_values, solver_module._newton
@@ -1318,26 +1300,24 @@ def _spy_steps(monkeypatch):
 
 
 def test_mosfet_free_transient_starts_each_step_from_the_last_point(monkeypatch):
-    # no prediction without a MOSFET: every solved step starts from the
-    # last accepted point, bit for bit, branch current included. A step is
-    # accepted unless the next one ends no later (it was redone shorter),
-    # and a replayed step, which runs no Newton, took the point of the
-    # step two back. Rows at accepted points are those points
+    # no prediction without a MOSFET: every attempted step runs Newton
+    # from the last accepted point, bit for bit, branch current included.
+    # A step is accepted unless the next one ends no later (it was redone
+    # shorter). Rows at accepted points are those points
     steps = _spy_steps(monkeypatch)
     start = dc_solve(RC_EDGE)
     wave = transient(RC_EDGE, 1e-9, 500e-9)
     points = [[start.node_voltages["in"], start.node_voltages["out"],
                start.branch_currents["V1"]]]
     times = [0.0]
+    assert all(run is not None for _, _, run in steps)  # no step skips Newton
     for (t, _, run), after in zip(steps, [*steps[1:], None]):
-        if run is not None:
-            assert solver_module._same_bits(run[0], points[-1]), t
-            assert run[1][3] == "ok"
+        assert solver_module._same_bits(run[0], points[-1]), t
+        assert run[1][3] == "ok"
         if after is None or after[0] > t:
-            points.append(points[-2] if run is None else run[1][0])
+            points.append(run[1][0])
             times.append(t)
     assert times[-1] == 500 * 1e-9 and len(times) < 100  # steps longer than dt
-    assert any(run is None for _, _, run in steps)  # a plateau replays
     rows = wave.samples[[round(t / 1e-9) for t in times], 1:]
     assert rows.tolist() == [x[:2] for x in points]
 
@@ -1467,19 +1447,18 @@ def test_failed_long_step_is_redone_at_half_length(monkeypatch, capacitance_net)
     (t, h, _), (t_again, h_again, run_again) = steps[j:j + 2]
     assert h_again == h / 2
     assert round((t - h) / 1e-9) == round((t_again - h_again) / 1e-9)
-    assert run_again is not None and run_again[1][3] == "ok"
+    assert run_again[1][3] == "ok"
 
 
 def _accepted_points(steps, start, dt):
     """(k, x, m) of the DC point and of each accepted step, from a
     _spy_steps record: the step ends at k*dt, x is its answer and m*dt its
     length. A step is accepted unless the next one ends no later (it was
-    redone shorter); a replayed step took the point of the step two back."""
+    redone shorter)."""
     points = [(0, [*start.node_voltages.values()][1:], 0)]
     for (t, h, run), after in zip(steps, [*steps[1:], None]):
         if after is None or after[0] > t:
-            x = points[-2][1] if run is None else run[1][0]
-            points.append((round(t / dt), x, round(h / dt)))
+            points.append((round(t / dt), run[1][0], round(h / dt)))
     return points
 
 
@@ -1547,19 +1526,6 @@ def test_advance_gives_the_next_currents_of_ieq_from(which, capacitance_net):
             assert solver_module._same_bits(nxt, plan.ieq_from(x, i))
 
 
-def test_replayed_step_has_the_length_of_the_step_two_back(monkeypatch):
-    # replay compares only steps of one length. A step is accepted unless
-    # the next one ends no later (it was redone shorter)
-    steps = _spy_steps(monkeypatch)
-    transient(LADDER, 1e-9, 500e-9)
-    accepted = [s for s, after in zip(steps, [*steps[1:], None])
-                if after is None or after[0] > s[0]]
-    replayed = [j for j, (_, _, run) in enumerate(accepted) if run is None]
-    assert replayed and len({h for _, h, _ in accepted}) > 1
-    for j in replayed:
-        assert j >= 2 and accepted[j][1] == accepted[j - 2][1]
-
-
 # an RC deck whose node b carries the given capacitor lines
 RC_AT_B = "rc at b\nV1 in 0 PULSE(0 3 10n 1p 1p 200n 0)\nR1 in b 1k\n{}.end\n"
 
@@ -1577,16 +1543,17 @@ def test_capacitance_between_one_node_pair_is_one_companion():
             == transient(single, 1e-9, 300e-9).samples.tobytes())
 
 
-def test_settled_steps_replay_instead_of_solving(monkeypatch, capacitance_net):
-    # one DC run and 800 step runs without replay; the plateaus repeat
-    # the input of the step two back from a few steps after each edge
+def test_delay_bench_takes_at_most_half_a_run_per_row(monkeypatch, capacitance_net):
+    # one DC run and 800 rows: the steps chosen by the truncation error
+    # grow past dt on the plateaus, so fewer runs than rows are needed
     runs = _spy_runs(monkeypatch)
     transient(_delay_bench(capacitance_net, 8e-6), 1e-9, 800e-9)
     assert len(runs) <= 400
 
 
-def test_replay_key_tells_signed_zeros_apart():
-    # equal under == but not in bits: such a step is solved, not replayed
+def test_zero_start_check_tells_signed_zeros_apart():
+    # equal under == but not in bits: _dc_point runs a start of -0.0
+    # and then the cold start of zero
     key = [0.5, 0.0, -2.5]
     assert solver_module._same_bits(key, [0.5, 0.0, -2.5])
     assert [0.5, -0.0, -2.5] == key
