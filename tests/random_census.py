@@ -6,20 +6,24 @@
 
 Solves ``random_circuit(seed)`` for each seed in [start, stop) with
 dc_solve and audits each answer with verify_kcl. Prints one line per
-circuit that raises or fails the audit, then the failure count and the
-total Newton iterations of every run, failed solves included, counted by
-a wrapper around solver._newton. ``--vdd`` replaces VDD's value, as a
-random transient's DC point does with VDD at 0 V. ``--tran`` runs each
-seed's random transient instead (random_transient), which fails only by
-raising. It imports hystlab from this checkout's src/. Pytest does not
-collect this file.
+circuit that raises or fails the audit, then a summary line: the total
+Newton iterations of every run, failed solves included, counted by a
+wrapper around solver._newton, and the failure count with a tally by
+status, such as ``25 failures (23 stalled, 2 maxiter)``. A failure's
+status is the Newton status its message names, else its error type.
+``--vdd`` replaces VDD's value, as a random transient's DC point does
+with VDD at 0 V. ``--tran`` runs each seed's random transient instead
+(random_transient), which fails only by raising. It imports hystlab from
+this checkout's src/. Pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +61,12 @@ def random_transient(seed: int) -> Netlist:
     return Netlist(net.title, (*net.elements, *caps))
 
 
+def failure_status(exc: HystlabError) -> str:
+    """The Newton status that ``exc``'s message names, else its type."""
+    m = re.search(r"\((maxiter|stalled|singular|nonfinite)\)", str(exc))
+    return m[1] if m else type(exc).__name__
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("start", type=int)
@@ -77,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         return result
 
     solver._newton = counted
-    failures = 0
+    failures = Counter()
     for seed in range(args.start, args.stop):
         net = random_transient(seed) if args.tran else random_circuit(seed)
         if args.vdd is not None:
@@ -88,10 +98,11 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 verify_kcl(net, dc_solve(net))
         except HystlabError as exc:
-            failures += 1
+            failures[failure_status(exc)] += 1
             print(f"seed {seed}: {type(exc).__name__}: {exc}")
-    print(f"seeds {args.start}-{args.stop - 1}: {failures} failures, "
-          f"{iterations} Newton iterations")
+    tally = ", ".join(f"{n} {status}" for status, n in failures.most_common())
+    print(f"seeds {args.start}-{args.stop - 1}: {iterations} Newton iterations, "
+          f"{failures.total()} failures" + (f" ({tally})" if tally else ""))
     return 1 if failures else 0
 
 

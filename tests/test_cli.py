@@ -232,7 +232,7 @@ devices:
   M10    saturation   8.147232e-05   2.102376e-04   3.829477e-06
   MPI    triode      -5.796685e-05   5.378708e-05   1.728067e-04
   MNI    saturation   5.796685e-05   1.495822e-04   2.552985e-06
-iterations=11
+iterations=8
 """
 
 

@@ -1,8 +1,9 @@
 """Checks over seeded random circuits: every DC solve over seeds 0-599
-solves and passes the KCL audit (oracle A), each netlist survives
-to_text and parse_netlist unchanged, and a warm sweep equals the chain
-of dc_solve calls guessed as the sweep starts its points, each of which
-passes the audit. An output that does not move has no crossing."""
+solves and passes the KCL audit (oracle A) within a Newton iteration
+budget, each netlist survives to_text and parse_netlist unchanged, and a
+warm sweep equals the chain of dc_solve calls guessed as the sweep starts
+its points, each of which passes the audit. An output that does not move
+has no crossing."""
 
 import math
 import random
@@ -29,6 +30,7 @@ from hystlab import (
     parse_netlist,
     verify_kcl,
 )
+from hystlab import solver as solver_module
 
 MODELS = {"nch": NMOS_DEFAULT, "pch": PMOS_DEFAULT}
 
@@ -63,6 +65,23 @@ def test_random_circuits_solve_or_raise():
     for seed in range(600):
         net = random_circuit(seed)
         verify_kcl(net, dc_solve(net))
+
+
+def test_random_circuits_solve_within_an_iteration_budget(monkeypatch):
+    # oracle A's solves take 6,527 Newton iterations in all; with the
+    # plain-run clamp at 0.5 V instead of 1 V they took 10,107
+    iterations = []
+    real = solver_module._newton
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        iterations.append(result[2])
+        return result
+
+    monkeypatch.setattr(solver_module, "_newton", spy)
+    for seed in range(600):
+        dc_solve(random_circuit(seed))
+    assert sum(iterations) < 8000
 
 
 @pytest.mark.parametrize("seed, vdd", [

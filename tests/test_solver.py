@@ -463,10 +463,10 @@ def test_warm_fold_run_stalls_then_cold_restart_converges(monkeypatch):
     runs = _spy_runs(monkeypatch)
     sol = dc_solve(hot, initial_guess=guess)
     assert runs[0][0] == 0.0 and runs[0][2] == "stalled" and runs[0][1] <= 15
-    assert runs[1:] == [(0.0, 10, "ok")]
+    assert runs[1:] == [(0.0, 8, "ok")]
     runs.clear()
     slow = _without_stall_test(monkeypatch, lambda: dc_solve(hot, initial_guess=guess))
-    assert runs == [(0.0, 100, "maxiter"), (0.0, 10, "ok")]
+    assert runs == [(0.0, 100, "maxiter"), (0.0, 8, "ok")]
     assert sol.node_voltages == slow.node_voltages
     assert sol.node_voltages == pytest.approx(
         {"0": 0.0, "VDD": 3.0, "A": 1.5826460312216366, "B": 1.5139639368687459,
@@ -474,8 +474,8 @@ def test_warm_fold_run_stalls_then_cold_restart_converges(monkeypatch):
         abs=1e-12)
 
 
-# a 30 V deck: from zero, every node climbs by the 0.5 V clamp for about
-# 60 iterations, with no steadily falling residual to show progress
+# a 30 V deck: from zero, every node climbs by the 1 V clamp for about
+# 30 iterations, with no steadily falling residual to show progress
 HIGH_VOLTAGE = """high voltage
 V1 vdd 0 DC 30
 R1 vdd a 1k
@@ -496,31 +496,54 @@ def test_long_clamped_run_is_not_stopped(monkeypatch):
     net = parse_netlist(HIGH_VOLTAGE)
     runs = _spy_runs(monkeypatch)
     sol = dc_solve(net)
-    assert runs == [(0.0, 62, "ok")]
-    assert sol.iterations == 62
+    assert runs == [(0.0, 33, "ok")]
+    assert sol.iterations == 33
     slow = _without_stall_test(monkeypatch, lambda: dc_solve(net))
     assert sol.node_voltages == slow.node_voltages
     assert sol.branch_currents == slow.branch_currents
     verify_kcl(net, sol)
 
 
+# the comparator far from its table widths (M4 4.3x, M1 2.5x, M9 2x,
+# M10 0.5x): its plain Newton from zero ends on a 2-cycle through the clamp
+MISSIZED_DECK = """missized comparator
+VDD VDD 0 DC 3
+IIN 0 A DC 5.13967e-06
+IREF 0 B DC 8.63671e-07
+M1 A B 0 0 nm W=0.452454u L=0.72u
+M2 B B 0 0 nm W=0.213925u L=0.72u
+M3 A A VDD VDD pm W=0.592458u L=0.72u
+M4 B B VDD VDD pm W=2.33499u L=0.72u
+M5 C A VDD VDD pm W=1.13868u L=0.18u
+M6 D B VDD VDD pm W=0.927776u L=0.18u
+M7 C C 0 0 nm W=0.295824u L=0.18u
+M8 C D 0 0 nm W=0.496223u L=0.18u
+M9 D C 0 0 nm W=0.717841u L=0.18u
+M10 D D 0 0 nm W=0.131043u L=0.18u
+MPI OUT C VDD VDD pm W=0.347968u L=0.18u
+MNI OUT C 0 0 nm W=0.294229u L=0.18u
+.model nm NMOS (KP=0.00017 VTO=0.5 LAMBDA=0.05)
+.model pm PMOS (KP=6e-05 VTO=-0.5 LAMBDA=0.05)
+.end
+"""
+
+
 def test_clamp_two_cycle_ends_cold_run(monkeypatch):
-    # a cold start of an IREF variant at -8 uA: C, D and OUT swing +-0.5 V
-    # and every other iterate repeats. The 2-cycle alone ends the run (the
-    # contraction count is switched off here); pseudo-transient
+    # a cold start of MISSIZED_DECK: C, D and OUT swing +-1 V, each step
+    # clamped, and every other iterate repeats. The 2-cycle alone ends the
+    # run (the contraction count is switched off here); pseudo-transient
     # continuation then gives the answer the 100-iteration run led to
-    net = build_comparator(ComparatorConfig()).replaced_source(
-        "IREF", DcSpec(1.1057981355806849e-06)).replaced_source("IIN", DcSpec(-8e-6))
+    net = parse_netlist(MISSIZED_DECK)
     runs = _spy_runs(monkeypatch)
     monkeypatch.setattr(solver_module, "_STALL_STEPS", 10**9)
     sol = dc_solve(net)
-    assert runs[0] == (0.0, 11, "stalled")
+    assert runs[0] == (0.0, 19, "stalled")
     assert runs[1][0] == solver_module._PTC_G_START
     runs.clear()
     slow = _without_stall_test(monkeypatch, lambda: dc_solve(net))
     assert runs[0] == (0.0, 100, "maxiter")
     assert sol.node_voltages == slow.node_voltages
-    assert sol.node_voltages["OUT"] == pytest.approx(0.21242197065360588, abs=1e-12)
+    assert sol.node_voltages["OUT"] == pytest.approx(0.01755312720927172, abs=1e-12)
     verify_kcl(net, sol)
 
 
@@ -739,14 +762,14 @@ def test_mosfet_plan_assembles_a_fresh_writable_jacobian():
 
 
 def test_warm_solve_past_fold_rescued_by_pseudo_transient(monkeypatch):
-    # an IREF variant whose down fold leaves the -2.35 uA point stranded:
-    # both plain runs fail at -2.4 uA, and pseudo-transient continuation
+    # an IREF variant whose down fold leaves the -4.1 uA point stranded:
+    # both plain runs fail at -4.15 uA, and pseudo-transient continuation
     # from zero follows the circuit down to the low branch
     net = build_comparator(ComparatorConfig()).replaced_source(
-        "IREF", DcSpec(1.1057981355806849e-06))
-    curve = dc_sweep(net, "IIN", 8e-6, -2.35e-6, 50e-9)
+        "IREF", DcSpec(-5.498739455983647e-07))
+    curve = dc_sweep(net, "IIN", 8e-6, -4.1e-6, 50e-9)
     value, guess = curve.times()[-1], _sample_volts(curve, -1)
-    assert value == pytest.approx(-2.35e-6)
+    assert value == pytest.approx(-4.1e-6)
     runs = []
     real = solver_module._newton
 
@@ -756,21 +779,22 @@ def test_warm_solve_past_fold_rescued_by_pseudo_transient(monkeypatch):
         return result
 
     monkeypatch.setattr(solver_module, "_newton", spy)
-    hot = net.replaced_source("IIN", DcSpec(-2.4e-6))
+    hot = net.replaced_source("IIN", DcSpec(-4.15e-6))
     sol = dc_solve(hot, initial_guess=guess)
     verify_kcl(hot, sol)
-    # the source-stepping answer, 0.3383174144785378, to 1e-12 V
-    assert sol.node_voltages["OUT"] == pytest.approx(0.3383174144785378, abs=1e-12)
+    # the up sweep reaches this point by warm plain Newton, at OUT =
+    # 0.3135155851379468; the answer agrees to 1e-12 V
+    assert sol.node_voltages["OUT"] == pytest.approx(0.3135155851379468, abs=1e-12)
     nodes = [n for n in net.nodes if n != "0"]
     zero = [0.0] * len(nodes)
     # both plain runs end early, where each used to run 100 iterations
-    assert runs[0] == ([guess[n] for n in nodes], 0.0, 17, "stalled")
-    assert runs[1] == (zero, 0.0, 27, "stalled")
+    assert runs[0] == ([guess[n] for n in nodes], 0.0, 18, "stalled")
+    assert runs[1] == (zero, 0.0, 21, "stalled")
     assert runs[2][:2] == (zero, solver_module._PTC_G_START)
     assert all(g > 0.0 for _, g, _, _ in runs[2:-1])
     assert runs[-1][1] == 0.0 and runs[-1][3] == "ok"  # the plain finish
     # each pseudo-transient step takes its solved step on every node
-    assert sol.iterations == sum(iters for *_, iters, _ in runs) == 81
+    assert sol.iterations == sum(iters for *_, iters, _ in runs) == 75
 
 
 # a Monte Carlo W-mismatch instance of the stock build (5 % sigma per
@@ -806,12 +830,12 @@ def test_pseudo_transient_rescues_cold_solve(monkeypatch):
     sol = dc_solve(net)
     verify_kcl(net, sol)
     assert sol.node_voltages["OUT"] == pytest.approx(0.3872, abs=1e-4)
-    assert runs[0] == (0.0, 21, "stalled")
+    assert runs[0] == (0.0, 20, "stalled")
     assert runs[1][0] == solver_module._PTC_G_START
     assert all(g > 0.0 for g, _, _ in runs[1:-1])
     assert runs[-1][0] == 0.0 and runs[-1][2] == "ok"  # the plain finish
     # each pseudo-transient step takes its solved step on every node
-    assert sol.iterations == sum(iters for _, iters, _ in runs) == 56
+    assert sol.iterations == sum(iters for _, iters, _ in runs) == 55
 
 
 @pytest.mark.parametrize("guess", [{}, {"nowhere": 1.0}], ids=["empty", "no-node"])
@@ -826,23 +850,23 @@ def test_zero_warm_start_is_the_cold_start(monkeypatch, guess):
     warm = dc_solve(net, initial_guess=guess)
     assert runs == cold_runs
     assert [g for g, _, _ in runs[:2]] == [0.0, solver_module._PTC_G_START]
-    assert warm.iterations == cold.iterations == 56
+    assert warm.iterations == cold.iterations == 55
     assert warm.node_voltages == cold.node_voltages
     # zero is compared bit for bit: a start at -0.0 is not the cold start
     runs.clear()
-    assert dc_solve(net, initial_guess={"A": -0.0}).iterations == 77
-    assert runs[:2] == [(0.0, 21, "stalled")] * 2
+    assert dc_solve(net, initial_guess={"A": -0.0}).iterations == 75
+    assert runs[:2] == [(0.0, 20, "stalled")] * 2
 
 
-def test_pseudo_transient_places_a_60_volt_supply(monkeypatch):
-    # plain Newton climbs the 60 V node by the 0.5 V clamp and runs out of
+def test_pseudo_transient_places_a_120_volt_supply(monkeypatch):
+    # plain Newton climbs the 120 V node by the 1 V clamp and runs out of
     # iterations; a pseudo-transient step takes its solved step unclamped,
     # so V1's branch row lands the node on the source's value
-    net = parse_netlist("sixty volts\nV1 a 0 DC 60\nR1 a 0 1k\n.end\n")
+    net = parse_netlist("120 volts\nV1 a 0 DC 120\nR1 a 0 1k\n.end\n")
     runs = _spy_runs(monkeypatch)
     sol = dc_solve(net)
     verify_kcl(net, sol)
-    assert sol.node_voltages["a"] == 60.0
+    assert sol.node_voltages["a"] == 120.0
     assert runs[0] == (0.0, 100, "maxiter")  # the plain run is clamped as before
     assert any(g > 0.0 for g, _, _ in runs)
 
@@ -880,17 +904,16 @@ def test_pseudo_transient_solves_where_source_stepping_failed():
 
 
 def test_down_sweep_completes_past_iref_variant_fold(monkeypatch):
-    # both plain runs fail just past this variant's down fold, at -3.45 uA,
-    # and source stepping from the stale guess failed too
+    # both plain runs fail just past this variant's down fold, at -3.55 uA
     net = build_comparator(ComparatorConfig()).replaced_source(
-        "IREF", DcSpec(9.11010274375754e-08))
+        "IREF", DcSpec(-2.563959656879562e-09))
     down = dc_sweep(net, "IIN", 8e-6, -8e-6, 50e-9)
     assert len(down.samples) == 321
     # the solve that failed, warm from the last point before the fold
-    value, guess = down.times()[228], _sample_volts(down, 228)
-    assert value == pytest.approx(-3.4e-6)
+    value, guess = down.times()[230], _sample_volts(down, 230)
+    assert value == pytest.approx(-3.5e-6)
     runs = _spy_runs(monkeypatch)
-    low = net.replaced_source("IIN", DcSpec(-3.45e-6))
+    low = net.replaced_source("IIN", DcSpec(-3.55e-6))
     sol = dc_solve(low, initial_guess=guess)
     verify_kcl(low, sol)
     # both plain runs fail, then pseudo-transient continuation solves it
@@ -910,8 +933,8 @@ def _sweep_solving_each_point(sweep_chain, net, values):
     (None, -8e-6, 8e-6),
     (None, 8e-6, -8e-6),
     # the down sweep of test_down_sweep_completes_past_iref_variant_fold,
-    # whose -3.45 uA point is solved by pseudo-transient continuation
-    (9.11010274375754e-08, 8e-6, -8e-6),
+    # whose -3.55 uA point is solved by pseudo-transient continuation
+    (-2.563959656879562e-09, 8e-6, -8e-6),
 ], ids=["stock-up", "stock-down", "iref-variant-down"])
 def test_sweep_matches_solving_each_point(monkeypatch, sweep_chain, iref, start, stop):
     net = build_comparator(ComparatorConfig())
@@ -976,10 +999,10 @@ def test_dc_runs_assemble_and_solve_once_per_iteration(monkeypatch):
     dc_sweep(net, "IIN", 8e-6, -8e-6, 50e-9)
     iters = sum(n for _, n, _ in runs)
     assert counts == {"assemble": iters, "solve": iters}
-    assert iters == 768
+    assert iters == 761
     counts.update(assemble=0, solve=0)
-    assert dc_solve(net).iterations == 11
-    assert counts == {"assemble": 11, "solve": 11}
+    assert dc_solve(net).iterations == 8
+    assert counts == {"assemble": 8, "solve": 8}
 
 
 def test_guess_reads_branch_currents_by_unknown_name():
@@ -1090,7 +1113,7 @@ def test_step_bound_keeps_transient_bit_identical(monkeypatch):
 
 
 def test_step_bound_waits_on_a_high_impedance_node(monkeypatch):
-    # two clamped steps leave the node 0.02 V short of 1.02 V: its
+    # one clamped step leaves the node 0.02 V short of 1.02 V: its
     # residual of 2.2e-13 A already passes, but the step to the answer
     # does not, so the bound must not accept that iterate
     net = parse_netlist("hiz\nI1 0 a DC 1.122e-11\nR1 a 0 1e11\n.end\n")
@@ -1098,7 +1121,7 @@ def test_step_bound_waits_on_a_high_impedance_node(monkeypatch):
     monkeypatch.setattr(solver_module, "_inverse_norm", lambda jac: float("inf"))
     solved = dc_solve(net)
     assert repr(bounded) == repr(solved)
-    assert bounded.iterations == 4
+    assert bounded.iterations == 3
 
 
 def test_linear_transient_solves_once_per_step(monkeypatch):
@@ -1108,13 +1131,13 @@ def test_linear_transient_solves_once_per_step(monkeypatch):
 
 
 def test_linear_dc_solve_takes_the_bounded_point_unpolished(monkeypatch):
-    # the step-bound acceptance returns its iterate as it is: the third
+    # the step-bound acceptance returns its iterate as it is: the second
     # iteration assembles and solves nothing more
     counts, _ = _spy_work(monkeypatch)
     sol = dc_solve(parse_netlist("vr\nV1 a 0 DC 1\nR1 a 0 1k\n.end\n"))
-    assert counts == {"assemble": 3, "solve": 2}
+    assert counts == {"assemble": 2, "solve": 1}
     assert repr(sol) == ("Solution(node_voltages={'0': 0.0, 'a': 1.0}, "
-                         "branch_currents={'V1': -0.001000000001}, mosfets=(), iterations=3)")
+                         "branch_currents={'V1': -0.001000000001}, mosfets=(), iterations=2)")
 
 
 def test_transient_step_returns_x_plus_dx_and_repeats_no_solve(monkeypatch, capacitance_net):
@@ -1633,7 +1656,7 @@ def test_every_solve_runs_inside_the_error_scope(monkeypatch):
     with pytest.raises(SingularMatrixError):
         dc_solve(clash)  # plain Newton from zero, then the first pseudo-transient step
     assert len(policies) == 2
-    transient(RC_EDGE, 1e-9, 20e-9)  # Plan.steps
+    transient(RC_EDGE, 1e-9, 100e-9)  # Plan.steps
     assert len(policies) > 2 + 10
     scope = ({"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "call"},
              solver_module._singular)
