@@ -394,11 +394,13 @@ class Plan:
 
         Columns follow ``node_names``. Each point runs dc_solve's stages
         from one of two starts, each one a dc_solve guess can spell:
-        - every unknown, branch currents included, at x0 + 3*(x2 - x1),
-          the quadratic in the stimulus through the last three points,
-          while each of them converged within _PREDICT_ITERS iterations
-          and the three steps up to this point agree within _EVEN_STEPS
-          relative;
+        - every unknown, branch currents included, of the quadratic through
+          the last three points, one point on (_extrapolate, the points
+          keyed by index: weights 1, -3 and 3), while each of them
+          converged within _PREDICT_ITERS iterations and the three stimulus
+          steps up to this point agree within _EVEN_STEPS relative. A point
+          over _PREDICT_ITERS empties the fit, so its three points are
+          always the three just before;
         - otherwise, as at a repeated value or after an uneven step such
           as dc_sweep's partial last one, the node voltages of the point
           before, branch currents from zero. For the first point that is
@@ -416,23 +418,23 @@ class Plan:
         e = self.source_values(0.0)
         slot = self.source_slots[name]
         rows = array("d")
-        # (value, x) of the last points, each solved within _PREDICT_ITERS
-        fit: list[tuple[float, list[float]]] = []
+        # (index, x) of the last points, each solved within _PREDICT_ITERS
+        fit: list[tuple[int, list[float]]] = []
         with _lapack_errors():
-            for v in values:
-                s = e[slot] = DcSpec(v).value
+            for i, v in enumerate(values):
+                e[slot] = DcSpec(v).value
                 start = x[:nn] + branches
                 if len(fit) == 3:
-                    (s0, _), (s1, _), (s2, _) = fit
+                    s0, s1, s2 = values[i - 3:i]
                     step = s2 - s1
-                    if abs(s1 - s0 - step) + abs(s - s2 - step) < _EVEN_STEPS * abs(step):
-                        start = _quadratic(fit)
+                    if abs(s1 - s0 - step) + abs(v - s2 - step) < _EVEN_STEPS * abs(step):
+                        start = _extrapolate(fit, i)
                 try:
                     x, iters = _dc_point(self, e, (start,))
                 except ConvergenceError as err:
                     raise ConvergenceError(f"sweep failed at {name}={v:.6g}: {err}",
                                            stage=err.stage, residual=err.residual) from None
-                fit = [*fit[-2:], (s, x)] if iters <= _PREDICT_ITERS else []
+                fit = [*fit[-2:], (i, x)] if iters <= _PREDICT_ITERS else []
                 rows.extend(x[:nn])
         return np.frombuffer(rows).reshape(len(values), nn)
 
@@ -552,36 +554,30 @@ class Plan:
 
 
 @cache
-def _lagrange_weights(a: int, m: int) -> tuple[tuple[float, float, float], ...]:
-    """Per row j = 1 .. m-1 of a step from 0 to m, the weights of the
-    points at -a, 0 and m in the quadratic through them, evaluated at j.
-    a and m are at most _MAX_STRETCH, so the cache stays small."""
-    return tuple((j * (j - m) / (a * (a + m)), (j + a) * (m - j) / (a * m),
-                  j * (j + a) / (m * (a + m))) for j in range(1, m))
-
-
-@cache
-def _predictor_weights(a: int, b: int, m: int) -> tuple[float, float, float]:
-    """The weights of the points at -(a+b), -b and 0 in the quadratic
-    through them, evaluated at m. a, b and m are powers of two of at most
-    _MAX_STRETCH, so the cache stays small."""
-    return (m * (m + b) / (a * (a + b)), -(m * (m + a + b)) / (a * b),
-            (m + b) * (m + a + b) / (b * (a + b)))
+def _weights(t0: int, t1: int, t2: int, t: int) -> tuple[float, float, float]:
+    """The weights of the points at integer times t0, t1 and t2 in the
+    quadratic through them, evaluated at t (Lagrange). Each is an exact
+    integer ratio rounded once. Callers pass times relative to one of the
+    points, each within a few _MAX_STRETCH of it, so the cache stays small."""
+    return (((t - t1) * (t - t2)) / ((t0 - t1) * (t0 - t2)),
+            ((t - t0) * (t - t2)) / ((t1 - t0) * (t1 - t2)),
+            ((t - t0) * (t - t1)) / ((t2 - t0) * (t2 - t1)))
 
 
 def _extrapolate(fit: list[tuple[int, list[float]]], k: int) -> list[float]:
     """Every unknown at k of the quadratic through the three (k, x) of
     ``fit``, at their actual spacing: w0*x0 + w1*x1 + w2*x2 summed left to
-    right, with the weights of _predictor_weights."""
+    right, the weights from _weights with times counted from the last point.
+    Plan.steps' predicted start, and Plan.sweep's with points keyed by index."""
     (k0, x0), (k1, x1), (k2, x2) = fit
-    w0, w1, w2 = _predictor_weights(k1 - k0, k2 - k1, k - k2)
+    w0, w1, w2 = _weights(k0 - k2, k1 - k2, 0, k - k2)
     return [w0 * p + w1 * q + w2 * r for p, q, r in zip(x0, x1, x2)]
 
 
 def _fill_long_steps(out: np.ndarray, long_steps: dict[tuple[int, int], array]) -> None:
     """Rows k+1 .. k+m-1 of ``out`` for each k of each shape (a, m) in
     ``long_steps``: the quadratic through rows k-a, k and k+m, summed as
-    (w0*u + w1*v) + w2*w with the weights of _lagrange_weights(a, m). Each
+    (w0*u + w1*v) + w2*w with the weights _weights(-a, 0, m, j). Each
     ufunc rounds as a Python float does, so a row has the bits of that
     sum in Python floats. Steps are filled _FILL_BLOCK at a time, which
     keeps the temporaries small on a long run."""
@@ -591,7 +587,7 @@ def _fill_long_steps(out: np.ndarray, long_steps: dict[tuple[int, int], array]) 
     row = np.dtype((np.void, out.itemsize * out.shape[1]))
     rows = out.view(row)[:, 0]
     for (a, m), starts in long_steps.items():
-        w = np.array(_lagrange_weights(a, m)).T[:, :, None, None]  # (3, m-1, 1, 1)
+        w = np.array([_weights(-a, 0, m, j) for j in range(1, m)]).T[:, :, None, None]
         inside = np.arange(1, m)[:, None]
         for b in range(0, len(starts), _FILL_BLOCK):
             k = np.array(starts[b:b + _FILL_BLOCK])
@@ -612,14 +608,6 @@ def _third_difference(fit: list[tuple[int, list[float]]], k: int, x: list[float]
         d01, d12, d23 = (b - a) / (k1 - k0), (c - b) / (k2 - k1), (d - c) / (k - k2)
         worst = max(worst, abs((d23 - d12) / (k - k1) - (d12 - d01) / (k2 - k0)) / (k - k0))
     return 0.5 * worst
-
-
-def _quadratic(fit: list[tuple[float, list[float]]]) -> list[float]:
-    """x0 + 3*(x2 - x1), x0 to x2 the x of the three (key, x) of ``fit``:
-    the quadratic through three evenly spaced points, one more step on.
-    Plan.sweep's predictor; a transient's steps are uneven (_extrapolate)."""
-    (_, x0), (_, x1), (_, x2) = fit
-    return [a + 3.0 * (c - b) for a, b, c in zip(x0, x1, x2)]
 
 
 def _same_bits(a: list[float], b: list[float]) -> bool:

@@ -52,11 +52,13 @@ def _sweep_chain(net, name, values):
     """Yield (value, Solution) of dc_solve at each of ``values`` in turn,
     each guessed as Plan.sweep starts its points.
 
-    The guess is the quadratic x0 + 3*(x2 - x1) through the last three
-    points, every unknown spelled as the guess reads it (node names, and
-    I(<source>) for branch currents), while each of the three took at most
-    _PREDICT_ITERS iterations and the three steps from x0's value to this
-    one agree within _EVEN_STEPS relative. Otherwise it is the node
+    The guess is the quadratic through the last three points, one point
+    on: w0*x0 + w1*x1 + w2*x2 summed left to right, with the weights
+    _weights(-3, -2, -1, 0) = (1, -3, 3), every unknown spelled as the
+    guess reads it (node names, and I(<source>) for branch currents). It
+    is taken while each of the three took at most _PREDICT_ITERS
+    iterations and the three steps from x0's value to this one agree
+    within _EVEN_STEPS relative. Otherwise it is the node
     voltages of the point before, none for the first. A point that fails
     raises as dc_solve does.
     """
@@ -66,7 +68,8 @@ def _sweep_chain(net, name, values):
             (s0, x0), (s1, x1), (s2, x2) = fit
             step = s2 - s1
             if abs(s1 - s0 - step) + abs(v - s2 - step) < solver_module._EVEN_STEPS * abs(step):
-                guess = {k: x0[k] + 3.0 * (x2[k] - x1[k]) for k in x2}
+                w0, w1, w2 = solver_module._weights(-3, -2, -1, 0)
+                guess = {k: w0 * x0[k] + w1 * x1[k] + w2 * x2[k] for k in x2}
         sol = dc_solve(net.replaced_source(name, DcSpec(v)), guess)
         yield v, sol
         unknowns = {**sol.node_voltages,

@@ -5,6 +5,7 @@ import dataclasses
 import random
 import warnings
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1485,12 +1486,29 @@ def _accepted_points(steps, start, dt):
     return points
 
 
+def test_three_point_weights_are_exact_ratios_rounded_once():
+    # each weight of the quadratic through t0, t1 and t2 at t is the exact
+    # Lagrange ratio rounded once, for every call the solver makes: the
+    # transient predictor over steps a and b, m on; row j of a long step
+    # of m after one of a; the sweep's start one point on
+    def exact(t0, t1, t2, t):
+        return tuple(float(Fraction((t - q) * (t - r), (p - q) * (p - r)))
+                     for p, q, r in ((t0, t1, t2), (t1, t0, t2), (t2, t0, t1)))
+
+    lengths = (1, 2, 4, 8, 16)
+    calls = [(-(a + b), -b, 0, m) for a in lengths for b in lengths for m in lengths]
+    calls += [(-a, 0, m, j) for a in lengths for m in lengths for j in range(1, m)]
+    for call in calls:
+        assert solver_module._weights(*call) == exact(*call), call
+    assert solver_module._weights(-2, -1, 0, 1) == (1.0, -3.0, 3.0)
+
+
 @pytest.mark.parametrize("case", ["ladder", *range(8)])
 def test_rows_inside_a_long_step_are_the_quadratic_in_python_floats(monkeypatch, case):
     # each row strictly inside an accepted step from k to k+m is
     # wp*u + ws*v + we*w, summed left to right in Python floats, with u, v
     # and w the node voltages at the accepted points kp (the one before
-    # k), k and k+m and the weights of _lagrange_weights(k - kp, m); every
+    # k), k and k+m and the weights _weights(kp - k, 0, m, j); every
     # row at an accepted point is that point
     net = LADDER if case == "ladder" else _rc_pulse_deck(case)[0]
     stop = 500e-9 if case == "ladder" else 5e-6
@@ -1506,7 +1524,8 @@ def test_rows_inside_a_long_step_are_the_quadratic_in_python_floats(monkeypatch,
     for (kp, u, _), (k, v, _), (_, w, m) in zip(points, points[1:], points[2:]):
         if m > 1:
             long_steps += 1
-            for j, (wp, ws, we) in enumerate(solver_module._lagrange_weights(k - kp, m), 1):
+            for j in range(1, m):
+                wp, ws, we = solver_module._weights(kp - k, 0, m, j)
                 want = [wp * a + ws * b + we * c for a, b, c in zip(u[:nn], v, w)]
                 assert solver_module._same_bits(rows[k + j], want), (k, j)
     assert long_steps > 10
