@@ -16,11 +16,11 @@ before it (Plan.sweep; Allgower & Georg, Introduction to Numerical
 Continuation Methods, 2003). A transient follows SPICE2 (Nagel, UCB
 ERL-M520, 1975) in one loop with one length rule (Plan.steps): steps of
 up to 16*dt are as long as the local truncation error allows, never
-across a source corner, and a longer step that fails is redone at half
-its length. With MOSFETs each moving step starts from the quadratic
-through the time points before it. Each Newton step is solved by LAPACK
-gesv (_solve) inside one floating-point error scope per solve run
-(_lapack_errors).
+across a source corner, and a longer step that fails or errs too much is
+redone at half its length. The quadratic through the time points before
+a step predicts its end, which gives its error and starts a moving MOSFET
+step. Each Newton step is solved by LAPACK gesv (_solve) inside one
+floating-point error scope per solve run (_lapack_errors).
 """
 
 from __future__ import annotations
@@ -73,8 +73,9 @@ _STALL_STEPS = 5
 _PREDICT_ITERS = 3
 _EVEN_STEPS = 1e-6
 
-# a transient keeps each step's local truncation error within _LTE_TOL [V]
-# in steps of up to _MAX_STRETCH * dt (Plan.steps)
+# a transient keeps each step's local truncation error, read off its
+# distance from its predicted end, within _LTE_TOL [V] in steps of up to
+# _MAX_STRETCH * dt (Plan.steps)
 _LTE_TOL = 1e-4
 _MAX_STRETCH = 16
 _FILL_BLOCK = 128  # long steps whose rows _fill_long_steps fills at a time
@@ -459,10 +460,14 @@ class Plan:
         local truncation error, h**3/2 times the largest |third divided
         difference| of the node voltages through the last four accepted
         points since the last corner, the new one included, may be at most
-        _LTE_TOL. A step longer than dt whose error is above that, or whose
-        Newton run fails, is redone at h/2 from the same accepted point;
-        the next step is 2h when the error is below _LTE_TOL/8. A step of
-        dt whose Newton run fails raises. A step longer than dt holds no
+        _LTE_TOL. With p the step's prediction (_extrapolate) through the
+        three points before it, k0, k1 and k2, x_new - p is exactly that
+        difference times (k+m-k0)(k+m-k1)(k+m-k2), which the error divides
+        out (Brayton, Gustavson & Hachtel, Proc. IEEE 60(1), 1972). A step
+        longer than dt whose error is above _LTE_TOL, inf for a failed
+        Newton run, is redone at h/2 from the same accepted point; the next
+        step is 2h when the error is below _LTE_TOL/8. A step of dt whose
+        Newton run fails raises. A step longer than dt holds no
         source corner (corner_after of each source), not even at its end;
         the estimate starts afresh from the end of the step of dt that
         holds one, so the next three steps have length dt too. A row
@@ -483,8 +488,9 @@ class Plan:
         from the last accepted x. The gate keeps settled plateaus, where
         the trapezoidal companions ring with period 2 (ieq alternates while
         v holds), from extrapolating that ringing. Without MOSFETs every
-        step starts from the last accepted x: a predicted start would pass
-        the step bound unsolved (see _newton).
+        step starts from the last accepted x, its prediction serving only
+        its error: a predicted start would pass the step bound unsolved
+        (see _newton).
         """
         nn, dt = self.n_nodes, self.dt
         vntol, reltol = OPTIONS.vntol, OPTIONS.reltol
@@ -515,20 +521,25 @@ class Plan:
                 t = (k + m) * dt
                 e = plan.source_values(t)
                 ieq = nxt if m == m_last else plan.ieq_from(x, i)
-                x_start = _extrapolate(fit, k + m) if moving > 1 and len(fit) == 3 else x
-                x_new, a, _, status = _newton(plan, x_start, e=e, ieq=ieq)
+                p = _extrapolate(fit, k + m) if len(fit) == 3 else None
+                x_new, a, _, status = _newton(
+                    plan, p if moving > 1 and p is not None else x, e=e, ieq=ieq)
+                lte = inf
+                if status == "ok" and p is not None:
+                    worst = 0.0
+                    for u, v in zip(x_new[:nn], p):
+                        if (d := abs(u - v)) > worst:
+                            worst = d
+                    (k0, _), (k1, _), (k2, _) = fit
+                    lte = m**3 * worst / (2 * (k + m - k0) * (k + m - k1) * (k + m - k2))
+                if m > 1 and lte > _LTE_TOL:
+                    m //= 2
+                    continue
                 if status != "ok":
-                    if m > 1:
-                        m //= 2
-                        continue
                     raise _convergence_error(
                         plan, a, f"transient step failed at t={t:.6g} s ({status})",
                         f"transient t={t:.6g}")
-                lte = m**3 * _third_difference(fit, k + m, x_new, nn) if len(fit) == 3 else inf
                 if m > 1:
-                    if lte > _LTE_TOL:
-                        m //= 2
-                        continue
                     long_steps.setdefault((k - fit[-2][0], m), array("q")).append(k)
                     rows.frombytes(bytes(8 * nn * (m - 1)))  # rows k+1 .. k+m-1, filled below
                 rows.extend(x_new[:nn])
@@ -568,7 +579,8 @@ def _extrapolate(fit: list[tuple[int, list[float]]], k: int) -> list[float]:
     """Every unknown at k of the quadratic through the three (k, x) of
     ``fit``, at their actual spacing: w0*x0 + w1*x1 + w2*x2 summed left to
     right, the weights from _weights with times counted from the last point.
-    Plan.steps' predicted start, and Plan.sweep's with points keyed by index."""
+    Plan.steps' predicted step end, for its error and a moving MOSFET
+    step's start, and Plan.sweep's start with points keyed by index."""
     (k0, x0), (k1, x1), (k2, x2) = fit
     w0, w1, w2 = _weights(k0 - k2, k1 - k2, 0, k - k2)
     return [w0 * p + w1 * q + w2 * r for p, q, r in zip(x0, x1, x2)]
@@ -595,19 +607,6 @@ def _fill_long_steps(out: np.ndarray, long_steps: dict[tuple[int, int], array]) 
             fill += w[1] * out.take(k, axis=0)
             fill += w[2] * out.take(k + m, axis=0)
             rows[k + inside] = fill.view(row)[..., 0]
-
-
-def _third_difference(fit: list[tuple[int, list[float]]], k: int, x: list[float],
-                      nn: int) -> float:
-    """Half the largest |third divided difference| of the node voltages
-    through the three (k, x) of ``fit`` and (k, x), times in steps of dt:
-    the trapezoidal truncation error of a step of dt (Nagel, 1975)."""
-    (k0, x0), (k1, x1), (k2, x2) = fit
-    worst = 0.0
-    for a, b, c, d in zip(x0[:nn], x1, x2, x):
-        d01, d12, d23 = (b - a) / (k1 - k0), (c - b) / (k2 - k1), (d - c) / (k - k2)
-        worst = max(worst, abs((d23 - d12) / (k - k1) - (d12 - d01) / (k2 - k0)) / (k - k0))
-    return 0.5 * worst
 
 
 def _same_bits(a: list[float], b: list[float]) -> bool:

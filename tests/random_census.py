@@ -20,7 +20,6 @@ this checkout's src/. Pytest does not collect this file.
 from __future__ import annotations
 
 import argparse
-import random
 import re
 import sys
 from collections import Counter
@@ -29,36 +28,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from hystlab import (  # noqa: E402
-    Capacitor,
-    DcSpec,
-    HystlabError,
-    Netlist,
-    PulseSpec,
-    dc_solve,
-    transient,
-    verify_kcl,
-)
+from hystlab import DcSpec, HystlabError, dc_solve, transient, verify_kcl  # noqa: E402
 from hystlab import solver  # noqa: E402
-from test_random_circuits import random_circuit  # noqa: E402
-
-
-def random_transient(seed: int) -> Netlist:
-    """random_circuit(seed) with VDD a PULSE from 0 V to its DC value
-    (delay 10 ns, rise and fall 5 ns, width 80 ns, period 200 ns), plus
-    1-3 capacitors of 1 fF to 1 nF (log-uniform), each between two
-    distinct terminals, drawn from random.Random(10_000 + seed). It runs
-    with dt 1 ns to 200 ns."""
-    net = random_circuit(seed)
-    vdd = net.find_source("VDD").spec.value
-    net = net.replaced_source("VDD", PulseSpec(v1=0.0, v2=vdd, delay=10e-9, rise=5e-9,
-                                               fall=5e-9, width=80e-9, period=200e-9))
-    rng = random.Random(10_000 + seed)
-    caps = []
-    for i in range(rng.randint(1, 3)):
-        pos, neg = rng.sample(net.nodes, 2)
-        caps.append(Capacitor(f"C{i}", pos, neg, 10.0 ** rng.uniform(-15.0, -9.0)))
-    return Netlist(net.title, (*net.elements, *caps))
+from test_random_circuits import random_circuit, random_transient  # noqa: E402
 
 
 def failure_status(exc: HystlabError) -> str:

@@ -1,9 +1,10 @@
 """Checks over seeded random circuits: every DC solve over seeds 0-599
 solves and passes the KCL audit (oracle A) within a Newton iteration
-budget, each netlist survives to_text and parse_netlist unchanged, and a
-warm sweep equals the chain of dc_solve calls guessed as the sweep starts
-its points, each of which passes the audit. An output that does not move
-has no crossing."""
+budget, every random transient over seeds 0-99 keeps its finite rows
+within one too, each netlist survives to_text and parse_netlist
+unchanged, and a warm sweep equals the chain of dc_solve calls guessed as
+the sweep starts its points, each of which passes the audit. An output
+that does not move has no crossing."""
 
 import math
 import random
@@ -14,6 +15,7 @@ import pytest
 from hystlab import (
     NMOS_DEFAULT,
     PMOS_DEFAULT,
+    Capacitor,
     DcSpec,
     HystlabError,
     ISource,
@@ -21,6 +23,7 @@ from hystlab import (
     MosGeometry,
     Mosfet,
     Netlist,
+    PulseSpec,
     Resistor,
     VSource,
     dc_solve,
@@ -28,6 +31,7 @@ from hystlab import (
     hysteresis_walk,
     measure_hysteresis,
     parse_netlist,
+    transient,
     verify_kcl,
 )
 from hystlab import solver as solver_module
@@ -58,6 +62,24 @@ def random_circuit(seed: int) -> Netlist:
                                "0" if card == "nch" else nodes[0], card, MODELS[card],
                                MosGeometry(w, 0.18e-6)))
     return Netlist(f"random circuit {seed}", tuple(elements))
+
+
+def random_transient(seed: int) -> Netlist:
+    """random_circuit(seed) with VDD a PULSE from 0 V to its DC value
+    (delay 10 ns, rise and fall 5 ns, width 80 ns, period 200 ns), plus
+    1-3 capacitors of 1 fF to 1 nF (log-uniform), each between two
+    distinct terminals, drawn from random.Random(10_000 + seed). It runs
+    with dt 1 ns to 200 ns."""
+    net = random_circuit(seed)
+    vdd = net.find_source("VDD").spec.value
+    net = net.replaced_source("VDD", PulseSpec(v1=0.0, v2=vdd, delay=10e-9, rise=5e-9,
+                                               fall=5e-9, width=80e-9, period=200e-9))
+    rng = random.Random(10_000 + seed)
+    caps = []
+    for i in range(rng.randint(1, 3)):
+        pos, neg = rng.sample(net.nodes, 2)
+        caps.append(Capacitor(f"C{i}", pos, neg, 10.0 ** rng.uniform(-15.0, -9.0)))
+    return Netlist(net.title, (*net.elements, *caps))
 
 
 def test_random_circuits_solve_or_raise():
@@ -108,6 +130,24 @@ def test_supply_tied_to_ground_is_placed_by_pseudo_transient():
     sol = dc_solve(net)
     verify_kcl(net, sol)
     assert sol.node_voltages["n5"] == pytest.approx(0.853, abs=1e-3)
+
+
+def test_random_transients_keep_their_rows_within_an_iteration_budget(monkeypatch):
+    # each random transient returns one finite row per ns; their DC points
+    # and steps take 32,755 Newton iterations in all
+    iterations = []
+    real = solver_module._newton
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        iterations.append(result[2])
+        return result
+
+    monkeypatch.setattr(solver_module, "_newton", spy)
+    for seed in range(100):
+        wave = transient(random_transient(seed), 1e-9, 200e-9)
+        assert wave.samples.shape[0] == 201 and np.isfinite(wave.samples).all(), seed
+    assert sum(iterations) < 36000
 
 
 def test_random_circuits_round_trip_through_text():

@@ -1503,6 +1503,61 @@ def test_three_point_weights_are_exact_ratios_rounded_once():
     assert solver_module._weights(-2, -1, 0, 1) == (1.0, -3.0, 3.0)
 
 
+def _divided_difference(points):
+    """The divided difference of (t, v) points, exactly: ints and Fractions."""
+    if len(points) == 1:
+        return points[0][1]
+    return ((_divided_difference(points[1:]) - _divided_difference(points[:-1]))
+            / (points[-1][0] - points[0][0]))
+
+
+@pytest.mark.parametrize("case", ["ladder", "cap-8u"])
+def test_step_rule_keeps_the_exact_truncation_error(monkeypatch, request, case):
+    # each converged step is held to its exact local truncation error:
+    # m**3/2 times the largest |third divided difference| of the node
+    # voltages through the three accepted points up to its start and its
+    # own answer, in Fractions. An accepted step longer than dt is within
+    # _LTE_TOL, one redone after converging is over it, and a step longer
+    # than the accepted one before follows one under _LTE_TOL/8. An
+    # estimate without the 2 or without the distances fails here
+    if case == "ladder":
+        net, stop = LADDER, 500e-9
+    else:
+        net, stop = _delay_bench(request.getfixturevalue("capacitance_net"), 8e-6), 200e-9
+    steps = _spy_steps(monkeypatch)
+    start = dc_solve(net)
+    transient(net, 1e-9, stop)
+    nn = len(start.node_voltages) - 1
+    points = _accepted_points(steps, start, 1e-9)
+    at = {k: i for i, (k, _, _) in enumerate(points)}
+    tol, margin = Fraction(solver_module._LTE_TOL), Fraction(1, 10**9)
+
+    def exact_error(t, h, x):
+        k, m = round(t / 1e-9), round(h / 1e-9)
+        i = at[k - m]
+        fit = [*((kk, xx) for kk, xx, _ in points[i - 2:i + 1]), (k, x)]
+        return Fraction(m**3, 2) * max(
+            abs(_divided_difference([(kk, Fraction(xx[j])) for kk, xx in fit]))
+            for j in range(nn))
+
+    accepted_long, redone_long, before = 0, 0, None
+    for (t, h, run), after in zip(steps, [*steps[1:], None]):
+        if before is not None and h > before[1]:
+            assert exact_error(*before) < tol / 8 * (1 + margin), t
+        accepted = after is None or after[0] > t
+        if h > 1e-9 and run[1][3] == "ok":
+            error = exact_error(t, h, run[1][0])
+            if accepted:
+                accepted_long += 1
+                assert error <= tol * (1 + margin), t
+            else:
+                redone_long += 1
+                assert error > tol * (1 - margin), t
+        if accepted:
+            before = (t, h, run[1][0])
+    assert accepted_long > 10 and redone_long
+
+
 @pytest.mark.parametrize("case", ["ladder", *range(8)])
 def test_rows_inside_a_long_step_are_the_quadratic_in_python_floats(monkeypatch, case):
     # each row strictly inside an accepted step from k to k+m is
@@ -1531,12 +1586,15 @@ def test_rows_inside_a_long_step_are_the_quadratic_in_python_floats(monkeypatch,
     assert long_steps > 10
 
 
-def test_transient_without_a_node_keeps_its_rows():
+def test_transient_without_a_node_keeps_its_rows(monkeypatch):
     # a deck whose only element ties ground to itself still has one row
-    # per k*dt, holding only the time
+    # per k*dt, holding only the time. Its empty prediction still gives an
+    # error of 0, so its steps grow to 16*dt: 13 Newton runs for 100 rows
+    steps = _spy_steps(monkeypatch)
     wave = transient(parse_netlist("no node\nR1 0 0 1k\n.end\n"), 1e-9, 100e-9)
     assert wave.samples.shape == (101, 1)
     assert wave.times().tolist() == [k * 1e-9 for k in range(101)]
+    assert len(steps) == 13 and all(run is not None for _, _, run in steps)
 
 
 def test_source_driven_node_reads_its_pulse_between_steps(monkeypatch):
