@@ -15,7 +15,7 @@ from .errors import (ConfigError, ConvergenceError, DomainError, ExtractionError
 from .netlist import (Capacitor, DcSpec, ISource, Mosfet, Netlist, PulseSpec,
                       Resistor, VSource, parse_netlist, parse_value)
 from .solver import Solution, SolverOptions, dc_solve
-from .audit import kcl_residuals, verify_kcl
+from .audit import device_evals, kcl_residuals, verify_kcl
 from .analysis import (DelayReport, HysteresisReport, Trace, branch_solution_at,
                        dc_sweep, hysteresis_walk, measure_delay, measure_hysteresis,
                        source_trace, trace_csv, transient)

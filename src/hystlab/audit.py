@@ -1,21 +1,30 @@
 """Independent KCL audit of a converged DC solution.
 
 Re-sums element currents straight from the node voltages and the
-netlist, through mos_eval, without touching any solver workspace.
+netlist, through mos_eval (device_evals, which `op` and the comparator
+extractor read too), without touching any solver workspace.
 Used by the test suite to cross-check every Solution the solver emits.
 """
 
 from __future__ import annotations
 
-from .devices import mos_eval
+from .devices import DeviceEval, mos_eval
 from .errors import HystlabError
 from .netlist import Capacitor, ISource, Mosfet, Netlist, Resistor, VSource
 from .solver import OPTIONS, Solution
 
 
+def device_evals(netlist: Netlist, solution: Solution) -> dict[str, DeviceEval]:
+    """Each MOSFET of the netlist by name, in element order, at the solution."""
+    v = solution.node_voltages
+    return {el.name: mos_eval(el.model, el.geom, v[el.g] - v[el.s], v[el.d] - v[el.s])
+            for el in netlist.elements if isinstance(el, Mosfet)}
+
+
 def kcl_residuals(netlist: Netlist, solution: Solution) -> dict[str, tuple[float, float]]:
     """Per non-ground node: (sum of currents leaving, local current scale)."""
     v = solution.node_voltages
+    evals = device_evals(netlist, solution)
     residual = {n: 0.0 for n in netlist.nodes if n != "0"}
     scale = {n: 0.0 for n in residual}
 
@@ -40,9 +49,9 @@ def kcl_residuals(netlist: Netlist, solution: Solution) -> dict[str, tuple[float
             add(el.pos, j)
             add(el.neg, -j)
         elif isinstance(el, Mosfet):
-            ev = mos_eval(el.model, el.geom, v[el.g] - v[el.s], v[el.d] - v[el.s])
-            add(el.d, ev.id)
-            add(el.s, -ev.id)
+            i = evals[el.name].id
+            add(el.d, i)
+            add(el.s, -i)
 
     for n in residual:
         shunt = OPTIONS.gmin_floor * v[n]

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .analysis import (dc_sweep, hysteresis_walk, measure_delay, source_trace,
                        trace_csv, transient)
+from .audit import device_evals
 from .comparator import (ComparatorConfig, ComparatorVariant, LatchOperatingPoint,
                          build_comparator)
 from .analytics import RatioDirection, current_ratio, node_squares, transition_currents
@@ -157,10 +158,11 @@ def _cmd_op(args) -> int:
         lines.append("source branch currents:")
         for name, i in sol.branch_currents.items():
             lines.append(f"  I({name}) = {i:.9g} A")
-    if sol.device_evals:
+    evals = device_evals(net, sol)
+    if evals:
         lines.append("devices:")
         lines.append(f"  {'name':<6} {'region':<10} {'id [A]':>14} {'gm [S]':>14} {'gds [S]':>14}")
-        for name, ev in sol.device_evals.items():
+        for name, ev in evals.items():
             lines.append(f"  {name:<6} {ev.region.value:<10} {ev.id:>14.6e} "
                          f"{ev.gm:>14.6e} {ev.gds:>14.6e}")
     lines.append(f"iterations={sol.iterations}")

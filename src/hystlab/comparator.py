@@ -23,6 +23,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+from .audit import device_evals
 from .devices import MosGeometry, MosModel, NMOS_DEFAULT, PMOS_DEFAULT, kfactor
 from .errors import ConfigError, ExtractionError, NetlistError
 from .netlist import DcSpec, ISource, Mosfet, Netlist, SourceSpec, VSource
@@ -165,7 +166,8 @@ def extract_operating_point(netlist: Netlist, solution: Solution) -> LatchOperat
 
     Requires the generator's canonical names; i_1/i_2 are the mirror
     currents delivered into the latch (magnitudes of the M5/M6 drain
-    currents).
+    currents), read off audit.device_evals. A solution that lacks a node
+    read here raises ExtractionError naming the first one read.
     """
     devices = {}
     for name in ("M1", "M2", "M3", "M5", "M6", "M7", "M9"):
@@ -178,15 +180,11 @@ def extract_operating_point(netlist: Netlist, solution: Solution) -> LatchOperat
     except NetlistError:
         raise ExtractionError("netlist lacks the IREF source") from None
 
-    evals = solution.device_evals
-    for name in ("M1", "M2", "M5", "M6"):
-        if devices[name].name not in evals:
-            raise ExtractionError(f"solution carries no evaluation for {name!r}")
-
-    volts = solution.node_voltages
-    for node in ("C", "D"):
-        if node not in volts:
-            raise ExtractionError(f"solution lacks node {node!r}")
+    try:
+        evals = device_evals(netlist, solution)
+        v_c, v_d = solution.node_voltages["C"], solution.node_voltages["D"]
+    except KeyError as missing:
+        raise ExtractionError(f"solution lacks node {missing.args[0]!r}") from None
 
     m7 = devices["M7"]
     return LatchOperatingPoint(
@@ -198,8 +196,8 @@ def extract_operating_point(netlist: Netlist, solution: Solution) -> LatchOperat
         i_d1=evals[devices["M1"].name].id,
         i_d2=evals[devices["M2"].name].id,
         i_ref=i_ref_el.spec.value_at(0.0),
-        v_c=volts["C"],
-        v_d=volts["D"],
+        v_c=v_c,
+        v_d=v_d,
         i_1=-evals[devices["M5"].name].id,
         i_2=-evals[devices["M6"].name].id,
     )

@@ -34,7 +34,7 @@ from operator import add
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .devices import DeviceEval, kfactor, mos_eval, mos_kernel, mos_sign
+from .devices import kfactor, mos_kernel, mos_sign
 from .errors import ConvergenceError, MeasurementError, SingularMatrixError
 from .netlist import Capacitor, DcSpec, ISource, Mosfet, Netlist, Resistor, VSource
 
@@ -85,19 +85,7 @@ _FILL_BLOCK = 128  # long steps whose rows _fill_long_steps fills at a time
 class Solution:
     node_voltages: dict[str, float]         # includes ground "0" at 0.0
     branch_currents: dict[str, float]       # per voltage source [A]
-    mosfets: tuple[Mosfet, ...]             # the devices device_evals covers
     iterations: int
-
-    @cached_property
-    def device_evals(self) -> dict[str, DeviceEval]:
-        """Per mosfet, evaluated at node_voltages on first read.
-
-        Bisection reads only the voltages, so its points evaluate no
-        device; a sweep (Plan.sweep) builds no Solution at all.
-        """
-        v = self.node_voltages
-        return {el.name: mos_eval(el.model, el.geom, v[el.g] - v[el.s], v[el.d] - v[el.s])
-                for el in self.mosfets}
 
 
 @dataclass(slots=True)
@@ -176,7 +164,6 @@ class Plan:
 
         specs = []
         self.source_slots: dict[str, int] = {}
-        mosfet_elements: list[Mosfet] = []
         resistors, isources, vsources, mosfets, caps = [], [], [], [], []
         b = nn
         for el in netlist.elements:
@@ -204,7 +191,6 @@ class Plan:
             elif isinstance(el, Mosfet):
                 d, g, s = ni[el.d], ni[el.g], ni[el.s]
                 m = el.model
-                mosfet_elements.append(el)
                 mosfets.append((d, g, s, kfactor(m, el.geom), mos_sign(m), m.vto, m.lam,
                                 slot(d, g), slot(d, d), slot(d, s),
                                 slot(s, g), slot(s, d), slot(s, s)))
@@ -223,7 +209,6 @@ class Plan:
                 pair = (q, p) if (q, p) in farads else (p, q)
                 farads[pair] = farads.get(pair, 0.0) + c
         self.specs = tuple(specs)
-        self.mosfet_elements = tuple(mosfet_elements)
         self.resistors = tuple(resistors)
         self.isources = tuple(isources)
         self.vsources = tuple(vsources)
@@ -889,4 +874,4 @@ def dc_solve(netlist: Netlist, initial_guess: dict[str, float] | None = None,
                              tuple(map(plan.vector_from_guess, guesses)))
     volts = dict(zip(("0", *plan.node_names), [0.0, *x]))
     branches = dict(zip(plan.vsource_names, x[plan.n_nodes:]))
-    return Solution(volts, branches, plan.mosfet_elements, total)
+    return Solution(volts, branches, total)

@@ -28,6 +28,7 @@ from hystlab import (
     current_ratio,
     dc_solve,
     dc_sweep,
+    device_evals,
     extract_operating_point,
     kcl_residuals,
     kfactor,
@@ -96,7 +97,7 @@ def _pre_transition_ratio(net, span, i_t, side):
     sol = branch_solution_at(net, "IIN", i_t - side * 2e-9,
                              approach_from=-side * span)
     op = extract_operating_point(net, sol)
-    if sol.device_evals["M9"].region is Region.TRIODE:
+    if device_evals(net, sol)["M9"].region is Region.TRIODE:
         direction = RatioDirection.HIGH_TO_LOW
     else:
         direction = RatioDirection.LOW_TO_HIGH

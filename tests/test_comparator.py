@@ -214,5 +214,7 @@ def test_extraction_requires_matching_solution(hysteresis_net,
     bench = build_latch_testbench(MosGeometry(0.27e-6, 0.18e-6),
                                   MosGeometry(0.36e-6, 0.18e-6),
                                   nmos, 20e-6, 20e-6)
-    with pytest.raises(ExtractionError):
+    # the testbench solves only VDD, C and D; device_evals reads M1's gate
+    # B first, then its source 0 and its drain A
+    with pytest.raises(ExtractionError, match="^solution lacks node 'B'$"):
         extract_operating_point(hysteresis_net, dc_solve(bench))

@@ -3,6 +3,7 @@ the pseudo-transient fallback, warm starts and the independent KCL audit."""
 
 import dataclasses
 import random
+import sys
 import warnings
 from contextlib import contextmanager
 from fractions import Fraction
@@ -23,6 +24,8 @@ from hystlab import (
     build_comparator,
     dc_solve,
     dc_sweep,
+    device_evals,
+    hysteresis_walk,
     measure_delay,
     mos_eval,
     parse_netlist,
@@ -328,7 +331,9 @@ def test_stale_guess_on_vanished_branch_recovers(hysteresis_net):
 def test_solution_records_iterations_and_evals(hysteresis_net):
     sol = dc_solve(hysteresis_net)
     assert sol.iterations > 0
-    assert set(sol.device_evals) >= {"M1", "M7", "MPI", "MNI"}
+    assert [f.name for f in dataclasses.fields(sol)] == [
+        "node_voltages", "branch_currents", "iterations"]
+    assert set(device_evals(hysteresis_net, sol)) >= {"M1", "M7", "MPI", "MNI"}
     assert all(np.isfinite(v) for v in sol.node_voltages.values())
 
 
@@ -549,15 +554,29 @@ def test_clamp_two_cycle_ends_cold_run(monkeypatch):
 
 
 def test_sweep_evaluates_no_device(monkeypatch):
-    # sweep points keep only node voltages, so no device is evaluated
+    # the solver stamps with the kernel alone: no solve, sweep, walk or
+    # transient evaluates a device through mos_eval, wherever it is bound
     net = build_comparator(ComparatorConfig())
     calls = []
-    real = solver_module.mos_eval
-    monkeypatch.setattr(solver_module, "mos_eval",
-                        lambda *args: calls.append(args) or real(*args))
+
+    def spy(*args):
+        calls.append(args)
+        return mos_eval(*args)
+
+    bound = sorted(name for name, module in sys.modules.items()
+                   if name.split(".")[0] == "hystlab" and hasattr(module, "mos_eval"))
+    assert {"hystlab", "hystlab.devices", "hystlab.audit", "hystlab.analytics"} <= set(bound)
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "mos_eval", spy)
+    sol = dc_solve(net)
     curve = dc_sweep(net, "IIN", -2e-6, 2e-6, 0.5e-6)
     assert len(curve.samples) == 9
+    walk = hysteresis_walk(net, "IIN", -8e-6, 8e-6, 50e-9, "OUT", 1.5, 1e-9)
+    assert walk.i_hy > 0
+    assert len(transient(net, 1e-9, 20e-9).samples) == 21
     assert calls == []
+    verify_kcl(net, sol)  # the spy is live: the audit evaluates all 12
+    assert len(calls) == 12
 
 
 def test_device_evals_match_mos_eval_at_solution():
@@ -566,10 +585,25 @@ def test_device_evals_match_mos_eval_at_solution():
     v = sol.node_voltages
     mosfets = [el for el in net.elements if isinstance(el, Mosfet)]
     assert len(mosfets) == 12
-    assert sol.device_evals == {
+    evals = device_evals(net, sol)
+    assert evals == {
         el.name: mos_eval(el.model, el.geom, v[el.g] - v[el.s], v[el.d] - v[el.s])
         for el in mosfets}
-    assert sol.device_evals is sol.device_evals  # evaluated once
+    assert list(evals) == [el.name for el in mosfets]
+    # the audit sums exactly these drain currents: at the nodes that only
+    # MOSFETs meet, its residual and scale are rebuilt from them bit for bit
+    audit = kcl_residuals(net, sol)
+    sources = [el for el in net.elements if not isinstance(el, Mosfet)]
+    assert not {"C", "D", "OUT"} & {node for el in sources for node in (el.pos, el.neg)}
+    for node in ("C", "D", "OUT"):
+        res = scale = 0.0
+        for el in mosfets:
+            for terminal, i in ((el.d, evals[el.name].id), (el.s, -evals[el.name].id)):
+                if terminal == node:
+                    res += i
+                    scale += abs(i)
+        shunt = GMIN * v[node]
+        assert audit[node] == (res + shunt, scale + abs(shunt)), node
 
 
 def _companions(net, cmin):
@@ -656,7 +690,7 @@ def test_plan_matches_audit_and_finite_differences(build, dt, request):
         a = sys_.assemble(x, e, ieq, tie, x0)
         f = np.asarray(a.f)
         sol = Solution({"0": 0.0, **dict(zip(sys_.node_names, x.tolist()))},
-                       dict(zip(sys_.vsource_names, x[nn:].tolist())), (), 0)
+                       dict(zip(sys_.vsource_names, x[nn:].tolist())), 0)
         audit = kcl_residuals(net, sol)
         extra, extra_scale = ({}, {}) if dt is None else _companion_currents(
             net, sol.node_voltages, dt, cmin, ieq)
@@ -1138,7 +1172,7 @@ def test_linear_dc_solve_takes_the_bounded_point_unpolished(monkeypatch):
     sol = dc_solve(parse_netlist("vr\nV1 a 0 DC 1\nR1 a 0 1k\n.end\n"))
     assert counts == {"assemble": 2, "solve": 1}
     assert repr(sol) == ("Solution(node_voltages={'0': 0.0, 'a': 1.0}, "
-                         "branch_currents={'V1': -0.001000000001}, mosfets=(), iterations=2)")
+                         "branch_currents={'V1': -0.001000000001}, iterations=2)")
 
 
 def test_transient_step_returns_x_plus_dx_and_repeats_no_solve(monkeypatch, capacitance_net):

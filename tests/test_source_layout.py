@@ -62,3 +62,30 @@ def test_line_number_detector():
                      "class R:\n    def check(self):\n        raise NetlistError('x')\n"
                      "NetlistError('x', 2)\n")
     assert _line_number_sites(tree) == ["f", "g", "<module>"]
+
+
+def _names_imported_from(tree: ast.AST, module: str) -> list[str]:
+    """Names a module imports from the hystlab module ``module``, relatively or not."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                (node.level == 1 and node.module == module)
+                or (node.level == 0 and node.module == f"hystlab.{module}")):
+            found += [alias.name for alias in node.names]
+    return sorted(found)
+
+
+def test_solver_takes_only_the_stamping_kernel_from_devices():
+    # the solver stamps with the kernel; device evaluations at a solution
+    # (mos_eval, DeviceEval) belong to audit.device_evals
+    path = Path(hystlab.__file__).parent / "solver.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _names_imported_from(tree, "devices") == ["kfactor", "mos_kernel", "mos_sign"]
+
+
+def test_imported_names_detector():
+    tree = ast.parse("from .devices import mos_sign, kfactor\n"
+                     "from hystlab.devices import mos_eval\n"
+                     "from .netlist import Mosfet\n"
+                     "from ..devices import DeviceEval\n")
+    assert _names_imported_from(tree, "devices") == ["kfactor", "mos_eval", "mos_sign"]
