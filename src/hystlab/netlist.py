@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product
 
 from .devices import MosGeometry, MosModel, MosPolarity, NMOS_DEFAULT, PMOS_DEFAULT
@@ -243,7 +244,9 @@ class Netlist:
                 if card is not el.model and card != el.model:
                     raise NetlistError(f"model {el.model_name!r} names two different cards")
 
-    @property
+    # nodes and the name table are worked out on first read and kept in the
+    # instance __dict__, which ==, hash and repr (fields only) do not read
+    @cached_property
     def nodes(self) -> tuple[str, ...]:
         """Ground "0" first (if any element), then terminals in order of first use."""
         used = {"0": None} if self.elements else {}
@@ -258,12 +261,16 @@ class Netlist:
         return {el.model_name.lower(): el.model
                 for el in self.elements if isinstance(el, Mosfet)}
 
+    @cached_property
+    def _by_name(self) -> dict[str, Element]:
+        # names are unique case-insensitively (__post_init__)
+        return {el.name.upper(): el for el in self.elements}
+
     def find_element(self, name: str) -> Element:
-        want = name.upper()
-        for el in self.elements:
-            if el.name.upper() == want:
-                return el
-        raise NetlistError(f"no element named {name!r}")
+        el = self._by_name.get(name.upper())
+        if el is None:
+            raise NetlistError(f"no element named {name!r}")
+        return el
 
     def find_source(self, name: str) -> VSource | ISource:
         el = self.find_element(name)

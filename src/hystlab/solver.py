@@ -94,6 +94,7 @@ class _Assembled:
     jac: np.ndarray
     node_scale: list[float]
     branch_scale: list[float]
+    jac_finite: bool
 
 
 def _companion_g(farads: float, dt: float) -> float:
@@ -111,8 +112,12 @@ class Plan:
     Each stamp is a tuple of unknown indices and flat Jacobian slots into
     the Python lists that assemble() fills. Ground maps to the spare
     trailing unknown ``n_unknowns``, and every Jacobian entry in its row
-    or column to the spare trailing slot; assemble() drops both, so no
-    stamp branches on ground. Source values come from ``specs``, indexed
+    or column to the spare trailing slot; assemble() drops both. A MOSFET
+    whose source is ground stamps its drain row alone (residual, scale, gm
+    and gds), and a companion with an end at ground its other end alone;
+    every other stamp writes the spare row and slot rather than branch on
+    ground. The writes skipped went only to the spare, so every kept sum
+    keeps its bits. Source values come from ``specs``, indexed
     by ``source_slots[name]``. A plan never changes once compiled: sweep
     moves its source on its own copy of the values.
 
@@ -191,8 +196,9 @@ class Plan:
             elif isinstance(el, Mosfet):
                 d, g, s = ni[el.d], ni[el.g], ni[el.s]
                 m = el.model
-                mosfets.append((d, g, s, kfactor(m, el.geom), mos_sign(m), m.vto, m.lam,
-                                slot(d, g), slot(d, d), slot(d, s),
+                # s None marks a source at ground: its row and column are dropped
+                mosfets.append((d, g, None if s == n else s, kfactor(m, el.geom), mos_sign(m),
+                                m.vto, m.lam, slot(d, g), slot(d, d), slot(d, s),
                                 slot(s, g), slot(s, d), slot(s, s)))
                 if dt is not None:
                     if m.cgs > 0.0:
@@ -216,6 +222,10 @@ class Plan:
         self.caps = tuple((p, q, _companion_g(c, dt)) for (p, q), c in farads.items())
         for p, q, g in self.caps:
             conductance(p, q, g)
+        # assemble()'s companion stamps: each cap and its node end when the
+        # other is ground, None when both ends are nodes
+        self._companions = tuple((p, q, g, p if q == n else q if p == n else None)
+                                 for p, q, g in self.caps)
         self.diag = tuple(slot(i, i) for i in range(nn))
         for ii in self.diag:
             jac[ii] += OPTIONS.gmin_floor
@@ -261,8 +271,9 @@ class Plan:
         then the tie, are stamped onto a copy of it. A plan with no
         MOSFET, assembled without a tie, returns the compiled read-only
         ``jac`` itself, whose finiteness was checked once (``jac_finite``).
-        Only the Jacobian leaves as an ndarray, the input of the linear
-        solve.
+        Otherwise ``jac_finite`` is read off J's n x n list, the spare slot
+        dropped, before np.fromiter makes the array (_finite). Only the
+        Jacobian leaves as an ndarray, the input of the linear solve.
         """
         n = self.n_unknowns
         xl = [*x, 0.0]
@@ -299,6 +310,13 @@ class Plan:
 
         jac = self._jac_list.copy() if self.mosfets or tie else None
         for d, g, s, k, sign, vto, lam, dg, dd, ds, sg, sd, ss in self.mosfets:
+            if s is None:  # source at ground: x - 0.0 is x, bit for bit
+                i, gm, gds = mos_kernel(k, sign, vto, lam, xl[g], xl[d])
+                f[d] += i
+                jac[dg] += gm
+                jac[dd] += gds
+                sc[d] += abs(i)
+                continue
             vs = xl[s]
             i, gm, gds = mos_kernel(k, sign, vto, lam, xl[g] - vs, xl[d] - vs)
             f[d] += i
@@ -313,14 +331,21 @@ class Plan:
             sc[d] += i
             sc[s] += i
 
-        for (p, q, g), c in zip(self.caps, ieq):
+        for (p, q, g, end), c in zip(self._companions, ieq):
             gv = g * (xl[p] - xl[q])
             i = gv + c
-            f[p] += i
-            f[q] -= i
-            i = abs(gv) + abs(c)
-            sc[p] += i
-            sc[q] += i
+            s = abs(gv) + abs(c)
+            if end is None:
+                f[p] += i
+                f[q] -= i
+                sc[p] += s
+                sc[q] += s
+            elif end == p:
+                f[p] += i
+                sc[p] += s
+            else:
+                f[q] -= i
+                sc[q] += s
 
         # SPICE-style shunt on every node keeps floating gates solvable
         gmin = OPTIONS.gmin_floor
@@ -338,9 +363,10 @@ class Plan:
         f.pop()
         nn = self.n_nodes
         if jac is None:
-            return _Assembled(f, self.jac, sc[:nn], sc[nn:n])
+            return _Assembled(f, self.jac, sc[:nn], sc[nn:n], self.jac_finite)
         jac.pop()
-        return _Assembled(f, np.array(jac).reshape(n, n), sc[:nn], sc[nn:n])
+        return _Assembled(f, np.fromiter(jac, float, n * n).reshape(n, n),
+                          sc[:nn], sc[nn:n], _finite(jac))
 
     def ieq_from(self, x: list[float], i: list[float]) -> list[float]:
         """Equivalent currents -g*v - i of a step on this plan from x,
@@ -473,13 +499,15 @@ class Plan:
         from the last accepted x. The gate keeps settled plateaus, where
         the trapezoidal companions ring with period 2 (ieq alternates while
         v holds), from extrapolating that ringing. Without MOSFETs every
-        step starts from the last accepted x, its prediction serving only
-        its error: a predicted start would pass the step bound unsolved
-        (see _newton).
+        step starts from the last accepted x, its prediction, of the node
+        voltages alone, serving only its error: a predicted start would
+        pass the step bound unsolved (see _newton).
         """
         nn, dt = self.n_nodes, self.dt
         vntol, reltol = OPTIONS.vntol, OPTIONS.reltol
         predict = bool(self.mosfets)
+        # a prediction that only gives the error needs only the node voltages
+        width = None if predict else nn
         x = self.vector_from_guess(start.node_voltages)
         x[nn:] = [start.branch_currents[name] for name in self.vsource_names]
         rows = array("d", x[:nn])
@@ -506,7 +534,7 @@ class Plan:
                 t = (k + m) * dt
                 e = plan.source_values(t)
                 ieq = nxt if m == m_last else plan.ieq_from(x, i)
-                p = _extrapolate(fit, k + m) if len(fit) == 3 else None
+                p = _extrapolate(fit, k + m, width) if len(fit) == 3 else None
                 x_new, a, _, status = _newton(
                     plan, p if moving > 1 and p is not None else x, e=e, ieq=ieq)
                 lte = inf
@@ -560,15 +588,17 @@ def _weights(t0: int, t1: int, t2: int, t: int) -> tuple[float, float, float]:
             ((t - t0) * (t - t1)) / ((t2 - t0) * (t2 - t1)))
 
 
-def _extrapolate(fit: list[tuple[int, list[float]]], k: int) -> list[float]:
-    """Every unknown at k of the quadratic through the three (k, x) of
-    ``fit``, at their actual spacing: w0*x0 + w1*x1 + w2*x2 summed left to
-    right, the weights from _weights with times counted from the last point.
-    Plan.steps' predicted step end, for its error and a moving MOSFET
-    step's start, and Plan.sweep's start with points keyed by index."""
+def _extrapolate(fit: list[tuple[int, list[float]]], k: int,
+                 n: int | None = None) -> list[float]:
+    """The first n unknowns, every one when n is None, at k of the
+    quadratic through the three (k, x) of ``fit``, at their actual
+    spacing: w0*x0 + w1*x1 + w2*x2 summed left to right, the weights from
+    _weights with times counted from the last point. Plan.steps' predicted
+    step end, for its error and a moving MOSFET step's start, and
+    Plan.sweep's start with points keyed by index."""
     (k0, x0), (k1, x1), (k2, x2) = fit
     w0, w1, w2 = _weights(k0 - k2, k1 - k2, 0, k - k2)
-    return [w0 * p + w1 * q + w2 * r for p, q, r in zip(x0, x1, x2)]
+    return [w0 * p + w1 * q + w2 * r for p, q, r in zip(x0[:n], x1, x2)]
 
 
 def _fill_long_steps(out: np.ndarray, long_steps: dict[tuple[int, int], array]) -> None:
@@ -603,6 +633,12 @@ def _same_bits(a: list[float], b: list[float]) -> bool:
     one caller.
     """
     return a == b and array("d", a).tobytes() == array("d", b).tobytes()
+
+
+def _finite(values: list[float]) -> bool:
+    """Every value is finite: one sum, which a NaN or an infinity makes
+    non-finite, then value by value only when finite values overflow it."""
+    return isfinite(sum(values)) or all(map(isfinite, values))
 
 
 def _residual_ok(plan: Plan, a: _Assembled) -> bool:
@@ -668,9 +704,11 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     a list of Python floats; the Jacobian is the only array, the input of
     _solve. Run it inside _lapack_errors(), as dc_solve and Plan.steps do,
     so that a singular J reads "singular".
-    Each iteration checks f and J for finiteness, except a linear run's J
-    (no MOSFET, no tie): that is the plan's compiled ``jac``, checked once
-    when the plan was compiled (see Plan.assemble).
+    Each iteration checks f, J and dx for finiteness, each by one sum and,
+    only when that sum is not finite, entry by entry (_finite), so finite
+    entries whose sum overflows do not read "nonfinite". J's check comes
+    with its assembly (Plan.assemble); a linear run's J, with no MOSFET and
+    no tie, is the plan's compiled ``jac``, checked once at compile time.
 
     A run converges at an iterate x whose residual passes _residual_ok
     and whose Newton step dx is within vntol + reltol*|x|. It is accepted
@@ -720,8 +758,6 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     nn = plan.n_nodes
     clamp, vntol, reltol = OPTIONS.dv_clamp, OPTIONS.vntol, OPTIONS.reltol
     linear = not (plan.mosfets or g)
-    # a linear run's J is the compiled plan.jac, whose finiteness is known
-    jac_checked = linear and plan.jac_finite
     max_iters = _PTC_STEP_ITERS if g else OPTIONS.max_newton_iters
     # the stall test watches plain MOSFET runs only (see the docstring)
     watch = not (linear or g)
@@ -730,7 +766,7 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     while iters < max_iters:
         iters += 1
         a = plan.assemble(x, e, ieq, g, x0)
-        if not (all(map(isfinite, a.f)) and (jac_checked or np.isfinite(a.jac).all())):
+        if not (a.jac_finite and _finite(a.f)):
             return x, a, iters, "nonfinite"
         if linear:
             bound = 4.0 * plan.inverse_norm * max(map(abs, a.f), default=0.0)
@@ -741,7 +777,7 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
             dx = _solve(a.jac, [-v for v in a.f])
         except np.linalg.LinAlgError:
             return x, a, iters, "singular"
-        if not all(map(isfinite, dx)):
+        if not _finite(dx):
             return x, a, iters, "nonfinite"
         longest = max(map(abs, dx[:nn]), default=0.0)
         if longest > clamp and not g:

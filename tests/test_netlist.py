@@ -280,6 +280,21 @@ def test_hand_built_netlist_has_parsed_nodes():
     assert Netlist("t", ()).nodes == parse_netlist("t\n.end\n").nodes == ()
 
 
+def test_derived_tables_are_computed_once_per_netlist():
+    net = parse_netlist(DIVIDER)
+    assert net.nodes is net.nodes
+    assert net.find_element("r1") is net.find_element("R1") is net.elements[1]
+    with pytest.raises(NetlistError, match="no element named 'R9'"):
+        net.find_element("R9")
+    # the kept tables are no field: ==, hash and repr read the fields alone
+    fresh = parse_netlist(DIVIDER)
+    assert net == fresh and hash(net) == hash(fresh) and repr(net) == repr(fresh)
+    copy = net.replaced_source("V1", DcSpec(5.0))
+    assert copy.nodes == net.nodes and copy.nodes is not net.nodes
+    assert copy.find_element("v1").spec == DcSpec(5.0)
+    assert net.find_element("v1").spec == DcSpec(3.0)
+
+
 @pytest.mark.parametrize("make", [
     lambda: Resistor("R1", "a", "0", 0.0),
     lambda: Resistor("R1", "a", "0", math.nan),

@@ -1,12 +1,14 @@
 """DC solver checks: linear exactness, nonlinear roots against bisection,
 the pseudo-transient fallback, warm starts and the independent KCL audit."""
 
+from array import array
 import dataclasses
 import random
 import sys
 import warnings
 from contextlib import contextmanager
 from fractions import Fraction
+from math import isfinite
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from hystlab import (
 )
 from hystlab import solver as solver_module
 from hystlab.audit import kcl_residuals, verify_kcl
+from hystlab.devices import kfactor, mos_kernel, mos_sign
 from hystlab.solver import Plan, Solution
 
 GMIN = 1e-12
@@ -794,6 +797,177 @@ def test_mosfet_plan_assembles_a_fresh_writable_jacobian():
     assert first is not plan.jac and second is not plan.jac
     assert first.flags.writeable and second.flags.writeable
     assert not np.array_equal(first, second)
+
+
+def _spare_row_assembly(net, dt, x, e, ieq, tie, x0):
+    """f, node scales, branch scales and J at x, every element stamped as
+    if ground were one more unknown: both ends of every resistor, source,
+    MOSFET and companion, ground's onto a spare trailing row and column
+    that are dropped at the end. f and the scales sum resistors, current
+    sources, voltage sources, MOSFETs, companions, gmin, then the tie; J
+    is the constant part (_constant_jacobian), then the MOSFETs, then the
+    tie. ``e`` holds the source values in element order."""
+    nodes = [n for n in net.nodes if n != "0"]
+    vsrcs = [el for el in net.elements if type(el).__name__ == "VSource"]
+    nn, n = len(nodes), len(nodes) + len(vsrcs)
+    index = {name: i for i, name in enumerate(nodes)} | {"0": n}
+    value = dict(zip([el.name for el in net.elements
+                      if type(el).__name__ in ("ISource", "VSource")], e))
+    xl = [*x, 0.0]
+    f, sc = [0.0] * (n + 1), [0.0] * (n + 1)
+    jac = np.zeros((n + 1, n + 1))
+    jac[:n, :n] = _constant_jacobian(net, dt)
+
+    def stamp(p, q, i, scale):
+        f[p] += i
+        f[q] -= i
+        sc[p] += scale
+        sc[q] += scale
+
+    def of_kind(kind):
+        return [el for el in net.elements if type(el).__name__ == kind]
+
+    for el in of_kind("Resistor"):
+        p, q = index[el.pos], index[el.neg]
+        i = 1.0 / el.ohms * (xl[p] - xl[q])
+        stamp(p, q, i, abs(i))
+    for el in of_kind("ISource"):
+        stamp(index[el.pos], index[el.neg], value[el.name], abs(value[el.name]))
+    for b, el in enumerate(vsrcs, start=nn):
+        p, q = index[el.pos], index[el.neg]
+        stamp(p, q, xl[b], abs(xl[b]))
+        f[b] = (xl[p] - xl[q]) - value[el.name]
+        sc[b] = abs(xl[p]) + abs(xl[q]) + abs(value[el.name])
+    for el in of_kind("Mosfet"):
+        d, g, s, m = index[el.d], index[el.g], index[el.s], el.model
+        i, gm, gds = mos_kernel(kfactor(m, el.geom), mos_sign(m), m.vto, m.lam,
+                                xl[g] - xl[s], xl[d] - xl[s])
+        stamp(d, s, i, abs(i))
+        jac[d, g] += gm
+        jac[d, d] += gds
+        jac[d, s] -= gm + gds
+        jac[s, g] -= gm
+        jac[s, d] -= gds
+        jac[s, s] += gm + gds
+    if dt is not None:
+        for (pos, neg, c), q in zip(_companions(net, 1e-15), ieq, strict=True):
+            p, r = index[pos], index[neg]
+            gv = 2.0 * c / dt * (xl[p] - xl[r])
+            stamp(p, r, gv + q, abs(gv) + abs(q))
+    for i in range(nn):
+        gx = GMIN * xl[i]
+        f[i] += gx
+        sc[i] += abs(gx)
+    if tie:
+        for i in range(nn):
+            gx = tie * (xl[i] - x0[i])
+            f[i] += gx
+            jac[i, i] += tie
+            sc[i] += abs(gx)
+    return f[:n], sc[:nn], sc[nn:n], np.ascontiguousarray(jac[:n, :n])
+
+
+# a capacitor written ground-first, so that its companion's ground end is
+# p, and a MOSFET whose source is not ground
+GROUND_FIRST = """ground-first capacitor
+V1 vdd 0 DC 3
+R1 vdd a 10k
+C1 0 a 2p
+M1 a a 0 0 nch W=2u L=1u
+R2 a b 1k
+M2 b a vdd vdd pch W=2u L=1u
+C2 b 0 1p
+.model nch NMOS (KP=120u VTO=0.5 LAMBDA=0.02 CGS=5f CGD=5f)
+.model pch PMOS (KP=60u VTO=-0.5 LAMBDA=0.05 CGS=5f)
+.end
+"""
+
+
+@pytest.mark.parametrize("build,dt", [("stock", None), ("capacitance", 1e-9),
+                                      ("floating", 1e-9), ("ground-first", 1e-9)])
+def test_assemble_matches_spare_row_stamping_bit_for_bit(build, dt, request):
+    # the plan skips the ground row where a MOSFET's source or a companion's
+    # end is ground; every other sum must keep its bits
+    net = {"stock": lambda: build_comparator(ComparatorConfig()),
+           "capacitance": lambda: request.getfixturevalue("capacitance_net"),
+           "floating": lambda: parse_netlist(FLOATING),
+           "ground-first": lambda: parse_netlist(GROUND_FIRST)}[build]()
+    plan = Plan(net, dt=dt)
+    nn, n = plan.n_nodes, plan.n_unknowns
+    if build == "ground-first":
+        assert (n, 1, 2.0 * (2e-12 + 5e-15 + 1e-15) / dt) in plan.caps  # C1, M1's cgs, CMIN
+    e = plan.source_values(0.0)
+    rng = np.random.default_rng(41)
+    ieq = rng.uniform(-1e-6, 1e-6, len(plan.caps)).tolist()
+    x0 = rng.uniform(-0.5, 3.5, nn).tolist()
+    for tie in (0.0, 1e-3):
+        for _ in range(3):
+            x = [*rng.uniform(-0.5, 3.5, nn), *rng.uniform(-1e-4, 1e-4, n - nn)]
+            a = plan.assemble(x, e, ieq, tie, x0)
+            f, node_scale, branch_scale, jac = _spare_row_assembly(net, dt, x, e, ieq, tie, x0)
+            assert array("d", a.f).tobytes() == array("d", f).tobytes()
+            assert array("d", a.node_scale).tobytes() == array("d", node_scale).tobytes()
+            assert array("d", a.branch_scale).tobytes() == array("d", branch_scale).tobytes()
+            assert a.jac.tobytes() == jac.tobytes()
+
+
+# two nodes tied to ground by 1e-308 ohm (1e308 S each: J's entries are
+# finite, their sum is not), and an open capacitor whose two nodes only
+# gmin holds in DC, where a guess of 1e308 V asks for steps of about -1e308
+OVERFLOWING = """overflowing sums
+V1 vdd 0 DC 3
+R1 a 0 1e-308
+R2 b 0 1e-308
+M1 vdd vdd a 0 nch W=1u L=1u
+C1 c d 1p
+.model nch NMOS (KP=120u VTO=0.5)
+.end
+"""
+
+
+def test_finite_reads_each_entry_when_the_sum_overflows():
+    finite = solver_module._finite
+    assert finite([]) and finite([1.0, -2.0])
+    assert finite([1e308, 1e308]) and finite([-1e308, -1e308, 1e308])
+    assert not finite([1e308, 1e308, float("nan")])
+    assert not finite([1.0, float("inf")]) and not finite([float("-inf"), float("inf")])
+
+
+def test_overflowing_sums_of_finite_entries_do_not_read_nonfinite(monkeypatch):
+    plan = Plan(parse_netlist(OVERFLOWING))
+    e = plan.source_values(0.0)
+    a, b, c, d = (plan.index[name] for name in "abcd")
+    solved = []
+
+    def spy(jac, rhs):
+        dx = solve(jac, rhs)
+        solved.append((jac.ravel().tolist(), rhs, dx))
+        return dx
+
+    solve = solver_module._solve
+    monkeypatch.setattr(solver_module, "_solve", spy)
+    x0 = [0.0] * plan.n_unknowns
+    x0[a] = x0[b] = 1.5
+    x0[c] = x0[d] = 1e308
+    assert plan.assemble(x0, e).jac_finite
+    with solver_module._lapack_errors():
+        _, _, iters, status = solver_module._newton(plan, x0, e=e)
+    assert status == "maxiter" and iters == 100
+    # the first iteration met all three overflowing sums and read on
+    jac, rhs, dx = solved[0]
+    for values in (jac, rhs, dx):
+        assert all(map(isfinite, values)) and not isfinite(sum(values))
+
+    # a non-finite entry still ends the run at once
+    for i, v in ((a, 2.0), (c, float("nan"))):  # f[a] = 2e308 overflows; NaN
+        x = list(x0)
+        x[i] = v
+        with solver_module._lapack_errors():
+            assert solver_module._newton(plan, x, e=e)[2:] == (1, "nonfinite")
+    x = list(x0)
+    x[plan.index["vdd"]] = float("nan")  # M1's gate and drain: NaN in J
+    assembled = plan.assemble(x, e)
+    assert not assembled.jac_finite and not np.isfinite(assembled.jac).all()
 
 
 def test_warm_solve_past_fold_rescued_by_pseudo_transient(monkeypatch):
