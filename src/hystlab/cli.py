@@ -142,9 +142,14 @@ def _output(args):
         yield sys.stdout
 
 
-def _emit(args, text: str):
+def _emit(args, lines: list[str]):
     with _output(args) as out:
-        out.write(text)
+        out.write("\n".join(lines) + "\n")
+
+
+def _values(**values) -> list[str]:
+    """The key=value machine lines, in order, each value as repr spells it."""
+    return [f"{name}={value!r}" for name, value in values.items()]
 
 
 def _cmd_op(args) -> int:
@@ -165,8 +170,7 @@ def _cmd_op(args) -> int:
         for name, ev in evals.items():
             lines.append(f"  {name:<6} {ev.region.value:<10} {ev.id:>14.6e} "
                          f"{ev.gm:>14.6e} {ev.gds:>14.6e}")
-    lines.append(f"iterations={sol.iterations}")
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, lines + _values(iterations=sol.iterations))
     return 0
 
 
@@ -202,18 +206,14 @@ def _cmd_hyst(args) -> int:
         resolution = max(1e-9, args.step / 100.0)
     rep = hysteresis_walk(net, args.source, -args.span, args.span, args.step,
                           args.node, args.threshold, resolution)
-    lines = [
+    _emit(args, [
         f"hysteresis of {args.node} against {args.threshold:g} V "
         f"({args.source} swept +/-{args.span:g} A):",
         f"  up transition   {rep.i_t1 * 1e6:.6f} uA",
         f"  down transition {rep.i_t2 * 1e6:.6f} uA",
         f"  width           {rep.i_hy * 1e6:.6f} uA",
-        f"i_t1={rep.i_t1!r}",
-        f"i_t2={rep.i_t2!r}",
-        f"i_hy={rep.i_hy!r}",
-        f"resolution={rep.resolution!r}",
-    ]
-    _emit(args, "\n".join(lines) + "\n")
+        *_values(i_t1=rep.i_t1, i_t2=rep.i_t2, i_hy=rep.i_hy, resolution=rep.resolution),
+    ])
     return 0
 
 
@@ -234,23 +234,20 @@ def _cmd_delay(args) -> int:
     times = wave.times()
     rep = measure_delay(times, source_trace(net, args.source, times),
                         wave.node(args.node), args.vdd)
-    lines = [
+    _emit(args, [
         f"propagation delay of {args.node} (+/-{args.amp:g} A square wave, "
         f"period {period:g} s):",
         f"  low-to-high {rep.t_plh * 1e9:.6f} ns",
         f"  high-to-low {rep.t_phl * 1e9:.6f} ns",
         f"  average     {rep.average * 1e9:.6f} ns",
-        f"t_plh={rep.t_plh!r}",
-        f"t_phl={rep.t_phl!r}",
-        f"average={rep.average!r}",
-    ]
-    _emit(args, "\n".join(lines) + "\n")
+        *_values(t_plh=rep.t_plh, t_phl=rep.t_phl, average=rep.average),
+    ])
     return 0
 
 
 def _cmd_gen(args) -> int:
     cfg = ComparatorConfig(variant=ComparatorVariant(args.variant))
-    _emit(args, build_comparator(cfg).to_text())
+    _emit(args, build_comparator(cfg).to_text().splitlines())
     return 0
 
 
@@ -269,18 +266,8 @@ def _cmd_analytic(args) -> int:
     p_prime = current_ratio(args.vc, args.vd, args.vth, k_ratio,
                             RatioDirection.HIGH_TO_LOW)
     tr = transition_currents(args.iref, args.id1, args.id2, p, p_prime)
-    lines = [
-        f"sq_c={sq_c!r}",
-        f"sq_d={sq_d!r}",
-        f"p={p!r}",
-        f"p_prime={p_prime!r}",
-        f"i_a={tr.i_a!r}",
-        f"i_b={tr.i_b!r}",
-        f"i_t1={tr.i_t1!r}",
-        f"i_t2={tr.i_t2!r}",
-        f"i_hy={tr.i_hy!r}",
-    ]
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, _values(sq_c=sq_c, sq_d=sq_d, p=p, p_prime=p_prime, i_a=tr.i_a,
+                        i_b=tr.i_b, i_t1=tr.i_t1, i_t2=tr.i_t2, i_hy=tr.i_hy))
     return 0
 
 

@@ -6,8 +6,8 @@ it. A plain Newton run is damped by a per-node voltage clamp, a
 pseudo-transient step by its own tie, and a converged run returns its
 last solved step. A plain Newton run on a circuit with MOSFETs ends
 early, "stalled", once its steps stop contracting or it cycles through
-the clamp (see _newton). A failed warm-started Newton run falls back to
-a second guess when one is given, then to a cold restart; when plain
+the clamp (see _newton). Plain Newton runs from each guess with a
+nonzero entry, then from zero (the cold restart); when plain
 Newton fails from every start, pseudo-transient continuation integrates
 from zero to the steady state (Kelley & Keyes, SIAM J. Numer. Anal. 35,
 1998).
@@ -28,6 +28,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import islice
 from math import inf, isfinite
 from operator import add
 
@@ -78,7 +79,7 @@ _EVEN_STEPS = 1e-6
 # _MAX_STRETCH * dt (Plan.steps)
 _LTE_TOL = 1e-4
 _MAX_STRETCH = 16
-_FILL_BLOCK = 128  # long steps whose rows _fill_long_steps fills at a time
+_FILL_BLOCK = 2048  # rows inside long steps that _transient_rows fills at a time
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,7 @@ class Solution:
 class _Assembled:
     f: list[float]
     jac: np.ndarray
-    node_scale: list[float]
-    branch_scale: list[float]
+    scale: list[float]  # each row's convergence scale: node rows, then branch rows
     jac_finite: bool
 
 
@@ -127,10 +127,12 @@ class Plan:
     (capacitors and MOSFET caps as the netlist lists them, then CMIN),
     pairs stay in the order and orientation in which they first appear,
     and a pair whose two ends are one node, such as a diode-connected
-    gate-drain cap, carries no current and is dropped. Each companion's
-    conductance 2C/dt is fixed here; only the equivalent current ``ieq``
-    changes from step to step. A step of another length runs on a plan
-    compiled at that length from ``netlist`` (see steps).
+    gate-drain cap, carries no current and is dropped. ``caps`` holds one
+    (p, q, g, end) per companion: its nodes, its conductance g = 2C/dt,
+    fixed here, and the node end when the other end is ground, None when
+    both ends are nodes. Only the equivalent current ``ieq`` changes from
+    step to step. A step of another length runs on a plan compiled at that
+    length from ``netlist`` (see steps).
 
     Summation order. The constant J is compiled here into the read-only
     ``jac``: resistors, voltage sources, companions, then gmin. Per
@@ -219,13 +221,10 @@ class Plan:
         self.isources = tuple(isources)
         self.vsources = tuple(vsources)
         self.mosfets = tuple(mosfets)
-        self.caps = tuple((p, q, _companion_g(c, dt)) for (p, q), c in farads.items())
-        for p, q, g in self.caps:
+        self.caps = tuple((p, q, _companion_g(c, dt), p if q == n else q if p == n else None)
+                          for (p, q), c in farads.items())
+        for p, q, g, _ in self.caps:
             conductance(p, q, g)
-        # assemble()'s companion stamps: each cap and its node end when the
-        # other is ground, None when both ends are nodes
-        self._companions = tuple((p, q, g, p if q == n else q if p == n else None)
-                                 for p, q, g in self.caps)
         self.diag = tuple(slot(i, i) for i in range(nn))
         for ii in self.diag:
             jac[ii] += OPTIONS.gmin_floor
@@ -331,7 +330,7 @@ class Plan:
             sc[d] += i
             sc[s] += i
 
-        for (p, q, g, end), c in zip(self._companions, ieq):
+        for (p, q, g, end), c in zip(self.caps, ieq):
             gv = g * (xl[p] - xl[q])
             i = gv + c
             s = abs(gv) + abs(c)
@@ -361,18 +360,17 @@ class Plan:
                 sc[i] += abs(gx)
 
         f.pop()
-        nn = self.n_nodes
+        sc.pop()
         if jac is None:
-            return _Assembled(f, self.jac, sc[:nn], sc[nn:n], self.jac_finite)
+            return _Assembled(f, self.jac, sc, self.jac_finite)
         jac.pop()
-        return _Assembled(f, np.fromiter(jac, float, n * n).reshape(n, n),
-                          sc[:nn], sc[nn:n], _finite(jac))
+        return _Assembled(f, np.fromiter(jac, float, n * n).reshape(n, n), sc, _finite(jac))
 
     def ieq_from(self, x: list[float], i: list[float]) -> list[float]:
         """Equivalent currents -g*v - i of a step on this plan from x,
         where each companion's capacitor carries the current in ``i``."""
         xl = [*x, 0.0]
-        return [-(g * (xl[p] - xl[q])) - c for (p, q, g), c in zip(self.caps, i)]
+        return [-(g * (xl[p] - xl[q])) - c for (p, q, g, _), c in zip(self.caps, i)]
 
     def advance(self, x: list[float], ieq: list[float]) -> tuple[list[float], list[float]]:
         """(i, next ieq) at x, the end of a step whose equivalent currents
@@ -381,7 +379,7 @@ class Plan:
         the same bits as ieq_from(x, i)."""
         xl = [*x, 0.0]
         i, nxt = [], []
-        for (p, q, g), c in zip(self.caps, ieq):
+        for (p, q, g, _), c in zip(self.caps, ieq):
             gv = g * (xl[p] - xl[q])
             ic = gv + c
             i.append(ic)
@@ -485,10 +483,10 @@ class Plan:
         inside a longer step comes from the quadratic through the step's
         end, its start and the accepted point before its start, all three
         past the last corner, so a node tied to a source reads that
-        source's straight line. The loop only records each such step's
-        start under its shape (distance back to that point, length);
-        _fill_long_steps fills the rows after the loop, with the same bits
-        as that sum in Python floats.
+        source's straight line. The loop appends each accepted point, its
+        k and its node voltages, to one record, and _transient_rows builds
+        every row from that record after the loop, with the same bits as
+        that sum in Python floats.
 
         Prediction, with MOSFETs only. While each of the last two steps
         moved some node by more than vntol + reltol*|x|, x its new
@@ -510,7 +508,8 @@ class Plan:
         width = None if predict else nn
         x = self.vector_from_guess(start.node_voltages)
         x[nn:] = [start.branch_currents[name] for name in self.vsource_names]
-        rows = array("d", x[:nn])
+        # k, then the node voltages, of each accepted point in turn
+        record = array("d", [0, *x[:nn]])
         plans = {1: self}
         # the capacitor currents at x, none at the DC point, and the companion
         # currents of a next step as long as the last one, m_last*dt
@@ -519,9 +518,6 @@ class Plan:
         fit = [(0, x)]
         # the last steps in a row that moved, when predicting
         moving = 0
-        # the start k of each accepted step longer than dt, by its shape
-        # (a, m): a = k - kp back to the accepted point kp before k, m its length
-        long_steps: dict[tuple[int, int], array] = {}
         k, m = 0, 1
         corner = self._corner_after(0.0)
         with _lapack_errors():
@@ -552,10 +548,8 @@ class Plan:
                     raise _convergence_error(
                         plan, a, f"transient step failed at t={t:.6g} s ({status})",
                         f"transient t={t:.6g}")
-                if m > 1:
-                    long_steps.setdefault((k - fit[-2][0], m), array("q")).append(k)
-                    rows.frombytes(bytes(8 * nn * (m - 1)))  # rows k+1 .. k+m-1, filled below
-                rows.extend(x_new[:nn])
+                record.append(k + m)
+                record.extend(x_new[:nn])
                 if predict:
                     moving = moving + 1 if any(
                         abs(v - u) > vntol + reltol * abs(v)
@@ -569,9 +563,7 @@ class Plan:
                     fit = [*fit[-2:], (k, x)]
                     if lte < _LTE_TOL / 8.0:
                         m = min(2 * m, _MAX_STRETCH)
-        out = np.frombuffer(rows).reshape(n_steps + 1, nn)
-        _fill_long_steps(out, long_steps)
-        return out
+        return _transient_rows(record, nn)
 
     def _corner_after(self, t: float) -> float:
         return min((spec.corner_after(t) for spec in self.specs), default=inf)
@@ -582,7 +574,8 @@ def _weights(t0: int, t1: int, t2: int, t: int) -> tuple[float, float, float]:
     """The weights of the points at integer times t0, t1 and t2 in the
     quadratic through them, evaluated at t (Lagrange). Each is an exact
     integer ratio rounded once. Callers pass times relative to one of the
-    points, each within a few _MAX_STRETCH of it, so the cache stays small."""
+    points, each within a few _MAX_STRETCH of it, so the cache stays small;
+    _transient_rows runs the rule uncached (__wrapped__) on integer arrays."""
     return (((t - t1) * (t - t2)) / ((t0 - t1) * (t0 - t2)),
             ((t - t0) * (t - t2)) / ((t1 - t0) * (t1 - t2)),
             ((t - t0) * (t - t1)) / ((t2 - t0) * (t2 - t1)))
@@ -601,38 +594,33 @@ def _extrapolate(fit: list[tuple[int, list[float]]], k: int,
     return [w0 * p + w1 * q + w2 * r for p, q, r in zip(x0[:n], x1, x2)]
 
 
-def _fill_long_steps(out: np.ndarray, long_steps: dict[tuple[int, int], array]) -> None:
-    """Rows k+1 .. k+m-1 of ``out`` for each k of each shape (a, m) in
-    ``long_steps``: the quadratic through rows k-a, k and k+m, summed as
-    (w0*u + w1*v) + w2*w with the weights _weights(-a, 0, m, j). Each
-    ufunc rounds as a Python float does, so a row has the bits of that
-    sum in Python floats. Steps are filled _FILL_BLOCK at a time, which
-    keeps the temporaries small on a long run."""
-    if not out.shape[1]:
-        return  # no node: the rows are empty
-    # each row as one opaque element, so that one scatter moves whole rows
-    row = np.dtype((np.void, out.itemsize * out.shape[1]))
-    rows = out.view(row)[:, 0]
-    for (a, m), starts in long_steps.items():
-        w = np.array([_weights(-a, 0, m, j) for j in range(1, m)]).T[:, :, None, None]
-        inside = np.arange(1, m)[:, None]
-        for b in range(0, len(starts), _FILL_BLOCK):
-            k = np.array(starts[b:b + _FILL_BLOCK])
-            fill = w[0] * out.take(k - a, axis=0)  # (m-1, steps, nodes)
-            fill += w[1] * out.take(k, axis=0)
-            fill += w[2] * out.take(k + m, axis=0)
-            rows[k + inside] = fill.view(row)[..., 0]
-
-
-def _same_bits(a: list[float], b: list[float]) -> bool:
-    """a and b hold the same float64 bits: -0.0 differs from 0.0.
-
-    == is the cheap first test. Floats that compare equal differ in bits
-    only as -0.0 and 0.0 do, which the bytes then tell apart. (A NaN can
-    fail == though its bits match.) _dc_point's zero-start check is the
-    one caller.
-    """
-    return a == b and array("d", a).tobytes() == array("d", b).tobytes()
+def _transient_rows(record: array, nn: int) -> np.ndarray:
+    """Plan.steps' rows at each k*dt from its ``record``: each accepted
+    point's k, then its nn node voltages, in order. An accepted point's
+    row is its node voltages. A row k+j inside a long step from k to k+m
+    is the quadratic through rows k-a, k and k+m, k-a the accepted point
+    before k (a long step's error needs two before it), summed as
+    (w0*u + w1*v) + w2*w with the weights of _weights(-a, 0, m, j). Those
+    weights come from its rule run on integer arrays, the same exact
+    ratios rounded once, and each ufunc rounds as a Python float does, so
+    a row has the bits of that sum in Python floats. _FILL_BLOCK rows are
+    filled at a time, which keeps the temporaries small on a long run."""
+    points = np.frombuffer(record).reshape(-1, nn + 1)
+    ks = points[:, 0].astype(np.intp)
+    out = np.empty((ks[-1] + 1, nn))
+    out[ks] = points[:, 1:]
+    accepted = np.zeros(len(out), bool)
+    accepted[ks] = True
+    inside = np.flatnonzero(~accepted)
+    # the record index of the accepted point that starts each inside row's step
+    start = np.repeat(np.arange(len(ks) - 1), np.diff(ks) - 1)
+    for b in range(0, len(inside), _FILL_BLOCK):
+        r, s = inside[b:b + _FILL_BLOCK], start[b:b + _FILL_BLOCK]
+        kp, k, kn = ks.take(s - 1), ks.take(s), ks.take(s + 1)
+        w0, w1, w2 = (w[:, None] for w in _weights.__wrapped__(kp - k, 0, kn - k, r - k))
+        out[r] = ((w0 * out.take(kp, axis=0) + w1 * out.take(k, axis=0))
+                  + w2 * out.take(kn, axis=0))
+    return out
 
 
 def _finite(values: list[float]) -> bool:
@@ -643,11 +631,12 @@ def _finite(values: list[float]) -> bool:
 
 def _residual_ok(plan: Plan, a: _Assembled) -> bool:
     abstol, reltol, vntol = OPTIONS.abstol, OPTIONS.reltol, OPTIONS.vntol
-    f = a.f
-    for fi, s in zip(f, a.node_scale):
+    nn = plan.n_nodes
+    f, scale = a.f, iter(a.scale)
+    for fi, s in zip(f, islice(scale, nn)):
         if abs(fi) > abstol + reltol * s:
             return False
-    for fi, s in zip(f[plan.n_nodes:], a.branch_scale):
+    for fi, s in zip(f[nn:], scale):
         if abs(fi) > vntol + reltol * s:
             return False
     return True
@@ -829,7 +818,8 @@ def _convergence_error(plan: Plan, a: _Assembled, what: str, stage: str):
 
 def _dc_point(plan: Plan, e: list[float], starts: tuple[list[float], ...]):
     """dc_solve's stages at source values ``e``: plain Newton from each of
-    ``starts`` in turn, then from zero, then pseudo-transient continuation.
+    ``starts`` that has a nonzero entry, in order, then from zero (the
+    cold start), then pseudo-transient continuation.
 
     Returns (x, iterations) from the first stage that converges. Raises
     SingularMatrixError when the first pseudo-transient step's J is
@@ -841,10 +831,8 @@ def _dc_point(plan: Plan, e: list[float], starts: tuple[list[float], ...]):
     total = 0
     # a stale guess can strand Newton on a branch of the solution set that
     # no longer exists; from zero it lands on a surviving one. A start of
-    # zero (bit for bit) is that cold run already, so it runs once.
-    if not any(_same_bits(x0, zero) for x0 in starts):
-        starts = (*starts, zero)
-    for start in starts:
+    # zeros of either sign is that cold run, so it runs once, last.
+    for start in (*filter(any, starts), zero):
         x, a, iters, status = _newton(plan, start, e=e)
         total += iters
         if status == "ok":
@@ -886,13 +874,13 @@ def dc_solve(netlist: Netlist, initial_guess: dict[str, float] | None = None,
     branch rows fail the step test once.
 
     Each stage runs only when the one before it fails: plain Newton from
-    the guess (from zero when none is given); plain Newton from
-    ``second_guess``, when one is given; unless one of those starts was
-    all zero, plain Newton from zero; then pseudo-transient continuation
-    (see _PTC_G_START) from zero, which past a fold follows the circuit's
-    own dynamics to a surviving branch. Plain runs are damped by the
-    voltage clamp; a pseudo-transient step is damped by its tie alone and
-    takes its full Newton step. A plain run that ends "stalled"
+    each guess that has a nonzero entry, ``initial_guess`` then
+    ``second_guess``; plain Newton from zero, the cold start, which a
+    missing guess or one of zeros of either sign is; then pseudo-transient
+    continuation (see _PTC_G_START) from zero, which past a fold follows
+    the circuit's own dynamics to a surviving branch. Plain runs are
+    damped by the voltage clamp; a pseudo-transient step is damped by its
+    tie alone and takes its full Newton step. A plain run that ends "stalled"
     (see _newton: its steps stop contracting, or it cycles through the
     clamp, tested from iteration _STALL_FROM on; linear runs and
     pseudo-transient steps are exempt) moves on exactly as one that ends
@@ -904,10 +892,9 @@ def dc_solve(netlist: Netlist, initial_guess: dict[str, float] | None = None,
     of source values.
     """
     plan = Plan(netlist)
-    guesses = (initial_guess,) if second_guess is None else (initial_guess, second_guess)
+    starts = (plan.vector_from_guess(initial_guess), plan.vector_from_guess(second_guess))
     with _lapack_errors():
-        x, total = _dc_point(plan, plan.source_values(0.0),
-                             tuple(map(plan.vector_from_guess, guesses)))
+        x, total = _dc_point(plan, plan.source_values(0.0), starts)
     volts = dict(zip(("0", *plan.node_names), [0.0, *x]))
     branches = dict(zip(plan.vsource_names, x[plan.n_nodes:]))
     return Solution(volts, branches, total)

@@ -46,6 +46,16 @@ def _sample_volts(trace, i):
     """Node voltages of a trace's sample i as floats by name, a dc_solve guess."""
     return dict(zip(trace.nodes, trace.samples[i, 1:].tolist()))
 
+
+def _same_bits(a: list[float], b: list[float]) -> bool:
+    """a and b hold the same float64 bits: -0.0 differs from 0.0.
+
+    == is the cheap first test. Floats that compare equal differ in bits
+    only as -0.0 and 0.0 do, which the bytes then tell apart. (A NaN can
+    fail == though its bits match.)
+    """
+    return a == b and array("d", a).tobytes() == array("d", b).tobytes()
+
 DIVIDER = """divider
 V1 in 0 DC 3
 R1 in mid 1k
@@ -226,7 +236,8 @@ def test_residual_check_reads_the_branch_rows():
     plan = Plan(parse_netlist("vr\nV1 a 0 DC 1\nR1 a 0 1k\n.end\n"))
     a = plan.assemble([0.5, -0.5e-3], plan.source_values(0.0))
     opts = solver_module.OPTIONS
-    assert abs(a.f[0]) <= opts.abstol + opts.reltol * a.node_scale[0]
+    node_scale = a.scale[:plan.n_nodes]
+    assert abs(a.f[0]) <= opts.abstol + opts.reltol * node_scale[0]
     assert a.f[1] == -0.5
     assert not solver_module._residual_ok(plan, a)
     assert solver_module._residual_ok(plan, plan.assemble([1.0, -1e-3], plan.source_values(0.0)))
@@ -440,6 +451,47 @@ def test_second_guess_converges_past_a_fold(monkeypatch):
     assert len(runs) == 2
     assert runs[0][2] != "ok" and runs[1][2] == "ok"
     assert all(g == 0.0 for g, _, _ in runs)
+
+
+def _spy_plain_starts(monkeypatch):
+    """Record the start x0 of every plain _newton run, as a list."""
+    starts = []
+    real = solver_module._newton
+
+    def spy(sys_, x0, g=0.0, *args, **kwargs):
+        if not g:
+            starts.append(list(x0))
+        return real(sys_, x0, g, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_newton", spy)
+    return starts
+
+
+def test_second_guess_alone_runs_before_the_cold_start(monkeypatch):
+    # with no first guess, plain Newton starts from the second guess; a
+    # solved point with its branch currents reconverges in one iteration,
+    # so the cold start never runs
+    net = build_comparator(ComparatorConfig())
+    sol = dc_solve(net)
+    guess = {**sol.node_voltages, **{f"I({b})": i for b, i in sol.branch_currents.items()}}
+    starts = _spy_plain_starts(monkeypatch)
+    again = dc_solve(net, None, guess)
+    assert again.iterations == 1
+    plan = Plan(net)
+    assert len(starts) == 1 and _same_bits(starts[0], plan.vector_from_guess(guess))
+
+
+def test_guess_of_negative_zeros_is_the_cold_start(monkeypatch):
+    # every unknown at -0.0 is the cold start: one plain run, from +0.0,
+    # before pseudo-transient continuation
+    net = parse_netlist(MISMATCH_DECK)
+    plan = Plan(net)
+    guess = {plan.unknown_name(i): -0.0 for i in range(plan.n_unknowns)}
+    starts = _spy_plain_starts(monkeypatch)
+    sol = dc_solve(net, guess)
+    assert sol.iterations == 55
+    assert _same_bits(starts[0], [0.0] * plan.n_unknowns)
+    assert all(any(x) for x in starts[1:])  # the rest start off pseudo-transient steps
 
 
 def _spy_runs(monkeypatch):
@@ -698,12 +750,13 @@ def test_plan_matches_audit_and_finite_differences(build, dt, request):
         extra, extra_scale = ({}, {}) if dt is None else _companion_currents(
             net, sol.node_voltages, dt, cmin, ieq)
         assert max(abs(f[:nn])) > 1e-6
+        node_scale = a.scale[:nn]
         for i, node in enumerate(sys_.node_names):
             res, scale = audit[node]
             res += extra.get(node, 0.0) + tie * (x[i] - x0[i])
             scale += extra_scale.get(node, 0.0) + abs(tie * (x[i] - x0[i]))
             assert f[i] == pytest.approx(res, rel=1e-12, abs=1e-15), node
-            assert a.node_scale[i] == pytest.approx(scale, rel=1e-12, abs=1e-15), node
+            assert node_scale[i] == pytest.approx(scale, rel=1e-12, abs=1e-15), node
 
         fd = np.empty((n, n))
         for j in range(n):
@@ -895,7 +948,8 @@ def test_assemble_matches_spare_row_stamping_bit_for_bit(build, dt, request):
     plan = Plan(net, dt=dt)
     nn, n = plan.n_nodes, plan.n_unknowns
     if build == "ground-first":
-        assert (n, 1, 2.0 * (2e-12 + 5e-15 + 1e-15) / dt) in plan.caps  # C1, M1's cgs, CMIN
+        # C1, M1's cgs, CMIN; node 1 is its node end
+        assert (n, 1, 2.0 * (2e-12 + 5e-15 + 1e-15) / dt, 1) in plan.caps
     e = plan.source_values(0.0)
     rng = np.random.default_rng(41)
     ieq = rng.uniform(-1e-6, 1e-6, len(plan.caps)).tolist()
@@ -906,8 +960,8 @@ def test_assemble_matches_spare_row_stamping_bit_for_bit(build, dt, request):
             a = plan.assemble(x, e, ieq, tie, x0)
             f, node_scale, branch_scale, jac = _spare_row_assembly(net, dt, x, e, ieq, tie, x0)
             assert array("d", a.f).tobytes() == array("d", f).tobytes()
-            assert array("d", a.node_scale).tobytes() == array("d", node_scale).tobytes()
-            assert array("d", a.branch_scale).tobytes() == array("d", branch_scale).tobytes()
+            assert array("d", a.scale[:nn]).tobytes() == array("d", node_scale).tobytes()
+            assert array("d", a.scale[nn:]).tobytes() == array("d", branch_scale).tobytes()
             assert a.jac.tobytes() == jac.tobytes()
 
 
@@ -1061,10 +1115,10 @@ def test_zero_warm_start_is_the_cold_start(monkeypatch, guess):
     assert [g for g, _, _ in runs[:2]] == [0.0, solver_module._PTC_G_START]
     assert warm.iterations == cold.iterations == 55
     assert warm.node_voltages == cold.node_voltages
-    # zero is compared bit for bit: a start at -0.0 is not the cold start
+    # a start of zeros of either sign is the cold start too
     runs.clear()
-    assert dc_solve(net, initial_guess={"A": -0.0}).iterations == 75
-    assert runs[:2] == [(0.0, 20, "stalled")] * 2
+    assert dc_solve(net, initial_guess={"A": -0.0}).iterations == 55
+    assert runs == cold_runs
 
 
 def test_pseudo_transient_places_a_120_volt_supply(monkeypatch):
@@ -1372,7 +1426,7 @@ def test_transient_step_returns_x_plus_dx_and_repeats_no_solve(monkeypatch, capa
         x, _, _, status = result = real_newton(plan, x0, *args, **kwargs)
         if status == "ok":
             want = [xi + di for xi, di in zip(last["x"], last["dx"])]
-            assert solver_module._same_bits(x, want)
+            assert _same_bits(x, want)
             lengths.append(plan.dt)
         return result
 
@@ -1544,7 +1598,7 @@ def test_mosfet_free_transient_starts_each_step_from_the_last_point(monkeypatch)
     times = [0.0]
     assert all(run is not None for _, _, run in steps)  # no step skips Newton
     for (t, _, run), after in zip(steps, [*steps[1:], None]):
-        assert solver_module._same_bits(run[0], points[-1]), t
+        assert _same_bits(run[0], points[-1]), t
         assert run[1][3] == "ok"
         if after is None or after[0] > t:
             points.append(run[1][0])
@@ -1654,7 +1708,7 @@ def test_step_over_the_error_tolerance_is_redone_at_half_length(monkeypatch):
     for (t, h, run), (t_again, h_again, run_again) in redone:
         assert h > 1e-9 and h_again == h / 2
         assert round((t - h) / 1e-9) == round((t_again - h_again) / 1e-9)
-        assert solver_module._same_bits(run_again[0], run[0])  # from the same start
+        assert _same_bits(run_again[0], run[0])  # from the same start
 
 
 def test_failed_long_step_is_redone_at_half_length(monkeypatch, capacitance_net):
@@ -1782,7 +1836,7 @@ def test_rows_inside_a_long_step_are_the_quadratic_in_python_floats(monkeypatch,
     assert points[-1][0] == len(rows) - 1
     nn = len(rows[0])
     for k, x, _ in points:
-        assert solver_module._same_bits(rows[k], x[:nn])
+        assert _same_bits(rows[k], x[:nn])
     long_steps = 0
     for (kp, u, _), (k, v, _), (_, w, m) in zip(points, points[1:], points[2:]):
         if m > 1:
@@ -1790,7 +1844,7 @@ def test_rows_inside_a_long_step_are_the_quadratic_in_python_floats(monkeypatch,
             for j in range(1, m):
                 wp, ws, we = solver_module._weights(kp - k, 0, m, j)
                 want = [wp * a + ws * b + we * c for a, b, c in zip(u[:nn], v, w)]
-                assert solver_module._same_bits(rows[k + j], want), (k, j)
+                assert _same_bits(rows[k + j], want), (k, j)
     assert long_steps > 10
 
 
@@ -1829,9 +1883,9 @@ def test_advance_gives_the_next_currents_of_ieq_from(which, capacitance_net):
             ieq = [rng.uniform(-1e-3, 1e-3) for _ in plan.caps]
             i, nxt = plan.advance(x, ieq)
             xl = [*x, 0.0]
-            assert solver_module._same_bits(
-                i, [g * (xl[p] - xl[q]) + c for (p, q, g), c in zip(plan.caps, ieq)])
-            assert solver_module._same_bits(nxt, plan.ieq_from(x, i))
+            assert _same_bits(
+                i, [g * (xl[p] - xl[q]) + c for (p, q, g, _), c in zip(plan.caps, ieq)])
+            assert _same_bits(nxt, plan.ieq_from(x, i))
 
 
 # an RC deck whose node b carries the given capacitor lines
@@ -1860,13 +1914,13 @@ def test_delay_bench_takes_at_most_half_a_run_per_row(monkeypatch, capacitance_n
 
 
 def test_zero_start_check_tells_signed_zeros_apart():
-    # equal under == but not in bits: _dc_point runs a start of -0.0
-    # and then the cold start of zero
+    # equal under == but not in bits: the bit-for-bit checks of these
+    # tests tell -0.0 from 0.0
     key = [0.5, 0.0, -2.5]
-    assert solver_module._same_bits(key, [0.5, 0.0, -2.5])
+    assert _same_bits(key, [0.5, 0.0, -2.5])
     assert [0.5, -0.0, -2.5] == key
-    assert not solver_module._same_bits([0.5, -0.0, -2.5], key)
-    assert not solver_module._same_bits([0.5, 0.0, -2.5000000000000004], key)
+    assert not _same_bits([0.5, -0.0, -2.5], key)
+    assert not _same_bits([0.5, 0.0, -2.5000000000000004], key)
 
 
 @pytest.mark.parametrize("jac,expected", [
