@@ -22,7 +22,7 @@ from .analysis import (DelayReport, HysteresisReport, Trace, branch_solution_at,
 from .comparator import (ComparatorConfig, ComparatorVariant, LatchOperatingPoint,
                          build_comparator, build_latch_testbench,
                          extract_operating_point, table_sizing)
-from .analytics import (RatioDirection, SmallSignalLatch, TransitionResult,
+from .analytics import (RatioDirection, TransitionResult,
                         current_ratio, latch_current_ratio_from_devices,
                         latch_voltages_large_signal, latch_voltages_small_signal,
                         node_squares, transition_currents)

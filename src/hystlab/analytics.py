@@ -30,18 +30,6 @@ class RatioDirection(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SmallSignalLatch:
-    gm7: float  # diode device transconductance [S]
-    gm9: float  # cross device transconductance [S]
-    i1: float   # [A]
-    i2: float   # [A]
-
-    def __post_init__(self):
-        if self.gm7 < 0.0 or self.gm9 < 0.0:
-            raise SingularityError("transconductances must be >= 0")
-
-
-@dataclass(frozen=True)
 class TransitionResult:
     i_t1: float  # up-transition input current [A]
     i_t2: float  # down-transition input current [A]
@@ -50,14 +38,16 @@ class TransitionResult:
     i_hy: float  # hysteresis width [A]
 
 
-def latch_voltages_small_signal(s: SmallSignalLatch) -> tuple[float, float]:
-    """Incremental node voltages of the latch for small drive currents."""
-    d = s.gm7 * s.gm7 - s.gm9 * s.gm9
+def latch_voltages_small_signal(gm7: float, gm9: float,
+                                i1: float, i2: float) -> tuple[float, float]:
+    """Incremental node voltages of the latch for small drive currents,
+    gm7 being the diode devices' transconductance and gm9 the cross pair's."""
+    if gm7 < 0.0 or gm9 < 0.0:
+        raise SingularityError("transconductances must be >= 0")
+    d = gm7 * gm7 - gm9 * gm9
     if d == 0.0:
         raise SingularityError("gm7 equals gm9: latch small-signal gain diverges")
-    v_a = (s.gm7 * s.i1 - s.gm9 * s.i2) / d
-    v_b = (s.gm7 * s.i2 - s.gm9 * s.i1) / d
-    return v_a, v_b
+    return (gm7 * i1 - gm9 * i2) / d, (gm7 * i2 - gm9 * i1) / d
 
 
 def latch_voltages_large_signal(k_n7: float, k_n9: float, v_th: float,

@@ -258,7 +258,7 @@ def _cmd_analytic(args) -> int:
     op = LatchOperatingPoint(
         k_n7=args.kn7, k_n9=args.kn9, k_p3=args.kp3, k_p5=args.kp5,
         v_th=args.vth, i_d1=args.id1, i_d2=args.id2, i_ref=args.iref,
-        v_c=args.vc, v_d=args.vd, i_1=0.0, i_2=0.0)
+        v_c=args.vc, v_d=args.vd)
     sq_c, sq_d = node_squares(op, args.iin)
     k_ratio = args.kn9 / args.kn7
     p = current_ratio(args.vc, args.vd, args.vth, k_ratio,

@@ -11,10 +11,10 @@ Topology (all bulks on the source rail):
 
 The input current therefore steers node A, which throttles M5 through
 the M3/M5 mirror; the latch at C/D regenerates the difference and the
-inverter squares it up. One table, _TOPOLOGY, holds every device's
-terminals, and both generators build their element records from it;
-`Netlist.to_text` prints the result. Device names are part of the
-contract so the extractor can be name-based.
+inverter squares it up. One table, _DEVICES, holds every device's
+terminals and both variants' sizes; both generators build their element
+records from it, and `Netlist.to_text` prints the result. Device names
+are part of the contract so the extractor can be name-based.
 """
 
 from __future__ import annotations
@@ -35,49 +35,34 @@ class ComparatorVariant(enum.Enum):
     PLAIN = "plain"
 
 
-# (name, drain, gate, source = bulk, model) per device, in netlist order
-_TOPOLOGY = (
-    ("M1", "A", "B", "0", "nm"),
-    ("M2", "B", "B", "0", "nm"),
-    ("M3", "A", "A", "VDD", "pm"),
-    ("M4", "B", "B", "VDD", "pm"),
-    ("M5", "C", "A", "VDD", "pm"),
-    ("M6", "D", "B", "VDD", "pm"),
-    ("M7", "C", "C", "0", "nm"),
-    ("M8", "C", "D", "0", "nm"),
-    ("M9", "D", "C", "0", "nm"),
-    ("M10", "D", "D", "0", "nm"),
-    ("MPI", "OUT", "C", "VDD", "pm"),
-    ("MNI", "OUT", "C", "0", "nm"),
+# one row per device, in netlist order: name, drain, gate, source (= bulk),
+# model, then W of the hysteresis variant, W of the plain variant and L in
+# micrometres; table_sizing scales the sizes by 1e-6 as the grammar scales "u"
+_DEVICES = (
+    ("M1", "A", "B", "0", "nm", 0.18, 0.18, 0.72),
+    ("M2", "B", "B", "0", "nm", 0.18, 0.18, 0.72),
+    ("M3", "A", "A", "VDD", "pm", 0.54, 0.18, 0.72),
+    ("M4", "B", "B", "VDD", "pm", 0.54, 0.18, 0.72),
+    ("M5", "C", "A", "VDD", "pm", 1.08, 1.19, 0.18),
+    ("M6", "D", "B", "VDD", "pm", 1.08, 1.19, 0.18),
+    ("M7", "C", "C", "0", "nm", 0.27, 0.21, 0.18),
+    ("M8", "C", "D", "0", "nm", 0.36, 0.34, 0.18),
+    ("M9", "D", "C", "0", "nm", 0.36, 0.34, 0.18),
+    ("M10", "D", "D", "0", "nm", 0.27, 0.21, 0.18),
+    ("MPI", "OUT", "C", "VDD", "pm", 0.54, 0.54, 0.18),
+    ("MNI", "OUT", "C", "0", "nm", 0.18, 0.18, 0.18),
 )
 
-DEVICE_NAMES = tuple(row[0] for row in _TOPOLOGY)
+DEVICE_NAMES = tuple(row[0] for row in _DEVICES)
 
 _VDD = VSource("VDD", "VDD", "0", DcSpec(3.0))  # the paper's one supply
-
-# W of the hysteresis variant, W of the plain variant, then L, in micrometres;
-# table_sizing scales them by 1e-6 as the netlist grammar scales "u"
-_SIZING_UM = {
-    "M1": (0.18, 0.18, 0.72),
-    "M2": (0.18, 0.18, 0.72),
-    "M3": (0.54, 0.18, 0.72),
-    "M4": (0.54, 0.18, 0.72),
-    "M5": (1.08, 1.19, 0.18),
-    "M6": (1.08, 1.19, 0.18),
-    "M7": (0.27, 0.21, 0.18),
-    "M8": (0.36, 0.34, 0.18),
-    "M9": (0.36, 0.34, 0.18),
-    "M10": (0.27, 0.21, 0.18),
-    "MPI": (0.54, 0.54, 0.18),
-    "MNI": (0.18, 0.18, 0.18),
-}
 
 
 def table_sizing(variant: ComparatorVariant) -> dict[str, MosGeometry]:
     """Default per-device geometry map for a variant (copy, safe to edit)."""
-    col = 0 if variant is ComparatorVariant.HYSTERESIS else 1
-    return {name: MosGeometry(row[col] * 1e-6, row[2] * 1e-6)
-            for name, row in _SIZING_UM.items()}
+    hysteresis = variant is ComparatorVariant.HYSTERESIS
+    return {name: MosGeometry((w_hyst if hysteresis else w_plain) * 1e-6, l * 1e-6)
+            for name, _, _, _, _, w_hyst, w_plain, l in _DEVICES}
 
 
 @dataclass(frozen=True)
@@ -120,15 +105,13 @@ class LatchOperatingPoint:
     i_ref: float  # [A]
     v_c: float    # latch node [V]
     v_d: float    # latch node [V]
-    i_1: float    # current delivered into node C [A]
-    i_2: float    # current delivered into node D [A]
 
 
 def _mosfets(models: dict[str, MosModel],
              sizing: dict[str, MosGeometry]) -> tuple[Mosfet, ...]:
-    """Records for the _TOPOLOGY devices that ``sizing`` names, in table order."""
+    """Records for the _DEVICES rows that ``sizing`` names, in table order."""
     return tuple(Mosfet(name, d, g, s, s, model, models[model], sizing[name])
-                 for name, d, g, s, model in _TOPOLOGY if name in sizing)
+                 for name, d, g, s, model, _, _, _ in _DEVICES if name in sizing)
 
 
 def build_comparator(config: ComparatorConfig | None = None) -> Netlist:
@@ -164,17 +147,20 @@ def build_latch_testbench(diode_geom: MosGeometry, cross_geom: MosGeometry,
 def extract_operating_point(netlist: Netlist, solution: Solution) -> LatchOperatingPoint:
     """Pull the closed-form inputs out of a solved comparator.
 
-    Requires the generator's canonical names; i_1/i_2 are the mirror
-    currents delivered into the latch (magnitudes of the M5/M6 drain
-    currents), read off audit.device_evals. A solution that lacks a node
-    read here raises ExtractionError naming the first one read.
+    Requires the generator's canonical names. ExtractionError names the
+    first of M1, M2, M3, M5, M7, M9 and IREF that is missing, or a device
+    among them that is not a MOSFET, or the first node read here that
+    the solution lacks. i_d1/i_d2 are read off audit.device_evals, which
+    also gives the mirror currents into the latch (M5, M6).
     """
     devices = {}
-    for name in ("M1", "M2", "M3", "M5", "M6", "M7", "M9"):
+    for name in ("M1", "M2", "M3", "M5", "M7", "M9"):
         try:
             devices[name] = netlist.find_element(name)
         except NetlistError:
             raise ExtractionError(f"netlist lacks canonical device {name!r}") from None
+        if not isinstance(devices[name], Mosfet):
+            raise ExtractionError(f"canonical device {name!r} is not a MOSFET")
     try:
         i_ref_el = netlist.find_source("IREF")
     except NetlistError:
@@ -198,6 +184,4 @@ def extract_operating_point(netlist: Netlist, solution: Solution) -> LatchOperat
         i_ref=i_ref_el.spec.value_at(0.0),
         v_c=v_c,
         v_d=v_d,
-        i_1=-evals[devices["M5"].name].id,
-        i_2=-evals[devices["M6"].name].id,
     )

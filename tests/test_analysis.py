@@ -196,10 +196,10 @@ def test_walk_holds_its_branch_past_coarse_points_that_left_it(monkeypatch):
 
     monkeypatch.setattr(solver_module.Plan, "sweep", sweep)
     walk = analysis._walk(net, "IIN", -2e-6, 2e-6, 10e-9, "a", 1.5)
-    (i,) = analysis._crossing_brackets(walk, "a", 1.5)
+    (i,) = analysis._crossings(walk.node("a"), 1.5)
     monkeypatch.undo()
     full = dc_sweep(net, "IIN", -2e-6, 2e-6, 10e-9)
-    (j,) = analysis._crossing_brackets(full, "a", 1.5)
+    (j,) = analysis._crossings(full.node("a"), 1.5)
     assert walk.times()[i:i + 2].tolist() == full.times()[j:j + 2].tolist()
 
 
@@ -379,7 +379,7 @@ def test_crossing_search_matches_the_sample_loop():
         crossings = analysis._interp_crossings(times, values, level)
         assert len(crossings) >= 5
         assert crossings == reference(times, values, level)
-        assert analysis._crossing_brackets(trace, "a", level).tolist() == [
+        assert analysis._crossings(trace.node("a"), level).tolist() == [
             i for i in range(399) if (values[i] >= level) != (values[i + 1] >= level)]
 
 

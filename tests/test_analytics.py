@@ -13,7 +13,6 @@ from hystlab import (
     MosPolarity,
     RatioDirection,
     SingularityError,
-    SmallSignalLatch,
     current_ratio,
     kfactor,
     latch_current_ratio_from_devices,
@@ -31,34 +30,32 @@ CROSS = MosGeometry(0.36e-6, 0.18e-6)
 def _op(**over):
     base = dict(k_n7=200e-6, k_n9=100e-6, k_p3=30e-6, k_p5=30e-6,
                 v_th=0.5, i_d1=10e-6, i_d2=10e-6, i_ref=0.0,
-                v_c=1.0, v_d=1.0, i_1=10e-6, i_2=10e-6)
+                v_c=1.0, v_d=1.0)
     base.update(over)
     return LatchOperatingPoint(**base)
 
 
 def test_small_signal_spot():
-    v_a, v_b = latch_voltages_small_signal(
-        SmallSignalLatch(gm7=1e-3, gm9=2e-3, i1=1e-6, i2=0.0))
+    v_a, v_b = latch_voltages_small_signal(gm7=1e-3, gm9=2e-3, i1=1e-6, i2=0.0)
     assert v_a == pytest.approx(-3.3333e-4, rel=1e-4)
     assert v_b == pytest.approx(6.6667e-4, rel=1e-4)
 
 
 def test_small_signal_decouples_without_cross_pair():
-    v_a, v_b = latch_voltages_small_signal(
-        SmallSignalLatch(gm7=2e-3, gm9=0.0, i1=4e-6, i2=1e-6))
+    v_a, v_b = latch_voltages_small_signal(gm7=2e-3, gm9=0.0, i1=4e-6, i2=1e-6)
     assert v_a == pytest.approx(4e-6 / 2e-3, rel=1e-12)
     assert v_b == pytest.approx(1e-6 / 2e-3, rel=1e-12)
 
 
 def test_small_signal_equal_gm_diverges():
     with pytest.raises(SingularityError):
-        latch_voltages_small_signal(
-            SmallSignalLatch(gm7=1e-3, gm9=1e-3, i1=1e-6, i2=0.0))
+        latch_voltages_small_signal(gm7=1e-3, gm9=1e-3, i1=1e-6, i2=0.0)
 
 
 def test_small_signal_negative_gm_rejected():
-    with pytest.raises(SingularityError):
-        SmallSignalLatch(gm7=-1e-3, gm9=1e-3, i1=0.0, i2=0.0)
+    # checked ahead of the equal-gm test: |gm7| == |gm9| here
+    with pytest.raises(SingularityError, match="transconductances must be >= 0"):
+        latch_voltages_small_signal(gm7=-1e-3, gm9=1e-3, i1=0.0, i2=0.0)
 
 
 def test_large_signal_spot():
@@ -73,9 +70,10 @@ def test_large_signal_diode_only_limit():
 
 
 def test_large_signal_negative_radicand():
-    with pytest.raises(DomainError) as exc:
-        latch_voltages_large_signal(200e-6, 100e-6, 0.5, 0.0, 10e-6)
-    assert exc.value.value < 0.0
+    for i1, i2, node in ((0.0, 10e-6, "first"), (20e-6, 5e-6, "second")):
+        with pytest.raises(DomainError, match=f"for the {node} node") as exc:
+            latch_voltages_large_signal(200e-6, 100e-6, 0.5, i1, i2)
+        assert exc.value.value < 0.0
 
 
 def test_large_signal_equal_k_degenerates():
@@ -125,6 +123,10 @@ def test_current_ratio_no_cross_pair_limit():
 def test_current_ratio_zero_denominator():
     with pytest.raises(SingularityError):
         current_ratio(0.5, 0.5, 0.5, 1.0, RatioDirection.LOW_TO_HIGH)
+    # both devices of the denominator sit at threshold and carry nothing
+    with pytest.raises(SingularityError, match="zero denominator"):
+        latch_current_ratio_from_devices(NMOS.vto, NMOS.vto, NMOS, DIODE, CROSS,
+                                         RatioDirection.LOW_TO_HIGH)
 
 
 def test_transition_currents_spot():
@@ -196,11 +198,9 @@ def test_band_width_linear_in_reference_branch(i_d2, scale):
 
 
 def test_small_signal_sensitivity_matches_derivative():
-    s = SmallSignalLatch(gm7=1e-3, gm9=2e-3, i1=5e-6, i2=3e-6)
-    h = s.i1 * 1e-6
-    up, _ = latch_voltages_small_signal(
-        SmallSignalLatch(s.gm7, s.gm9, s.i1 + h, s.i2))
-    dn, _ = latch_voltages_small_signal(
-        SmallSignalLatch(s.gm7, s.gm9, s.i1 - h, s.i2))
+    gm7, gm9, i1, i2 = 1e-3, 2e-3, 5e-6, 3e-6
+    h = i1 * 1e-6
+    up, _ = latch_voltages_small_signal(gm7, gm9, i1 + h, i2)
+    dn, _ = latch_voltages_small_signal(gm7, gm9, i1 - h, i2)
     fd = (up - dn) / (2 * h)
-    assert fd == pytest.approx(s.gm7 / (s.gm7 ** 2 - s.gm9 ** 2), rel=1e-6)
+    assert fd == pytest.approx(gm7 / (gm7 ** 2 - gm9 ** 2), rel=1e-6)

@@ -399,8 +399,7 @@ def test_analytic_matches_library(capsys):
     id_ = parse_value("21.86u")
     op = LatchOperatingPoint(k_n7=kn7, k_n9=kn9, k_p3=parse_value("22.5u"),
                              k_p5=parse_value("180u"), v_th=0.5, i_d1=id_,
-                             i_d2=id_, i_ref=0.0, v_c=1.2667,
-                             v_d=1.2667, i_1=0.0, i_2=0.0)
+                             i_d2=id_, i_ref=0.0, v_c=1.2667, v_d=1.2667)
     sq_c, sq_d = node_squares(op, 0.0)
     p = current_ratio(1.2667, 1.2667, 0.5, kn9 / kn7,
                       RatioDirection.LOW_TO_HIGH)

@@ -12,9 +12,12 @@ from hystlab import (
     DcSpec,
     ExtractionError,
     MosGeometry,
+    Netlist,
+    Resistor,
     build_comparator,
     build_latch_testbench,
     dc_solve,
+    device_evals,
     extract_operating_point,
     parse_netlist,
     table_sizing,
@@ -112,9 +115,11 @@ def test_balance_is_symmetric(lam, zero_lambda_models):
     # zero differential input: both halves sit at the same bias
     assert v["A"] == pytest.approx(v["B"], abs=1e-9)
     assert v["C"] == pytest.approx(v["D"], abs=1e-9)
+    # the P mirror outputs M5 and M6 deliver equal currents into C and D
+    evals = device_evals(net, sol)
+    assert evals["M5"].id == pytest.approx(evals["M6"].id, rel=1e-9)
+    assert evals["M5"].id < 0
     op = extract_operating_point(net, sol)
-    assert op.i_1 == pytest.approx(op.i_2, rel=1e-9)
-    assert op.i_1 > 0
     assert op.i_d1 == pytest.approx(op.i_d2, rel=1e-9)
 
 
@@ -206,6 +211,19 @@ def test_extraction_requires_canonical_names(zero_lambda_models):
     with pytest.raises(ExtractionError) as exc:
         extract_operating_point(bench, sol)
     assert "M1" in str(exc.value)
+
+    # a canonical name held by an element that is not a MOSFET
+    stock = build_comparator()
+    els = tuple(Resistor("M9", "D", "0", 1e6) if e.name == "M9" else e
+                for e in stock.elements)
+    net = Netlist(stock.title, els)
+    with pytest.raises(ExtractionError, match="^canonical device 'M9' is not a MOSFET$"):
+        extract_operating_point(net, dc_solve(net))
+
+    # every canonical device present, the reference source missing
+    net = Netlist(stock.title, tuple(e for e in stock.elements if e.name != "IREF"))
+    with pytest.raises(ExtractionError, match="^netlist lacks the IREF source$"):
+        extract_operating_point(net, dc_solve(net))
 
 
 def test_extraction_requires_matching_solution(hysteresis_net,

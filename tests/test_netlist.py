@@ -74,6 +74,9 @@ def test_divider_structure():
     assert isinstance(r2, Resistor)
     assert r2.neg == "0"  # gnd aliased to 0
     assert net.find_element("V1").spec.value_at(0.0) == 3.0
+    # an empty line, a line of spaces and one of bare parens hold no tokens
+    spaced = DIVIDER.replace("V1 in", "\n   \n( )\nV1 in")
+    assert parse_netlist(spaced) == net
 
 
 def test_mosfet_and_model_cards():
