@@ -11,7 +11,7 @@ from .devices import (DeviceEval, MosGeometry, MosModel, MosPolarity,
                       NMOS_DEFAULT, PMOS_DEFAULT, Region, kfactor, mos_eval)
 from .errors import (ConfigError, ConvergenceError, DomainError, ExtractionError,
                      HystlabError, MeasurementError, ModelError, NetlistError,
-                     SingularMatrixError, SingularityError)
+                     SingularityError)
 from .netlist import (Capacitor, DcSpec, ISource, Mosfet, Netlist, PulseSpec,
                       Resistor, VSource, parse_netlist, parse_value)
 from .solver import Solution, SolverOptions, dc_solve

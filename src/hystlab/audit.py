@@ -2,8 +2,8 @@
 
 Re-sums element currents straight from the node voltages and the
 netlist, through mos_eval (device_evals, which `op` and the comparator
-extractor read too), without touching any solver workspace.
-Used by the test suite to cross-check every Solution the solver emits.
+extractor read too), without touching any solver workspace; each voltage
+source must hold its value. Cross-checks every Solution the solver emits.
 """
 
 from __future__ import annotations
@@ -62,9 +62,11 @@ def kcl_residuals(netlist: Netlist, solution: Solution) -> dict[str, tuple[float
 
 
 def verify_kcl(netlist: Netlist, solution: Solution) -> float:
-    """Check every node against the solver's abstol + reltol*scale.
+    """Check every node against the solver's abstol + reltol*scale, then
+    each voltage source's row: v(pos) - v(neg) within vntol +
+    reltol*(|v(pos)| + |v(neg)| + |value|) of its value.
 
-    Returns the worst residual [A]; raises HystlabError on violation.
+    Returns the worst node residual [A]; raises HystlabError on violation.
     """
     worst = 0.0
     for node, (res, sc) in kcl_residuals(netlist, solution).items():
@@ -73,4 +75,12 @@ def verify_kcl(netlist: Netlist, solution: Solution) -> float:
             raise HystlabError(
                 f"KCL violated at node {node}: residual {res:.3e} A "
                 f"against scale {sc:.3e} A")
+    v = solution.node_voltages
+    for el in netlist.elements:
+        if isinstance(el, VSource):
+            hi, lo, value = v[el.pos], v[el.neg], el.spec.value_at(0.0)
+            if abs(hi - lo - value) > OPTIONS.vntol + OPTIONS.reltol * (
+                    abs(hi) + abs(lo) + abs(value)):
+                raise HystlabError(
+                    f"voltage source {el.name} holds {hi - lo:g} V, not {value:g} V")
     return worst

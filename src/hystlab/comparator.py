@@ -147,11 +147,11 @@ def build_latch_testbench(diode_geom: MosGeometry, cross_geom: MosGeometry,
 def extract_operating_point(netlist: Netlist, solution: Solution) -> LatchOperatingPoint:
     """Pull the closed-form inputs out of a solved comparator.
 
-    Requires the generator's canonical names. ExtractionError names the
-    first of M1, M2, M3, M5, M7, M9 and IREF that is missing, or a device
-    among them that is not a MOSFET, or the first node read here that
-    the solution lacks. i_d1/i_d2 are read off audit.device_evals, which
-    also gives the mirror currents into the latch (M5, M6).
+    Requires the generator's canonical names; a Netlist holds an M name to
+    a MOSFET. ExtractionError names the first of M1, M2, M3, M5, M7, M9
+    and IREF that is missing, or the first node read here that the
+    solution lacks. i_d1/i_d2 are read off audit.device_evals, which also
+    gives the mirror currents into the latch (M5, M6).
     """
     devices = {}
     for name in ("M1", "M2", "M3", "M5", "M7", "M9"):
@@ -159,8 +159,6 @@ def extract_operating_point(netlist: Netlist, solution: Solution) -> LatchOperat
             devices[name] = netlist.find_element(name)
         except NetlistError:
             raise ExtractionError(f"netlist lacks canonical device {name!r}") from None
-        if not isinstance(devices[name], Mosfet):
-            raise ExtractionError(f"canonical device {name!r} is not a MOSFET")
     try:
         i_ref_el = netlist.find_source("IREF")
     except NetlistError:

@@ -37,18 +37,6 @@ class ConvergenceError(HystlabError):
         self.residual = residual
 
 
-class SingularMatrixError(HystlabError):
-    """Raised when the system matrix is singular beyond repair.
-
-    ``suspect`` names the unknown most aligned with the null space,
-    which usually points at a floating node or a bad source loop.
-    """
-
-    def __init__(self, message: str, suspect: str = ""):
-        super().__init__(message)
-        self.suspect = suspect
-
-
 class ConfigError(HystlabError):
     """Raised for invalid circuit-generator configuration."""
 

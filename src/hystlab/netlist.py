@@ -9,10 +9,9 @@ A Netlist is its title and its element records; each MOSFET record
 carries its model card, and `Netlist.models` is worked out from them.
 `parse_netlist` and the comparator generators build one; `Netlist.to_text`
 is the one text writer, and prints only the cards that MOSFETs name. Each
-record checks its own values, and a Netlist its element names, its model
-cards (one card per name) and its ground (spelled "0"), so a netlist built
-by hand meets the parser's rules, with no line number in its errors. The
-parser checks syntax and adds line numbers in one place.
+record checks its own values and a Netlist the rest (see Netlist), so a
+netlist built by hand meets the parser's rules, with no line number in its
+errors. The parser checks syntax and adds line numbers in one place.
 """
 
 from __future__ import annotations
@@ -225,20 +224,46 @@ def _claim(seen: set[str], name: str):
     seen.add(key)
 
 
+# the letter that starts each element type's name, as the parser reads it
+_LETTER = {Resistor: "R", Capacitor: "C", VSource: "V", ISource: "I", Mosfet: "M"}
+
+
+def _root(joined: dict[str, str], node: str) -> str:
+    while node in joined:  # child -> parent, up to the root of node's tree
+        node = joined[node]
+    return node
+
+
 @dataclass(frozen=True)
 class Netlist:
+    """A title and its element records. It rejects a name that repeats
+    case-insensitively or does not start with its type's letter (R, C, V,
+    I or M), a terminal spelled "gnd" in any case, two cards under one
+    model name, and a voltage source whose ends other voltage sources join
+    already, one from a node to itself included: no solve can fix the
+    current around such a loop."""
+
     title: str
     elements: tuple[Element, ...]
 
     def __post_init__(self):
         seen: set[str] = set()
         cards: dict[str, MosModel] = {}
+        joined: dict[str, str] = {}  # nodes tied by voltage sources
         for el in self.elements:
             _claim(seen, el.name)
+            if el.name[:1].upper() != _LETTER[type(el)]:
+                raise NetlistError(f"{type(el).__name__} name {el.name!r} does not "
+                                   f"start with {_LETTER[type(el)]}")
             for node in _terminals(el):
                 if node in _GND:
                     raise NetlistError(f"{el.name} names node {node!r}; spell ground '0'")
-            if isinstance(el, Mosfet):
+            if isinstance(el, VSource):
+                pos, neg = _root(joined, el.pos), _root(joined, el.neg)
+                if pos == neg:
+                    raise NetlistError(f"{el.name} closes a loop of voltage sources")
+                joined[pos] = neg
+            elif isinstance(el, Mosfet):
                 # the generators share one card object per model: one `is` test each
                 card = cards.setdefault(el.model_name.lower(), el.model)
                 if card is not el.model and card != el.model:

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .devices import kfactor, mos_kernel, mos_sign
-from .errors import ConvergenceError, MeasurementError, SingularMatrixError
+from .errors import ConvergenceError, MeasurementError
 from .netlist import Capacitor, DcSpec, ISource, Mosfet, Netlist, Resistor, VSource
 
 
@@ -150,7 +150,7 @@ class Plan:
                                    if isinstance(el, VSource))
         n = self.n_unknowns = nn + len(self.vsource_names)
         ni = {name: i for i, name in enumerate(self.node_names)}
-        # every unknown by unknown_name; a node wins over a branch spelled alike
+        # each unknown by name, I(<source>) for a branch; a node wins a clash
         self.index = {f"I({v})": nn + j for j, v in enumerate(self.vsource_names)} | ni
         ni["0"] = n
 
@@ -233,19 +233,14 @@ class Plan:
         self.jac.flags.writeable = False
         self.jac_finite = bool(np.isfinite(self.jac).all())
 
-    def unknown_name(self, i: int) -> str:
-        if i < self.n_nodes:
-            return self.node_names[i]
-        return f"I({self.vsource_names[i - self.n_nodes]})"
-
     def source_values(self, time: float) -> list[float]:
         return [spec.value_at(time) for spec in self.specs]
 
     def vector_from_guess(self, guess: dict[str, float] | None) -> list[float]:
         """The unknowns named in ``guess``, zero elsewhere.
 
-        Keys are unknown_name's: a node's name, or ``I(<source>)`` for a
-        voltage source's branch current. A node wins over a branch of the
+        Keys are those of ``index``: a node's name, or ``I(<source>)`` for
+        a voltage source's branch current. A node wins over a branch of the
         same spelling. Other keys, such as ground "0", are ignored.
         """
         x = [0.0] * self.n_unknowns
@@ -419,8 +414,8 @@ class Plan:
         Each value passes DcSpec's check and is held in a copy of
         source_values, so the plan is left as compiled. Raises
         ConvergenceError "sweep failed at <name>=<value>: ..." at the
-        first point that does not solve, SingularMatrixError as dc_solve
-        does. All points run inside one _lapack_errors() scope.
+        first point that does not solve. All points run inside one
+        _lapack_errors() scope.
         """
         nn = self.n_nodes
         branches = [0.0] * (self.n_unknowns - nn)
@@ -795,15 +790,6 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     return x, a, iters, "maxiter"
 
 
-def _suspect_unknown(plan: Plan, jac: np.ndarray) -> str:
-    try:
-        _, _, vt = np.linalg.svd(jac)
-        comp = int(np.argmax(np.abs(vt[-1])))
-    except np.linalg.LinAlgError:
-        comp = 0
-    return plan.unknown_name(comp)
-
-
 def _convergence_error(plan: Plan, a: _Assembled, what: str, stage: str):
     """ConvergenceError reading ``<what>: residual=...`` at the last assembly."""
     nn = plan.n_nodes
@@ -822,10 +808,9 @@ def _dc_point(plan: Plan, e: list[float], starts: tuple[list[float], ...]):
     cold start), then pseudo-transient continuation.
 
     Returns (x, iterations) from the first stage that converges. Raises
-    SingularMatrixError when the first pseudo-transient step's J is
-    singular, ConvergenceError at the last pseudo-transient x and g when
-    every stage fails. Run it inside _lapack_errors(), as dc_solve and
-    Plan.sweep do.
+    ConvergenceError at the last pseudo-transient x and g when every stage
+    fails; a pseudo-transient step that fails, singular or not, grows g
+    8-fold. Run it inside _lapack_errors(), as dc_solve and Plan.sweep do.
     """
     zero = [0.0] * plan.n_unknowns
     total = 0
@@ -833,29 +818,24 @@ def _dc_point(plan: Plan, e: list[float], starts: tuple[list[float], ...]):
     # no longer exists; from zero it lands on a surviving one. A start of
     # zeros of either sign is that cold run, so it runs once, last.
     for start in (*filter(any, starts), zero):
-        x, a, iters, status = _newton(plan, start, e=e)
+        x, _, iters, status = _newton(plan, start, e=e)
         total += iters
         if status == "ok":
             return x, total
 
-    x, g, first = zero, _PTC_G_START, True
+    x, g = zero, _PTC_G_START
     while total < _PTC_MAX_ITERS:
         plain = g < _PTC_G_END
-        x_next, a, iters, status = _newton(plan, x, 0.0 if plain else g, e=e)
+        x_next, _, iters, status = _newton(plan, x, 0.0 if plain else g, e=e)
         total += iters
         if status == "ok" and plain:
             return x_next, total
         if status == "ok":
             x, g = x_next, g / 4.0
-        elif status == "singular" and first:
-            raise SingularMatrixError(
-                f"singular system matrix with pseudo-transient g={g:g} S",
-                suspect=_suspect_unknown(plan, a.jac))
         elif g > _PTC_G_MAX:
             break
         else:
             g *= 8.0
-        first = False
     raise _convergence_error(
         plan, plan.assemble(x, e), f"no DC convergence (pseudo-transient, g={g:g} S)",
         "pseudo-transient")
@@ -865,13 +845,12 @@ def dc_solve(netlist: Netlist, initial_guess: dict[str, float] | None = None,
              second_guess: dict[str, float] | None = None) -> Solution:
     """DC operating point.
 
-    ``initial_guess`` and ``second_guess`` name unknowns as
-    Plan.unknown_name does: node voltages by node name, branch currents
-    as ``I(<source>)``; an unknown a guess does not name starts at zero
-    (see Plan.vector_from_guess). The answer is the converged run's final
-    solved Newton step. A solved point's voltages with its ``I(<source>)``
-    branch currents still reconverge in one iteration; without them, its
-    branch rows fail the step test once.
+    ``initial_guess`` and ``second_guess`` name unknowns as Plan.index
+    does, nodes by name and branch currents as ``I(<source>)``; the rest
+    start at zero. The answer is the converged run's final solved Newton
+    step. A solved point's voltages with its ``I(<source>)`` branch
+    currents still reconverge in one iteration; without them, its branch
+    rows fail the step test once.
 
     Each stage runs only when the one before it fails: plain Newton from
     each guess that has a nonzero entry, ``initial_guess`` then
@@ -886,10 +865,9 @@ def dc_solve(netlist: Netlist, initial_guess: dict[str, float] | None = None,
     pseudo-transient steps are exempt) moves on exactly as one that ends
     "maxiter". Every stage starts from a guess or from zero, never from
     a failed run's x, so failing fast changes the iteration count, not
-    the answer. Raises SingularMatrixError when its first step's matrix
-    is singular, ConvergenceError with the residual at its last accepted
-    point when it gives up. Plan.sweep runs the same stages along a list
-    of source values.
+    the answer. Raises ConvergenceError with the residual at its last
+    accepted point when it gives up. Plan.sweep runs the same stages at
+    each of a list of source values.
     """
     plan = Plan(netlist)
     starts = (plan.vector_from_guess(initial_guess), plan.vector_from_guess(second_guess))

@@ -13,6 +13,7 @@ from hystlab import (
     ExtractionError,
     MosGeometry,
     Netlist,
+    NetlistError,
     Resistor,
     build_comparator,
     build_latch_testbench,
@@ -212,13 +213,13 @@ def test_extraction_requires_canonical_names(zero_lambda_models):
         extract_operating_point(bench, sol)
     assert "M1" in str(exc.value)
 
-    # a canonical name held by an element that is not a MOSFET
+    # a canonical name cannot be held by an element that is not a MOSFET:
+    # the Netlist holds each name to its type's letter
     stock = build_comparator()
     els = tuple(Resistor("M9", "D", "0", 1e6) if e.name == "M9" else e
                 for e in stock.elements)
-    net = Netlist(stock.title, els)
-    with pytest.raises(ExtractionError, match="^canonical device 'M9' is not a MOSFET$"):
-        extract_operating_point(net, dc_solve(net))
+    with pytest.raises(NetlistError, match="^Resistor name 'M9' does not start with R$"):
+        Netlist(stock.title, els)
 
     # every canonical device present, the reference source missing
     net = Netlist(stock.title, tuple(e for e in stock.elements if e.name != "IREF"))

@@ -1,7 +1,9 @@
 """Grammar, value suffixes, source specs and round-trip serialization."""
 
 import math
+import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from hystlab import (
     PMOS_DEFAULT,
     Capacitor,
     DcSpec,
+    ISource,
     MosGeometry,
     MosModel,
     MosPolarity,
@@ -23,6 +26,7 @@ from hystlab import (
     parse_netlist,
     parse_value,
 )
+from hystlab.solver import Plan
 
 DIVIDER = """voltage divider
 * a comment line
@@ -350,6 +354,70 @@ def test_hand_built_netlist_rejects_gnd_node(ground):
     with pytest.raises(NetlistError, match=f"R1 names node '{ground}'; spell ground '0'") as exc:
         Netlist("t", (VSource("V1", "a", "0", DcSpec(1.0)), Resistor("R1", "a", ground, 1e3)))
     assert exc.value.line_no is None
+
+
+def test_hand_built_netlist_rejects_a_name_of_another_type():
+    # to_text would print this capacitor as "R2 b 0 1e-12", a 1e-12 ohm resistor
+    with pytest.raises(NetlistError, match="^Capacitor name 'R2' does not start with C$"):
+        Netlist("t", (VSource("V1", "a", "0", DcSpec(1.0)), Capacitor("R2", "b", "0", 1e-12)))
+    assert Netlist("t", (Capacitor("c2", "b", "0", 1e-12),)).elements[0].name == "c2"
+
+
+_NODES = ("0", "a", "b", "c")
+_RECORDS = {"R": Resistor, "C": Capacitor, "V": VSource, "I": ISource}
+
+
+def _record(kind: str, name: str, pos: str, neg: str, value: float):
+    spec = DcSpec(value) if kind in "VI" else value
+    return _RECORDS[kind](name, pos, neg, spec)
+
+
+@given(rows=st.lists(st.tuples(st.sampled_from("RCVI"), st.sampled_from(_NODES),
+                               st.sampled_from(_NODES), st.floats(1.0, 1e6)),
+                     min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_source_loop_is_rejected_exactly_when_the_dc_matrix_is_singular(rows):
+    # with gmin on every node, J = [G B; B^T 0] has G positive definite, so
+    # it is singular exactly when the sources' incidence columns B, ground
+    # row dropped, are dependent: when the sources close a loop
+    els = tuple(_record(k, f"{k}{i}", p, q, v) for i, (k, p, q, v) in enumerate(rows))
+    incidence = np.array([[(n == p) - (n == q) for n in _NODES[1:]]
+                          for k, p, q, _ in rows if k == "V"]).reshape(-1, 3)
+    loop = np.linalg.matrix_rank(incidence) < len(incidence)
+    try:
+        net = Netlist("t", els)
+    except NetlistError as exc:
+        assert loop and str(exc).endswith(" closes a loop of voltage sources")
+        return
+    assert not loop
+    plan = Plan(net)
+    assert np.linalg.matrix_rank(plan.jac) == plan.n_unknowns
+
+
+@st.composite
+def _named_record(draw):
+    """An R, C, V, I or M record whose name starts with its type's letter,
+    in either case, or with any letter."""
+    kind = draw(st.sampled_from("RCVIM"))
+    first = draw(st.sampled_from((kind, kind.lower())) | st.sampled_from(string.ascii_letters))
+    name = first + draw(st.text(string.ascii_letters + string.digits + "_", max_size=3))
+    node = st.sampled_from(_NODES)
+    if kind == "M":
+        return Mosfet(name, draw(node), draw(node), draw(node), draw(node), "nm",
+                      NMOS_DEFAULT, MosGeometry(1e-6, 0.18e-6))
+    return _record(kind, name, draw(node), draw(node), draw(st.floats(1e-15, 1e15)))
+
+
+@given(els=st.lists(_named_record(), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_accepted_records_round_trip(els):
+    # a Netlist rejects what its text cannot say: whatever it accepts, the
+    # parser reads back as the same records
+    try:
+        net = Netlist("t", tuple(els))
+    except NetlistError:
+        return
+    assert parse_netlist(net.to_text()) == net
 
 
 def test_hand_built_mosfet_netlist_round_trips():
