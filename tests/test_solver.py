@@ -277,6 +277,34 @@ def test_voltage_source_loop_is_rejected(deck, closer):
         parse_netlist(deck)
 
 
+@pytest.mark.parametrize("guess", [None, {"mid": 1.5}], ids=["cold", "warm"])
+def test_singular_circuit_names_suspect(guess, monkeypatch):
+    # the clashing pair is named when the Netlist is built, before any
+    # solve. A singular matrix can still reach the solver; with each J
+    # replaced by zeros, a warm solve reaches the pseudo-transient stage
+    # only after its cold restart, and every stage must see the singular
+    # matrix as LinAlgError, not as a NaN step and a RuntimeWarning
+    with pytest.raises(NetlistError, match="^V2 closes a loop of voltage sources$"):
+        parse_netlist(CLASH)
+    statuses = []
+    solve, newton = solver_module._solve, solver_module._newton
+    monkeypatch.setattr(solver_module, "_solve",
+                        lambda jac, rhs: solve(np.zeros_like(jac), rhs))
+
+    def spy(*args, **kwargs):
+        result = newton(*args, **kwargs)
+        statuses.append(result[3])
+        return result
+
+    monkeypatch.setattr(solver_module, "_newton", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as exc:
+            dc_solve(parse_netlist(DIVIDER), initial_guess=guess)
+    assert exc.value.stage == "pseudo-transient"
+    assert set(statuses) == {"singular"}
+
+
 def test_hopeless_circuit_raises_convergence_error():
     # pseudo-transient continuation must give up
     net = parse_netlist(STUCK)
