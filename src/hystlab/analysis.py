@@ -104,12 +104,17 @@ def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-def _dc_source(netlist: Netlist, source_name: str) -> str:
-    """The name of DC source ``source_name`` as the netlist spells it."""
-    src = netlist.find_source(source_name)
-    if not isinstance(src.spec, DcSpec):
+def _dc_source(netlist: Netlist, source_name: str):
+    """Reject a ``source_name`` that names no DC source of the netlist."""
+    if not isinstance(netlist.find_source(source_name).spec, DcSpec):
         raise NetlistError(f"source {source_name!r} is not a DC source")
-    return src.name
+
+
+def _sweep(plan: Plan, source_name: str, values: list[float],
+           before: list[float] | None = None) -> Trace:
+    """Plan.sweep's rows over ``values``, ``before`` its first start, as a Trace."""
+    volts = plan.sweep(plan.netlist.find_source(source_name).name, values, before)
+    return Trace("stimulus", plan.node_names, np.column_stack((values, volts)), source_name)
 
 
 def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
@@ -125,11 +130,9 @@ def dc_sweep(netlist: Netlist, source_name: str, start: float, stop: float,
     stage, plain Newton from zero, lands on the surviving branch. A
     failed point raises "sweep failed at <source>=<value>".
     """
-    name = _dc_source(netlist, source_name)
+    _dc_source(netlist, source_name)
     values = _sweep_grid(start, stop, step)
-    plan = Plan(netlist)
-    volts = plan.sweep(name, values)
-    return Trace("stimulus", plan.node_names, np.column_stack((values, volts)), source_name)
+    return _sweep(Plan(netlist), source_name, values)
 
 
 def _near_strides(y: np.ndarray, threshold: float) -> np.ndarray:
@@ -156,23 +159,18 @@ def _walk(netlist: Netlist, source_name: str, start: float, stop: float,
     branch early: the fine walk holds the branch a full sweep holds, up to
     its own crossing.
     """
-    name = _dc_source(netlist, source_name)
+    _dc_source(netlist, source_name)
     grid = _sweep_grid(start, stop, step)
     plan = Plan(netlist)
-
-    def trace(values: list[float], before: list[float] | None = None) -> Trace:
-        volts = plan.sweep(name, values, before)
-        return Trace("stimulus", plan.node_names, np.column_stack((values, volts)), source_name)
-
     ends = [*range(0, len(grid) - 1, _STRIDE), len(grid) - 1]
-    coarse = trace([grid[i] for i in ends])
+    coarse = _sweep(plan, source_name, [grid[i] for i in ends])
     y = coarse.node(node)
     walk = _near_strides(y, threshold)
     blocks = [coarse.samples[:1]]
     above = y[0] >= threshold  # at the last visited point
     for s, (lo, hi) in enumerate(zip(ends, ends[1:])):
         if walk[s] or above != (y[s] >= threshold):
-            block = trace(grid[lo + 1:hi + 1], blocks[-1][-1, 1:].tolist())
+            block = _sweep(plan, source_name, grid[lo + 1:hi + 1], blocks[-1][-1, 1:].tolist())
             blocks.append(block.samples)
             above = block.node(node)[-1] >= threshold
         else:

@@ -51,7 +51,6 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("op", help="DC operating point")
     _add_circuit_input(sp)
-    sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("dc", help="swept-DC transfer curve as CSV")
     _add_circuit_input(sp)
@@ -61,14 +60,12 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--step", type=_si, required=True)
     sp.add_argument("--both", action="store_true",
                     help="also emit the reverse sweep")
-    sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("tran", help="transient waveform as CSV")
     _add_circuit_input(sp)
     sp.add_argument("--dt", type=_si, required=True,
                     help="row spacing and shortest step; steps grow to 16*dt")
     sp.add_argument("--stop", type=_si, required=True)
-    sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("hyst", help="bidirectional sweep hysteresis report")
     _add_circuit_input(sp)
@@ -80,7 +77,6 @@ def _parser() -> argparse.ArgumentParser:
                     help="transition refinement target, default max(1n, step/100)")
     sp.add_argument("--node", default="OUT")
     sp.add_argument("--threshold", type=_si, default=1.5)
-    sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("delay", help="square-wave propagation delay report")
     _add_circuit_input(sp)
@@ -94,11 +90,9 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--source", default="IIN")
     sp.add_argument("--node", default="OUT")
     sp.add_argument("--vdd", type=_si, default=3.0)
-    sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("gen", help="print a generated comparator netlist")
     sp.add_argument("--variant", choices=_VARIANTS, required=True)
-    sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("analytic", help="closed-form transition currents")
     for flag in ("--kn7", "--kn9", "--kp3", "--kp5", "--vth",
@@ -106,7 +100,8 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument(flag, type=_si, required=True)
     sp.add_argument("--iref", type=_si, default=0.0)
     sp.add_argument("--iin", type=_si, default=0.0)
-    sp.add_argument("-o", "--output")
+    for sp in sub.choices.values():  # last, so each usage line ends with it
+        sp.add_argument("-o", "--output")
     return p
 
 
@@ -246,8 +241,7 @@ def _cmd_delay(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    cfg = ComparatorConfig(variant=ComparatorVariant(args.variant))
-    _emit(args, build_comparator(cfg).to_text().splitlines())
+    _emit(args, _load_circuit(args).to_text().splitlines())
     return 0
 
 

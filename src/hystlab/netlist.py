@@ -9,9 +9,10 @@ A Netlist is its title and its element records; each MOSFET record
 carries its model card, and `Netlist.models` is worked out from them.
 `parse_netlist` and the comparator generators build one; `Netlist.to_text`
 is the one text writer, and prints only the cards that MOSFETs name. Each
-record checks its own values and a Netlist the rest (see Netlist), so a
-netlist built by hand meets the parser's rules, with no line number in its
-errors. The parser checks syntax and adds line numbers in one place.
+record checks its own values, and one rule pass, `_check`, the rest (see
+Netlist): a Netlist runs it over its records, with no line number in its
+errors, and the parser on each line's element, so every deck error names
+its line.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import product
 
 from .devices import MosGeometry, MosModel, MosPolarity, NMOS_DEFAULT, PMOS_DEFAULT
@@ -212,26 +212,56 @@ Element = Resistor | Capacitor | VSource | ISource | Mosfet
 _GND = frozenset(map("".join, product("gG", "nN", "dD")))
 
 
-def _terminals(el: Element) -> tuple[str, ...]:
-    return (el.d, el.g, el.s, el.b) if isinstance(el, Mosfet) else (el.pos, el.neg)
-
-
-def _claim(seen: set[str], name: str):
-    """Add name to seen, rejecting a repeat; names are case-insensitive."""
-    key = name.upper()
-    if key in seen:
-        raise NetlistError(f"duplicate element name {name!r}")
-    seen.add(key)
-
-
 # the letter that starts each element type's name, as the parser reads it
 _LETTER = {Resistor: "R", Capacitor: "C", VSource: "V", ISource: "I", Mosfet: "M"}
+_TYPE = {letter: cls for cls, letter in _LETTER.items()}
+
+# one token of the parser's split: no whitespace (\s is what str.isspace
+# accepts), paren or comma
+_TOKEN = re.compile(r"[^\s(),]+").fullmatch
 
 
 def _root(joined: dict[str, str], node: str) -> str:
     while node in joined:  # child -> parent, up to the root of node's tree
         node = joined[node]
     return node
+
+
+def _check(el: Element, names: dict[str, Element], nodes: dict[str, None],
+           cards: dict[str, MosModel], joined: dict[str, str]):
+    """Check el by Netlist's rules against the elements before it, then add
+    it to their tables: names by upper-case name, nodes in order of first
+    use (each checked as it enters), cards by lower-case model name, and
+    the nodes that voltage sources join."""
+    key = el.name.upper()
+    if key in names:
+        raise NetlistError(f"duplicate element name {el.name!r}")
+    letter = _LETTER[type(el)]
+    if el.name[:1].upper() != letter:
+        raise NetlistError(f"{type(el).__name__} name {el.name!r} does not start with {letter}")
+    if not _TOKEN(el.name):
+        raise NetlistError(f"element name {el.name!r} is not one token")
+    for node in (el.d, el.g, el.s, el.b) if isinstance(el, Mosfet) else (el.pos, el.neg):
+        if node not in nodes:
+            if node in _GND:
+                raise NetlistError(f"{el.name} names node {node!r}; spell ground '0'")
+            if not _TOKEN(node):
+                raise NetlistError(f"{el.name} names node {node!r}, which is not one token")
+            nodes[node] = None
+    if isinstance(el, VSource):
+        pos, neg = _root(joined, el.pos), _root(joined, el.neg)
+        if pos == neg:
+            raise NetlistError(f"{el.name} closes a loop of voltage sources")
+        joined[pos] = neg
+    elif isinstance(el, Mosfet):
+        low = el.model_name.lower()
+        if low not in cards and not _TOKEN(el.model_name):
+            raise NetlistError(f"{el.name} names model {el.model_name!r}, which is not one token")
+        # the generators share one card object per model: one `is` test each
+        card = cards.setdefault(low, el.model)
+        if card is not el.model and card != el.model:
+            raise NetlistError(f"model {el.model_name!r} names two different cards")
+    names[key] = el
 
 
 @dataclass(frozen=True)
@@ -241,55 +271,32 @@ class Netlist:
     I or M), a terminal spelled "gnd" in any case, two cards under one
     model name, and a voltage source whose ends other voltage sources join
     already, one from a node to itself included: no solve can fix the
-    current around such a loop."""
+    current around such a loop. Names, nodes and model names must each be
+    one token of the parser's split, and the title one stripped line, so
+    that `to_text` reads back as this netlist. `nodes` (ground "0" first
+    if any element, then terminals in order of first use) and the name
+    table are kept when it is built, outside the fields that ==, hash and
+    repr read."""
 
     title: str
     elements: tuple[Element, ...]
 
     def __post_init__(self):
-        seen: set[str] = set()
-        cards: dict[str, MosModel] = {}
-        joined: dict[str, str] = {}  # nodes tied by voltage sources
+        if self.title != self.title.strip() or len(self.title.splitlines()) > 1:
+            raise NetlistError(f"title {self.title!r} is not one stripped line")
+        names: dict[str, Element] = {}
+        nodes = {"0": None} if self.elements else {}
+        cards, joined = {}, {}
         for el in self.elements:
-            _claim(seen, el.name)
-            if el.name[:1].upper() != _LETTER[type(el)]:
-                raise NetlistError(f"{type(el).__name__} name {el.name!r} does not "
-                                   f"start with {_LETTER[type(el)]}")
-            for node in _terminals(el):
-                if node in _GND:
-                    raise NetlistError(f"{el.name} names node {node!r}; spell ground '0'")
-            if isinstance(el, VSource):
-                pos, neg = _root(joined, el.pos), _root(joined, el.neg)
-                if pos == neg:
-                    raise NetlistError(f"{el.name} closes a loop of voltage sources")
-                joined[pos] = neg
-            elif isinstance(el, Mosfet):
-                # the generators share one card object per model: one `is` test each
-                card = cards.setdefault(el.model_name.lower(), el.model)
-                if card is not el.model and card != el.model:
-                    raise NetlistError(f"model {el.model_name!r} names two different cards")
-
-    # nodes and the name table are worked out on first read and kept in the
-    # instance __dict__, which ==, hash and repr (fields only) do not read
-    @cached_property
-    def nodes(self) -> tuple[str, ...]:
-        """Ground "0" first (if any element), then terminals in order of first use."""
-        used = {"0": None} if self.elements else {}
-        for el in self.elements:
-            for node in _terminals(el):
-                used[node] = None
-        return tuple(used)
+            _check(el, names, nodes, cards, joined)
+        object.__setattr__(self, "nodes", tuple(nodes))
+        object.__setattr__(self, "_by_name", names)
 
     @property
     def models(self) -> dict[str, MosModel]:
         """Each MOSFET's card by lower-case model name, in order of first use."""
         return {el.model_name.lower(): el.model
                 for el in self.elements if isinstance(el, Mosfet)}
-
-    @cached_property
-    def _by_name(self) -> dict[str, Element]:
-        # names are unique case-insensitively (__post_init__)
-        return {el.name.upper(): el for el in self.elements}
 
     def find_element(self, name: str) -> Element:
         el = self._by_name.get(name.upper())
@@ -405,19 +412,16 @@ def _node(raw: str) -> str:
 
 def _element(tokens: list[str], models: dict[str, MosModel]) -> Element:
     head = tokens[0]
-    lead = head[0].upper()
-    if lead in ("R", "C"):
+    cls = _TYPE.get(head[0].upper())
+    if cls is Resistor or cls is Capacitor:
         if len(tokens) != 4:
-            kind = "resistor" if lead == "R" else "capacitor"
-            raise NetlistError(f"{kind} takes two nodes and a value")
-        cls = Resistor if lead == "R" else Capacitor
+            raise NetlistError(f"{cls.__name__.lower()} takes two nodes and a value")
         return cls(head, _node(tokens[1]), _node(tokens[2]), parse_value(tokens[3]))
-    if lead in ("V", "I"):
+    if cls is VSource or cls is ISource:
         if len(tokens) < 4:
             raise NetlistError("source takes two nodes and a spec")
-        cls = VSource if lead == "V" else ISource
         return cls(head, _node(tokens[1]), _node(tokens[2]), _parse_source_spec(tokens[3:]))
-    if lead == "M":
+    if cls is Mosfet:
         if len(tokens) != 8:
             raise NetlistError("mosfet takes four nodes, a model and W=/L=")
         kv = _parse_kv(tokens[6:8])
@@ -437,9 +441,11 @@ def parse_netlist(text: str) -> Netlist:
     """Parse netlist text into an immutable Netlist.
 
     Cards are read before elements, so a MOSFET may precede its .model
-    card; a card that no MOSFET names is checked and then dropped. Errors
-    carry the 1-based line number of the offending line; card errors come
-    first, then element errors in line order.
+    card; a card that no MOSFET names is checked and then dropped. Each
+    element line's record is built, its own value checks included, and
+    then Netlist's rules run on it against the lines before (`_check`).
+    Errors carry the 1-based line number of the offending line; card
+    errors come first, then element errors in line order.
     """
     lines = text.splitlines()
     if not lines:
@@ -462,7 +468,7 @@ def parse_netlist(text: str) -> Netlist:
 
     models: dict[str, MosModel] = {}  # lookup only: each MOSFET carries its card
     elements: list[Element] = []
-    seen: set[str] = set()
+    tables: tuple[dict, ...] = ({}, {}, {}, {})  # _check's, for the lines so far
     for idx, tokens in cards + rows:
         try:
             if tokens[0].lower() == ".model":
@@ -473,8 +479,8 @@ def parse_netlist(text: str) -> Netlist:
             elif tokens[0].startswith("."):
                 raise NetlistError(f"unknown card {tokens[0]!r}")
             else:
-                _claim(seen, tokens[0])
                 elements.append(_element(tokens, models))
+                _check(elements[-1], *tables)
         except (NetlistError, ModelError) as e:
             raise NetlistError(str(e), idx) from None
 

@@ -1,6 +1,7 @@
 """Grammar, value suffixes, source specs and round-trip serialization."""
 
 import math
+import re
 import string
 
 import numpy as np
@@ -156,6 +157,9 @@ M1 a a 0 0 n1 W=1u L=1u
         (".model n1", "line 2: .model needs a name and a type"),
         (".model n1 NMOS (GAMMA=0.4)", "line 2: unknown model parameter 'GAMMA'"),
         (".model n1 NMOS ()\n.model N1 PMOS ()", "line 3: duplicate model 'n1'"),
+        # Netlist's rules name the line too, after the line's record is built
+        ("R1 a 0 1k\nr1 a 0 bogus", "line 3: malformed value 'bogus'"),
+        ("V1 a 0 DC 1\nV2 0 a DC 2\nR1 a 0 1k", "line 3: V2 closes a loop"),
         ("M1 a a 0 0 n1 W=1u", "line 2: mosfet takes four nodes, a model and W=/L="),
         ("M1 a a 0 0 n1 W=1u X=1u", "line 2: mosfet needs exactly W= and L="),
         # the error names the model as the element line spells it
@@ -387,37 +391,74 @@ def test_source_loop_is_rejected_exactly_when_the_dc_matrix_is_singular(rows):
     try:
         net = Netlist("t", els)
     except NetlistError as exc:
-        assert loop and str(exc).endswith(" closes a loop of voltage sources")
+        # a hand-built loop has no line to name
+        assert loop and exc.line_no is None
+        assert str(exc).endswith(" closes a loop of voltage sources")
         return
     assert not loop
     plan = Plan(net)
     assert np.linalg.matrix_rank(plan.jac) == plan.n_unknowns
 
 
+# characters that the parser splits on, strips, or reads as a line break,
+# comment or card, besides those of plain identifiers
+_ODD = " \t\n\x0c\x85\u2028(),*.="
+_WORD = string.ascii_letters + string.digits + "_"
+_TEXT = st.text(_WORD, min_size=1, max_size=3) | st.text(_WORD + _ODD, max_size=3)
+
+
 @st.composite
 def _named_record(draw):
     """An R, C, V, I or M record whose name starts with its type's letter,
-    in either case, or with any letter."""
+    in either case, or with any letter or odd character, and whose nodes
+    and model name may hold odd characters too."""
     kind = draw(st.sampled_from("RCVIM"))
-    first = draw(st.sampled_from((kind, kind.lower())) | st.sampled_from(string.ascii_letters))
-    name = first + draw(st.text(string.ascii_letters + string.digits + "_", max_size=3))
-    node = st.sampled_from(_NODES)
+    first = draw(st.sampled_from((kind, kind.lower()))
+                 | st.sampled_from(string.ascii_letters + _ODD))
+    name = first + draw(_TEXT)
+    node = st.sampled_from(_NODES) | _TEXT
     if kind == "M":
-        return Mosfet(name, draw(node), draw(node), draw(node), draw(node), "nm",
-                      NMOS_DEFAULT, MosGeometry(1e-6, 0.18e-6))
+        return Mosfet(name, draw(node), draw(node), draw(node), draw(node),
+                      draw(st.just("nm") | _TEXT), NMOS_DEFAULT, MosGeometry(1e-6, 0.18e-6))
     return _record(kind, name, draw(node), draw(node), draw(st.floats(1e-15, 1e15)))
 
 
-@given(els=st.lists(_named_record(), max_size=6))
-@settings(max_examples=100, deadline=None)
-def test_accepted_records_round_trip(els):
+@given(title=st.just("t") | _TEXT, els=st.lists(_named_record(), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_accepted_records_round_trip(title, els):
     # a Netlist rejects what its text cannot say: whatever it accepts, the
     # parser reads back as the same records
     try:
-        net = Netlist("t", tuple(els))
+        net = Netlist(title, tuple(els))
     except NetlistError:
         return
     assert parse_netlist(net.to_text()) == net
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: Resistor("R 1", "a", "0", 1e3), "element name 'R 1' is not one token"),
+    (lambda: Resistor("R(1", "a", "0", 1e3), "element name 'R(1' is not one token"),
+    (lambda: Resistor("R1", "a,b", "0", 1e3), "R1 names node 'a,b', which is not one token"),
+    (lambda: Resistor("R1", "a", "", 1e3), "R1 names node '', which is not one token"),
+    (lambda: Capacitor("C1", "a\u2028b", "0", 1e-12),
+     r"C1 names node 'a\u2028b', which is not one token"),
+    (lambda: _nmos("M1", "n m", NMOS_DEFAULT), "M1 names model 'n m', which is not one token"),
+    (lambda: _nmos("M1", "", NMOS_DEFAULT), "M1 names model '', which is not one token"),
+], ids=["name-space", "name-paren", "node-comma", "node-empty", "node-line-separator",
+        "model-space", "model-empty"])
+def test_hand_built_netlist_rejects_what_is_not_one_token(make, message):
+    # to_text would print a line the parser splits into other tokens
+    with pytest.raises(NetlistError, match=f"^{re.escape(message)}$") as exc:
+        Netlist("t", (VSource("V1", "a", "0", DcSpec(1.0)), make()))
+    assert exc.value.line_no is None
+
+
+@pytest.mark.parametrize("title", ["two\nlines", "a\x85b", "a\u2028b", " t", "t\t"])
+def test_hand_built_netlist_rejects_a_title_that_does_not_read_back(title):
+    # the parser reads the first line alone as the title, stripped
+    with pytest.raises(NetlistError, match=r"^title .* is not one stripped line$"):
+        Netlist(title, ())
+    assert Netlist("a\tb c", ()).to_text() == "a\tb c\n.end\n"
 
 
 def test_hand_built_mosfet_netlist_round_trips():

@@ -264,17 +264,20 @@ M1 a 0 0 0 nch W=1u L=1u
 """
 
 
-@pytest.mark.parametrize("deck,closer", [
-    (CLASH, "V2"),
-    ("self\nV1 a a DC 0\nR1 a 0 1k\n.end\n", "V1"),
-    ("ring\nV1 a 0 DC 1\nV2 b a DC 1\nV3 b 0 DC 2\nR1 b 0 1k\n.end\n", "V3"),
-], ids=["clash", "self-loop", "through-ground"])
-def test_voltage_source_loop_is_rejected(deck, closer):
+@pytest.mark.parametrize("deck,line,closer", [
+    (CLASH, 3, "V2"),
+    ("self\nV1 a a DC 0\nR1 a 0 1k\n.end\n", 2, "V1"),
+    ("ring\nV1 a 0 DC 1\nV2 b a DC 1\nV3 b 0 DC 2\nR1 b 0 1k\n.end\n", 4, "V3"),
+    ("clash\nV1 a 0 DC 1\nV2 a 0 DC 2\nR1 a 0 1k\n.end\n", 3, "V2"),
+], ids=["clash", "self-loop", "through-ground", "closer-not-last"])
+def test_voltage_source_loop_is_rejected(deck, line, closer):
     # sources in a loop fix a sum of voltages and leave the loop current
-    # free, so [G B; B^T 0] is singular: the Netlist names the source that
-    # closes the loop, and no solve is tried
-    with pytest.raises(NetlistError, match=f"^{closer} closes a loop of voltage sources$"):
+    # free, so [G B; B^T 0] is singular: the parser names the source that
+    # closes the loop and its line, and no solve is tried
+    message = f"^line {line}: {closer} closes a loop of voltage sources$"
+    with pytest.raises(NetlistError, match=message) as exc:
         parse_netlist(deck)
+    assert exc.value.line_no == line
 
 
 @pytest.mark.parametrize("guess", [None, {"mid": 1.5}], ids=["cold", "warm"])
@@ -284,7 +287,7 @@ def test_singular_circuit_names_suspect(guess, monkeypatch):
     # replaced by zeros, a warm solve reaches the pseudo-transient stage
     # only after its cold restart, and every stage must see the singular
     # matrix as LinAlgError, not as a NaN step and a RuntimeWarning
-    with pytest.raises(NetlistError, match="^V2 closes a loop of voltage sources$"):
+    with pytest.raises(NetlistError, match="^line 3: V2 closes a loop of voltage sources$"):
         parse_netlist(CLASH)
     statuses = []
     solve, newton = solver_module._solve, solver_module._newton
