@@ -1,64 +1,56 @@
 """Independent KCL audit of a converged DC solution.
 
 Re-sums element currents straight from the node voltages and the
-netlist, through mos_eval (device_evals, which `op` and the comparator
-extractor read too), without touching any solver workspace; each voltage
-source must hold its value. Cross-checks every Solution the solver emits.
+netlist, through mos_eval, without touching any solver workspace; each
+voltage source must hold its value. Cross-checks every Solution the
+solver emits. device_evals is the one routine that evaluates a
+solution's MOSFETs: the audit reads every one, `op` prints every one,
+and the comparator extractor reads M1 and M2 alone.
 """
 
 from __future__ import annotations
 
 from .devices import DeviceEval, mos_eval
 from .errors import HystlabError
-from .netlist import Capacitor, ISource, Mosfet, Netlist, Resistor, VSource
+from .netlist import ISource, Mosfet, Netlist, Resistor, VSource
 from .solver import OPTIONS, Solution
 
 
-def device_evals(netlist: Netlist, solution: Solution) -> dict[str, DeviceEval]:
-    """Each MOSFET of the netlist by name, in element order, at the solution."""
+def device_evals(netlist: Netlist, solution: Solution, names=None) -> dict[str, DeviceEval]:
+    """Each MOSFET of the netlist by name, in element order, at the
+    solution; with ``names``, only the MOSFETs so named, in that order."""
     v = solution.node_voltages
+    els = netlist.elements if names is None else map(netlist.find_element, names)
     return {el.name: mos_eval(el.model, el.geom, v[el.g] - v[el.s], v[el.d] - v[el.s])
-            for el in netlist.elements if isinstance(el, Mosfet)}
+            for el in els if type(el) is Mosfet}
 
 
 def kcl_residuals(netlist: Netlist, solution: Solution) -> dict[str, tuple[float, float]]:
     """Per non-ground node: (sum of currents leaving, local current scale)."""
     v = solution.node_voltages
     evals = device_evals(netlist, solution)
-    residual = {n: 0.0 for n in netlist.nodes if n != "0"}
-    scale = {n: 0.0 for n in residual}
-
-    def add(node: str, current: float):
-        if node != "0":
-            residual[node] += current
-            scale[node] += abs(current)
-
-    for el in netlist.elements:
-        if isinstance(el, Resistor):
-            i = (v[el.pos] - v[el.neg]) / el.ohms
-            add(el.pos, i)
-            add(el.neg, -i)
-        elif isinstance(el, Capacitor):
-            continue  # open at DC
-        elif isinstance(el, ISource):
-            val = el.spec.value_at(0.0)
-            add(el.pos, val)
-            add(el.neg, -val)
-        elif isinstance(el, VSource):
-            j = solution.branch_currents[el.name]
-            add(el.pos, j)
-            add(el.neg, -j)
-        elif isinstance(el, Mosfet):
-            i = evals[el.name].id
-            add(el.d, i)
-            add(el.s, -i)
-
-    for n in residual:
-        shunt = OPTIONS.gmin_floor * v[n]
-        residual[n] += shunt
-        scale[n] += abs(shunt)
-
-    return {n: (residual[n], scale[n]) for n in residual}
+    residual = dict.fromkeys(netlist.nodes, 0.0)  # ground "0" too, dropped below
+    scale = residual.copy()
+    for el in netlist.elements:  # i leaves its first terminal, enters its second
+        kind = type(el)
+        if kind is Mosfet:
+            p, q, i = el.d, el.s, evals[el.name].id
+        elif kind is Resistor:
+            p, q, i = el.pos, el.neg, (v[el.pos] - v[el.neg]) / el.ohms
+        elif kind is VSource:
+            p, q, i = el.pos, el.neg, solution.branch_currents[el.name]
+        elif kind is ISource:
+            p, q, i = el.pos, el.neg, el.spec.value_at(0.0)
+        else:
+            continue  # a capacitor is open at DC
+        residual[p] += i
+        residual[q] -= i
+        i = abs(i)
+        scale[p] += i
+        scale[q] += i
+    gmin = OPTIONS.gmin_floor  # then each node's shunt; ground "0" leads nodes
+    return {n: (residual[n] + gmin * v[n], scale[n] + abs(gmin * v[n]))
+            for n in netlist.nodes[1:]}
 
 
 def verify_kcl(netlist: Netlist, solution: Solution) -> float:
@@ -68,19 +60,19 @@ def verify_kcl(netlist: Netlist, solution: Solution) -> float:
 
     Returns the worst node residual [A]; raises HystlabError on violation.
     """
+    abstol, reltol, vntol = OPTIONS.abstol, OPTIONS.reltol, OPTIONS.vntol
     worst = 0.0
     for node, (res, sc) in kcl_residuals(netlist, solution).items():
         worst = max(worst, abs(res))
-        if abs(res) > OPTIONS.abstol + OPTIONS.reltol * sc:
+        if abs(res) > abstol + reltol * sc:
             raise HystlabError(
                 f"KCL violated at node {node}: residual {res:.3e} A "
                 f"against scale {sc:.3e} A")
     v = solution.node_voltages
     for el in netlist.elements:
-        if isinstance(el, VSource):
+        if type(el) is VSource:
             hi, lo, value = v[el.pos], v[el.neg], el.spec.value_at(0.0)
-            if abs(hi - lo - value) > OPTIONS.vntol + OPTIONS.reltol * (
-                    abs(hi) + abs(lo) + abs(value)):
+            if abs(hi - lo - value) > vntol + reltol * (abs(hi) + abs(lo) + abs(value)):
                 raise HystlabError(
                     f"voltage source {el.name} holds {hi - lo:g} V, not {value:g} V")
     return worst

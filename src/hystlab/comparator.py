@@ -85,9 +85,9 @@ class ComparatorConfig:
         for name in DEVICE_NAMES:
             if name not in self.sizing:
                 raise ConfigError(f"sizing map is missing device {name!r}")
-        for name in self.sizing:
-            if name not in DEVICE_NAMES:
-                raise ConfigError(f"sizing map names unknown device {name!r}")
+        if len(self.sizing) > len(DEVICE_NAMES):  # every device is in it
+            unknown = next(name for name in self.sizing if name not in DEVICE_NAMES)
+            raise ConfigError(f"sizing map names unknown device {unknown!r}")
         return dict(self.sizing)
 
 
@@ -150,8 +150,8 @@ def extract_operating_point(netlist: Netlist, solution: Solution) -> LatchOperat
     Requires the generator's canonical names; a Netlist holds an M name to
     a MOSFET. ExtractionError names the first of M1, M2, M3, M5, M7, M9
     and IREF that is missing, or the first node read here that the
-    solution lacks. i_d1/i_d2 are read off audit.device_evals, which also
-    gives the mirror currents into the latch (M5, M6).
+    solution lacks. i_d1/i_d2 are read off audit.device_evals, which
+    evaluates M1 and M2 alone.
     """
     devices = {}
     for name in ("M1", "M2", "M3", "M5", "M7", "M9"):
@@ -165,21 +165,12 @@ def extract_operating_point(netlist: Netlist, solution: Solution) -> LatchOperat
         raise ExtractionError("netlist lacks the IREF source") from None
 
     try:
-        evals = device_evals(netlist, solution)
+        i_d1, i_d2 = (ev.id for ev in device_evals(netlist, solution, ("M1", "M2")).values())
         v_c, v_d = solution.node_voltages["C"], solution.node_voltages["D"]
     except KeyError as missing:
         raise ExtractionError(f"solution lacks node {missing.args[0]!r}") from None
 
-    m7 = devices["M7"]
+    k = {name: kfactor(el.model, el.geom) for name, el in devices.items()}
     return LatchOperatingPoint(
-        k_n7=kfactor(m7.model, m7.geom),
-        k_n9=kfactor(devices["M9"].model, devices["M9"].geom),
-        k_p3=kfactor(devices["M3"].model, devices["M3"].geom),
-        k_p5=kfactor(devices["M5"].model, devices["M5"].geom),
-        v_th=m7.model.vto,
-        i_d1=evals[devices["M1"].name].id,
-        i_d2=evals[devices["M2"].name].id,
-        i_ref=i_ref_el.spec.value_at(0.0),
-        v_c=v_c,
-        v_d=v_d,
-    )
+        k_n7=k["M7"], k_n9=k["M9"], k_p3=k["M3"], k_p5=k["M5"], v_th=devices["M7"].model.vto,
+        i_d1=i_d1, i_d2=i_d2, i_ref=i_ref_el.spec.value_at(0.0), v_c=v_c, v_d=v_d)

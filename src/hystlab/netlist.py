@@ -217,7 +217,7 @@ _LETTER = {Resistor: "R", Capacitor: "C", VSource: "V", ISource: "I", Mosfet: "M
 _TYPE = {letter: cls for cls, letter in _LETTER.items()}
 
 # one token of the parser's split: no whitespace (\s is what str.isspace
-# accepts), paren or comma
+# accepts), paren or comma; the rules try the cheaper isalnum() first
 _TOKEN = re.compile(r"[^\s(),]+").fullmatch
 
 
@@ -233,29 +233,30 @@ def _check(el: Element, names: dict[str, Element], nodes: dict[str, None],
     it to their tables: names by upper-case name, nodes in order of first
     use (each checked as it enters), cards by lower-case model name, and
     the nodes that voltage sources join."""
+    kind = type(el)
     key = el.name.upper()
     if key in names:
         raise NetlistError(f"duplicate element name {el.name!r}")
-    letter = _LETTER[type(el)]
+    letter = _LETTER[kind]
     if el.name[:1].upper() != letter:
-        raise NetlistError(f"{type(el).__name__} name {el.name!r} does not start with {letter}")
-    if not _TOKEN(el.name):
+        raise NetlistError(f"{kind.__name__} name {el.name!r} does not start with {letter}")
+    if not (el.name.isalnum() or _TOKEN(el.name)):
         raise NetlistError(f"element name {el.name!r} is not one token")
-    for node in (el.d, el.g, el.s, el.b) if isinstance(el, Mosfet) else (el.pos, el.neg):
+    for node in (el.d, el.g, el.s, el.b) if kind is Mosfet else (el.pos, el.neg):
         if node not in nodes:
             if node in _GND:
                 raise NetlistError(f"{el.name} names node {node!r}; spell ground '0'")
-            if not _TOKEN(node):
+            if not (node.isalnum() or _TOKEN(node)):
                 raise NetlistError(f"{el.name} names node {node!r}, which is not one token")
             nodes[node] = None
-    if isinstance(el, VSource):
+    if kind is VSource:
         pos, neg = _root(joined, el.pos), _root(joined, el.neg)
         if pos == neg:
             raise NetlistError(f"{el.name} closes a loop of voltage sources")
         joined[pos] = neg
-    elif isinstance(el, Mosfet):
+    elif kind is Mosfet:
         low = el.model_name.lower()
-        if low not in cards and not _TOKEN(el.model_name):
+        if low not in cards and not (el.model_name.isalnum() or _TOKEN(el.model_name)):
             raise NetlistError(f"{el.name} names model {el.model_name!r}, which is not one token")
         # the generators share one card object per model: one `is` test each
         card = cards.setdefault(low, el.model)
@@ -284,13 +285,19 @@ class Netlist:
     def __post_init__(self):
         if self.title != self.title.strip() or len(self.title.splitlines()) > 1:
             raise NetlistError(f"title {self.title!r} is not one stripped line")
-        names: dict[str, Element] = {}
-        nodes = {"0": None} if self.elements else {}
-        cards, joined = {}, {}
+        tables = ({}, {"0": None}, {}, {})  # _check's: names, nodes, cards, joined
         for el in self.elements:
-            _check(el, names, nodes, cards, joined)
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "_by_name", names)
+            _check(el, *tables)
+        vars(self).update(nodes=tuple(tables[1]) if self.elements else (), _by_name=tables[0])
+
+    @classmethod
+    def _checked(cls, title: str, elements: tuple, names: dict, nodes) -> "Netlist":
+        """A Netlist of a stripped one-line title and of elements that _check
+        ran over, in order, into names and nodes: no rule runs again."""
+        net = object.__new__(cls)
+        vars(net).update(title=title, elements=elements, _by_name=names,
+                         nodes=tuple(nodes) if elements else ())
+        return net
 
     @property
     def models(self) -> dict[str, MosModel]:
@@ -311,10 +318,13 @@ class Netlist:
         return el
 
     def replaced_source(self, name: str, spec: SourceSpec) -> "Netlist":
-        """Copy of this netlist with one source's spec swapped out."""
+        """Copy of this netlist with one source's spec swapped out. It keeps
+        the names, nodes and cards that the rules checked, and the new spec
+        checks itself, so no rule runs again."""
         src = self.find_source(name)
-        els = tuple(replace(el, spec=spec) if el is src else el for el in self.elements)
-        return replace(self, elements=els)
+        new = replace(src, spec=spec)
+        els = tuple(new if el is src else el for el in self.elements)
+        return self._checked(self.title, els, {**self._by_name, src.name.upper(): new}, self.nodes)
 
     def to_text(self) -> str:
         lines = [self.title]
@@ -468,7 +478,7 @@ def parse_netlist(text: str) -> Netlist:
 
     models: dict[str, MosModel] = {}  # lookup only: each MOSFET carries its card
     elements: list[Element] = []
-    tables: tuple[dict, ...] = ({}, {}, {}, {})  # _check's, for the lines so far
+    tables = ({}, {"0": None}, {}, {})  # _check's, for the lines so far
     for idx, tokens in cards + rows:
         try:
             if tokens[0].lower() == ".model":
@@ -484,4 +494,4 @@ def parse_netlist(text: str) -> Netlist:
         except (NetlistError, ModelError) as e:
             raise NetlistError(str(e), idx) from None
 
-    return Netlist(title, tuple(elements))
+    return Netlist._checked(title, tuple(elements), *tables[:2])

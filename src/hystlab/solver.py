@@ -37,7 +37,7 @@ from numpy.linalg import _umath_linalg
 
 from .devices import kfactor, mos_kernel, mos_sign
 from .errors import ConvergenceError, MeasurementError
-from .netlist import Capacitor, DcSpec, ISource, Mosfet, Netlist, Resistor, VSource
+from .netlist import DcSpec, ISource, Mosfet, Netlist, Resistor, VSource
 
 
 @dataclass(frozen=True)
@@ -144,19 +144,18 @@ class Plan:
     def __init__(self, netlist: Netlist, dt: float | None = None):
         self.netlist = netlist
         self.dt = dt
-        self.node_names = tuple(n for n in netlist.nodes if n != "0")
+        self.node_names = netlist.nodes[1:]  # ground "0" leads nodes, if any
         nn = self.n_nodes = len(self.node_names)
         self.vsource_names = tuple(el.name for el in netlist.elements
-                                   if isinstance(el, VSource))
+                                   if type(el) is VSource)
         n = self.n_unknowns = nn + len(self.vsource_names)
         ni = {name: i for i, name in enumerate(self.node_names)}
         # each unknown by name, I(<source>) for a branch; a node wins a clash
         self.index = {f"I({v})": nn + j for j, v in enumerate(self.vsource_names)} | ni
         ni["0"] = n
 
-        def slot(p: int, q: int) -> int:
-            # row-major n x n, then one spare slot for ground's row and column
-            return p * n + q if p < n and q < n else n * n
+        # slot[p][q]: row-major n x n, then one spare slot for ground's row and column
+        slot = [[*range(p * n, p * n + n), n * n] for p in range(n)] + [[n * n] * (n + 1)]
 
         # the Jacobian's constant part, each slot summed in this order:
         # resistors and voltage-source incidences (no slot holds both),
@@ -164,49 +163,49 @@ class Plan:
         jac = [0.0] * (n * n + 1)
 
         def conductance(p: int, q: int, g: float) -> None:
-            jac[slot(p, p)] += g
-            jac[slot(p, q)] -= g
-            jac[slot(q, p)] -= g
-            jac[slot(q, q)] += g
+            jac[slot[p][p]] += g
+            jac[slot[p][q]] -= g
+            jac[slot[q][p]] -= g
+            jac[slot[q][q]] += g
 
         specs = []
         self.source_slots: dict[str, int] = {}
         resistors, isources, vsources, mosfets, caps = [], [], [], [], []
         b = nn
         for el in netlist.elements:
-            if isinstance(el, Resistor):
-                p, q, g = ni[el.pos], ni[el.neg], 1.0 / el.ohms
-                resistors.append((p, q, g))
-                conductance(p, q, g)
-            elif isinstance(el, Capacitor):
-                if dt is not None and el.farads > 0.0:  # open in DC
-                    caps.append((ni[el.pos], ni[el.neg], el.farads))
-            elif isinstance(el, ISource):
-                self.source_slots[el.name] = len(specs)
-                isources.append((ni[el.pos], ni[el.neg], len(specs)))
-                specs.append(el.spec)
-            elif isinstance(el, VSource):
-                p, q = ni[el.pos], ni[el.neg]
-                self.source_slots[el.name] = len(specs)
-                vsources.append((p, q, b, len(specs)))
-                jac[slot(p, b)] += 1.0
-                jac[slot(q, b)] -= 1.0
-                jac[slot(b, p)] += 1.0
-                jac[slot(b, q)] -= 1.0
-                specs.append(el.spec)
-                b += 1
-            elif isinstance(el, Mosfet):
+            kind = type(el)
+            if kind is Mosfet:
                 d, g, s = ni[el.d], ni[el.g], ni[el.s]
                 m = el.model
                 # s None marks a source at ground: its row and column are dropped
                 mosfets.append((d, g, None if s == n else s, kfactor(m, el.geom), mos_sign(m),
-                                m.vto, m.lam, slot(d, g), slot(d, d), slot(d, s),
-                                slot(s, g), slot(s, d), slot(s, s)))
+                                m.vto, m.lam, slot[d][g], slot[d][d], slot[d][s],
+                                slot[s][g], slot[s][d], slot[s][s]))
                 if dt is not None:
                     if m.cgs > 0.0:
                         caps.append((g, s, m.cgs))
                     if m.cgd > 0.0:
                         caps.append((g, d, m.cgd))
+            elif kind is Resistor:
+                p, q, g = ni[el.pos], ni[el.neg], 1.0 / el.ohms
+                resistors.append((p, q, g))
+                conductance(p, q, g)
+            elif kind is VSource:
+                p, q = ni[el.pos], ni[el.neg]
+                self.source_slots[el.name] = len(specs)
+                vsources.append((p, q, b, len(specs)))
+                jac[slot[p][b]] += 1.0
+                jac[slot[q][b]] -= 1.0
+                jac[slot[b][p]] += 1.0
+                jac[slot[b][q]] -= 1.0
+                specs.append(el.spec)
+                b += 1
+            elif kind is ISource:
+                self.source_slots[el.name] = len(specs)
+                isources.append((ni[el.pos], ni[el.neg], len(specs)))
+                specs.append(el.spec)
+            elif dt is not None and el.farads > 0.0:  # a capacitor, open in DC
+                caps.append((ni[el.pos], ni[el.neg], el.farads))
         if dt is not None:
             caps.extend((i, n, CMIN) for i in range(nn))
         # one companion per unordered node pair, in first-seen order, its
@@ -225,13 +224,13 @@ class Plan:
                           for (p, q), c in farads.items())
         for p, q, g, _ in self.caps:
             conductance(p, q, g)
-        self.diag = tuple(slot(i, i) for i in range(nn))
+        self.diag = tuple(range(0, nn * (n + 1), n + 1))  # slot[i][i] of each node
         for ii in self.diag:
             jac[ii] += OPTIONS.gmin_floor
         self._jac_list = jac
         self.jac = np.array(jac[:-1]).reshape(n, n)
         self.jac.flags.writeable = False
-        self.jac_finite = bool(np.isfinite(self.jac).all())
+        self.jac_finite = _finite(jac[:-1])
 
     def source_values(self, time: float) -> list[float]:
         return [spec.value_at(time) for spec in self.specs]

@@ -20,9 +20,11 @@ from hystlab import (
     dc_solve,
     device_evals,
     extract_operating_point,
+    mos_eval,
     parse_netlist,
     table_sizing,
 )
+from hystlab import audit as audit_module
 from hystlab.comparator import DEVICE_NAMES
 
 
@@ -201,6 +203,28 @@ def test_unknown_sizing_name_rejected():
     with pytest.raises(ConfigError) as exc:
         build_comparator(ComparatorConfig(sizing=sz))
     assert "MX" in str(exc.value)
+
+
+@pytest.mark.parametrize("scale", [None, 0.9, 1.1])
+def test_extraction_evaluates_m1_and_m2_alone(monkeypatch, scale):
+    # i_d1 and i_d2 are M1's and M2's drain currents as device_evals gives
+    # them, bit for bit, and an extraction evaluates those two devices alone
+    sizing = None if scale is None else {
+        name: MosGeometry(g.w * (scale if name in ("M1", "M5", "M9") else 1.0), g.l)
+        for name, g in table_sizing(ComparatorVariant.HYSTERESIS).items()}
+    net = build_comparator(ComparatorConfig(sizing=sizing, i_in=DcSpec(2e-6)))
+    sol = dc_solve(net)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return mos_eval(*args)
+
+    monkeypatch.setattr(audit_module, "mos_eval", spy)
+    op = extract_operating_point(net, sol)
+    assert len(calls) == 2
+    evals = device_evals(net, sol)
+    assert op.i_d1 == evals["M1"].id and op.i_d2 == evals["M2"].id
 
 
 def test_extraction_requires_canonical_names(zero_lambda_models):

@@ -1,5 +1,6 @@
 """Grammar, value suffixes, source specs and round-trip serialization."""
 
+import dataclasses
 import math
 import re
 import string
@@ -24,9 +25,11 @@ from hystlab import (
     PulseSpec,
     Resistor,
     VSource,
+    build_comparator,
     parse_netlist,
     parse_value,
 )
+from hystlab import netlist as netlist_module
 from hystlab.solver import Plan
 
 DIVIDER = """voltage divider
@@ -227,6 +230,56 @@ def test_replaced_source():
     assert net.find_source("I1").spec.value_at(0.0) == 1e-6
 
 
+SWAPS = {
+    "divider": (lambda: parse_netlist(DIVIDER), "V1", DcSpec(5.0)),
+    "stock-iin": (lambda: build_comparator(), "iin",
+                  PulseSpec(-8e-6, 8e-6, 0.0, 1e-8, 1e-8, 1.8e-7, 4e-7)),
+    "stock-iref": (lambda: build_comparator(), "IREF", DcSpec(1e-6)),
+}
+
+
+@pytest.mark.parametrize("case", SWAPS)
+def test_replaced_source_equals_a_fresh_netlist(case):
+    # the copy carries its tables over, and they are the ones that the
+    # rules would build: ==, hash, nodes and every lookup agree
+    make, name, spec = SWAPS[case]
+    net = make()
+    copy = net.replaced_source(name, spec)
+    fresh = Netlist(copy.title, copy.elements)
+    assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
+    assert copy.nodes == fresh.nodes
+    assert copy.find_source(name).spec == spec
+    assert net.find_source(name).spec != spec
+    for el in fresh.elements:
+        for spelled in (el.name, el.name.lower(), el.name.upper()):
+            assert copy.find_element(spelled) is fresh.find_element(spelled) is el
+    with pytest.raises(NetlistError, match="^no element named 'X1'$"):
+        copy.find_element("X1")
+
+
+def test_rules_run_once_per_parsed_element_and_not_on_a_spec_swap(monkeypatch):
+    texts = (DIVIDER, build_comparator().to_text())
+    checked = []
+    real = netlist_module._check
+
+    def spy(el, *tables):
+        checked.append(el)
+        return real(el, *tables)
+
+    monkeypatch.setattr(netlist_module, "_check", spy)
+    for text in texts:
+        net = parse_netlist(text)
+        assert len(checked) == len(net.elements)
+        assert all(a is b for a, b in zip(checked, net.elements))
+        checked.clear()
+        copy = net.replaced_source(net.elements[0].name, DcSpec(1.5))
+        assert checked == []
+        # a Netlist built or replaced by hand still runs every rule
+        dataclasses.replace(copy, title="again")
+        assert checked == list(copy.elements)
+        checked.clear()
+
+
 def test_find_source_rejects_other_elements():
     net = parse_netlist("t\nI1 0 a DC 1u\nR1 a 0 1k\n.end\n")
     with pytest.raises(NetlistError, match="element 'R1' is not a source"):
@@ -301,7 +354,7 @@ def test_derived_tables_are_computed_once_per_netlist():
     fresh = parse_netlist(DIVIDER)
     assert net == fresh and hash(net) == hash(fresh) and repr(net) == repr(fresh)
     copy = net.replaced_source("V1", DcSpec(5.0))
-    assert copy.nodes == net.nodes and copy.nodes is not net.nodes
+    assert copy.nodes is net.nodes  # carried over: a spec swap moves no node
     assert copy.find_element("v1").spec == DcSpec(5.0)
     assert net.find_element("v1").spec == DcSpec(3.0)
 

@@ -18,9 +18,12 @@ from hystlab import (
     ConvergenceError,
     DcSpec,
     HystlabError,
+    ISource,
     Mosfet,
     NetlistError,
     PulseSpec,
+    Resistor,
+    VSource,
     branch_solution_at,
     build_comparator,
     dc_solve,
@@ -37,6 +40,7 @@ from hystlab import solver as solver_module
 from hystlab.audit import kcl_residuals, verify_kcl
 from hystlab.devices import kfactor, mos_kernel, mos_sign
 from hystlab.solver import Plan, Solution
+from test_random_circuits import random_circuit, random_transient
 
 GMIN = 1e-12
 
@@ -688,6 +692,9 @@ def test_device_evals_match_mos_eval_at_solution():
         el.name: mos_eval(el.model, el.geom, v[el.g] - v[el.s], v[el.d] - v[el.s])
         for el in mosfets}
     assert list(evals) == [el.name for el in mosfets]
+    # named: those MOSFETs alone, in the order named, whatever the case
+    assert device_evals(net, sol, ("M2", "m1")) == {"M2": evals["M2"], "M1": evals["M1"]}
+    assert list(device_evals(net, sol, ("M2", "m1"))) == ["M2", "M1"]
     # the audit sums exactly these drain currents: at the nodes that only
     # MOSFETs meet, its residual and scale are rebuilt from them bit for bit
     audit = kcl_residuals(net, sol)
@@ -702,6 +709,88 @@ def test_device_evals_match_mos_eval_at_solution():
                     scale += abs(i)
         shunt = GMIN * v[node]
         assert audit[node] == (res + shunt, scale + abs(shunt)), node
+
+
+def _closure_kcl_residuals(net, sol):
+    """kcl_residuals re-summed through one closure call per terminal that
+    skips ground, and isinstance dispatch: each node's currents in element
+    order, + i at the first terminal and + -i at the second, then the
+    gmin shunt."""
+    v = sol.node_voltages
+    evals = device_evals(net, sol)
+    residual = {n: 0.0 for n in net.nodes if n != "0"}
+    scale = {n: 0.0 for n in residual}
+
+    def add(node, current):
+        if node != "0":
+            residual[node] += current
+            scale[node] += abs(current)
+
+    for el in net.elements:
+        if isinstance(el, Resistor):
+            i = (v[el.pos] - v[el.neg]) / el.ohms
+            add(el.pos, i)
+            add(el.neg, -i)
+        elif isinstance(el, ISource):
+            val = el.spec.value_at(0.0)
+            add(el.pos, val)
+            add(el.neg, -val)
+        elif isinstance(el, VSource):
+            j = sol.branch_currents[el.name]
+            add(el.pos, j)
+            add(el.neg, -j)
+        elif isinstance(el, Mosfet):
+            i = evals[el.name].id
+            add(el.d, i)
+            add(el.s, -i)
+    for n in residual:
+        shunt = GMIN * v[n]
+        residual[n] += shunt
+        scale[n] += abs(shunt)
+    return {n: (residual[n], scale[n]) for n in residual}
+
+
+def _bits(table):
+    return {k: tuple(x.hex() for x in pair) for k, pair in table.items()}
+
+
+@pytest.mark.parametrize("build", ["stock", "random", "random-caps"])
+def test_kcl_residuals_match_a_closure_re_sum_bit_for_bit(build):
+    # at each solved point, and at seeded points off it where every node
+    # carries a residual, the audit's inline sums keep the closure's bits
+    if build == "stock":
+        nets = [build_comparator(ComparatorConfig())]
+    else:
+        make = random_circuit if build == "random" else random_transient
+        nets = [make(seed) for seed in range(60)]
+    rng = random.Random(48)
+    for net in nets:
+        sol = dc_solve(net)
+        off = Solution({n: rng.uniform(-1.0, 4.0) if n != "0" else 0.0
+                        for n in sol.node_voltages},
+                       {b: rng.uniform(-1e-3, 1e-3) for b in sol.branch_currents}, 0)
+        for point in (sol, off):
+            assert _bits(kcl_residuals(net, point)) == _bits(_closure_kcl_residuals(net, point))
+
+
+def test_plan_slots_follow_the_row_major_rule():
+    # the compiled slot of each (row, column): p*n + q in the n x n block,
+    # the spare slot n*n in ground's row or column; and the constant J
+    # stamped element by element, bit for bit, on random circuits too
+    for net in (build_comparator(ComparatorConfig()), *map(random_circuit, range(60))):
+        plan = Plan(net)
+        n = plan.n_unknowns
+
+        def slot(p, q):
+            return p * n + q if p < n and q < n else n * n
+
+        for d, g, s, *_, dg, dd, ds, sg, sd, ss in plan.mosfets:
+            s = n if s is None else s
+            assert (dg, dd, ds, sg, sd, ss) == (slot(d, g), slot(d, d), slot(d, s),
+                                                slot(s, g), slot(s, d), slot(s, s))
+        assert plan.diag == tuple(slot(i, i) for i in range(plan.n_nodes))
+        np.testing.assert_array_equal(plan.jac, _constant_jacobian(net, None))
+        assert plan.node_names == tuple(node for node in net.nodes if node != "0")
 
 
 def _companions(net, cmin):
