@@ -382,13 +382,44 @@ class Plan:
 
     @cached_property
     def inverse_norm(self) -> float:
-        """beta = ||J^-1||_inf of the compiled ``jac``, on first read.
+        """beta = ||J^-1||_inf of the compiled ``jac``, computed on first
+        read and cached with the plan for _newton's step bound and
+        certificate.
 
         Only for a plan with no MOSFET: its plain Jacobian is ``jac`` at
         every x, source value and companion current (dt is fixed in the
         plan). inf when the inverse cannot bound a step (see _inverse_norm).
         """
         return _inverse_norm(self.jac)
+
+    @cached_property
+    def certificate(self) -> tuple[float, float, float]:
+        """(c_scale, c_step, c_x) of _newton's certificate, from ``jac``'s
+        ||J||_inf, computed on first read and cached with the plan next to
+        inverse_norm. Only for a plan with no MOSFET.
+
+        With u = 2**-53, gamma_k = k*u/(1 - k*u), K = 2*E + 4 for the E
+        resistors, sources and companions, and rho = 2**(n-1):
+            c_scale = 4*gamma_K
+            c_step  = 2*(gamma_3n*(1 + 2*(n*n - n)*rho) + 2*gamma_K)*||J||_inf
+            c_x     = 4*u*||J||_inf
+        inf for a plan with a resistor from a node to itself, whose +g and
+        -g cancel in J's sums, which the proof in _newton excludes.
+        """
+        n = self.n_unknowns
+        if any(p == q for p, q, _ in self.resistors):
+            return inf, inf, inf
+        norm = float(np.abs(self.jac).sum(axis=1).max(initial=0.0))
+        u = 2.0**-53
+
+        def gamma(k: int) -> float:
+            return k * u / (1.0 - k * u)
+
+        sums = gamma(2 * (len(self.resistors) + len(self.isources) + len(self.vsources)
+                          + len(self.caps)) + 4)
+        rho = 2.0 ** (n - 1) if n <= 1024 else inf  # 2.0**1024 raises OverflowError
+        lu = gamma(3 * n) * (1.0 + 2.0 * (n * n - n) * rho)
+        return 4.0 * sums, 2.0 * (lu + 2.0 * sums) * norm, 4.0 * u * norm
 
     def sweep(self, name: str, values: list[float],
               before: list[float] | None = None) -> np.ndarray:
@@ -676,6 +707,16 @@ def _solve(jac: np.ndarray, rhs: list[float]) -> list[float]:
     return _umath_linalg.solve1(jac, rhs, signature="dd->d").tolist()
 
 
+def _certified(plan: Plan, a: _Assembled, dx: list[float], x: list[float]) -> bool:
+    """_newton's certificate: True when every row of the residual that
+    assembling at x, the iterate that ``a`` assembled plus its solved step
+    dx, would give provably passes the step bound and _residual_ok."""
+    c_scale, c_step, c_x = plan.certificate
+    bound = (c_scale * max(a.scale, default=0.0) + c_step * max(map(abs, dx), default=0.0)
+             + c_x * max(map(abs, x), default=0.0))
+    return bound <= OPTIONS.abstol and 4.0 * plan.inverse_norm * bound <= OPTIONS.vntol
+
+
 def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
             ieq: list[float] | tuple = ()):
     """Damped Newton loop. Returns (x, assembled, iterations, status).
@@ -695,16 +736,49 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
 
     A run converges at an iterate x whose residual passes _residual_ok
     and whose Newton step dx is within vntol + reltol*|x|. It is accepted
-    in one of two ways. On "ok" the returned assembled always belongs to
-    the residual-checked x; callers read it only on failure.
+    in one of three ways. On "ok" the returned assembled belongs to the
+    residual-checked x, or, after a certificate, to the iterate before the
+    returned one; callers read it only on failure.
     - Solved step: return x + dx, as SPICE does (Nagel, SPICE2, UCB
       ERL-M520, 1975), with no further assembly.
     - Step bound, on a plan with no MOSFET: with beta = ||J^-1||_inf
       (Plan.inverse_norm) the computed step is at most about
       beta*||f(x)||_inf (LU backward error; Higham, Accuracy and
-      Stability of Numerical Algorithms, ch. 9), so when
+      Stability of Numerical Algorithms, 2nd ed., 2002, ch. 9), so when
       4*beta*||f(x)||_inf <= vntol the step would pass. x itself is
       returned: no step is solved.
+    - Certificate, on a plan with no MOSFET, when a solved step dx from x
+      is not clamped and fails the step test, and an iteration is left
+      (_certified). B bounds every row of the residual that assembling at
+      x' = x + dx would give. If B <= abstol, so every row passes
+      _residual_ok, and 4*beta*B <= vntol, x' is returned at once: the
+      next iteration's step bound would return the same x' unsolved, one
+      assembly later. Both tests read B where that iteration reads
+      ||f(x')||_inf, and rounding is monotone. Proof of the bound: with
+      A the exact sum of the plan's stamps and f(y) = A y + c, assembly
+      computes f(y) + e(y); the compiled J is A + E; the solve gives
+      (J + dJ) dx = -f(x) - e(x); and x' = x + dx + r. So
+          f(x') = f(x) + A (dx + r) = -e(x) - (dJ + E) dx + A r,
+      and the next assembly adds e(x'). Row by row (Higham, above):
+      - |e(y)| <= gamma_K times the row's sum of |terms| at y (ch. 3): a
+        term takes at most 2 roundings, and a row sums at most 2E + 1
+        terms (Plan.certificate's K). That sum is the row's scale, and it
+        grows from x to x' by at most ||A||_inf*||x' - x||_inf;
+      - |dJ| <= gamma_3n |L||U| (Thm 9.4), and ||(|L||U|)||_inf <= (1 +
+        2(n*n - n)*rho)*||J||_inf with rho <= 2**(n-1) under partial
+        pivoting (Lemma 9.6);
+      - |E| <= gamma_K |A|, and ||A||_inf is ||J||_inf to a factor 1 +
+        O((K + n)*u): each slot of J sums stamps of one sign, a conductance
+        g > 0 adding on the diagonal and subtracting off it, a source's
+        +-1 in slots of its own. A resistor from a node to itself breaks
+        this, so its plan is never certified;
+      - |r| <= u*|x'|, so ||x' - x||_inf <= ||dx||_inf + u*||x'||_inf.
+      Summed, every row of that residual is at most 2*gamma_K*max(scale
+      at x) + (gamma_3n*(1 + 2*(n*n - n)*rho) + 2*gamma_K)*||J||*||dx|| +
+      (1 + gamma_K)*u*||J||*||x'||, all norms inf-norms, up to factors of
+      1 + O(K*u); B is twice it, which covers those factors and B's own
+      rounding (Plan.certificate). Underflow, at most 2**-1074 per
+      operation, lies far below either test's limit.
 
     A nonzero ``g`` makes the run one pseudo-transient step, every node
     tied to x0 by g, of at most _PTC_STEP_ITERS iterations. It returns
@@ -775,6 +849,9 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
         else:
             step_ok = True
         if step_ok and _residual_ok(plan, a):
+            return x_next, a, iters, "ok"
+        if linear and step is dx and iters < max_iters and _certified(plan, a, dx, x_next):
+            # the next iteration's step bound provably accepts x_next unsolved
             return x_next, a, iters, "ok"
         if watch and iters >= _STALL_FROM:
             if longest >= last:  # theta >= 1 after an unclamped step

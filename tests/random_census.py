@@ -4,6 +4,7 @@
     python tests/random_census.py 0 3000 --vdd 0
     python tests/random_census.py 0 3000 --tran
     python tests/random_census.py 0 3000 --hand
+    python tests/random_census.py 0 3000 --linear
 
 Solves ``random_circuit(seed)`` for each seed in [start, stop) with
 dc_solve and audits each answer with verify_kcl. Prints one line per
@@ -16,7 +17,9 @@ status is the Newton status its message names, else its error type.
 with VDD at 0 V. ``--tran`` runs each seed's random transient instead
 (random_transient), which fails only by raising. ``--hand`` builds each
 seed's hand_built deck instead, any fault of the deck itself included,
-and tallies its failures by error type. It imports hystlab from this
+and tallies its failures by error type. ``--linear`` solves each seed's
+random_linear circuit with dc_solve, audits it, then runs its transient,
+1 ns steps to 200 ns. It imports hystlab from this
 checkout's src/. Pytest does not collect this file.
 """
 
@@ -35,7 +38,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from hystlab import (Capacitor, DcSpec, HystlabError, ISource, MosGeometry,  # noqa: E402
                      Mosfet, Netlist, Resistor, VSource, dc_solve, transient, verify_kcl)
 from hystlab import solver  # noqa: E402
-from test_random_circuits import MODELS, random_circuit, random_transient  # noqa: E402
+from test_random_circuits import (MODELS, random_circuit, random_linear,  # noqa: E402
+                                  random_transient)
 
 _HAND_NODES = ("0", "a", "b", "c", "vdd")
 
@@ -88,6 +92,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="run each seed's random transient, 1 ns steps to 200 ns")
     group.add_argument("--hand", action="store_true",
                        help="solve each seed's hand_built deck; tally failures by type")
+    group.add_argument("--linear", action="store_true",
+                       help="solve and run the transient of each seed's random_linear circuit")
     args = parser.parse_args(argv)
 
     iterations = 0
@@ -105,14 +111,16 @@ def main(argv: list[str] | None = None) -> int:
         try:
             if args.hand:
                 net = hand_built(seed)
+            elif args.linear:
+                net = random_linear(seed)
             else:
                 net = random_transient(seed) if args.tran else random_circuit(seed)
             if args.vdd is not None:
                 net = net.replaced_source("VDD", DcSpec(args.vdd))
-            if args.tran:
-                transient(net, 1e-9, 200e-9)
-            else:
+            if not args.tran:
                 verify_kcl(net, dc_solve(net))
+            if args.tran or args.linear:
+                transient(net, 1e-9, 200e-9)
         except HystlabError as exc:
             failures[type(exc).__name__ if args.hand else failure_status(exc)] += 1
             print(f"seed {seed}: {type(exc).__name__}: {exc}")

@@ -4,7 +4,9 @@ budget, every random transient over seeds 0-99 keeps its finite rows
 within one too, each netlist survives to_text and parse_netlist
 unchanged, and a warm sweep equals the chain of dc_solve calls guessed as
 the sweep starts its points, each of which passes the audit. An output
-that does not move has no crossing."""
+that does not move has no crossing. On random linear circuits, _newton's
+certificate keeps dc_solve and transient bit for bit, and each point it
+certifies passes the tests the step bound would run there."""
 
 import math
 import random
@@ -80,6 +82,39 @@ def random_transient(seed: int) -> Netlist:
         pos, neg = rng.sample(net.nodes, 2)
         caps.append(Capacitor(f"C{i}", pos, neg, 10.0 ** rng.uniform(-15.0, -9.0)))
     return Netlist(net.title, (*net.elements, *caps))
+
+
+def random_linear(seed: int) -> Netlist:
+    """2-6 nodes and no MOSFET, values across many decades, drawn by
+    random.Random(20_000 + seed): a spanning tree of resistors (1 ohm to
+    1 Gohm) ties each node toward ground, 1-3 voltage sources (1 mV to
+    1 kV, either sign; DC, or a PULSE from 0 V with 1 ps to 20 ns edges),
+    each from a node no other source drives to an earlier terminal, so
+    they close no loop, 0-2 DC current sources (1 nA to 10 mA, either
+    sign) and 0-3 capacitors (1 fF to 1 uF), each between two distinct
+    terminals. Magnitudes are log-uniform. Its transient runs at dt 1 ns
+    to 200 ns."""
+    rng = random.Random(20_000 + seed)
+    nodes = [f"n{i}" for i in range(1, rng.randint(2, 6) + 1)]
+    terminals = ["0", *nodes]
+    elements = [Resistor(f"R{i}", node, rng.choice(terminals[:i + 1]),
+                         10.0 ** rng.uniform(0.0, 9.0))
+                for i, node in enumerate(nodes)]
+    driven = sorted(rng.sample(range(len(nodes)), rng.randint(1, min(3, len(nodes)))))
+    for j, i in enumerate(driven):
+        volts = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        spec = DcSpec(volts) if rng.random() < 0.5 else PulseSpec(
+            v1=0.0, v2=volts, delay=10e-9, rise=10.0 ** rng.uniform(-12.0, math.log10(20e-9)),
+            fall=10.0 ** rng.uniform(-12.0, math.log10(20e-9)), width=50e-9, period=150e-9)
+        elements.append(VSource(f"V{j}", nodes[i], rng.choice(terminals[:i + 1]), spec))
+    for j in range(rng.randint(0, 2)):
+        pos, neg = rng.sample(terminals, 2)
+        amps = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -2.0)
+        elements.append(ISource(f"I{j}", pos, neg, DcSpec(amps)))
+    for j in range(rng.randint(0, 3)):
+        pos, neg = rng.sample(terminals, 2)
+        elements.append(Capacitor(f"C{j}", pos, neg, 10.0 ** rng.uniform(-15.0, -6.0)))
+    return Netlist(f"random linear circuit {seed}", tuple(elements))
 
 
 def test_random_circuits_solve_or_raise():
@@ -185,6 +220,83 @@ def test_random_sweep_matches_solving_each_point(sweep_chain, seed):
     with pytest.raises(type(exc)) as got:
         dc_sweep(net, name, -20e-6, 20e-6, 4e-6)
     assert str(got.value) in (str(exc), f"sweep failed at {name}={v:.6g}: {exc}")
+
+
+def _outcome(run, read):
+    """read(run()), or the text of the error that run raises."""
+    try:
+        return read(run())
+    except HystlabError as exc:
+        return str(exc)
+
+
+def _linear_outcomes(net: Netlist) -> tuple:
+    """(dc_solve's values as text, transient's samples as bytes, dc_sweep's
+    samples of the first DC source over twice its value either way, None
+    without one), each the text of its error when it raises."""
+    source = next((el for el in net.elements if isinstance(el, (VSource, ISource))
+                   and isinstance(el.spec, DcSpec)), None)
+    span = 0.0 if source is None else 2.0 * abs(source.spec.value)
+    return (_outcome(lambda: dc_solve(net),
+                     lambda sol: repr((sol.node_voltages, sol.branch_currents))),
+            _outcome(lambda: transient(net, 1e-9, 200e-9), lambda wave: wave.samples.tobytes()),
+            None if source is None else _outcome(
+                lambda: dc_sweep(net, source.name, -span, span, span / 4),
+                lambda curve: curve.samples))
+
+
+# the seeds of 0-999 on which the certificate's bound comes closest to
+# certifying a point whose residual fails: a bound 163-247 times smaller
+# certifies one on each (tens to hundreds of volts across megohm nodes)
+TIGHT_LINEAR_SEEDS = (868, 444, 149, 82, 675)
+
+
+def test_certificate_keeps_random_linear_answers_bit_identical(monkeypatch):
+    # at every certified return, the residual at the returned point passes
+    # what the step bound's next iteration would test; dc_solve and
+    # transient keep every bit of a run without the certificate. A sweep
+    # may start a point from its prediction one point sooner, as a
+    # certified point reports one iteration less, so its samples are held
+    # to the step test's tolerance instead
+    opts = solver_module.OPTIONS
+    real_newton, real_certified = solver_module._newton, solver_module._certified
+    certified, tally = [], {"fired": 0, "declined": 0}
+
+    def certified_spy(plan, a, dx, x):
+        ok = real_certified(plan, a, dx, x)
+        tally["fired" if ok else "declined"] += 1
+        if ok:
+            certified.append(x)
+        return ok
+
+    def newton_spy(plan, x0, g=0.0, *, e, ieq=()):
+        certified.clear()
+        x, a, iters, status = real_newton(plan, x0, g, e=e, ieq=ieq)
+        if certified:
+            assert certified[0] is x and status == "ok"
+            at_x = plan.assemble(x, e, ieq)
+            assert 4.0 * plan.inverse_norm * max(map(abs, at_x.f)) <= opts.vntol
+            assert solver_module._residual_ok(plan, at_x)
+        return x, a, iters, status
+
+    for seed in (*range(30), *TIGHT_LINEAR_SEEDS):
+        net = random_linear(seed)
+        with monkeypatch.context() as m:
+            m.setattr(solver_module, "_newton", newton_spy)
+            m.setattr(solver_module, "_certified", certified_spy)
+            fast = _linear_outcomes(net)
+        with monkeypatch.context() as m:
+            m.setattr(solver_module, "_certified", lambda *args: False)
+            slow = _linear_outcomes(net)
+        assert fast[:2] == slow[:2], seed
+        got, want = fast[2], slow[2]
+        if not isinstance(want, np.ndarray) or not isinstance(got, np.ndarray):
+            assert got == want, seed
+        else:
+            assert (np.abs(got - want) <= opts.vntol + opts.reltol * np.abs(want)).all(), seed
+    # both kinds of run: one that the certificate ends, one it leaves to
+    # the step bound as before
+    assert tally["fired"] > 0 and tally["declined"] > 0, tally
 
 
 def test_output_that_does_not_move_has_no_crossing():

@@ -1498,7 +1498,9 @@ def test_step_bound_keeps_transient_bit_identical(monkeypatch):
     with _count_solves(monkeypatch) as calls:
         bounded = transient(RC_EDGE, 1e-9, 100e-9)
     bounded_solves = len(calls)
-    assert max(iterations) > 3  # the clamped edge step
+    # the clamped edge step: two clamped steps, then the solved step that
+    # the certificate accepts
+    assert max(iterations) == 3
 
     monkeypatch.setattr(solver_module, "_inverse_norm", lambda jac: float("inf"))
     with _count_solves(monkeypatch) as calls:
@@ -1510,13 +1512,16 @@ def test_step_bound_keeps_transient_bit_identical(monkeypatch):
 def test_step_bound_waits_on_a_high_impedance_node(monkeypatch):
     # one clamped step leaves the node 0.02 V short of 1.02 V: its
     # residual of 2.2e-13 A already passes, but the step to the answer
-    # does not, so the bound must not accept that iterate
+    # does not, so the bound must not accept that iterate. The second
+    # iteration solves that step, and the certificate accepts its end
     net = parse_netlist("hiz\nI1 0 a DC 1.122e-11\nR1 a 0 1e11\n.end\n")
     bounded = dc_solve(net)
     monkeypatch.setattr(solver_module, "_inverse_norm", lambda jac: float("inf"))
     solved = dc_solve(net)
-    assert repr(bounded) == repr(solved)
-    assert bounded.iterations == 3
+    assert repr((bounded.node_voltages, bounded.branch_currents)) == repr(
+        (solved.node_voltages, solved.branch_currents))
+    assert abs(bounded.node_voltages["a"] - 1.02) < 1e-9  # not the clamped 1.0 V
+    assert (bounded.iterations, solved.iterations) == (2, 3)
 
 
 def test_linear_transient_solves_once_per_step(monkeypatch):
@@ -1526,13 +1531,25 @@ def test_linear_transient_solves_once_per_step(monkeypatch):
 
 
 def test_linear_dc_solve_takes_the_bounded_point_unpolished(monkeypatch):
-    # the step-bound acceptance returns its iterate as it is: the second
-    # iteration assembles and solves nothing more
+    # the certificate returns the solved iterate as it is, the point that
+    # the step bound accepted unsolved at a second iteration before it:
+    # the first iteration's solve is the only one, and nothing is
+    # assembled at its end
     counts, _ = _spy_work(monkeypatch)
     sol = dc_solve(parse_netlist("vr\nV1 a 0 DC 1\nR1 a 0 1k\n.end\n"))
-    assert counts == {"assemble": 2, "solve": 1}
+    assert counts == {"assemble": 1, "solve": 1}
     assert repr(sol) == ("Solution(node_voltages={'0': 0.0, 'a': 1.0}, "
-                         "branch_currents={'V1': -0.001000000001}, iterations=2)")
+                         "branch_currents={'V1': -0.001000000001}, iterations=1)")
+
+
+def test_certificate_declines_a_resistor_from_a_node_to_itself():
+    # R2 stamps +1 S and -1 S into a's diagonal, whose sum then rounds
+    # (the branch current reads -0.0010000000009998899 A): the bound's
+    # proof excludes such cancellation, so the step bound takes the run
+    net = parse_netlist("self\nV1 a 0 DC 1\nR1 a 0 1k\nR2 a a 1\n.end\n")
+    assert solver_module.Plan(net).certificate == (float("inf"),) * 3
+    sol = dc_solve(net)
+    assert (sol.node_voltages["a"], sol.iterations) == (1.0, 2)
 
 
 def test_transient_step_returns_x_plus_dx_and_repeats_no_solve(monkeypatch, capacitance_net):
