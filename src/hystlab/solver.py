@@ -53,6 +53,9 @@ class SolverOptions:
 
 
 OPTIONS = SolverOptions()
+# OPTIONS' tolerances and limits, read once here by the Newton loop and its tests
+_ABSTOL, _RELTOL, _VNTOL = OPTIONS.abstol, OPTIONS.reltol, OPTIONS.vntol
+_CLAMP, _MAX_ITERS = OPTIONS.dv_clamp, OPTIONS.max_newton_iters
 CMIN = 1e-15  # transient shunt capacitance from every node to ground [F]
 
 # pseudo-transient continuation: backward Euler on 1 pF per node ties each
@@ -384,13 +387,20 @@ class Plan:
     def inverse_norm(self) -> float:
         """beta = ||J^-1||_inf of the compiled ``jac``, computed on first
         read and cached with the plan for _newton's step bound and
-        certificate.
+        certificate (see bounds).
 
         Only for a plan with no MOSFET: its plain Jacobian is ``jac`` at
         every x, source value and companion current (dt is fixed in the
         plan). inf when the inverse cannot bound a step (see _inverse_norm).
         """
         return _inverse_norm(self.jac)
+
+    @cached_property
+    def bounds(self) -> tuple[float, float, float, float]:
+        """(4*beta, c_scale, c_step, c_x): the step bound's factor
+        4*inverse_norm, then the certificate, in one tuple that a linear
+        Newton run reads once per test. Only for a plan with no MOSFET."""
+        return 4.0 * self.inverse_norm, *self.certificate
 
     @cached_property
     def certificate(self) -> tuple[float, float, float]:
@@ -494,10 +504,12 @@ class Plan:
         local truncation error, h**3/2 times the largest |third divided
         difference| of the node voltages through the last four accepted
         points since the last corner, the new one included, may be at most
-        _LTE_TOL. With p the step's prediction (_extrapolate) through the
-        three points before it, k0, k1 and k2, x_new - p is exactly that
-        difference times (k+m-k0)(k+m-k1)(k+m-k2), which the error divides
-        out (Brayton, Gustavson & Hachtel, Proc. IEEE 60(1), 1972). A step
+        _LTE_TOL. With p the step's prediction through the three points
+        before it, k0, k1 and k2, x_new - p is exactly that difference
+        times (k+m-k0)(k+m-k1)(k+m-k2), which the error divides out
+        (Brayton, Gustavson & Hachtel, Proc. IEEE 60(1), 1972). The error is
+        read in one pass over the node voltages of x_new and of the three
+        points, each p summed as _extrapolate sums it, with no list of p. A step
         longer than dt whose error is above _LTE_TOL, inf for a failed
         Newton run, is redone at h/2 from the same accepted point; the next
         step is 2h when the error is below _LTE_TOL/8. A step of dt whose
@@ -522,15 +534,12 @@ class Plan:
         from the last accepted x. The gate keeps settled plateaus, where
         the trapezoidal companions ring with period 2 (ieq alternates while
         v holds), from extrapolating that ringing. Without MOSFETs every
-        step starts from the last accepted x, its prediction, of the node
-        voltages alone, serving only its error: a predicted start would
-        pass the step bound unsolved (see _newton).
+        step starts from the last accepted x, and its prediction serves
+        only its error: a predicted start would pass the step bound
+        unsolved (see _newton).
         """
         nn, dt = self.n_nodes, self.dt
-        vntol, reltol = OPTIONS.vntol, OPTIONS.reltol
         predict = bool(self.mosfets)
-        # a prediction that only gives the error needs only the node voltages
-        width = None if predict else nn
         x = self.vector_from_guess(start.node_voltages)
         x[nn:] = [start.branch_currents[name] for name in self.vsource_names]
         # k, then the node voltages, of each accepted point in turn
@@ -555,16 +564,19 @@ class Plan:
                 t = (k + m) * dt
                 e = plan.source_values(t)
                 ieq = nxt if m == m_last else plan.ieq_from(x, i)
-                p = _extrapolate(fit, k + m, width) if len(fit) == 3 else None
                 x_new, a, _, status = _newton(
-                    plan, p if moving > 1 and p is not None else x, e=e, ieq=ieq)
+                    plan, _extrapolate(fit, k + m) if moving > 1 and len(fit) == 3 else x,
+                    e=e, ieq=ieq)
                 lte = inf
-                if status == "ok" and p is not None:
+                if status == "ok" and len(fit) == 3:
+                    # the distance from the prediction, in one pass: the
+                    # sums of _extrapolate, node by node
+                    (k0, x0), (k1, x1), (k2, x2) = fit
+                    w0, w1, w2 = _weights(k0 - k2, k1 - k2, 0, k + m - k2)
                     worst = 0.0
-                    for u, v in zip(x_new[:nn], p):
-                        if (d := abs(u - v)) > worst:
+                    for u, p, q, r in zip(x_new[:nn], x0, x1, x2):
+                        if (d := abs(u - (w0 * p + w1 * q + w2 * r))) > worst:
                             worst = d
-                    (k0, _), (k1, _), (k2, _) = fit
                     lte = m**3 * worst / (2 * (k + m - k0) * (k + m - k1) * (k + m - k2))
                 if m > 1 and lte > _LTE_TOL:
                     m //= 2
@@ -577,7 +589,7 @@ class Plan:
                 record.extend(x_new[:nn])
                 if predict:
                     moving = moving + 1 if any(
-                        abs(v - u) > vntol + reltol * abs(v)
+                        abs(v - u) > _VNTOL + _RELTOL * abs(v)
                         for u, v in zip(x[:nn], x_new)) else 0
                 i, nxt = plan.advance(x_new, ieq)
                 k, x, m_last = k + m, x_new, m
@@ -606,17 +618,16 @@ def _weights(t0: int, t1: int, t2: int, t: int) -> tuple[float, float, float]:
             ((t - t0) * (t - t1)) / ((t2 - t0) * (t2 - t1)))
 
 
-def _extrapolate(fit: list[tuple[int, list[float]]], k: int,
-                 n: int | None = None) -> list[float]:
-    """The first n unknowns, every one when n is None, at k of the
-    quadratic through the three (k, x) of ``fit``, at their actual
-    spacing: w0*x0 + w1*x1 + w2*x2 summed left to right, the weights from
-    _weights with times counted from the last point. Plan.steps' predicted
-    step end, for its error and a moving MOSFET step's start, and
-    Plan.sweep's start with points keyed by index."""
+def _extrapolate(fit: list[tuple[int, list[float]]], k: int) -> list[float]:
+    """Every unknown at k of the quadratic through the three (k, x) of
+    ``fit``, at their actual spacing: w0*x0 + w1*x1 + w2*x2 summed left to
+    right, the weights from _weights with times counted from the last
+    point. A moving MOSFET transient step's start (Plan.steps, whose error
+    reads the same sums of the node voltages), and Plan.sweep's start with
+    points keyed by index."""
     (k0, x0), (k1, x1), (k2, x2) = fit
     w0, w1, w2 = _weights(k0 - k2, k1 - k2, 0, k - k2)
-    return [w0 * p + w1 * q + w2 * r for p, q, r in zip(x0[:n], x1, x2)]
+    return [w0 * p + w1 * q + w2 * r for p, q, r in zip(x0, x1, x2)]
 
 
 def _transient_rows(record: array, nn: int) -> np.ndarray:
@@ -655,14 +666,13 @@ def _finite(values: list[float]) -> bool:
 
 
 def _residual_ok(plan: Plan, a: _Assembled) -> bool:
-    abstol, reltol, vntol = OPTIONS.abstol, OPTIONS.reltol, OPTIONS.vntol
     nn = plan.n_nodes
     f, scale = a.f, iter(a.scale)
     for fi, s in zip(f, islice(scale, nn)):
-        if abs(fi) > abstol + reltol * s:
+        if abs(fi) > _ABSTOL + _RELTOL * s:
             return False
     for fi, s in zip(f[nn:], scale):
-        if abs(fi) > vntol + reltol * s:
+        if abs(fi) > _VNTOL + _RELTOL * s:
             return False
     return True
 
@@ -672,11 +682,16 @@ _COND_LIMIT = 1e12
 
 
 def _inverse_norm(jac: np.ndarray) -> float:
-    """||J^-1||_inf, or inf when J is singular or too ill-conditioned."""
+    """||J^-1||_inf, or inf when J is singular or too ill-conditioned.
+
+    The inverse comes from the LAPACK gufunc of np.linalg.inv, the same
+    bits, inside _lapack_errors(), the scope np.linalg.inv enters."""
     try:
-        beta = float(np.abs(np.linalg.inv(jac)).sum(axis=1).max(initial=0.0))
+        with _lapack_errors():
+            inverse = _umath_linalg.inv(jac, signature="d->d")
     except np.linalg.LinAlgError:
         return inf
+    beta = float(np.abs(inverse).sum(axis=1).max(initial=0.0))
     if not float(np.abs(jac).sum(axis=1).max(initial=0.0)) * beta <= _COND_LIMIT:
         return inf  # also catches a non-finite beta
     return beta
@@ -710,11 +725,12 @@ def _solve(jac: np.ndarray, rhs: list[float]) -> list[float]:
 def _certified(plan: Plan, a: _Assembled, dx: list[float], x: list[float]) -> bool:
     """_newton's certificate: True when every row of the residual that
     assembling at x, the iterate that ``a`` assembled plus its solved step
-    dx, would give provably passes the step bound and _residual_ok."""
-    c_scale, c_step, c_x = plan.certificate
-    bound = (c_scale * max(a.scale, default=0.0) + c_step * max(map(abs, dx), default=0.0)
-             + c_x * max(map(abs, x), default=0.0))
-    return bound <= OPTIONS.abstol and 4.0 * plan.inverse_norm * bound <= OPTIONS.vntol
+    dx, would give provably passes the step bound and _residual_ok. Its
+    lists are never empty: a plan with no unknowns is accepted before any
+    solve."""
+    four_beta, c_scale, c_step, c_x = plan.bounds
+    bound = c_scale * max(a.scale) + c_step * max(map(abs, dx)) + c_x * max(map(abs, x))
+    return bound <= _ABSTOL and four_beta * bound <= _VNTOL
 
 
 def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
@@ -733,6 +749,17 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     entries whose sum overflows do not read "nonfinite". J's check comes
     with its assembly (Plan.assemble); a linear run's J, with no MOSFET and
     no tie, is the plan's compiled ``jac``, checked once at compile time.
+    The tolerances and limits are OPTIONS', read once at import (_VNTOL
+    and its neighbours).
+
+    A linear run (no MOSFET, g = 0) takes its first iteration ahead of
+    the loop and of the set-up that only MOSFET runs and later iterations
+    read (the stall test's state, the iteration limit). It reads 4*beta
+    from the plan's cached tuple (Plan.bounds) and tests the step bound,
+    then solves and clamps; an unclamped step then meets the certificate
+    before the step test, since both return x + dx. A run that this
+    iteration does not settle enters the loop at iteration 2 from x plus
+    its step, so no iteration is assembled or solved twice.
 
     A run converges at an iterate x whose residual passes _residual_ok
     and whose Newton step dx is within vntol + reltol*|x|. It is accepted
@@ -748,12 +775,12 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
       4*beta*||f(x)||_inf <= vntol the step would pass. x itself is
       returned: no step is solved.
     - Certificate, on a plan with no MOSFET, when a solved step dx from x
-      is not clamped and fails the step test, and an iteration is left
-      (_certified). B bounds every row of the residual that assembling at
-      x' = x + dx would give. If B <= abstol, so every row passes
-      _residual_ok, and 4*beta*B <= vntol, x' is returned at once: the
-      next iteration's step bound would return the same x' unsolved, one
-      assembly later. Both tests read B where that iteration reads
+      is not clamped and an iteration is left (_certified): at iteration 1
+      before the step test, later only when dx fails it. B bounds every
+      row of the residual that assembling at x' = x + dx would give. If
+      B <= abstol, so every row passes _residual_ok, and 4*beta*B <=
+      vntol, x' is returned at once: the next iteration's step bound
+      would return the same x' unsolved, one assembly later. Both tests read B where that iteration reads
       ||f(x')||_inf, and rounding is monotone. Proof of the bound: with
       A the exact sum of the plan's stamps and f(y) = A y + c, assembly
       computes f(y) + e(y); the compiled J is A + E; the solve gives
@@ -811,23 +838,46 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     from an abandoned run's x, so on those workloads a stall changes how
     many iterations a solve takes, not its answer.
     """
-    x = x0
+    x, iters = x0, 0
     nn = plan.n_nodes
-    clamp, vntol, reltol = OPTIONS.dv_clamp, OPTIONS.vntol, OPTIONS.reltol
     linear = not (plan.mosfets or g)
-    max_iters = _PTC_STEP_ITERS if g else OPTIONS.max_newton_iters
+    if linear:
+        # iteration 1 of a linear run, ahead of the set-up below that only
+        # MOSFET runs and later iterations read
+        a = plan.assemble(x, e, ieq)
+        f = a.f
+        if not (a.jac_finite and _finite(f)):
+            return x, a, 1, "nonfinite"
+        # with no unknowns there is nothing to solve; else f has a max
+        if not f or plan.bounds[0] * max(map(abs, f)) <= _VNTOL and _residual_ok(plan, a):
+            return x, a, 1, "ok"
+        try:
+            dx = _solve(a.jac, [-v for v in f])
+        except np.linalg.LinAlgError:
+            return x, a, 1, "singular"
+        if not _finite(dx):
+            return x, a, 1, "nonfinite"
+        if max(map(abs, dx[:nn]), default=0.0) > _CLAMP:
+            step = [min(max(d, -_CLAMP), _CLAMP) for d in dx[:nn]] + dx[nn:]
+        else:
+            step = dx
+        x_next = list(map(add, x, step))
+        if (step is dx and _certified(plan, a, dx, x_next)
+                or _step_ok(step, x_next) and _residual_ok(plan, a)):
+            return x_next, a, 1, "ok"
+        x, iters = x_next, 1
+    max_iters = _PTC_STEP_ITERS if g else _MAX_ITERS
     # the stall test watches plain MOSFET runs only (see the docstring)
     watch = not (linear or g)
     x_back, last, growing = x0, inf, 0
-    iters = 0
     while iters < max_iters:
         iters += 1
         a = plan.assemble(x, e, ieq, g, x0)
         if not (a.jac_finite and _finite(a.f)):
             return x, a, iters, "nonfinite"
         if linear:
-            bound = 4.0 * plan.inverse_norm * max(map(abs, a.f), default=0.0)
-            if bound <= vntol and _residual_ok(plan, a):
+            bound = plan.bounds[0] * max(map(abs, a.f), default=0.0)
+            if bound <= _VNTOL and _residual_ok(plan, a):
                 # the step from x provably passes: accept x unsolved
                 return x, a, iters, "ok"
         try:
@@ -837,17 +887,12 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
         if not _finite(dx):
             return x, a, iters, "nonfinite"
         longest = max(map(abs, dx[:nn]), default=0.0)
-        if longest > clamp and not g:
-            step = [min(max(d, -clamp), clamp) for d in dx[:nn]] + dx[nn:]
+        if longest > _CLAMP and not g:
+            step = [min(max(d, -_CLAMP), _CLAMP) for d in dx[:nn]] + dx[nn:]
         else:
             step = dx
         x_next = list(map(add, x, step))
-        for d, xd in zip(step, x_next):
-            if not abs(d) <= vntol + reltol * abs(xd):
-                step_ok = False
-                break
-        else:
-            step_ok = True
+        step_ok = _step_ok(step, x_next)
         if step_ok and _residual_ok(plan, a):
             return x_next, a, iters, "ok"
         if linear and step is dx and iters < max_iters and _certified(plan, a, dx, x_next):
@@ -857,13 +902,22 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
             if longest >= last:  # theta >= 1 after an unclamped step
                 growing += 1
             if growing == _STALL_STEPS or not step_ok and all(
-                    abs(xn - xb) <= vntol + reltol * abs(xn)
+                    abs(xn - xb) <= _VNTOL + _RELTOL * abs(xn)
                     for xn, xb in zip(x_next, x_back)):
                 return x, a, iters, "stalled"
-        last = longest if longest < clamp else inf
+        last = longest if longest < _CLAMP else inf
         x_back, x = x, x_next
     a = plan.assemble(x, e, ieq, g, x0)
     return x, a, iters, "maxiter"
+
+
+def _step_ok(step: list[float], x: list[float]) -> bool:
+    """Every entry of a Newton step is within vntol + reltol*|x| of the
+    iterate x that it lands on."""
+    for d, xd in zip(step, x):
+        if not abs(d) <= _VNTOL + _RELTOL * abs(xd):
+            return False
+    return True
 
 
 def _convergence_error(plan: Plan, a: _Assembled, what: str, stage: str):

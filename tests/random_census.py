@@ -11,7 +11,9 @@ dc_solve and audits each answer with verify_kcl. Prints one line per
 circuit that raises or fails the audit, then a summary line: the total
 Newton iterations of every run, failed solves included, counted by a
 wrapper around solver._newton, and the failure count with a tally by
-status, such as ``25 failures (23 stalled, 2 maxiter)``. A failure's
+status, such as ``25 failures (23 stalled, 2 maxiter)``. Next to the
+iterations it prints the calls of Plan.assemble and solver._solve, the
+assemblies and solves, also counted by wrappers. A failure's
 status is the Newton status its message names, else its error type.
 ``--vdd`` replaces VDD's value, as a random transient's DC point does
 with VDD at 0 V. ``--tran`` runs each seed's random transient instead
@@ -96,8 +98,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="solve and run the transient of each seed's random_linear circuit")
     args = parser.parse_args(argv)
 
-    iterations = 0
-    newton = solver._newton
+    iterations = assemblies = solves = 0
+    newton, assemble, solve = solver._newton, solver.Plan.assemble, solver._solve
 
     def counted(*a, **kw):
         nonlocal iterations
@@ -105,7 +107,17 @@ def main(argv: list[str] | None = None) -> int:
         iterations += result[2]
         return result
 
-    solver._newton = counted
+    def counted_assemble(*a, **kw):
+        nonlocal assemblies
+        assemblies += 1
+        return assemble(*a, **kw)
+
+    def counted_solve(*a):
+        nonlocal solves
+        solves += 1
+        return solve(*a)
+
+    solver._newton, solver.Plan.assemble, solver._solve = counted, counted_assemble, counted_solve
     failures = Counter()
     for seed in range(args.start, args.stop):
         try:
@@ -126,6 +138,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"seed {seed}: {type(exc).__name__}: {exc}")
     tally = ", ".join(f"{n} {status}" for status, n in failures.most_common())
     print(f"seeds {args.start}-{args.stop - 1}: {iterations} Newton iterations, "
+          f"{assemblies} assemblies, {solves} solves, "
           f"{failures.total()} failures" + (f" ({tally})" if tally else ""))
     return 1 if failures else 0
 

@@ -40,7 +40,8 @@ from hystlab import solver as solver_module
 from hystlab.audit import kcl_residuals, verify_kcl
 from hystlab.devices import kfactor, mos_kernel, mos_sign
 from hystlab.solver import Plan, Solution
-from test_random_circuits import random_circuit, random_transient
+from test_random_circuits import (TIGHT_LINEAR_SEEDS, random_circuit, random_linear,
+                                  random_transient)
 
 GMIN = 1e-12
 
@@ -1550,6 +1551,117 @@ def test_certificate_declines_a_resistor_from_a_node_to_itself():
     assert solver_module.Plan(net).certificate == (float("inf"),) * 3
     sol = dc_solve(net)
     assert (sol.node_voltages["a"], sol.iterations) == (1.0, 2)
+
+
+def _reference_bounds(plan):
+    """(4*beta, c_scale, c_step, c_x) of ``plan`` by the formulas of
+    Plan.inverse_norm and Plan.certificate written out: beta through
+    np.linalg.inv, and ||J||_inf summed for each use."""
+    jac, n = plan.jac, plan.n_unknowns
+    try:
+        beta = float(np.abs(np.linalg.inv(jac)).sum(axis=1).max(initial=0.0))
+    except np.linalg.LinAlgError:
+        beta = float("inf")
+    if not float(np.abs(jac).sum(axis=1).max(initial=0.0)) * beta <= 1e12:
+        beta = float("inf")
+    if any(p == q for p, q, _ in plan.resistors):
+        return 4.0 * beta, *(float("inf"),) * 3
+    norm = float(np.abs(jac).sum(axis=1).max(initial=0.0))
+    u = 2.0**-53
+    terms = 2 * (len(plan.resistors) + len(plan.isources) + len(plan.vsources)
+                 + len(plan.caps)) + 4
+    sums = terms * u / (1.0 - terms * u)
+    lu = 3 * n * u / (1.0 - 3 * n * u) * (1.0 + 2.0 * (n * n - n) * 2.0 ** (n - 1))
+    return 4.0 * beta, 4.0 * sums, 2.0 * (lu + 2.0 * sums) * norm, 4.0 * u * norm
+
+
+def test_plan_bounds_keep_the_formulas_bit_for_bit():
+    # the step bound's 4*beta and the certificate, cached in one tuple,
+    # keep the bits of np.linalg.inv and of ||J||_inf computed per use:
+    # on random linear plans, DC and transient, and on an RC deck's plans
+    # at every step length a transient takes
+    plans = [Plan(RC_EDGE, m * 1e-9) for m in (1, 2, 4, 8, 16)]
+    for seed in (*range(30), *TIGHT_LINEAR_SEEDS):
+        net = random_linear(seed)
+        plans += [Plan(net), Plan(net, 1e-9)]
+    for plan in plans:
+        want = _reference_bounds(plan)
+        assert _same_bits(plan.bounds, want)
+        assert _same_bits((4.0 * plan.inverse_norm, *plan.certificate), want)
+
+
+@pytest.mark.parametrize("deck, start, solves", [
+    # f overflows before anything is solved
+    ("nan\nV1 a 0 DC 1\nR1 a 0 1k\n.end\n", float("nan"), 0),
+    # 1e300 A through 1e12 ohm: the first solved step overflows
+    ("overflow\nI1 0 a DC 1e300\nR1 a 0 1e12\n.end\n", 0.0, 1),
+], ids=["nonfinite-f", "nonfinite-dx"])
+def test_linear_first_iteration_ends_on_a_nonfinite_value(monkeypatch, deck, start, solves):
+    plan = Plan(parse_netlist(deck))
+    counts, _ = _spy_work(monkeypatch)
+    with solver_module._lapack_errors():
+        result = solver_module._newton(plan, [start] * plan.n_unknowns,
+                                       e=plan.source_values(0.0))
+    assert result[2:] == (1, "nonfinite")
+    assert counts == {"assemble": 1, "solve": solves}
+
+
+def test_linear_runs_assemble_and_solve_at_most_once_per_iteration(monkeypatch):
+    # a linear run's first iteration hands a clamped step, or a solved
+    # step that the certificate declines, to the loop's second iteration:
+    # no run assembles or solves twice in one iteration, which a hand-over
+    # that repeated its iteration would. Both hand-overs must occur
+    runs, run = [], None
+    real_newton, real_assemble = solver_module._newton, Plan.assemble
+    real_solve, real_certified = solver_module._solve, solver_module._certified
+
+    def newton(plan, x0, g=0.0, **kwargs):
+        nonlocal run
+        run = {"plan": plan, "plain": not g, "events": []}
+        result = real_newton(plan, x0, g, **kwargs)
+        run["iters"], run["status"] = result[2:]
+        runs.append(run)
+        run = None
+        return result
+
+    def assemble(plan, *args, **kwargs):
+        if run is not None:
+            run["events"].append("assemble")
+        return real_assemble(plan, *args, **kwargs)
+
+    def solve(jac, rhs):
+        dx = real_solve(jac, rhs)
+        nn = run["plan"].n_nodes
+        run["events"].append("clamped" if max(map(abs, dx[:nn])) > 1.0 else "solve")
+        return dx
+
+    def certified(*args):
+        ok = real_certified(*args)
+        run["events"].append("certified" if ok else "declined")
+        return ok
+
+    monkeypatch.setattr(solver_module, "_newton", newton)
+    monkeypatch.setattr(Plan, "assemble", assemble)
+    monkeypatch.setattr(solver_module, "_solve", solve)
+    monkeypatch.setattr(solver_module, "_certified", certified)
+    for seed in (*range(30), *TIGHT_LINEAR_SEEDS):
+        net = random_linear(seed)
+        for analysis in (lambda: dc_solve(net), lambda: transient(net, 1e-9, 200e-9)):
+            try:
+                analysis()
+            except HystlabError:
+                pass
+    handed = {"clamped": 0, "declined": 0}
+    for r in runs:
+        events, iters = r["events"], r["iters"]
+        assert events.count("assemble") == iters + (r["status"] == "maxiter")
+        assert events.count("clamped") + events.count("solve") <= iters
+        # the first iteration's events, in a plain run that went on
+        first = events[:events.index("assemble", 1)] if r["plain"] and iters > 1 else []
+        for kind in handed:
+            handed[kind] += kind in first
+    assert len(runs) > 1000
+    assert handed["clamped"] > 0 and handed["declined"] > 0, handed
 
 
 def test_transient_step_returns_x_plus_dx_and_repeats_no_solve(monkeypatch, capacitance_net):
