@@ -53,9 +53,6 @@ class SolverOptions:
 
 
 OPTIONS = SolverOptions()
-# OPTIONS' tolerances and limits, read once here by the Newton loop and its tests
-_ABSTOL, _RELTOL, _VNTOL = OPTIONS.abstol, OPTIONS.reltol, OPTIONS.vntol
-_CLAMP, _MAX_ITERS = OPTIONS.dv_clamp, OPTIONS.max_newton_iters
 CMIN = 1e-15  # transient shunt capacitance from every node to ground [F]
 
 # pseudo-transient continuation: backward Euler on 1 pF per node ties each
@@ -384,10 +381,16 @@ class Plan:
         return i, nxt
 
     @cached_property
+    def bounds(self) -> tuple[float, float, float, float]:
+        """(4*inverse_norm, *certificate): _newton's per-plan constants,
+        the step bound's factor and the certificate's, computed on first
+        read and cached with the plan. Only for a plan with no MOSFET."""
+        return 4.0 * self.inverse_norm, *self.certificate
+
+    @property
     def inverse_norm(self) -> float:
-        """beta = ||J^-1||_inf of the compiled ``jac``, computed on first
-        read and cached with the plan for _newton's step bound and
-        certificate (see bounds).
+        """beta = ||J^-1||_inf of the compiled ``jac``, computed at each
+        read; _newton reads it once per plan, through bounds.
 
         Only for a plan with no MOSFET: its plain Jacobian is ``jac`` at
         every x, source value and companion current (dt is fixed in the
@@ -395,18 +398,11 @@ class Plan:
         """
         return _inverse_norm(self.jac)
 
-    @cached_property
-    def bounds(self) -> tuple[float, float, float, float]:
-        """(4*beta, c_scale, c_step, c_x): the step bound's factor
-        4*inverse_norm, then the certificate, in one tuple that a linear
-        Newton run reads once per test. Only for a plan with no MOSFET."""
-        return 4.0 * self.inverse_norm, *self.certificate
-
-    @cached_property
+    @property
     def certificate(self) -> tuple[float, float, float]:
         """(c_scale, c_step, c_x) of _newton's certificate, from ``jac``'s
-        ||J||_inf, computed on first read and cached with the plan next to
-        inverse_norm. Only for a plan with no MOSFET.
+        ||J||_inf, computed at each read; _newton reads it once per plan,
+        through bounds. Only for a plan with no MOSFET.
 
         With u = 2**-53, gamma_k = k*u/(1 - k*u), K = 2*E + 4 for the E
         resistors, sources and companions, and rho = 2**(n-1):
@@ -507,13 +503,14 @@ class Plan:
         _LTE_TOL. With p the step's prediction through the three points
         before it, k0, k1 and k2, x_new - p is exactly that difference
         times (k+m-k0)(k+m-k1)(k+m-k2), which the error divides out
-        (Brayton, Gustavson & Hachtel, Proc. IEEE 60(1), 1972). The error is
-        read in one pass over the node voltages of x_new and of the three
-        points, each p summed as _extrapolate sums it, with no list of p. A step
-        longer than dt whose error is above _LTE_TOL, inf for a failed
-        Newton run, is redone at h/2 from the same accepted point; the next
-        step is 2h when the error is below _LTE_TOL/8. A step of dt whose
-        Newton run fails raises. A step longer than dt holds no
+        (Brayton, Gustavson & Hachtel, Proc. IEEE 60(1), 1972). A step
+        that starts from p reads the error from it; any other sums each
+        node's p as _extrapolate does in the one pass that reads the
+        error, building no list of p. A step longer than dt whose error is
+        above _LTE_TOL, inf for a failed Newton run, is redone at h/2 from
+        the same accepted point; the next step is 2h when the error is
+        below _LTE_TOL/8. A step of dt whose Newton run fails raises. A
+        step longer than dt holds no
         source corner (corner_after of each source), not even at its end;
         the estimate starts afresh from the end of the step of dt that
         holds one, so the next three steps have length dt too. A row
@@ -539,6 +536,7 @@ class Plan:
         unsolved (see _newton).
         """
         nn, dt = self.n_nodes, self.dt
+        vntol, reltol = OPTIONS.vntol, OPTIONS.reltol
         predict = bool(self.mosfets)
         x = self.vector_from_guess(start.node_voltages)
         x[nn:] = [start.branch_currents[name] for name in self.vsource_names]
@@ -564,19 +562,25 @@ class Plan:
                 t = (k + m) * dt
                 e = plan.source_values(t)
                 ieq = nxt if m == m_last else plan.ieq_from(x, i)
-                x_new, a, _, status = _newton(
-                    plan, _extrapolate(fit, k + m) if moving > 1 and len(fit) == 3 else x,
-                    e=e, ieq=ieq)
+                p = _extrapolate(fit, k + m) if moving > 1 and len(fit) == 3 else None
+                x_new, a, _, status = _newton(plan, x if p is None else p, e=e, ieq=ieq)
                 lte = inf
                 if status == "ok" and len(fit) == 3:
-                    # the distance from the prediction, in one pass: the
-                    # sums of _extrapolate, node by node
                     (k0, x0), (k1, x1), (k2, x2) = fit
-                    w0, w1, w2 = _weights(k0 - k2, k1 - k2, 0, k + m - k2)
                     worst = 0.0
-                    for u, p, q, r in zip(x_new[:nn], x0, x1, x2):
-                        if (d := abs(u - (w0 * p + w1 * q + w2 * r))) > worst:
-                            worst = d
+                    if p is None:
+                        # no predicted start to reuse: each node's prediction,
+                        # summed as _extrapolate sums it, inside the error's
+                        # pass (a list or a generator of them cost an RC
+                        # transient 5-6 % of its time)
+                        w0, w1, w2 = _weights(k0 - k2, k1 - k2, 0, k + m - k2)
+                        for u, p0, p1, p2 in zip(x_new[:nn], x0, x1, x2):
+                            if (d := abs(u - (w0 * p0 + w1 * p1 + w2 * p2))) > worst:
+                                worst = d
+                    else:
+                        for u, v in zip(x_new[:nn], p):
+                            if (d := abs(u - v)) > worst:
+                                worst = d
                     lte = m**3 * worst / (2 * (k + m - k0) * (k + m - k1) * (k + m - k2))
                 if m > 1 and lte > _LTE_TOL:
                     m //= 2
@@ -589,7 +593,7 @@ class Plan:
                 record.extend(x_new[:nn])
                 if predict:
                     moving = moving + 1 if any(
-                        abs(v - u) > _VNTOL + _RELTOL * abs(v)
+                        abs(v - u) > vntol + reltol * abs(v)
                         for u, v in zip(x[:nn], x_new)) else 0
                 i, nxt = plan.advance(x_new, ieq)
                 k, x, m_last = k + m, x_new, m
@@ -622,9 +626,9 @@ def _extrapolate(fit: list[tuple[int, list[float]]], k: int) -> list[float]:
     """Every unknown at k of the quadratic through the three (k, x) of
     ``fit``, at their actual spacing: w0*x0 + w1*x1 + w2*x2 summed left to
     right, the weights from _weights with times counted from the last
-    point. A moving MOSFET transient step's start (Plan.steps, whose error
-    reads the same sums of the node voltages), and Plan.sweep's start with
-    points keyed by index."""
+    point. A moving MOSFET transient step's start and the prediction its
+    error reads (Plan.steps, whose other steps sum the same way in the
+    error's pass), and Plan.sweep's start with points keyed by index."""
     (k0, x0), (k1, x1), (k2, x2) = fit
     w0, w1, w2 = _weights(k0 - k2, k1 - k2, 0, k - k2)
     return [w0 * p + w1 * q + w2 * r for p, q, r in zip(x0, x1, x2)]
@@ -666,13 +670,14 @@ def _finite(values: list[float]) -> bool:
 
 
 def _residual_ok(plan: Plan, a: _Assembled) -> bool:
+    abstol, reltol, vntol = OPTIONS.abstol, OPTIONS.reltol, OPTIONS.vntol
     nn = plan.n_nodes
     f, scale = a.f, iter(a.scale)
     for fi, s in zip(f, islice(scale, nn)):
-        if abs(fi) > _ABSTOL + _RELTOL * s:
+        if abs(fi) > abstol + reltol * s:
             return False
     for fi, s in zip(f[nn:], scale):
-        if abs(fi) > _VNTOL + _RELTOL * s:
+        if abs(fi) > vntol + reltol * s:
             return False
     return True
 
@@ -682,16 +687,11 @@ _COND_LIMIT = 1e12
 
 
 def _inverse_norm(jac: np.ndarray) -> float:
-    """||J^-1||_inf, or inf when J is singular or too ill-conditioned.
-
-    The inverse comes from the LAPACK gufunc of np.linalg.inv, the same
-    bits, inside _lapack_errors(), the scope np.linalg.inv enters."""
+    """||J^-1||_inf, or inf when J is singular or too ill-conditioned."""
     try:
-        with _lapack_errors():
-            inverse = _umath_linalg.inv(jac, signature="d->d")
+        beta = float(np.abs(np.linalg.inv(jac)).sum(axis=1).max(initial=0.0))
     except np.linalg.LinAlgError:
         return inf
-    beta = float(np.abs(inverse).sum(axis=1).max(initial=0.0))
     if not float(np.abs(jac).sum(axis=1).max(initial=0.0)) * beta <= _COND_LIMIT:
         return inf  # also catches a non-finite beta
     return beta
@@ -730,7 +730,7 @@ def _certified(plan: Plan, a: _Assembled, dx: list[float], x: list[float]) -> bo
     solve."""
     four_beta, c_scale, c_step, c_x = plan.bounds
     bound = c_scale * max(a.scale) + c_step * max(map(abs, dx)) + c_x * max(map(abs, x))
-    return bound <= _ABSTOL and four_beta * bound <= _VNTOL
+    return bound <= OPTIONS.abstol and four_beta * bound <= OPTIONS.vntol
 
 
 def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
@@ -749,17 +749,8 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     entries whose sum overflows do not read "nonfinite". J's check comes
     with its assembly (Plan.assemble); a linear run's J, with no MOSFET and
     no tie, is the plan's compiled ``jac``, checked once at compile time.
-    The tolerances and limits are OPTIONS', read once at import (_VNTOL
-    and its neighbours).
-
-    A linear run (no MOSFET, g = 0) takes its first iteration ahead of
-    the loop and of the set-up that only MOSFET runs and later iterations
-    read (the stall test's state, the iteration limit). It reads 4*beta
-    from the plan's cached tuple (Plan.bounds) and tests the step bound,
-    then solves and clamps; an unclamped step then meets the certificate
-    before the step test, since both return x + dx. A run that this
-    iteration does not settle enters the loop at iteration 2 from x plus
-    its step, so no iteration is assembled or solved twice.
+    A linear run (no MOSFET, g = 0) reads 4*beta and the certificate's
+    constants from one cached per-plan tuple (Plan.bounds).
 
     A run converges at an iterate x whose residual passes _residual_ok
     and whose Newton step dx is within vntol + reltol*|x|. It is accepted
@@ -775,16 +766,16 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
       4*beta*||f(x)||_inf <= vntol the step would pass. x itself is
       returned: no step is solved.
     - Certificate, on a plan with no MOSFET, when a solved step dx from x
-      is not clamped and an iteration is left (_certified): at iteration 1
-      before the step test, later only when dx fails it. B bounds every
-      row of the residual that assembling at x' = x + dx would give. If
-      B <= abstol, so every row passes _residual_ok, and 4*beta*B <=
-      vntol, x' is returned at once: the next iteration's step bound
-      would return the same x' unsolved, one assembly later. Both tests read B where that iteration reads
-      ||f(x')||_inf, and rounding is monotone. Proof of the bound: with
-      A the exact sum of the plan's stamps and f(y) = A y + c, assembly
-      computes f(y) + e(y); the compiled J is A + E; the solve gives
-      (J + dJ) dx = -f(x) - e(x); and x' = x + dx + r. So
+      is not clamped and an iteration is left (_certified), tested before
+      the step test, as both return x'. B bounds every row of the residual
+      that assembling at x' = x + dx would give. If B <= abstol, so every
+      row passes _residual_ok, and 4*beta*B <= vntol, x' is returned at
+      once: the next iteration's step bound would return the same x'
+      unsolved, one assembly later. Both tests read B where that
+      iteration reads ||f(x')||_inf, and rounding is monotone. Proof of
+      the bound: with A the exact sum of the plan's stamps and f(y) =
+      A y + c, assembly computes f(y) + e(y); the compiled J is A + E; the
+      solve gives (J + dJ) dx = -f(x) - e(x); and x' = x + dx + r. So
           f(x') = f(x) + A (dx + r) = -e(x) - (dJ + E) dx + A r,
       and the next assembly adds e(x'). Row by row (Higham, above):
       - |e(y)| <= gamma_K times the row's sum of |terms| at y (ch. 3): a
@@ -838,38 +829,15 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
     from an abandoned run's x, so on those workloads a stall changes how
     many iterations a solve takes, not its answer.
     """
-    x, iters = x0, 0
+    x = x0
     nn = plan.n_nodes
+    clamp, vntol, reltol = OPTIONS.dv_clamp, OPTIONS.vntol, OPTIONS.reltol
     linear = not (plan.mosfets or g)
-    if linear:
-        # iteration 1 of a linear run, ahead of the set-up below that only
-        # MOSFET runs and later iterations read
-        a = plan.assemble(x, e, ieq)
-        f = a.f
-        if not (a.jac_finite and _finite(f)):
-            return x, a, 1, "nonfinite"
-        # with no unknowns there is nothing to solve; else f has a max
-        if not f or plan.bounds[0] * max(map(abs, f)) <= _VNTOL and _residual_ok(plan, a):
-            return x, a, 1, "ok"
-        try:
-            dx = _solve(a.jac, [-v for v in f])
-        except np.linalg.LinAlgError:
-            return x, a, 1, "singular"
-        if not _finite(dx):
-            return x, a, 1, "nonfinite"
-        if max(map(abs, dx[:nn]), default=0.0) > _CLAMP:
-            step = [min(max(d, -_CLAMP), _CLAMP) for d in dx[:nn]] + dx[nn:]
-        else:
-            step = dx
-        x_next = list(map(add, x, step))
-        if (step is dx and _certified(plan, a, dx, x_next)
-                or _step_ok(step, x_next) and _residual_ok(plan, a)):
-            return x_next, a, 1, "ok"
-        x, iters = x_next, 1
-    max_iters = _PTC_STEP_ITERS if g else _MAX_ITERS
+    max_iters = _PTC_STEP_ITERS if g else OPTIONS.max_newton_iters
     # the stall test watches plain MOSFET runs only (see the docstring)
     watch = not (linear or g)
     x_back, last, growing = x0, inf, 0
+    iters = 0
     while iters < max_iters:
         iters += 1
         a = plan.assemble(x, e, ieq, g, x0)
@@ -877,7 +845,7 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
             return x, a, iters, "nonfinite"
         if linear:
             bound = plan.bounds[0] * max(map(abs, a.f), default=0.0)
-            if bound <= _VNTOL and _residual_ok(plan, a):
+            if bound <= vntol and _residual_ok(plan, a):
                 # the step from x provably passes: accept x unsolved
                 return x, a, iters, "ok"
         try:
@@ -887,37 +855,34 @@ def _newton(plan: Plan, x0: list[float], g: float = 0.0, *, e: list[float],
         if not _finite(dx):
             return x, a, iters, "nonfinite"
         longest = max(map(abs, dx[:nn]), default=0.0)
-        if longest > _CLAMP and not g:
-            step = [min(max(d, -_CLAMP), _CLAMP) for d in dx[:nn]] + dx[nn:]
+        if longest > clamp and not g:
+            step = [min(max(d, -clamp), clamp) for d in dx[:nn]] + dx[nn:]
         else:
             step = dx
         x_next = list(map(add, x, step))
-        step_ok = _step_ok(step, x_next)
-        if step_ok and _residual_ok(plan, a):
-            return x_next, a, iters, "ok"
+        # the certificate first: it and the step test both return x_next
         if linear and step is dx and iters < max_iters and _certified(plan, a, dx, x_next):
             # the next iteration's step bound provably accepts x_next unsolved
+            return x_next, a, iters, "ok"
+        for d, xd in zip(step, x_next):
+            if not abs(d) <= vntol + reltol * abs(xd):
+                step_ok = False
+                break
+        else:
+            step_ok = True
+        if step_ok and _residual_ok(plan, a):
             return x_next, a, iters, "ok"
         if watch and iters >= _STALL_FROM:
             if longest >= last:  # theta >= 1 after an unclamped step
                 growing += 1
             if growing == _STALL_STEPS or not step_ok and all(
-                    abs(xn - xb) <= _VNTOL + _RELTOL * abs(xn)
+                    abs(xn - xb) <= vntol + reltol * abs(xn)
                     for xn, xb in zip(x_next, x_back)):
                 return x, a, iters, "stalled"
-        last = longest if longest < _CLAMP else inf
+        last = longest if longest < clamp else inf
         x_back, x = x, x_next
     a = plan.assemble(x, e, ieq, g, x0)
     return x, a, iters, "maxiter"
-
-
-def _step_ok(step: list[float], x: list[float]) -> bool:
-    """Every entry of a Newton step is within vntol + reltol*|x| of the
-    iterate x that it lands on."""
-    for d, xd in zip(step, x):
-        if not abs(d) <= _VNTOL + _RELTOL * abs(xd):
-            return False
-    return True
 
 
 def _convergence_error(plan: Plan, a: _Assembled, what: str, stage: str):
